@@ -30,6 +30,8 @@ def _schema(name, properties, required):
 
 _num = {"type": "number"}
 _int = {"type": "integer"}
+_pos_int = {"type": "integer", "minimum": 1}
+DEFAULT_THIN = 100
 
 _schema(
     "phase-diagram",
@@ -88,8 +90,8 @@ _schema(
         "n_plus": _int,
         "zeta": _num,
         "t": _num,
-        "moves": _int,
-        "thin": _int,
+        "moves": _pos_int,
+        "thin": _pos_int,
         "step": _num,
         "p_birth": _num,
         "p_death": _num,
@@ -111,12 +113,12 @@ _schema(
         "n_plus": _int,
         "zeta": _num,
         "t": _num,
-        "n_runs": _int,
+        "n_runs": _pos_int,
         "margins": {"type": "array", "items": _int},
         "ladder_zeta": _num,
         "c_star": _num,
         "mismatched": {"type": "boolean"},
-        "sweeps": _int,
+        "sweeps": _pos_int,
     },
     ["S", "d", "gamma", "ell0", "ell_minus", "ell_plus", "n_plus", "zeta", "t", "n_runs", "margins"],
 )
@@ -158,6 +160,9 @@ def load_config(path, command):
         jsonschema.validate(cfg, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config invalid for {command}: {exc.message}") from exc
+    if command == "simulate" and cfg["moves"] < cfg.get("thin", DEFAULT_THIN):
+        raise ConfigError(f"config invalid for simulate: moves ({cfg['moves']}) is less "
+                          f"than thin ({cfg.get('thin', DEFAULT_THIN)})")
     return cfg
 
 
@@ -311,7 +316,7 @@ def cmd_simulate(cfg, seed, out):
     fill_boundary(system, seed=seed + 1)
     system.seed_phase_configuration()
     system.energy = system.total_energy()
-    thin = cfg.get("thin", 100)
+    thin = cfg.get("thin", DEFAULT_THIN)
     rows = []
     for block in range(cfg["moves"] // thin):
         sim.metropolis_sweep(system, kernel, n_moves=thin)

@@ -29,7 +29,14 @@ from .screening import (
     k_function,
     theta_event,
 )
-from .simulate import MoveKernel, ParticleSystem, apply_move, build_move, draw_move_uniforms
+from .simulate import (
+    MoveKernel,
+    ParticleSystem,
+    apply_move,
+    build_move,
+    draw_move_uniforms,
+    occupancy_window,
+)
 
 __all__ = [
     "choose_branch",
@@ -115,7 +122,7 @@ def reinit_identical(pair: PairedState, cells: list, rng):
     ell = region.ell_minus
     vol = region.cell_volume
     counts = np.round(pair.sys1.phase.rho_ref * vol).astype(int)
-    counts = np.clip(counts, pair.sys1.phase_window_lo(), pair.sys1.phase_window_hi())
+    counts = np.clip(counts, pair.sys1.n_lo, pair.sys1.n_hi)
     cell_set = set(map(tuple, cells))
     for system in (pair.sys1, pair.sys2):
         doomed = [
@@ -352,8 +359,7 @@ def exact_occupancy_kernel(region, phase, kernel: MoveKernel) -> tuple[list, np.
         raise ValueError("one-cell system required")
     vol = region.cell_volume
     S = region.S
-    lo = np.maximum(np.ceil(vol * (phase.rho_ref - phase.zeta) - 1e-9).astype(int), 0)
-    hi = np.floor(vol * (phase.rho_ref + phase.zeta) + 1e-9).astype(int)
+    lo, hi = occupancy_window(phase, vol)
     states = list(itertools.product(*[range(lo[s], hi[s] + 1) for s in range(S)]))
     index = {st: i for i, st in enumerate(states)}
     P = np.zeros((len(states), len(states)))

@@ -64,7 +64,9 @@ def _self_convolution_table(d: int, n_table: int, n_grid: int) -> tuple[np.ndarr
     """(J * J)(v) for |v| in [0, 1], J the normalized bump at unit scale.
 
     Computed with a deterministic midpoint grid; d = 3 uses cylindrical
-    coordinates around the shift axis.
+    coordinates around the shift axis.  For the shift v only grid points
+    with axial coordinate >= v - 1/2 reach the shifted support, so in d = 2
+    and 3 each sum runs over that sorted suffix (columns) of the grid alone.
     """
     prof = normalized_bump(d)
     shifts = np.linspace(0.0, 1.0, n_table)
@@ -80,9 +82,11 @@ def _self_convolution_table(d: int, n_table: int, n_grid: int) -> tuple[np.ndarr
         r0 = np.hypot(gx, gy)
         j0 = prof(r0)
         mask = j0 > 0
-        px, py, j0m = gx[mask], gy[mask], j0[mask]
+        px, py, j0m = gx[mask], gy[mask], j0[mask]  # px sorted ascending
+        starts = np.searchsorted(px, shifts - 0.5)
         vals = np.array(
-            [np.sum(j0m * prof(np.hypot(px - v, py))) * h * h for v in shifts]
+            [np.sum(j0m[k:] * prof(np.hypot(px[k:] - v, py[k:]))) * h * h
+             for v, k in zip(shifts, starts)]
         )
     elif d == 3:
         h = 1.0 / n_grid
@@ -91,8 +95,10 @@ def _self_convolution_table(d: int, n_table: int, n_grid: int) -> tuple[np.ndarr
         R, Z = np.meshgrid(rho, zax, indexing="ij")
         j0 = prof(np.hypot(R, Z))
         ring = 2.0 * np.pi * R * h * h  # volume element of each ring
+        starts = np.searchsorted(zax, shifts - 0.5)
         vals = np.array(
-            [np.sum(j0 * prof(np.hypot(R, Z - v)) * ring) for v in shifts]
+            [np.sum(j0[:, k:] * prof(np.hypot(R[:, k:], Z[:, k:] - v)) * ring[:, k:])
+             for v, k in zip(shifts, starts)]
         )
     else:
         raise ValueError(f"dimension {d} not supported")
@@ -123,8 +129,8 @@ class PairPotential:
 
     def __call__(self, dist):
         dist = np.asarray(dist, dtype=float)
+        # right=0.0 zeroes V past _radii[-1], which is self.range
         out = np.interp(dist, self._radii, self._vals, right=0.0)
-        out = np.where(dist > self.range, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
     def at_zero(self) -> float:

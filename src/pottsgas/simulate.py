@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .kernels import PairPotential
 
@@ -35,6 +36,7 @@ __all__ = [
     "metropolis_sweep",
     "measure_observables",
     "poisson_window_weights",
+    "occupancy_window",
 ]
 
 
@@ -120,6 +122,14 @@ class PhaseTarget:
         """(|lam - lambda_beta|, c sqrt(gamma)): the offset and the window it
         is expected to stay in for small gamma."""
         return abs(self.lam - self.lambda_beta), c * math.sqrt(gamma)
+
+
+def occupancy_window(phase: PhaseTarget, volume: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer accuracy window (n_lo, n_hi) per species for a cell of the
+    given volume: the counts n with |n / volume - rho_ref| <= zeta."""
+    n_lo = np.ceil(volume * (phase.rho_ref - phase.zeta) - 1e-9).astype(np.int64)
+    n_hi = np.floor(volume * (phase.rho_ref + phase.zeta) + 1e-9).astype(np.int64)
+    return np.maximum(n_lo, 0), n_hi
 
 
 @dataclass(frozen=True)
@@ -246,11 +256,7 @@ class ParticleSystem:
         self._n_used = 0
         self.cells: dict[tuple, list] = {}
         self.counts = np.zeros((n_int,) * d + (S,), dtype=np.int64)
-        # integer window bounds per species
-        vol = region.cell_volume
-        self.n_lo = np.ceil(vol * (phase.rho_ref - phase.zeta) - 1e-9).astype(np.int64)
-        self.n_lo = np.maximum(self.n_lo, 0)
-        self.n_hi = np.floor(vol * (phase.rho_ref + phase.zeta) + 1e-9).astype(np.int64)
+        self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
         self.energy = 0.0  # running interpolated energy
         self._offsets = [
             tuple(int(v) - self.reach for v in o)
@@ -392,27 +398,18 @@ class ParticleSystem:
 
     def total_energy(self) -> float:
         """Recompute the interpolated energy of the mobile configuration
-        given the frozen boundary, from scratch."""
+        given the frozen boundary, from scratch: every unlike-species pair
+        within range that is not frozen-frozen, counted once."""
         phase = self.phase
-        total_pair = 0.0
-        for i in self.mobile_ids:
-            cell = self.cell_of[i]
-            ids = self._neighbor_ids(cell, skip=i)
-            if ids:
-                idx = np.asarray(ids, dtype=np.int64)
-                mask = self.spin[idx] != self.spin[i]
-                # halve mobile-mobile pairs, count mobile-frozen once
-                if mask.any():
-                    sel = idx[mask]
-                    diff = self.pos[sel] - self.pos[i]
-                    dist = np.sqrt((diff**2).sum(axis=1))
-                    vals = self.potential(dist)
-                    fro = self.frozen[sel]
-                    total_pair += float(np.sum(vals * np.where(fro, 1.0, 0.5)))
-        n = len(self.mobile_ids)
-        h_pair = total_pair - phase.lam * n
-        h_ref = float(np.sum(phase.neighbor_sum[self.spin[np.asarray(self.mobile_ids, dtype=np.int64)]]
-                             - phase.lambda_beta)) if n else 0.0
+        live = np.flatnonzero(self.alive[: self._n_used])
+        pairs = cKDTree(self.pos[live]).query_pairs(self.potential.range, output_type="ndarray")
+        i, j = live[pairs[:, 0]], live[pairs[:, 1]]
+        keep = (self.spin[i] != self.spin[j]) & ~(self.frozen[i] & self.frozen[j])
+        i, j = i[keep], j[keep]
+        dist = np.sqrt(((self.pos[i] - self.pos[j]) ** 2).sum(axis=1))
+        mobile_spins = self.spin[live[~self.frozen[live]]]
+        h_pair = float(np.sum(self.potential(dist))) - phase.lam * len(mobile_spins)
+        h_ref = float(np.sum(phase.neighbor_sum[mobile_spins] - phase.lambda_beta))
         return phase.t * h_pair + (1.0 - phase.t) * h_ref
 
     # -- window checks
@@ -438,12 +435,6 @@ class ParticleSystem:
         return bool(
             np.all(self.counts >= self.n_lo) and np.all(self.counts <= self.n_hi)
         )
-
-    def phase_window_lo(self) -> np.ndarray:
-        return self.n_lo
-
-    def phase_window_hi(self) -> np.ndarray:
-        return self.n_hi
 
 
 def empirical_density(system: ParticleSystem) -> np.ndarray:
@@ -739,8 +730,7 @@ def poisson_window_weights(region: SimRegion, phase: PhaseTarget) -> dict:
     if phase.t != 0.0:
         raise ValueError("closed-form occupancy law requires t = 0")
     vol = region.cell_volume
-    lo = np.maximum(np.ceil(vol * (phase.rho_ref - phase.zeta) - 1e-9).astype(int), 0)
-    hi = np.floor(vol * (phase.rho_ref + phase.zeta) + 1e-9).astype(int)
+    lo, hi = occupancy_window(phase, vol)
     weights: dict[tuple, float] = {}
     ranges = [range(lo[s], hi[s] + 1) for s in range(region.S)]
     import itertools

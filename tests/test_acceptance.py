@@ -319,6 +319,7 @@ def _verify_fixture(kind, seed):
     return pair
 
 
+@pytest.mark.slow
 def test_criterion_10_stopping_set_verification():
     failures = []
     n_runs = 200
@@ -336,6 +337,7 @@ def test_criterion_10_stopping_set_verification():
                    + (f"; first: {failures[:2]}" if failures else ""))
 
 
+@pytest.mark.slow
 def test_criterion_11_percolation_decay():
     sol4 = mf.rescale(mf.common_tangent(3), 4.0)
     region = sim.SimRegion(d=2, S=3, gamma=0.2, ell0=2.5, ell_minus=5.0, ell_plus=10.0, n_plus=5)

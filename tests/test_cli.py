@@ -8,6 +8,17 @@ import pytest
 from pottsgas import cli
 
 
+SIM_BASE = {
+    "S": 3, "beta": 4.0, "d": 2, "gamma": 0.5, "ell0": 1.0, "ell_minus": 2.0,
+    "ell_plus": 4.0, "n_plus": 1, "zeta": 2.0, "t": 0.5, "moves": 2000, "thin": 200,
+}
+COUPLE_BASE = {
+    "S": 3, "beta": 4.0, "d": 2, "gamma": 0.2, "ell0": 2.5, "ell_minus": 5.0,
+    "ell_plus": 10.0, "n_plus": 5, "zeta": 2.0, "t": 0.03,
+    "n_runs": 4, "margins": [0, 1, 2], "ladder_zeta": 2.0, "c_star": 0.65,
+}
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -99,10 +110,7 @@ def test_lp_decay_command(tmp_path):
 
 
 def test_simulate_command(tmp_path):
-    cfg = write_cfg(tmp_path, "sim.json", {
-        "S": 3, "beta": 4.0, "d": 2, "gamma": 0.5, "ell0": 1.0, "ell_minus": 2.0,
-        "ell_plus": 4.0, "n_plus": 1, "zeta": 2.0, "t": 0.5, "moves": 2000, "thin": 200,
-    })
+    cfg = write_cfg(tmp_path, "sim.json", SIM_BASE)
     out = tmp_path / "out"
     rc = run_cli(["simulate", "--config", cfg, "--out", str(out), "--seed", "5"])
     assert rc == 0
@@ -113,11 +121,7 @@ def test_simulate_command(tmp_path):
 
 
 def test_couple_command(tmp_path):
-    cfg = write_cfg(tmp_path, "cp.json", {
-        "S": 3, "beta": 4.0, "d": 2, "gamma": 0.2, "ell0": 2.5, "ell_minus": 5.0,
-        "ell_plus": 10.0, "n_plus": 5, "zeta": 2.0, "t": 0.03,
-        "n_runs": 4, "margins": [0, 1, 2], "ladder_zeta": 2.0, "c_star": 0.65,
-    })
+    cfg = write_cfg(tmp_path, "cp.json", COUPLE_BASE)
     out = tmp_path / "out"
     rc = run_cli(["couple", "--config", cfg, "--out", str(out), "--seed", "9"])
     assert rc == 0
@@ -182,3 +186,30 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("command, base, field", [
+    ("simulate", SIM_BASE, "moves"),
+    ("simulate", SIM_BASE, "thin"),
+    ("couple", COUPLE_BASE, "n_runs"),
+    ("couple", COUPLE_BASE, "sweeps"),
+])
+def test_nonpositive_counts_exit_2(tmp_path, command, base, field):
+    cfg = write_cfg(tmp_path, "c.json", {**base, field: 0})
+    out = tmp_path / "out"
+    rc = run_cli([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert "minimum" in err["error"]
+
+
+def test_simulate_moves_below_thin_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {**SIM_BASE, "moves": 50, "thin": 200})
+    out = tmp_path / "out"
+    rc = run_cli(["simulate", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert "moves" in err["error"] and "thin" in err["error"]
+    assert not (out / "trajectory.npy").exists()

@@ -170,6 +170,7 @@ def test_percolation_identical_boundaries_agree(sol4):
     assert all(v == 1.0 for v in out["agreement"].values())
 
 
+@pytest.mark.slow
 def test_percolation_mismatched_decay(sol4):
     region = perc_region()
     phase = perc_phase(sol4)

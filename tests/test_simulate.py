@@ -343,3 +343,48 @@ def test_fixed_seed_reproducibility():
     assert np.array_equal(c1, c2)
     assert np.array_equal(p1, p2)
     assert np.array_equal(s1, s2)
+
+
+def audit_oracle(system) -> float:
+    """interpolated_energy of the live configuration: the O(n^2) reference."""
+    live = np.flatnonzero(system.alive[: system._n_used])
+    mob, fro = live[~system.frozen[live]], live[system.frozen[live]]
+    return sim.interpolated_energy(system.pos[mob], system.spin[mob], system.pos[fro],
+                                   system.spin[fro], system.phase, system.region.gamma)
+
+
+def oracle_region(d):
+    if d == 1:
+        return sim.SimRegion(d=1, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=2)
+    if d == 2:
+        return sim.SimRegion(d=2, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=1)
+    return sim.SimRegion(d=3, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=1)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_total_energy_matches_pair_oracle(d, t):
+    from pottsgas.fixtures import fill_boundary
+
+    region = oracle_region(d)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=t)
+    system = sim.ParticleSystem(region, phase, seed=d)
+    fill_boundary(system, seed=10 + d)
+    system.seed_phase_configuration()
+    sim.metropolis_sweep(system, sim.MoveKernel(step=1.0), n_moves=400, audit=False)
+    assert not system.alive[: system._n_used].all()  # deaths left free slots
+    assert system.frozen[system.alive].any()
+    want = audit_oracle(system)
+    assert abs(system.total_energy() - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_total_energy_of_empty_system():
+    region = oracle_region(2)
+    phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=0.7, t=0.6)
+    system = sim.ParticleSystem(region, phase)
+    assert system.total_energy() == audit_oracle(system) == 0.0
+    # a frozen collar alone carries no energy: frozen-frozen pairs are excluded
+    system.add_boundary([[-0.5, 0.5], [-0.3, 0.6]], [0, 1])
+    assert system.total_energy() == 0.0
