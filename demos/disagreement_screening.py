@@ -43,7 +43,7 @@ region3 = sim.SimRegion(d=2, S=3, gamma=0.2, ell0=2.5, ell_minus=5.0, ell_plus=1
 phase3 = sim.PhaseTarget(rho_ref=sol.minimizers[-1], lambda_beta=sol.lambda_beta,
                          beta=4.0, zeta=2.0, t=0.03)
 ladder3 = scr.LadderSpec(zeta=2.0, d=2, c_star=0.65)
-kernel = sim.MoveKernel(seed=0)
+kernel = sim.MoveKernel()
 
 
 def build(seed):

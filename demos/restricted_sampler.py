@@ -21,7 +21,7 @@ print(f"window: counts 4..8 per species, {len(exact)} occupancy states")
 
 system = sim.ParticleSystem(region, phase, seed=1)
 system.seed_phase_configuration()
-kernel = sim.MoveKernel(seed=2)
+kernel = sim.MoveKernel()
 counts = {st: 0 for st in exact}
 n_samples = 4000
 for _ in range(n_samples):
@@ -41,7 +41,7 @@ system2 = sim.ParticleSystem(region2, phase2, seed=3)
 fx.fill_boundary(system2, seed=4)
 system2.seed_phase_configuration()
 system2.energy = system2.total_energy()
-kernel2 = sim.MoveKernel(seed=5)
+kernel2 = sim.MoveKernel()
 accepted = sim.metropolis_sweep(system2, kernel2, n_moves=20_000)
 obs = sim.measure_observables(system2, references=[phase2.rho_ref],
                               balls=[((0.0, 0.0), 3.0)])

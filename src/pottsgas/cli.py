@@ -286,7 +286,7 @@ def cmd_lp_decay(cfg, seed, out):
     return 0
 
 
-def _sim_setup(cfg, seed):
+def _sim_setup(cfg):
     from . import meanfield as mf
     from . import simulate as sim
 
@@ -303,13 +303,12 @@ def _sim_setup(cfg, seed):
         p_move=cfg.get("p_move", 0.3),
         p_flip=cfg.get("p_flip", 0.2),
         step=cfg.get("step", 0.5),
-        seed=seed,
     )
     return sim, region, phase, kernel
 
 
 def cmd_simulate(cfg, seed, out):
-    sim, region, phase, kernel = _sim_setup(cfg, seed)
+    sim, region, phase, kernel = _sim_setup(cfg)
     from .fixtures import fill_boundary
 
     system = sim.ParticleSystem(region, phase, seed=seed)
@@ -346,7 +345,7 @@ def cmd_simulate(cfg, seed, out):
 
 
 def cmd_couple(cfg, seed, out):
-    sim, region, phase, kernel = _sim_setup(cfg, seed)
+    sim, region, phase, kernel = _sim_setup(cfg)
     from . import coupling as cpl
     from . import screening as scr
     from .fixtures import make_identical_pair, make_mismatched_pair

@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import simulate
 from .screening import (
     CubePartition,
     PairedState,
     _cell_signature,
     _cells_per_cube,
     _cube_cells,
+    _range_collar_cells,
     classify_and_peel,
     k_function,
     theta_event,
@@ -50,30 +52,6 @@ __all__ = [
 ]
 
 
-def _collar_cells_of(region, cubes: set, thickness: float) -> list:
-    """Interior-coordinate cells outside ``cubes`` within ``thickness`` of
-    them (including frozen-collar cells)."""
-    cpc = _cells_per_cube(region)
-    ell = region.ell_minus
-    reach = int(math.ceil(thickness / region.ell_plus)) + 1
-    cand_cubes = set()
-    for cube in cubes:
-        for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
-            c = tuple(cube[k] + off[k] for k in range(region.d))
-            if c not in cubes:
-                cand_cubes.add(c)
-    out = []
-    from .screening import _boxes_gap, _cell_corner
-
-    for cube in cand_cubes:
-        for cell in _cube_cells(cube, cpc):
-            lo = _cell_corner(cell, ell)
-            hi = lo + ell
-            if _boxes_gap(lo, hi, cubes, region.ell_plus) <= thickness:
-                out.append(cell)
-    return out
-
-
 def choose_branch(pair: PairedState, partition: CubePartition) -> str:
     """Branch selection from the pair outside the running region: 'product'
     when polymers touch the shell, 'diagonal' when the boundary data agree on
@@ -83,9 +61,7 @@ def choose_branch(pair: PairedState, partition: CubePartition) -> str:
     poly = pair.polymer_cubes()
     if any(c in poly for c in shell):
         return "product"
-    region = pair.region
-    collar = _collar_cells_of(region, lam, 1.0 / region.gamma)
-    for cell in collar:
+    for cell in _range_collar_cells(pair.region, lam):
         if _cell_signature(pair.sys1, cell) != _cell_signature(pair.sys2, cell):
             return "qt"
     return "diagonal"
@@ -94,25 +70,10 @@ def choose_branch(pair: PairedState, partition: CubePartition) -> str:
 def copy_region(dst: ParticleSystem, src: ParticleSystem, cells: list):
     """Make dst's mobile content on the cells identical to src's."""
     cell_set = set(map(tuple, cells))
-    doomed = [
-        i
-        for i in list(dst.mobile_ids)
-        if tuple(c - dst.w for c in dst.cell_of[i]) in cell_set
-    ]
-    for i in doomed:
+    for i in dst.mobile_in(cell_set):
         dst._remove(i)
-    for j in list(src.mobile_ids):
-        cell = tuple(c - src.w for c in src.cell_of[j])
-        if cell in cell_set:
-            dst._insert(src.pos[j].copy(), int(src.spin[j]), frozen=False)
-
-
-def _local_ids(system: ParticleSystem, active_set: frozenset) -> list:
-    return [
-        i
-        for i in system.mobile_ids
-        if tuple(c - system.w for c in system.cell_of[i]) in active_set
-    ]
+    for j in src.mobile_in(cell_set):
+        dst._insert(src.pos[j].copy(), int(src.spin[j]), frozen=False)
 
 
 def reinit_identical(pair: PairedState, cells: list, rng):
@@ -125,12 +86,7 @@ def reinit_identical(pair: PairedState, cells: list, rng):
     counts = np.clip(counts, pair.sys1.n_lo, pair.sys1.n_hi)
     cell_set = set(map(tuple, cells))
     for system in (pair.sys1, pair.sys2):
-        doomed = [
-            i
-            for i in list(system.mobile_ids)
-            if tuple(c - system.w for c in system.cell_of[i]) in cell_set
-        ]
-        for i in doomed:
+        for i in system.mobile_in(cell_set):
             system._remove(i)
     for cell in sorted(cell_set):
         corner = np.asarray(cell, dtype=float) * ell
@@ -148,8 +104,8 @@ def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
     uniform maximally couples each accept decision."""
     active = [tuple(c) for c in cells]
     active_set = frozenset(active)
-    loc1 = _local_ids(pair.sys1, active_set)
-    loc2 = _local_ids(pair.sys2, active_set)
+    loc1 = pair.sys1.mobile_in(active_set)
+    loc2 = pair.sys2.mobile_in(active_set)
     volume = len(active) * pair.region.cell_volume
     acc1 = acc2 = 0
     for _ in range(n_moves):
@@ -162,14 +118,6 @@ def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
         if m2 is not None and apply_move(pair.sys2, m2, u_accept, active_set, loc2, volume):
             acc2 += 1
     return {"accepted": (acc1, acc2)}
-
-
-def _independent_sweep(system: ParticleSystem, kernel: MoveKernel, cells: list,
-                       n_moves: int, rng):
-    from .simulate import metropolis_sweep
-
-    metropolis_sweep(system, kernel, n_moves=n_moves, active=[tuple(c) for c in cells],
-                     rng=rng, audit=False)
 
 
 @dataclass
@@ -219,30 +167,31 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
     branch = choose_branch(pair, partition)
     n_moves = max(1, sweeps * _estimate_moves(pair, halo_cells))
 
-    if branch == "product":
-        _independent_sweep(pair.sys1, kernel, halo_cells, n_moves, rng1)
-        _independent_sweep(pair.sys2, kernel, halo_cells, n_moves, rng2)
-    elif branch == "diagonal":
-        _independent_sweep(pair.sys1, kernel, halo_cells, n_moves, rng1)
-        copy_region(pair.sys2, pair.sys1, halo_cells)
-    else:
-        poly = pair.polymer_cubes()
+    independent = branch == "product"
+    if branch == "qt":
         halo_shell = halo | {c for c in partition.interior | partition.collar
                              if any(partition.adjacent(c, q) for q in halo)}
-        if poly & halo_shell:
-            _independent_sweep(pair.sys1, kernel, halo_cells, n_moves, rng1)
-            _independent_sweep(pair.sys2, kernel, halo_cells, n_moves, rng2)
-        else:
-            reinit_identical(pair, halo_cells, rng1)
-            crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
-            if stats is not None:
-                t_core = _cube_rings(sigma_set, lam, partition, 1)
-                for cube in sorted(t_core):
-                    for cell in _cube_cells(cube, cpc):
-                        kv = k_function(pair, lam, tuple(cell))
-                        stats.theta_checks += 1
-                        if not theta_event(pair, tuple(cell), kv):
-                            stats.theta_failures += 1
+        independent = bool(pair.polymer_cubes() & halo_shell)
+
+    # metropolis_sweep is looked up on its module at call time, so a wrapper
+    # installed on simulate.metropolis_sweep also sees these sweeps
+    if branch == "diagonal":
+        simulate.metropolis_sweep(pair.sys1, kernel, n_moves, halo_cells, rng1, audit=False)
+        copy_region(pair.sys2, pair.sys1, halo_cells)
+    elif independent:
+        for system, rng in ((pair.sys1, rng1), (pair.sys2, rng2)):
+            simulate.metropolis_sweep(system, kernel, n_moves, halo_cells, rng, audit=False)
+    else:
+        reinit_identical(pair, halo_cells, rng1)
+        crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
+        if stats is not None:
+            t_core = _cube_rings(sigma_set, lam, partition, 1)
+            for cube in sorted(t_core):
+                for cell in _cube_cells(cube, cpc):
+                    kv = k_function(pair, lam, cell)
+                    stats.theta_checks += 1
+                    if not theta_event(pair, cell, kv):
+                        stats.theta_failures += 1
     if stats is not None:
         stats.branches.append(branch)
     return branch

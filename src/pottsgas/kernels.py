@@ -142,7 +142,8 @@ class PairPotential:
 
 
 @lru_cache(maxsize=32)
-def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4) -> np.ndarray:
+def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4,
+                           profile=None) -> np.ndarray:
     """Spatial part of the coarse-grained pair kernel as a stencil.
 
     Builds the cell average of J_gamma on the ell-lattice by midpoint panels
@@ -150,12 +151,14 @@ def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4) -
     probability kernel, then self-convolves.  Entry [off + R] is the coupling
     between cells at integer offset ``off``; the stencil is symmetric with
     radius R and its full-lattice row sums are 1 to machine precision.
+    ``profile`` is the radial base profile J (default: the normalized bump).
+    The result is cached per argument tuple and returned read-only.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"dimension {d} not supported")
     if not 0 < gamma * ell < 1:
         raise ValueError("need 0 < gamma * ell < 1")
-    prof = normalized_bump(d)
+    prof = normalized_bump(d) if profile is None else profile
     h = ell / n_panel
     # cells at offset o interact when some panel pair is within range 1/(2 gamma)
     r_cells = int(np.ceil(0.5 / (gamma * ell))) + 1
@@ -170,7 +173,7 @@ def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4) -
     gax = np.arange(-reach, reach + 1) * h
     ggrids = np.meshgrid(*([gax] * d), indexing="ij")
     rr = np.sqrt(sum(g**2 for g in ggrids))
-    z_h = h**d * np.sum(gamma**d * prof(gamma * rr))
+    z_h = h**d * np.sum(gamma**d * np.asarray(prof(gamma * rr)))
     if abs(z_h - 1.0) > 1e-2:
         raise ValueError("panel grid too coarse for the requested range")
 
@@ -180,14 +183,16 @@ def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4) -
     for idx in np.ndindex(*shape):
         off = np.array([offs[k] for k in idx], dtype=float) * ell
         dist = np.sqrt(np.sum((diff0 + off) ** 2, axis=2))
-        cell_avg[idx] = np.mean(gamma**d * prof(gamma * dist)) / z_h
+        cell_avg[idx] = np.mean(gamma**d * np.asarray(prof(gamma * dist))) / z_h
     # cell_avg is J^(ell)(0, off); multiply by ell^d to make a stochastic
     # matrix, then self-convolve for the two-step kernel (direct method keeps
     # exact zeros and nonnegativity)
     from scipy.signal import convolve
 
     M = ell**d * cell_avg
-    return convolve(M, M, mode="full", method="direct")
+    W = convolve(M, M, mode="full", method="direct")
+    W.flags.writeable = False
+    return W
 
 
 def stencil_radius(W: np.ndarray) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .kernels import lattice_kernel_stencil, normalized_bump, profile_integral, stencil_radius
+from .kernels import lattice_kernel_stencil, profile_integral, stencil_radius
 
 __all__ = [
     "LatticeSpec",
@@ -113,47 +113,16 @@ class CoarseKernel:
 def build_kernel(spec: LatticeSpec, profile=None, n_panel: int = 4) -> CoarseKernel:
     """Cell-average the scaled base profile and self-convolve it.
 
-    ``profile`` must be a radial probability density supported in r <= 1/2;
-    deviation of its integral from 1 beyond 1e-8 is a domain error.
+    ``profile`` must be a radial probability density supported in r <= 1/2
+    (default: the normalized bump); deviation of its integral from 1 beyond
+    1e-8 is a domain error.
     """
-    if profile is None:
-        profile = normalized_bump(spec.d)
-    total = profile_integral(profile, spec.d)
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"profile integrates to {total}, not 1")
-    # the stencil builder evaluates the default bump; for a custom profile we
-    # rebuild without the cache
-    if profile is normalized_bump(spec.d):
-        W = lattice_kernel_stencil(spec.gamma, spec.ell, spec.d, n_panel)
-    else:
-        W = _stencil_from_profile(profile, spec, n_panel)
+    if profile is not None:
+        total = profile_integral(profile, spec.d)
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError(f"profile integrates to {total}, not 1")
+    W = lattice_kernel_stencil(spec.gamma, spec.ell, spec.d, n_panel, profile)
     return CoarseKernel(spec, W)
-
-
-def _stencil_from_profile(profile, spec: LatticeSpec, n_panel: int) -> np.ndarray:
-    from scipy.signal import convolve
-
-    gamma, ell, d = spec.gamma, spec.ell, spec.d
-    h = ell / n_panel
-    r_cells = int(np.ceil(0.5 / (gamma * ell))) + 1
-    offs = np.arange(-r_cells, r_cells + 1)
-    pan = (np.arange(n_panel) + 0.5) * h
-    grids = np.meshgrid(*([pan] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    reach = int(np.ceil(0.5 / (gamma * h))) + 1
-    gax = np.arange(-reach, reach + 1) * h
-    ggrids = np.meshgrid(*([gax] * d), indexing="ij")
-    rr = np.sqrt(sum(g**2 for g in ggrids))
-    z_h = h**d * np.sum(gamma**d * np.asarray(profile(gamma * rr)))
-    shape = (len(offs),) * d
-    cell_avg = np.zeros(shape)
-    diff0 = pts[None, :, :] - pts[:, None, :]
-    for idx in np.ndindex(*shape):
-        off = np.array([offs[k] for k in idx], dtype=float) * ell
-        dist = np.sqrt(np.sum((diff0 + off) ** 2, axis=2))
-        cell_avg[idx] = np.mean(gamma**d * np.asarray(profile(gamma * dist))) / z_h
-    M = ell**d * cell_avg
-    return convolve(M, M, mode="full", method="direct")
 
 
 # ---------------------------------------------------------------------------

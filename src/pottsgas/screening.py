@@ -13,6 +13,7 @@ cube.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -205,21 +206,11 @@ def _dist_point_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.sqrt(np.sum(gap**2)))
 
 
-def _cell_particles(system: ParticleSystem, cell: tuple):
-    """(positions, spins) of all particles in the interior-coordinate cell."""
-    ext = tuple(c + system.w for c in cell)
-    ids = system.cells.get(ext, [])
-    if not ids:
-        return np.zeros((0, system.region.d)), np.zeros(0, dtype=np.int64)
-    idx = np.asarray(ids, dtype=np.int64)
-    return system.pos[idx], system.spin[idx]
-
-
 def _cell_signature(system: ParticleSystem, cell: tuple, x: np.ndarray | None = None,
                     radius: float | None = None):
     """Sorted tuple of (coords..., spin), optionally restricted to a ball
     around x."""
-    pos, spin = _cell_particles(system, cell)
+    pos, spin = system.cell_particles(cell)
     rows = []
     for p, s in zip(pos, spin):
         if x is not None and np.linalg.norm(p - x) > radius:
@@ -229,7 +220,7 @@ def _cell_signature(system: ParticleSystem, cell: tuple, x: np.ndarray | None = 
 
 
 def _cell_counts(system: ParticleSystem, cell: tuple) -> np.ndarray:
-    pos, spin = _cell_particles(system, cell)
+    _, spin = system.cell_particles(cell)
     out = np.zeros(system.region.S, dtype=np.int64)
     for s in spin:
         out[int(s)] += 1
@@ -372,17 +363,13 @@ class CubePartition:
         self.history.append({"selected": chosen, "sigma": list(sigma), "statuses": dict(statuses)})
 
 
-def _cube_touches_polymer(cube: tuple, polymer_cubes: set) -> bool:
-    return cube in polymer_cubes
-
-
 def classify_and_peel(partition: CubePartition, pair: PairedState,
                       chosen: tuple, sigma: list):
     """Classify the screening shell of the selected cube and peel it."""
     cpc = _cells_per_cube(pair.region)
     poly = pair.polymer_cubes()
     statuses = {}
-    if _cube_touches_polymer(chosen, poly):
+    if chosen in poly:
         for q in sigma:
             statuses[q] = "bad"
     else:
@@ -486,7 +473,6 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     region = pair.region
     ladder = pair.ladder
     cpc = _cells_per_cube(region)
-    ell = region.ell_minus
     report = {"replay_ok": True, "shell_ok": None, "audit_ok": True, "failures": []}
 
     # (a) replay with perturbations confined to the final region
@@ -494,7 +480,7 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     base_history = [(h["selected"], tuple(h["sigma"]), tuple(sorted(h["statuses"].items())))
                     for h in partition.history]
     for _ in range(n_replays):
-        clone = _clone_pair(pair)
+        clone = copy.deepcopy(pair)
         if perturb is not None:
             perturb(clone, partition.lambda_cubes, rng)
         else:
@@ -512,8 +498,12 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
         shell = partition.outer_shell(partition.lambda_cubes)
         if all(partition.status.get(c) == "good" for c in shell):
             ok = True
-            collar_sets = _range_collar_cells(partition, pair)
-            for cell in collar_sets:
+            # box cells only: the mobile content there is what the contract
+            # compares, the frozen collars are each chain's own boundary
+            n = region.cells_per_axis
+            for cell in _range_collar_cells(region, partition.lambda_cubes):
+                if not all(0 <= c < n for c in cell):
+                    continue
                 if _cell_signature(pair.sys1, cell) != _cell_signature(pair.sys2, cell):
                     ok = False
                     report["failures"].append(f"chains differ on collar cell {cell}")
@@ -576,45 +566,32 @@ def _boxes_gap(lo, hi, cubes: set, side: float) -> float:
     return best
 
 
-def _range_collar_cells(partition: CubePartition, pair: PairedState) -> list:
-    """Box cells outside the final region within one interaction range of it
-    (the mobile content there is what the stopped-state contract compares)."""
-    region = pair.region
+def _range_collar_cells(region, cubes: set) -> list:
+    """Interior-coordinate cells outside ``cubes`` within one interaction
+    range 1/gamma of them, frozen-collar cells included, in sorted order.
+
+    Gaps are ``_boxes_gap``'s, taken for every candidate cell against every
+    cube corner in one broadcast."""
+    if not cubes:
+        return []
     cpc = _cells_per_cube(region)
-    ell = region.ell_minus
+    ell, side = region.ell_minus, region.ell_plus
     rng_len = 1.0 / region.gamma
-    out = []
-    lam = partition.lambda_cubes
-    candidates = set()
-    reach = int(math.ceil(rng_len / region.ell_plus)) + 1
-    for cube in lam:
-        for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
-            c = tuple(cube[k] + off[k] for k in range(region.d))
-            if c not in lam and c in partition.interior:
-                candidates.add(c)
-    for cube in candidates:
-        for cell in _cube_cells(cube, cpc):
-            lo = _cell_corner(cell, ell)
-            hi = lo + ell
-            gap = _boxes_gap(lo, hi, lam, region.ell_plus)
-            if gap <= rng_len:
-                out.append(cell)
-    return out
-
-
-def _clone_pair(pair: PairedState) -> PairedState:
-    s1 = _clone_system(pair.sys1)
-    s2 = _clone_system(pair.sys2)
-    return PairedState(s1, s2, pair.polymers1, pair.polymers2, pair.ladder)
-
-
-def _clone_system(system: ParticleSystem) -> ParticleSystem:
-    out = ParticleSystem(system.region, system.phase, seed=0)
-    ids = [i for i in range(system._n_used) if system.alive[i]]
-    for i in ids:
-        out._insert(system.pos[i].copy(), int(system.spin[i]), bool(system.frozen[i]))
-    out.energy = system.energy
-    return out
+    cube_arr = np.array(sorted(cubes), dtype=np.int64)
+    margin = int(math.ceil(rng_len / ell)) + 1
+    lo_cell = cube_arr.min(axis=0) * cpc - margin
+    hi_cell = (cube_arr.max(axis=0) + 1) * cpc + margin
+    axes = [np.arange(a, b) for a, b in zip(lo_cell, hi_cell)]
+    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.d)
+    inside = ((cells // cpc)[:, None] == cube_arr[None]).all(axis=-1).any(axis=1)
+    cells = cells[~inside]
+    lo = cells.astype(float) * ell
+    hi = lo + ell
+    clo = cube_arr.astype(float) * side
+    chi = clo + side
+    gap = np.maximum(np.maximum(clo[None] - hi[:, None], lo[:, None] - chi[None]), 0.0)
+    dist = np.sqrt(np.sum(gap**2, axis=-1)).min(axis=1)
+    return [tuple(c) for c in cells[dist <= rng_len].tolist()]
 
 
 def _default_perturbation(pair: PairedState, lambda_cubes: set, rng):
@@ -628,16 +605,13 @@ def _default_perturbation(pair: PairedState, lambda_cubes: set, rng):
     if not cells:
         return
     ell = region.ell_minus
+    cell_set = set(cells)
     for system in (pair.sys1, pair.sys2):
         cell = cells[int(rng.random() * len(cells))]
         r = (_cell_corner(cell, ell) + rng.random(region.d) * ell)
         system._insert(r, int(rng.random() * region.S), frozen=False)
         # delete one mobile particle from inside the region if any
-        inside = [
-            i
-            for i in system.mobile_ids
-            if _cube_of_cell(tuple(c - system.w for c in system.cell_of[i]), cpc) in lambda_cubes
-        ]
+        inside = system.mobile_in(cell_set)
         if inside:
             system._remove(inside[int(rng.random() * len(inside))])
 

@@ -14,7 +14,7 @@ coupling experiments use to resample sub-regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -32,7 +32,6 @@ __all__ = [
     "interpolated_energy",
     "empirical_density",
     "phase_indicator",
-    "in_ensemble",
     "metropolis_sweep",
     "measure_observables",
     "poisson_window_weights",
@@ -143,7 +142,6 @@ class MoveKernel:
     p_move: float = 0.3
     p_flip: float = 0.2
     step: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         total = self.p_birth + self.p_death + self.p_move + self.p_flip
@@ -240,7 +238,6 @@ class ParticleSystem:
         self.rng = np.random.default_rng(seed)
         d, S = region.d, region.S
         self.potential = _potential_cache(region.gamma, d)
-        self.reach = int(math.ceil((1.0 / region.gamma) / region.ell_minus))
         w = region.collar_cells
         self.w = w
         n_int = region.cells_per_axis
@@ -259,8 +256,7 @@ class ParticleSystem:
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
         self.energy = 0.0  # running interpolated energy
         self._offsets = [
-            tuple(int(v) - self.reach for v in o)
-            for o in np.ndindex(*((2 * self.reach + 1,) * d))
+            tuple(int(v) - w for v in o) for o in np.ndindex(*((2 * w + 1,) * d))
         ]
         self.mobile_ids: list[int] = []
         self._mobile_slot: dict[int, int] = {}
@@ -285,6 +281,21 @@ class ParticleSystem:
     def in_box(self, r) -> bool:
         L = self.region.side
         return all(0.0 <= x < L for x in r)
+
+    def mobile_in(self, cells: set | frozenset) -> list:
+        """Mobile ids whose interior cell is in the set ``cells``, in
+        ``mobile_ids`` order (a move's ``pick`` indexes into this list)."""
+        w = self.w
+        return [i for i in self.mobile_ids if tuple(c - w for c in self.cell_of[i]) in cells]
+
+    def cell_particles(self, cell: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, spins) of all particles in the interior-coordinate
+        cell, frozen ones included."""
+        ids = self.cells.get(tuple(c + self.w for c in cell))
+        if not ids:
+            return np.zeros((0, self.region.d)), np.zeros(0, dtype=np.int64)
+        idx = np.asarray(ids, dtype=np.int64)
+        return self.pos[idx], self.spin[idx]
 
     # -- storage
 
@@ -468,10 +479,6 @@ def phase_indicator(density_cell: np.ndarray, references: list[np.ndarray], zeta
     return 0
 
 
-def in_ensemble(system: ParticleSystem) -> bool:
-    return system.in_ensemble()
-
-
 # ---------------------------------------------------------------------------
 # Metropolis dynamics
 
@@ -515,13 +522,6 @@ def build_move(system: ParticleSystem, kernel: MoveKernel, draws: tuple,
         return None
     shift = 1 + int(u_c * (region.S - 1))
     return {"kind": "flip", "pick": int(u_a * len(local_ids)), "shift": shift}
-
-
-def propose_move(system: ParticleSystem, kernel: MoveKernel, rng,
-                 active: list, local_ids: list) -> tuple:
-    """Draw one proposal; returns (move or None, acceptance uniform)."""
-    draws = draw_move_uniforms(rng, system.region.d)
-    return build_move(system, kernel, draws, active, local_ids), draws[-1]
 
 
 def apply_move(system: ParticleSystem, move: dict, u_accept: float,
@@ -652,16 +652,17 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
     if active is None:
         active = _default_active(system)
     active_set = frozenset(active)
-    local_ids = [i for i in system.mobile_ids if system._interior_cell(system.cell_of[i]) in active_set]
+    local_ids = system.mobile_in(active_set)
     volume = len(active) * system.region.cell_volume
     if n_moves is None:
         n_moves = max(len(local_ids), 1)
     accepted = 0
     for _ in range(n_moves):
-        move, u_accept = propose_move(system, kernel, rng, active, local_ids)
+        draws = draw_move_uniforms(rng, system.region.d)
+        move = build_move(system, kernel, draws, active, local_ids)
         if move is None:
             continue
-        if apply_move(system, move, u_accept, active_set, local_ids, volume):
+        if apply_move(system, move, draws[-1], active_set, local_ids, volume):
             accepted += 1
             system.accepted += 1
             if audit and system.accepted % system.audit_every == 0:

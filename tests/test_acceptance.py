@@ -274,7 +274,7 @@ def test_criterion_9_sampler_correctness():
     states = sorted(exact)
     system = sim.ParticleSystem(region, phase, seed=123)
     system.seed_phase_configuration()
-    kernel = sim.MoveKernel(seed=321)
+    kernel = sim.MoveKernel()
     thin, n_samples = 40, 25_000  # one million proposals
     counts = {st: 0 for st in states}
     for _ in range(n_samples):
@@ -295,7 +295,7 @@ def test_criterion_9_sampler_correctness():
     system2.seed_phase_configuration()
     system2.energy = system2.total_energy()
     system2.audit_every = 1000
-    kernel2 = sim.MoveKernel(seed=11)
+    kernel2 = sim.MoveKernel()
     sim.metropolis_sweep(system2, kernel2, n_moves=30_000)
     drift_ok = bool(system2.audit_log) and max(system2.audit_log) < 1e-7 * max(
         1.0, abs(system2.energy)
@@ -344,7 +344,7 @@ def test_criterion_11_percolation_decay():
     phase = sim.PhaseTarget(rho_ref=sol4.minimizers[-1], lambda_beta=sol4.lambda_beta,
                             beta=4.0, zeta=2.0, t=0.03)
     ladder = scr.LadderSpec(zeta=2.0, d=2, c_star=0.65)
-    kernel = sim.MoveKernel(seed=0)
+    kernel = sim.MoveKernel()
 
     def build(seed):
         return fx.make_mismatched_pair(region, phase, seed, ladder=ladder)

@@ -59,6 +59,49 @@ def test_copy_region_makes_cells_identical(sol4):
         assert scr._cell_signature(a.sys1, cell) == scr._cell_signature(a.sys2, cell)
 
 
+def _scan_mobile_in(system, cells):
+    # the hand-written scan that ParticleSystem.mobile_in replaces
+    return [i for i in system.mobile_ids
+            if tuple(c - system.w for c in system.cell_of[i]) in cells]
+
+
+def test_mobile_in_and_cell_particles_track_the_cell_index(sol4):
+    region = perc_region()
+    pair = fx.make_mismatched_pair(region, perc_phase(sol4), 8, ladder=perc_ladder())
+    s1, s2 = pair.sys1, pair.sys2
+    n = region.cells_per_axis
+    rng = np.random.default_rng(4)
+    all_cells = [tuple(c) for c in np.ndindex(n, n)]
+
+    def check(system):
+        for _ in range(5):
+            pick = rng.choice(len(all_cells), int(rng.integers(1, len(all_cells))), replace=False)
+            cells = [all_cells[k] for k in pick]
+            expected = _scan_mobile_in(system, set(cells))
+            assert system.mobile_in(set(cells)) == expected
+            assert system.mobile_in(frozenset(cells)) == expected
+        # cell_particles against a position scan over every live particle
+        live = np.flatnonzero(system.alive)
+        home = np.floor(system.pos[live] / region.ell_minus).astype(int)
+        for cell in [(0, 0), (n - 1, 3), (-1, 2), (n, n)]:
+            pos, spin = system.cell_particles(cell)
+            ids = live[np.all(home == cell, axis=1)]
+            assert sorted(map(tuple, pos)) == sorted(map(tuple, system.pos[ids]))
+            assert sorted(spin) == sorted(system.spin[ids])
+
+    check(s1)
+    before_ids = set(s1.mobile_ids)
+    before_cell = {i: s1.cell_of[i] for i in s1.mobile_ids}
+    # births, deaths and displacements long enough to cross cells
+    sim.metropolis_sweep(s1, sim.MoveKernel(step=3.0), n_moves=3000, audit=False)
+    after_ids = set(s1.mobile_ids)
+    assert before_ids - after_ids and after_ids - before_ids
+    assert any(s1.cell_of[i] != before_cell[i] for i in before_ids & after_ids)
+    check(s1)
+    cpl.copy_region(s2, s1, all_cells[::3])
+    check(s2)
+
+
 def test_reinit_identical(sol4):
     region = perc_region()
     phase = perc_phase(sol4)
@@ -77,7 +120,7 @@ def test_diagonal_branch_preserves_equality(sol4):
     region = perc_region()
     phase = perc_phase(sol4)
     pair = fx.make_identical_pair(region, phase, 7, ladder=perc_ladder())
-    kernel = sim.MoveKernel(seed=1)
+    kernel = sim.MoveKernel()
     part, stats = cpl.run_coupled_screening(pair, kernel, seed=7, sweeps=1)
     assert set(stats.branches) == {"diagonal"}
     # the chains remain equal on every interior cell
@@ -93,7 +136,7 @@ def test_crn_marginal_matches_exact_kernel():
     region = sim.SimRegion(d=2, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=1)
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=1.5 + math.log(1.5),
                             beta=1.0, zeta=0.626, t=0.0)
-    kernel = sim.MoveKernel(seed=0)
+    kernel = sim.MoveKernel()
     states, P = cpl.exact_occupancy_kernel(region, phase, kernel)
     index = {st: i for i, st in enumerate(states)}
 
@@ -145,7 +188,7 @@ def test_eps_hat_decreases_with_gamma(sol4):
         phase = sim.PhaseTarget(rho_ref=sol4.minimizers[-1], lambda_beta=sol4.lambda_beta,
                                 beta=4.0, zeta=2.0, t=0.03)
         ladder = scr.LadderSpec(zeta=1.0, d=2, c_star=0.65)
-        kernel = sim.MoveKernel(seed=0)
+        kernel = sim.MoveKernel()
         eps = []
         for k in range(16):
             pair = fx.make_mismatched_pair(region, phase, seed=700 + k, ladder=ladder)
@@ -161,7 +204,7 @@ def test_percolation_identical_boundaries_agree(sol4):
     region = perc_region()
     phase = perc_phase(sol4)
     ladder = perc_ladder()
-    kernel = sim.MoveKernel(seed=2)
+    kernel = sim.MoveKernel()
 
     def build(seed):
         return fx.make_identical_pair(region, phase, seed, ladder=ladder)
@@ -175,7 +218,7 @@ def test_percolation_mismatched_decay(sol4):
     region = perc_region()
     phase = perc_phase(sol4)
     ladder = perc_ladder()
-    kernel = sim.MoveKernel(seed=3)
+    kernel = sim.MoveKernel()
 
     def build(seed):
         return fx.make_mismatched_pair(region, phase, seed, ladder=ladder)
@@ -192,7 +235,7 @@ def test_exact_kernel_rows_stochastic():
     region = sim.SimRegion(d=2, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=1)
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=0.9, beta=1.0,
                             zeta=0.626, t=0.0)
-    kernel = sim.MoveKernel(seed=0)
+    kernel = sim.MoveKernel()
     states, P = cpl.exact_occupancy_kernel(region, phase, kernel)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(P >= 0)

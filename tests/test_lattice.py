@@ -90,6 +90,17 @@ def test_build_kernel_rejects_unnormalized(spec2d):
         lat.build_kernel(spec2d, profile=lambda r: 1.05 * np.asarray(bump(r)))
 
 
+def test_build_kernel_reuses_the_cached_stencil(spec2d, kernel2d):
+    again = lat.build_kernel(spec2d)
+    assert again.stencil is kernel2d.stencil
+    assert not again.stencil.flags.writeable
+
+
+def test_explicit_default_profile_gives_the_same_stencil(spec2d, kernel2d):
+    explicit = lat.build_kernel(spec2d, profile=normalized_bump(2))
+    assert np.array_equal(explicit.stencil, kernel2d.stencil)
+
+
 def test_perfect_field_gradient_vanishes(spec2d, kernel2d, sol3):
     for k, rho_ref in ((3, sol3.minimizers[-1]), (0, sol3.minimizers[0])):
         for t in (0.0, 0.5, 1.0):

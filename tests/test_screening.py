@@ -158,6 +158,70 @@ def test_replay_measurability_under_perturbation():
     assert report["replay_ok"]
 
 
+def test_verify_stopping_leaves_the_pair_untouched():
+    pair = identical_pair(seed=4)
+    fx.inject_polymer(pair, [(0, 4)])
+    part = scr.run_screening(pair)
+
+    def state(system):
+        return (system.pos.copy(), system.spin.copy(), system.alive.copy(),
+                system.counts.copy(), list(system.mobile_ids), system.energy)
+
+    before = [state(pair.sys1), state(pair.sys2)]
+    clones = []
+
+    def perturb(clone, lambda_cubes, rng):
+        clones.append(clone)
+        scr._default_perturbation(clone, lambda_cubes, rng)
+
+    report = scr.verify_stopping(pair, part, perturb=perturb, n_replays=3, seed=2)
+    assert report["replay_ok"]
+    for old, system in zip(before, (pair.sys1, pair.sys2)):
+        new = state(system)
+        for a, b in zip(old[:4], new[:4]):
+            assert np.array_equal(a, b)
+        assert old[4:] == new[4:]
+    assert len(clones) == 3
+    for clone in clones:
+        assert clone.sys1.region is clone.sys2.region
+        for mine, theirs in ((clone.sys1, pair.sys1), (clone.sys2, pair.sys2)):
+            for name in ("pos", "spin", "alive", "frozen", "counts"):
+                assert not np.shares_memory(getattr(mine, name), getattr(theirs, name))
+
+
+@pytest.mark.parametrize("geometry", ["criterion10", "criterion11"])
+def test_range_collar_cells_match_brute_force(geometry):
+    if geometry == "criterion10":
+        region = verify_region()
+    else:
+        region = sim.SimRegion(d=2, S=3, gamma=0.2, ell0=2.5, ell_minus=5.0, ell_plus=10.0,
+                               n_plus=5)
+    cpc = scr._cells_per_cube(region)
+    rng_len = 1.0 / region.gamma
+    n = region.cells_per_axis
+    margin = int(math.ceil(rng_len / region.ell_minus)) + 2
+    every = list(np.ndindex(n + 2 * margin, n + 2 * margin))
+    cubes = list(np.ndindex(region.n_plus, region.n_plus))
+    rng = np.random.default_rng(1)
+    saw_frozen = False
+    for _ in range(12):
+        pick = rng.choice(len(cubes), int(rng.integers(1, len(cubes) + 1)), replace=False)
+        lam = {cubes[k] for k in pick}
+        expected = []
+        for raw in every:
+            cell = tuple(int(c) - margin for c in raw)
+            if scr._cube_of_cell(cell, cpc) in lam:
+                continue
+            lo = scr._cell_corner(cell, region.ell_minus)
+            if scr._boxes_gap(lo, lo + region.ell_minus, lam, region.ell_plus) <= rng_len:
+                expected.append(cell)
+        got = scr._range_collar_cells(region, lam)
+        assert got == sorted(expected)
+        saw_frozen |= any(not all(0 <= c < n for c in cell) for cell in got)
+    assert saw_frozen
+    assert scr._range_collar_cells(region, set()) == []
+
+
 def test_screening_determinism():
     hists = []
     for _ in range(2):

@@ -153,7 +153,7 @@ def test_sweep_keeps_ensemble_and_audits():
             bpos.append(r)
     sys.add_boundary(bpos, rng.integers(0, 2, size=n_b))
     sys.energy = sys.total_energy()
-    kernel = sim.MoveKernel(seed=1)
+    kernel = sim.MoveKernel()
     for _ in range(30):
         sim.metropolis_sweep(sys, kernel, n_moves=200)
         assert sys.in_ensemble()
@@ -167,7 +167,7 @@ def test_energy_delta_audit_against_recompute():
     phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=0.5, t=0.7, zeta=0.8)
     sys = sim.ParticleSystem(region, phase, seed=11)
     sys.seed_phase_configuration()
-    kernel = sim.MoveKernel(seed=2, step=1.0)
+    kernel = sim.MoveKernel(step=1.0)
     sim.metropolis_sweep(sys, kernel, n_moves=3000, audit=False)
     fresh = sys.total_energy()
     assert abs(sys.energy - fresh) < 1e-9 * max(1.0, abs(fresh))
@@ -185,7 +185,7 @@ def test_zero_temperature_reference_decreases():
     spins = np.array([0] * 8 + [1] * 8)
     sys.add_particles(pos, spins)
     h0 = sim.reference_energy(sys.spin[np.asarray(sys.mobile_ids)], phase)
-    kernel = sim.MoveKernel(seed=3)
+    kernel = sim.MoveKernel()
     for _ in range(1000):
         sim.metropolis_sweep(sys, kernel, n_moves=8)
     h1 = sim.reference_energy(sys.spin[np.asarray(sys.mobile_ids)], phase)
@@ -216,7 +216,7 @@ def test_stationary_law_matches_enumeration():
     states = sorted(exact)
     sys = sim.ParticleSystem(region, phase, seed=123)
     sys.seed_phase_configuration()
-    kernel = sim.MoveKernel(seed=321)
+    kernel = sim.MoveKernel()
 
     thin = 40
     n_samples = 25_000  # one million proposals in total
@@ -240,7 +240,7 @@ def test_t0_intercell_occupation_decorrelated():
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=0.7, beta=1.0, zeta=0.626, t=0.0)
     sys = sim.ParticleSystem(region, phase, seed=5)
     sys.seed_phase_configuration()
-    kernel = sim.MoveKernel(seed=6)
+    kernel = sim.MoveKernel()
     xs, ys = [], []
     for _ in range(4000):
         sim.metropolis_sweep(sys, kernel, n_moves=30, audit=False)
@@ -262,7 +262,7 @@ def test_species_relabel_symmetry():
     def run(phase, seed, species):
         sys = sim.ParticleSystem(region, phase, seed=seed)
         sys.seed_phase_configuration()
-        kernel = sim.MoveKernel(seed=seed + 100)
+        kernel = sim.MoveKernel()
         out = []
         for _ in range(2500):
             sim.metropolis_sweep(sys, kernel, n_moves=30, audit=False)
@@ -333,7 +333,7 @@ def test_fixed_seed_reproducibility():
     def run():
         sys = make_system(seed=9, t=0.0)
         sys.seed_phase_configuration()
-        kernel = sim.MoveKernel(seed=10)
+        kernel = sim.MoveKernel()
         sim.metropolis_sweep(sys, kernel, n_moves=2000, audit=False)
         ids = np.asarray(sorted(sys.mobile_ids))
         return sys.counts.copy(), sys.pos[ids].copy(), sys.spin[ids].copy()
