@@ -51,7 +51,8 @@ print(f"\nrescaled to beta = 0.5: interval [{half.x_minus:.5f}, {half.x_plus:.5f
       f"lambda = {half.lambda_beta:.5f}")
 
 table = mf.phase_diagram_curve(S, (0.25, 4.0), 16)
-mf.write_phase_diagram_csv("phase_diagram_demo.csv", table)
+with open("phase_diagram_demo.csv", "w") as fh:
+    mf.write_phase_diagram_csv(fh, table)
 print(f"\nwrote the (beta, lambda_beta) coexistence curve -> phase_diagram_demo.csv "
       f"({len(table)} rows)")
 

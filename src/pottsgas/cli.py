@@ -193,12 +193,9 @@ def cmd_phase_diagram(cfg, seed, out):
 
     table = mf.phase_diagram_curve(cfg["S"], (cfg["beta_min"], cfg["beta_max"]), cfg["n_points"])
     sol = mf.common_tangent(cfg["S"])
-    csv_path = os.path.join(out, "phase_diagram.csv")
-    with open(csv_path, "w") as fh:
+    with open(os.path.join(out, "phase_diagram.csv"), "w") as fh:
         fh.write(_csv_header_line(cfg, seed) + "\n")
-        fh.write("beta,lambda_beta\n")
-        for b, lam in table:
-            fh.write(f"{float(b)!r},{float(lam)!r}\n")
+        mf.write_phase_diagram_csv(fh, table)
     _write_json(os.path.join(out, "solution.json"), json.loads(mf.solution_to_json(sol)), cfg, seed)
     return 0
 
@@ -235,17 +232,9 @@ def cmd_lp_minimize(cfg, seed, out):
     lat, spec, kernel, fcfg = _lattice_setup(cfg)
     boundary = lat.LatticeField.constant(spec, kernel.radius, fcfg.rho_ref)
     res = lat.minimize(boundary, kernel, fcfg, n_starts=cfg.get("n_starts", 1), seed=seed)
-    csv_path = os.path.join(out, "minimizer.csv")
-    with open(csv_path, "w") as fh:
+    with open(os.path.join(out, "minimizer.csv"), "w", newline="") as fh:
         fh.write(_csv_header_line(cfg, seed) + "\n")
-    with open(csv_path, "a", newline="") as fh:
-        import csv as _csv
-
-        wr = _csv.writer(fh)
-        wr.writerow([f"i{k}" for k in range(spec.d)] + ["species", "value"])
-        for idx in np.ndindex(*res.field.interior.shape[:-1]):
-            for s in range(spec.S):
-                wr.writerow(list(idx) + [s, repr(float(res.field.interior[idx + (s,)]))])
+        lat.field_to_csv(lat.LatticeField(spec, res.field.interior, 0), fh)
     _write_json(
         os.path.join(out, "minimize_report.json"),
         {
@@ -321,13 +310,9 @@ def cmd_simulate(cfg, seed, out):
         sim.metropolis_sweep(system, kernel, n_moves=thin)
         rows.append(sim.empirical_density(system).copy())
     sim.save_trajectory(os.path.join(out, "trajectory.npy"), rows)
-    csv_path = os.path.join(out, "trajectory.csv")
-    with open(csv_path, "w") as fh:
+    with open(os.path.join(out, "trajectory.csv"), "w") as fh:
         fh.write(_csv_header_line(cfg, seed) + "\n")
-        flat = [r.reshape(-1) for r in rows]
-        fh.write(",".join(f"cell{k}" for k in range(len(flat[0]) if flat else 0)) + "\n")
-        for row in flat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        sim.trajectory_to_csv(fh, rows)
     obs = sim.measure_observables(system, references=[phase.rho_ref])
     _write_json(
         os.path.join(out, "observables.json"),

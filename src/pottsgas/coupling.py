@@ -23,7 +23,7 @@ from . import simulate
 from .screening import (
     CubePartition,
     PairedState,
-    _cell_signature,
+    _agree,
     _cells_per_cube,
     _cube_cells,
     _range_collar_cells,
@@ -61,10 +61,7 @@ def choose_branch(pair: PairedState, partition: CubePartition) -> str:
     poly = pair.polymer_cubes()
     if any(c in poly for c in shell):
         return "product"
-    for cell in _range_collar_cells(pair.region, lam):
-        if _cell_signature(pair.sys1, cell) != _cell_signature(pair.sys2, cell):
-            return "qt"
-    return "diagonal"
+    return "diagonal" if _agree(pair, _range_collar_cells(pair.region, lam)) else "qt"
 
 
 def copy_region(dst: ParticleSystem, src: ParticleSystem, cells: list):
@@ -230,15 +227,6 @@ def _delta_cubes(n_plus: int, d: int, margin: int) -> set:
     return set(itertools.product(range(margin, n_plus - margin), repeat=d))
 
 
-def _agree_on_cubes(pair: PairedState, cubes: set) -> bool:
-    cpc = _cells_per_cube(pair.region)
-    for cube in cubes:
-        for cell in _cube_cells(cube, cpc):
-            if _cell_signature(pair.sys1, cell) != _cell_signature(pair.sys2, cell):
-                return False
-    return True
-
-
 def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
                       seed: int = 0, sweeps: int = 1) -> dict:
     """Ensemble of coupled screenings: estimates, per distance (cube margins
@@ -259,11 +247,12 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
         region = pair.region
         partition, stats = run_coupled_screening(pair, kernel, seed=seed + 1000 * k, sweeps=sweeps)
         eps_hats.append(stats.eps_hat)
+        cpc = _cells_per_cube(region)
         for m in margins:
             delta = _delta_cubes(region.n_plus, region.d, m)
             if delta and delta <= partition.lambda_cubes:
                 contain[m] += 1
-            if delta and _agree_on_cubes(pair, delta):
+            if delta and _agree(pair, (c for cube in delta for c in _cube_cells(cube, cpc))):
                 agree[m] += 1
     out = {
         "n_runs": n_runs,

@@ -104,7 +104,9 @@ class CoarseKernel:
         coords = np.indices(spec.shape).reshape(spec.d, -1).T  # (n, d)
         diff = coords[:, None, :] - coords[None, :, :]
         inside = np.all(np.abs(diff) <= self.radius, axis=-1)
-        idx = tuple((diff + self.radius).transpose(2, 0, 1))
+        # clipped so that pairs beyond the stencil index it in bounds; the
+        # mask then zeroes them
+        idx = tuple(np.clip(diff + self.radius, 0, 2 * self.radius).transpose(2, 0, 1))
         spatial = np.where(inside, self.stencil[idx], 0.0)
         mix = np.ones((spec.S, spec.S)) - np.eye(spec.S)
         return np.kron(spatial, mix)
@@ -533,16 +535,16 @@ def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
 # serialization
 
 
-def field_to_csv(field: LatticeField, path):
-    """Rows of (index..., species, value) over the full extended grid."""
+def field_to_csv(field: LatticeField, fh):
+    """Rows of (index..., species, value) over the full extended grid, to a
+    text file opened with ``newline=""``."""
     import csv
 
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"i{k}" for k in range(field.spec.d)] + ["species", "value"])
-        for idx in np.ndindex(*field.values.shape[:-1]):
-            for s in range(field.spec.S):
-                wr.writerow(list(idx) + [s, repr(float(field.values[idx + (s,)]))])
+    wr = csv.writer(fh)
+    wr.writerow([f"i{k}" for k in range(field.spec.d)] + ["species", "value"])
+    for idx in np.ndindex(*field.values.shape[:-1]):
+        for s in range(field.spec.S):
+            wr.writerow(list(idx) + [s, repr(float(field.values[idx + (s,)]))])
 
 
 def field_from_csv(path, spec: LatticeSpec, collar: int) -> LatticeField:

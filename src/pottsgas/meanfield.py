@@ -548,12 +548,11 @@ def phase_diagram_curve(S: int, beta_range: tuple[float, float], n_points: int) 
 # emission
 
 
-def write_phase_diagram_csv(path, table: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["beta", "lambda_beta"])
-        for b, lam in table:
-            wr.writerow([repr(float(b)), repr(float(lam))])
+def write_phase_diagram_csv(fh, table: np.ndarray):
+    """(beta, lambda_beta) rows, to an open text file."""
+    fh.write("beta,lambda_beta\n")
+    for b, lam in table:
+        fh.write(f"{float(b)!r},{float(lam)!r}\n")
 
 
 def write_branch_table_csv(path, S: int, xs):

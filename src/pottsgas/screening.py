@@ -14,6 +14,7 @@ cube.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ __all__ = [
     "CubePartition",
     "k_function",
     "theta_event",
-    "screening_step",
     "run_screening",
     "verify_stopping",
     "m_function",
@@ -201,30 +201,42 @@ def _cell_corner(cell: tuple, ell: float) -> np.ndarray:
     return np.asarray(cell, dtype=float) * ell
 
 
-def _dist_point_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    return float(np.sqrt(np.sum(gap**2)))
-
-
-def _cell_signature(system: ParticleSystem, cell: tuple, x: np.ndarray | None = None,
-                    radius: float | None = None):
-    """Sorted tuple of (coords..., spin), optionally restricted to a ball
-    around x."""
-    pos, spin = system.cell_particles(cell)
-    rows = []
-    for p, s in zip(pos, spin):
-        if x is not None and np.linalg.norm(p - x) > radius:
-            continue
-        rows.append(tuple(p) + (int(s),))
-    return tuple(sorted(rows))
-
-
-def _cell_counts(system: ParticleSystem, cell: tuple) -> np.ndarray:
-    _, spin = system.cell_particles(cell)
-    out = np.zeros(system.region.S, dtype=np.int64)
-    for s in spin:
-        out[int(s)] += 1
+@functools.lru_cache(maxsize=None)
+def _ball_offsets(d: int, ell: float, radius: float, extent: float) -> np.ndarray:
+    """Cell offsets, in C order, whose box [off*ell, off*ell + extent] lies
+    within ``radius`` of the corner of the centre cell: extent ``ell`` gives
+    the point-to-box distance, extent 0 the corner-to-corner one."""
+    reach = int(math.ceil(radius / ell)) + 1
+    off = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)))
+    lo = off * ell
+    gap = np.maximum(np.maximum(lo, -(lo + extent)), 0.0)
+    out = off[np.sqrt(np.sum(gap**2, axis=1)) <= radius]
+    out.flags.writeable = False
     return out
+
+
+def _agree(pair: PairedState, cells, x: np.ndarray | None = None,
+           radius: float | None = None) -> bool:
+    """Whether the two chains carry the same particles (positions and spins)
+    on every cell, optionally counting only those within ``radius`` of x."""
+    for cell in cells:
+        rows = []
+        for system in (pair.sys1, pair.sys2):
+            pos, spin = system.cell_particles(cell)
+            if x is not None:
+                keep = np.sqrt(np.sum((pos - x) ** 2, axis=1)) <= radius
+                pos, spin = pos[keep], spin[keep]
+            rows.append(sorted(zip(map(tuple, pos.tolist()), spin.tolist())))
+        if rows[0] != rows[1]:
+            return False
+    return True
+
+
+def _deviation(system: ParticleSystem, cell: tuple) -> float:
+    """Largest deviation of the cell's species densities from rho_ref."""
+    _, spin = system.cell_particles(cell)
+    dens = np.bincount(spin, minlength=system.region.S) / system.region.cell_volume
+    return float(np.max(np.abs(dens - system.phase.rho_ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,42 +254,18 @@ def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
     """
     region = pair.region
     ladder = pair.ladder
-    ell, ell_plus = region.ell_minus, region.ell_plus
+    ell = region.ell_minus
     cpc = _cells_per_cube(region)
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
-    r = frac * ell_plus
-    x = _cell_corner(cell, ell)
-
-    # cells whose box comes within r of x
-    reach = int(math.ceil(r / ell)) + 1
-    near_cells = []
-    outside_nonempty = False
-    for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
-        c = tuple(cell[k] + off[k] for k in range(region.d))
-        lo = _cell_corner(c, ell)
-        hi = lo + ell
-        if _dist_point_box(x, lo, hi) > r:
-            continue
-        if _cube_of_cell(c, cpc) in lambda_cubes:
-            continue
-        near_cells.append(c)
-        outside_nonempty = True
-    if not outside_nonempty:
+    r = frac * region.ell_plus
+    # cells outside the region whose box comes within r of the corner
+    ball = np.asarray(cell) + _ball_offsets(region.d, ell, r, ell)
+    near = [c for c in map(tuple, ball.tolist()) if _cube_of_cell(c, cpc) not in lambda_cubes]
+    if not near:
         return ladder.m_bar + 1
-
-    for c in near_cells:
-        sig1 = _cell_signature(pair.sys1, c, x=x, radius=r)
-        sig2 = _cell_signature(pair.sys2, c, x=x, radius=r)
-        if sig1 != sig2:
-            return 0
-
-    vol = region.cell_volume
-    ref = pair.sys1.phase.rho_ref
-    worst = 0.0
-    for c in near_cells:
-        dens = _cell_counts(pair.sys1, c) / vol
-        worst = max(worst, float(np.max(np.abs(dens - ref))))
-    return ladder.bin_deviation(worst)
+    if not _agree(pair, near, _cell_corner(cell, ell), r):
+        return 0
+    return ladder.bin_deviation(max(_deviation(pair.sys1, c) for c in near))
 
 
 def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
@@ -286,15 +274,9 @@ def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
     cell and the first chain's density sits within the ladder rung."""
     if k_value == 0:
         return True
-    sig1 = _cell_signature(pair.sys1, cell)
-    sig2 = _cell_signature(pair.sys2, cell)
-    if sig1 != sig2:
-        return False
-    region = pair.region
-    dens = _cell_counts(pair.sys1, cell) / region.cell_volume
-    dev = float(np.max(np.abs(dens - pair.sys1.phase.rho_ref)))
     level = min(k_value - 1, pair.ladder.m_bar)
-    return dev <= pair.ladder.levels[level] + 1e-12
+    return _agree(pair, [cell]) and \
+        _deviation(pair.sys1, cell) <= pair.ladder.levels[level] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +369,13 @@ def classify_and_peel(partition: CubePartition, pair: PairedState,
     partition.peel(chosen, sigma, statuses)
 
 
-def screening_step(partition: CubePartition, pair: PairedState) -> bool:
-    """One peel on a fixed pair: select the cube, classify its screening
-    shell, shrink the region.  Returns False when the sequence has stopped."""
-    sel = partition.select_next(pair.polymer_cubes())
-    if sel is None:
-        return False
-    chosen, sigma = sel
-    classify_and_peel(partition, pair, chosen, sigma)
-    return True
-
-
 def run_screening(pair: PairedState, partition: CubePartition | None = None) -> CubePartition:
-    """Iterate the screening on a fixed pair until it stops."""
+    """Iterate the screening on a fixed pair until it stops: each peel
+    selects a cube, classifies its screening shell and shrinks the region."""
     if partition is None:
         partition = CubePartition(pair.region)
-    while screening_step(partition, pair):
-        pass
+    while (sel := partition.select_next(pair.polymer_cubes())) is not None:
+        classify_and_peel(partition, pair, *sel)
     return partition
 
 
@@ -421,17 +393,15 @@ def m_function(partition: CubePartition, pair: PairedState) -> dict:
     cannot visit that many distinct cubes).
     """
     region = pair.region
-    ladder = pair.ladder
     cpc = _cells_per_cube(region)
-    ell, ell_plus = region.ell_minus, region.ell_plus
-    r = ladder.ball_fraction * ell_plus
+    r = pair.ladder.ball_fraction * region.ell_plus
+    offsets = _ball_offsets(region.d, region.ell_minus, r + 1e-12, 0.0)
     M: dict[tuple, float] = {}
     age: dict[tuple, int] = {}
     for c in partition.collar:
         age[c] = -1
         for cell in _cube_cells(c, cpc):
             M[cell] = math.inf
-    lam = set(partition.interior)
     for n, step in enumerate(partition.history):
         lam_n_c_cubes = set(age)  # cubes already peeled or collar
         for q in step["sigma"]:
@@ -440,20 +410,10 @@ def m_function(partition: CubePartition, pair: PairedState) -> dict:
                 if status == "bad":
                     M[cell] = math.inf
                     continue
-                x = _cell_corner(cell, ell)
-                best = None
-                reach = int(math.ceil(r / ell)) + 1
-                for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
-                    y_cell = tuple(cell[k] + off[k] for k in range(region.d))
-                    y = _cell_corner(y_cell, ell)
-                    if float(np.linalg.norm(y - x)) > r + 1e-12:
-                        continue
-                    y_cube = _cube_of_cell(y_cell, cpc)
-                    if y_cube not in lam_n_c_cubes:
-                        continue
-                    val = M.get(y_cell, math.inf)
-                    best = val if best is None else max(best, val)
-                M[cell] = 0.0 if best is None else 1.0 + best
+                ball = map(tuple, (np.asarray(cell) + offsets).tolist())
+                older = [M.get(y, math.inf) for y in ball
+                         if _cube_of_cell(y, cpc) in lam_n_c_cubes]
+                M[cell] = 1.0 + max(older) if older else 0.0
         for q in step["sigma"]:
             age[q] = n
     return M
@@ -467,11 +427,10 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     does not change the recorded history; (b) if stopped at a nonempty region
     with an all-good shell: the chains agree on the one-range collar of the
     final region and no polymer touches it; (c) the audit index on good cubes
-    is below m_bar - 2 or infinite, and where finite the cells carry equal
-    particles with deviation within the matching ladder rung.
+    is below m_bar - 2 or infinite, and where finite the cells pass the
+    agreement event on the matching ladder rung.
     """
     region = pair.region
-    ladder = pair.ladder
     cpc = _cells_per_cube(region)
     report = {"replay_ok": True, "shell_ok": None, "audit_ok": True, "failures": []}
 
@@ -497,56 +456,43 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     if partition.lambda_cubes:
         shell = partition.outer_shell(partition.lambda_cubes)
         if all(partition.status.get(c) == "good" for c in shell):
-            ok = True
             # box cells only: the mobile content there is what the contract
             # compares, the frozen collars are each chain's own boundary
             n = region.cells_per_axis
-            for cell in _range_collar_cells(region, partition.lambda_cubes):
-                if not all(0 <= c < n for c in cell):
-                    continue
-                if _cell_signature(pair.sys1, cell) != _cell_signature(pair.sys2, cell):
-                    ok = False
-                    report["failures"].append(f"chains differ on collar cell {cell}")
-                    break
-            rng_len = 1.0 / region.gamma
-            for g in list(pair.polymers1.polymers) + list(pair.polymers2.polymers):
-                for cube in g.support:
-                    lo = np.asarray(cube, dtype=float) * region.ell_plus
-                    hi = lo + region.ell_plus
-                    gap = _boxes_gap(lo, hi, partition.lambda_cubes, region.ell_plus)
-                    if gap <= rng_len:
-                        ok = False
-                        report["failures"].append(f"polymer within range of the final region: {cube}")
-            report["shell_ok"] = ok
+            collar = [c for c in _range_collar_cells(region, partition.lambda_cubes)
+                      if all(0 <= i < n for i in c)]
+            differ = next((c for c in collar if not _agree(pair, [c])), None)
+            if differ is not None:
+                report["failures"].append(f"chains differ on collar cell {differ}")
+            cubes = [c for g in pair.polymers1.polymers + pair.polymers2.polymers
+                     for c in g.support]
+            near = []
+            if cubes:
+                lo = np.array(cubes, dtype=float) * region.ell_plus
+                gaps = _gaps(lo, lo + region.ell_plus, partition.lambda_cubes, region.ell_plus)
+                near = [c for c, gap in zip(cubes, gaps) if gap <= 1.0 / region.gamma]
+            report["failures"] += [f"polymer within range of the final region: {c}" for c in near]
+            report["shell_ok"] = differ is None and not near
 
-    # (c) audit bounds on good cubes
+    # (c) audit bounds on good cubes: where the index is finite, the cell
+    # passes the agreement event on the matching ladder rung
     M = m_function(partition, pair)
-    m_bar = ladder.m_bar
+    m_bar = pair.ladder.m_bar
     for step in partition.history:
         for q in step["sigma"]:
             if step["statuses"][q] != "good":
                 continue
             for cell in _cube_cells(q, cpc):
                 val = M[cell]
-                if not (math.isinf(val) or val < m_bar - 2):
-                    report["audit_ok"] = False
-                    report["failures"].append(f"audit index {val} at {cell}")
-                    continue
                 if math.isinf(val):
                     continue
                 h = m_bar - int(val)
-                if h > 0:
-                    if _cell_signature(pair.sys1, cell) != _cell_signature(pair.sys2, cell):
-                        report["audit_ok"] = False
-                        report["failures"].append(f"unequal cells at finite audit index {cell}")
-                        continue
-                    dens = _cell_counts(pair.sys1, cell) / region.cell_volume
-                    dev = float(np.max(np.abs(dens - pair.sys1.phase.rho_ref)))
-                    if dev > ladder.levels[min(h, m_bar)] + 1e-12:
-                        report["audit_ok"] = False
-                        report["failures"].append(
-                            f"deviation {dev} above rung {h} at {cell}"
-                        )
+                if val >= m_bar - 2:
+                    report["audit_ok"] = False
+                    report["failures"].append(f"audit index {val} at {cell}")
+                elif not theta_event(pair, cell, h + 1):
+                    report["audit_ok"] = False
+                    report["failures"].append(f"agreement event fails on rung {h} at {cell}")
     report["ok"] = (
         report["replay_ok"]
         and report["audit_ok"]
@@ -555,42 +501,35 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     return report
 
 
-def _boxes_gap(lo, hi, cubes: set, side: float) -> float:
-    """Distance from the box [lo, hi] to the union of coarse cubes."""
-    best = math.inf
-    for cube in cubes:
-        clo = np.asarray(cube, dtype=float) * side
-        chi = clo + side
-        gap = np.maximum(np.maximum(clo - hi, lo - chi), 0.0)
-        best = min(best, float(np.sqrt(np.sum(gap**2))))
-    return best
+def _gaps(lo: np.ndarray, hi: np.ndarray, cubes: set, side: float) -> np.ndarray:
+    """Distance from each box [lo[i], hi[i]] to the union of the coarse
+    cubes of the given side, in one broadcast over boxes and cubes."""
+    clo = np.array(sorted(cubes), dtype=float) * side
+    chi = clo + side
+    gap = np.maximum(np.maximum(clo[None] - hi[:, None], lo[:, None] - chi[None]), 0.0)
+    return np.sqrt(np.sum(gap**2, axis=-1)).min(axis=1)
 
 
 def _range_collar_cells(region, cubes: set) -> list:
     """Interior-coordinate cells outside ``cubes`` within one interaction
-    range 1/gamma of them, frozen-collar cells included, in sorted order.
-
-    Gaps are ``_boxes_gap``'s, taken for every candidate cell against every
-    cube corner in one broadcast."""
+    range 1/gamma of them, in sorted order.  Only cells that can hold
+    particles count: the box and its frozen collar, [-w, n + w) per axis."""
     if not cubes:
         return []
     cpc = _cells_per_cube(region)
-    ell, side = region.ell_minus, region.ell_plus
+    ell = region.ell_minus
     rng_len = 1.0 / region.gamma
+    w, n = region.collar_cells, region.cells_per_axis
     cube_arr = np.array(sorted(cubes), dtype=np.int64)
     margin = int(math.ceil(rng_len / ell)) + 1
-    lo_cell = cube_arr.min(axis=0) * cpc - margin
-    hi_cell = (cube_arr.max(axis=0) + 1) * cpc + margin
+    lo_cell = np.maximum(cube_arr.min(axis=0) * cpc - margin, -w)
+    hi_cell = np.minimum((cube_arr.max(axis=0) + 1) * cpc + margin, n + w)
     axes = [np.arange(a, b) for a, b in zip(lo_cell, hi_cell)]
     cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.d)
     inside = ((cells // cpc)[:, None] == cube_arr[None]).all(axis=-1).any(axis=1)
     cells = cells[~inside]
     lo = cells.astype(float) * ell
-    hi = lo + ell
-    clo = cube_arr.astype(float) * side
-    chi = clo + side
-    gap = np.maximum(np.maximum(clo[None] - hi[:, None], lo[:, None] - chi[None]), 0.0)
-    dist = np.sqrt(np.sum(gap**2, axis=-1)).min(axis=1)
+    dist = _gaps(lo, lo + ell, cubes, region.ell_plus)
     return [tuple(c) for c in cells[dist <= rng_len].tolist()]
 
 

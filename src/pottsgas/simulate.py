@@ -716,12 +716,12 @@ def load_trajectory(path) -> np.ndarray:
     return np.load(path)
 
 
-def trajectory_to_csv(path, snapshots):
+def trajectory_to_csv(fh, snapshots):
+    """One row of flattened densities per snapshot, to an open text file."""
     arr = np.stack([np.asarray(s, dtype=float).reshape(-1) for s in snapshots])
-    with open(path, "w") as fh:
-        fh.write(",".join(f"cell{k}" for k in range(arr.shape[1])) + "\n")
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    fh.write(",".join(f"cell{k}" for k in range(arr.shape[1])) + "\n")
+    for row in arr:
+        fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def poisson_window_weights(region: SimRegion, phase: PhaseTarget) -> dict:

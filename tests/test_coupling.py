@@ -55,8 +55,7 @@ def test_copy_region_makes_cells_identical(sol4):
     a = fx.make_mismatched_pair(region, phase, 5, ladder=perc_ladder())
     cells = [(0, 0), (0, 1), (1, 0)]
     cpl.copy_region(a.sys2, a.sys1, cells)
-    for cell in cells:
-        assert scr._cell_signature(a.sys1, cell) == scr._cell_signature(a.sys2, cell)
+    assert scr._agree(a, cells)
 
 
 def _scan_mobile_in(system, cells):
@@ -111,9 +110,9 @@ def test_reinit_identical(sol4):
     cpl.reinit_identical(pair, cells, rng)
     vol = region.cell_volume
     target = np.round(phase.rho_ref * vol).astype(int)
+    assert scr._agree(pair, cells)
     for cell in cells:
-        assert scr._cell_signature(pair.sys1, cell) == scr._cell_signature(pair.sys2, cell)
-        assert np.array_equal(scr._cell_counts(pair.sys1, cell), target)
+        assert np.array_equal(pair.sys1.counts[cell], target)
 
 
 def test_diagonal_branch_preserves_equality(sol4):
@@ -125,9 +124,7 @@ def test_diagonal_branch_preserves_equality(sol4):
     assert set(stats.branches) == {"diagonal"}
     # the chains remain equal on every interior cell
     cpc = scr._cells_per_cube(region)
-    for cube in part.interior:
-        for cell in scr._cube_cells(cube, cpc):
-            assert scr._cell_signature(pair.sys1, cell) == scr._cell_signature(pair.sys2, cell)
+    assert scr._agree(pair, [cell for cube in part.interior for cell in scr._cube_cells(cube, cpc)])
 
 
 def test_crn_marginal_matches_exact_kernel():

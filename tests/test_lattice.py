@@ -84,6 +84,35 @@ def test_kernel_dense_matches_apply(spec2d, kernel2d):
     assert np.allclose(dense @ rho.reshape(-1), out.reshape(-1), atol=1e-12)
 
 
+@pytest.mark.parametrize("cells", [5, 9])
+def test_dense_interior_matrix_on_a_box_wider_than_the_stencil(cells):
+    # radius 6 at gamma=0.25, ell=1: nine cells are wider than radius + 1
+    spec = lat.LatticeSpec(d=1, ell=1.0, shape=(cells,), gamma=0.25, S=3)
+    kern = lat.build_kernel(spec)
+    pad = kern.radius
+    n = cells * spec.S
+    # column j of the oracle is apply on the zero-padded unit vector e_j
+    oracle = np.empty((n, n))
+    for j in range(n):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        vals = np.pad(unit.reshape(cells, spec.S), ((pad, pad), (0, 0)))
+        oracle[:, j] = kern.apply(vals)[pad:pad + cells].reshape(-1)
+    assert np.array_equal(kern.dense_interior_matrix(), oracle)
+
+
+def test_hessian_coercivity_on_a_box_wider_than_the_stencil(sol3):
+    spec = lat.LatticeSpec(d=2, ell=2.0, shape=(16, 16), gamma=0.05, S=3)
+    kern = lat.build_kernel(spec)
+    assert spec.shape[0] > kern.radius + 1
+    cfg = make_cfg(sol3, one_body=True)
+    base = lat.LatticeField.constant(spec, kern.radius, cfg.rho_ref)
+    rng = np.random.default_rng(0)
+    rho = cfg.rho_ref + rng.uniform(-4 * cfg.zeta, 4 * cfg.zeta, size=spec.shape + (spec.S,))
+    ev, ok = lat.hessian_coercivity(base.with_interior(rho), kern, cfg, kappa=0.5 * sol3.kappa_star)
+    assert ok, ev
+
+
 def test_build_kernel_rejects_unnormalized(spec2d):
     bump = normalized_bump(2)
     with pytest.raises(ValueError):
@@ -372,7 +401,8 @@ def test_field_csv_round_trip(tmp_path, spec2d, kernel2d, sol3):
     cfg = make_cfg(sol3)
     fld = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
     p = tmp_path / "field.csv"
-    lat.field_to_csv(fld, p)
+    with open(p, "w", newline="") as fh:
+        lat.field_to_csv(fld, fh)
     back = lat.field_from_csv(p, spec2d, kernel2d.radius)
     assert np.allclose(back.values, fld.values)
 

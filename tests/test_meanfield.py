@@ -351,7 +351,9 @@ def test_solution_json_round_trip(tmp_path):
 def test_csv_emission(tmp_path):
     table = mf.phase_diagram_curve(3, (0.5, 2.0), 5)
     path = tmp_path / "curve.csv"
-    mf.write_phase_diagram_csv(path, table)
+    with open(path, "w") as fh:
+        mf.write_phase_diagram_csv(fh, table)
+    assert b"\r" not in path.read_bytes()  # the CLI artifact's LF line ends
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "beta,lambda_beta"
     assert len(lines) == 6

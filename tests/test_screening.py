@@ -1,9 +1,16 @@
+import copy
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsgas import fixtures as fx
+from pottsgas import meanfield as mf
 from pottsgas import screening as scr
 from pottsgas import simulate as sim
 
@@ -12,6 +19,12 @@ def verify_region():
     # cube side 4 cells, audit ball = one cell: the age-chain geometry is the
     # pigeonhole-safe one
     return sim.SimRegion(d=2, S=2, gamma=0.5, ell0=0.5, ell_minus=1.0, ell_plus=4.0, n_plus=5)
+
+
+def geometry_region(geometry):
+    if geometry == "criterion10":
+        return verify_region()
+    return sim.SimRegion(d=2, S=3, gamma=0.2, ell0=2.5, ell_minus=5.0, ell_plus=10.0, n_plus=5)
 
 
 def verify_phase():
@@ -189,18 +202,26 @@ def test_verify_stopping_leaves_the_pair_untouched():
                 assert not np.shares_memory(getattr(mine, name), getattr(theirs, name))
 
 
+def _boxes_gap(lo, hi, cubes, side):
+    # distance from the box [lo, hi] to the union of coarse cubes, one cube
+    # at a time
+    best = math.inf
+    for cube in cubes:
+        clo = np.asarray(cube, dtype=float) * side
+        chi = clo + side
+        gap = np.maximum(np.maximum(clo - hi, lo - chi), 0.0)
+        best = min(best, float(np.sqrt(np.sum(gap**2))))
+    return best
+
+
 @pytest.mark.parametrize("geometry", ["criterion10", "criterion11"])
 def test_range_collar_cells_match_brute_force(geometry):
-    if geometry == "criterion10":
-        region = verify_region()
-    else:
-        region = sim.SimRegion(d=2, S=3, gamma=0.2, ell0=2.5, ell_minus=5.0, ell_plus=10.0,
-                               n_plus=5)
+    region = geometry_region(geometry)
     cpc = scr._cells_per_cube(region)
     rng_len = 1.0 / region.gamma
-    n = region.cells_per_axis
-    margin = int(math.ceil(rng_len / region.ell_minus)) + 2
-    every = list(np.ndindex(n + 2 * margin, n + 2 * margin))
+    n, w = region.cells_per_axis, region.collar_cells
+    # every cell that can hold a particle: the box and its frozen collar
+    every = list(np.ndindex(n + 2 * w, n + 2 * w))
     cubes = list(np.ndindex(region.n_plus, region.n_plus))
     rng = np.random.default_rng(1)
     saw_frozen = False
@@ -209,14 +230,15 @@ def test_range_collar_cells_match_brute_force(geometry):
         lam = {cubes[k] for k in pick}
         expected = []
         for raw in every:
-            cell = tuple(int(c) - margin for c in raw)
+            cell = tuple(int(c) - w for c in raw)
             if scr._cube_of_cell(cell, cpc) in lam:
                 continue
             lo = scr._cell_corner(cell, region.ell_minus)
-            if scr._boxes_gap(lo, lo + region.ell_minus, lam, region.ell_plus) <= rng_len:
+            if _boxes_gap(lo, lo + region.ell_minus, lam, region.ell_plus) <= rng_len:
                 expected.append(cell)
         got = scr._range_collar_cells(region, lam)
         assert got == sorted(expected)
+        assert all(-w <= c < n + w for cell in got for c in cell)
         saw_frozen |= any(not all(0 <= c < n for c in cell) for cell in got)
     assert saw_frozen
     assert scr._range_collar_cells(region, set()) == []
@@ -308,3 +330,180 @@ def test_history_csv(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "step,selected,sigma_cube,status"
     assert len(lines) == 1 + sum(len(h["sigma"]) for h in part.history)
+
+
+# ---------------------------------------------------------------------------
+# property tests against the per-offset loops, on both benchmark geometries
+
+
+def _signature(system, cell, x=None, radius=None):
+    pos, spin = system.cell_particles(cell)
+    rows = []
+    for p, s in zip(pos, spin):
+        if x is not None and np.linalg.norm(p - x) > radius:
+            continue
+        rows.append(tuple(p) + (int(s),))
+    return tuple(sorted(rows))
+
+
+def _oracle_deviation(system, cell):
+    _, spin = system.cell_particles(cell)
+    counts = np.zeros(system.region.S, dtype=np.int64)
+    for s in spin:
+        counts[int(s)] += 1
+    return float(np.max(np.abs(counts / system.region.cell_volume - system.phase.rho_ref)))
+
+
+def k_oracle(pair, lambda_cubes, cell, inner_ball=False):
+    region, ladder = pair.region, pair.ladder
+    ell = region.ell_minus
+    cpc = scr._cells_per_cube(region)
+    frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
+    r = frac * region.ell_plus
+    x = scr._cell_corner(cell, ell)
+    reach = int(math.ceil(r / ell)) + 1
+    near = []
+    for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
+        c = tuple(cell[k] + off[k] for k in range(region.d))
+        lo = scr._cell_corner(c, ell)
+        gap = np.maximum(np.maximum(lo - x, x - (lo + ell)), 0.0)
+        if float(np.sqrt(np.sum(gap**2))) > r or scr._cube_of_cell(c, cpc) in lambda_cubes:
+            continue
+        near.append(c)
+    if not near:
+        return ladder.m_bar + 1
+    for c in near:
+        if _signature(pair.sys1, c, x, r) != _signature(pair.sys2, c, x, r):
+            return 0
+    return ladder.bin_deviation(max(0.0, *(_oracle_deviation(pair.sys1, c) for c in near)))
+
+
+def theta_oracle(pair, cell, k_value):
+    if k_value == 0:
+        return True
+    if _signature(pair.sys1, cell) != _signature(pair.sys2, cell):
+        return False
+    level = min(k_value - 1, pair.ladder.m_bar)
+    return _oracle_deviation(pair.sys1, cell) <= pair.ladder.levels[level] + 1e-12
+
+
+def m_oracle(partition, pair):
+    region = pair.region
+    cpc = scr._cells_per_cube(region)
+    ell = region.ell_minus
+    r = pair.ladder.ball_fraction * region.ell_plus
+    M, age = {}, {}
+    for c in partition.collar:
+        age[c] = -1
+        for cell in scr._cube_cells(c, cpc):
+            M[cell] = math.inf
+    for n, step in enumerate(partition.history):
+        older = set(age)
+        for q in step["sigma"]:
+            for cell in scr._cube_cells(q, cpc):
+                if step["statuses"][q] == "bad":
+                    M[cell] = math.inf
+                    continue
+                x = scr._cell_corner(cell, ell)
+                best = None
+                reach = int(math.ceil(r / ell)) + 1
+                for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
+                    y_cell = tuple(cell[k] + off[k] for k in range(region.d))
+                    y = scr._cell_corner(y_cell, ell)
+                    if float(np.linalg.norm(y - x)) > r + 1e-12:
+                        continue
+                    if scr._cube_of_cell(y_cell, cpc) not in older:
+                        continue
+                    val = M.get(y_cell, math.inf)
+                    best = val if best is None else max(best, val)
+                M[cell] = 0.0 if best is None else 1.0 + best
+        for q in step["sigma"]:
+            age[q] = n
+    return M
+
+
+@functools.lru_cache(maxsize=None)
+def geometry_pair(geometry, seed, same_boundary, same_interior):
+    # pairs are cached across examples, so the tests below never mutate one
+    region = geometry_region(geometry)
+    if geometry == "criterion10":
+        phase, ladder = verify_phase(), make_ladder()
+    else:
+        sol4 = mf.rescale(mf.common_tangent(3), 4.0)
+        phase = sim.PhaseTarget(rho_ref=sol4.minimizers[-1], lambda_beta=sol4.lambda_beta,
+                                beta=4.0, zeta=2.0, t=0.03)
+        ladder = scr.LadderSpec(zeta=2.0, d=2, c_star=0.65)
+    pair = fx.make_pair(region, phase, (seed, seed if same_boundary else seed + 13),
+                        (seed + 7, seed + 7 if same_interior else seed + 8), ladder=ladder)
+    # the same extra particles in both chains spread the cell deviations
+    # over the ladder rungs
+    rng = np.random.default_rng(seed)
+    for _ in range(region.cells_per_axis * 3):
+        r = rng.random(region.d) * region.side
+        s = int(rng.integers(region.S))
+        pair.sys1._insert(r.copy(), s, frozen=False)
+        pair.sys2._insert(r.copy(), s, frozen=False)
+    return pair
+
+
+@st.composite
+def screening_case(draw):
+    geometry = draw(st.sampled_from(["criterion10", "criterion11"]))
+    pair = geometry_pair(geometry, draw(st.integers(0, 2)), draw(st.booleans()),
+                         draw(st.booleans()))
+    # a drawn ladder puts the cell deviations on every rung
+    ladder = scr.LadderSpec(zeta=draw(st.floats(0.005, 5.0)), d=2,
+                            c_star=draw(st.sampled_from([0.65, 2.0])))
+    pair = dataclasses.replace(pair, ladder=ladder)
+    region = pair.region
+    cubes = sorted(np.ndindex(region.n_plus, region.n_plus))
+    lam = set(draw(st.sets(st.sampled_from(cubes))))
+    # cells of the box and of the frozen collar ring
+    w, n = region.collar_cells, region.cells_per_axis
+    cell = st.tuples(st.integers(-w, n + w - 1), st.integers(-w, n + w - 1))
+    return pair, lam, draw(st.lists(cell, min_size=40, max_size=40))
+
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@PROPERTY
+@given(screening_case(), st.booleans())
+def test_k_function_matches_the_offset_loop(case, inner_ball):
+    pair, lam, cells = case
+    for cell in cells:
+        assert scr.k_function(pair, lam, cell, inner_ball) == k_oracle(pair, lam, cell, inner_ball)
+
+
+@PROPERTY
+@given(screening_case())
+def test_theta_event_matches_the_offset_loop(case):
+    pair, _, cells = case
+    for cell in cells:
+        for k_value in range(pair.ladder.m_bar + 2):
+            assert scr.theta_event(pair, cell, k_value) == theta_oracle(pair, cell, k_value)
+
+
+@settings(max_examples=6, deadline=None)
+@given(screening_case())
+def test_m_function_matches_the_offset_loop(case):
+    pair = case[0]
+    partition = scr.run_screening(pair)
+    assert scr.m_function(partition, pair) == m_oracle(partition, pair)
+
+
+@PROPERTY
+@given(screening_case(), st.data())
+def test_k_function_is_invariant_under_species_relabelling(case, data):
+    pair, lam, cells = case
+    perm = np.array(data.draw(st.permutations(range(pair.region.S))))
+    # species s becomes perm[s] in both chains and in rho_ref
+    relabelled = copy.deepcopy(pair)
+    rho_ref = np.empty_like(pair.sys1.phase.rho_ref)
+    rho_ref[perm] = pair.sys1.phase.rho_ref
+    phase = dataclasses.replace(pair.sys1.phase, rho_ref=rho_ref)
+    for system in (relabelled.sys1, relabelled.sys2):
+        system.spin[:] = perm[system.spin]
+        system.phase = phase
+    for cell in cells:
+        assert scr.k_function(relabelled, lam, cell) == scr.k_function(pair, lam, cell)

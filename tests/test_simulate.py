@@ -324,7 +324,8 @@ def test_trajectory_binary_round_trip(tmp_path):
     back = sim.load_trajectory(p)
     assert back.shape == (3, 2, 2, 2)
     assert np.array_equal(back[1], snaps[1])
-    sim.trajectory_to_csv(tmp_path / "traj.csv", snaps)
+    with open(tmp_path / "traj.csv", "w") as fh:
+        sim.trajectory_to_csv(fh, snaps)
     lines = (tmp_path / "traj.csv").read_text().strip().splitlines()
     assert len(lines) == 4
 
