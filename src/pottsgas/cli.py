@@ -31,6 +31,7 @@ def _schema(name, properties, required):
 _num = {"type": "number"}
 _int = {"type": "integer"}
 _pos_int = {"type": "integer", "minimum": 1}
+_pos_num = {"type": "number", "exclusiveMinimum": 0}
 DEFAULT_THIN = 100
 
 _schema(
@@ -83,11 +84,11 @@ _schema(
         "S": _int,
         "beta": _num,
         "d": _int,
-        "gamma": _num,
-        "ell0": _num,
-        "ell_minus": _num,
-        "ell_plus": _num,
-        "n_plus": _int,
+        "gamma": _pos_num,
+        "ell0": _pos_num,
+        "ell_minus": _pos_num,
+        "ell_plus": _pos_num,
+        "n_plus": _pos_int,
         "zeta": _num,
         "t": _num,
         "moves": _pos_int,
@@ -106,11 +107,11 @@ _schema(
         "S": _int,
         "beta": _num,
         "d": _int,
-        "gamma": _num,
-        "ell0": _num,
-        "ell_minus": _num,
-        "ell_plus": _num,
-        "n_plus": _int,
+        "gamma": _pos_num,
+        "ell0": _pos_num,
+        "ell_minus": _pos_num,
+        "ell_plus": _pos_num,
+        "n_plus": _pos_int,
         "zeta": _num,
         "t": _num,
         "n_runs": _pos_int,
@@ -133,10 +134,10 @@ _schema(
 _schema(
     "validate",
     {
-        "gamma": _num,
-        "ell0": _num,
-        "ell_minus": _num,
-        "ell_plus": _num,
+        "gamma": _pos_num,
+        "ell0": _pos_num,
+        "ell_minus": _pos_num,
+        "ell_plus": _pos_num,
         "zeta": _num,
         "d": _int,
     },
@@ -303,7 +304,6 @@ def cmd_simulate(cfg, seed, out):
     system = sim.ParticleSystem(region, phase, seed=seed)
     fill_boundary(system, seed=seed + 1)
     system.seed_phase_configuration()
-    system.energy = system.total_energy()
     thin = cfg.get("thin", DEFAULT_THIN)
     rows = []
     for block in range(cfg["moves"] // thin):

@@ -76,22 +76,16 @@ def copy_region(dst: ParticleSystem, src: ParticleSystem, cells: list):
 def reinit_identical(pair: PairedState, cells: list, rng):
     """Replace both chains' content on the cells with one shared draw at the
     rounded reference counts: the common start of the surrogate coupling."""
-    region = pair.region
-    ell = region.ell_minus
-    vol = region.cell_volume
-    counts = np.round(pair.sys1.phase.rho_ref * vol).astype(int)
-    counts = np.clip(counts, pair.sys1.n_lo, pair.sys1.n_hi)
+    sys1 = pair.sys1
+    counts = np.round(sys1.phase.rho_ref * pair.region.cell_volume).astype(int)
+    counts = np.clip(counts, sys1.n_lo, sys1.n_hi)
     cell_set = set(map(tuple, cells))
-    for system in (pair.sys1, pair.sys2):
+    pos, spin = sys1.draw_uniform(sorted(cell_set), counts, rng)
+    for system in (sys1, pair.sys2):
         for i in system.mobile_in(cell_set):
             system._remove(i)
-    for cell in sorted(cell_set):
-        corner = np.asarray(cell, dtype=float) * ell
-        for s in range(region.S):
-            for _ in range(int(counts[s])):
-                r = corner + rng.random(region.d) * ell
-                pair.sys1._insert(r.copy(), s, frozen=False)
-                pair.sys2._insert(r.copy(), s, frozen=False)
+        for r, s in zip(pos, spin):
+            system._insert(r, int(s), frozen=False)
 
 
 def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,

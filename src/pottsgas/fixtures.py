@@ -22,31 +22,20 @@ __all__ = [
 
 
 def _collar_cells(system: ParticleSystem):
-    """Extended-coordinate cells of the frozen collar (within one interaction
-    range of the box, outside it)."""
+    """Interior-coordinate cells of the frozen collar (within one interaction
+    range of the box, outside it), in C order."""
     w, n = system.w, system.n_int
-    full = itertools.product(*([range(n + 2 * w)] * system.region.d))
-    for cell in full:
-        if any(c < w or c >= w + n for c in cell):
+    for cell in itertools.product(*([range(-w, n + w)] * system.region.d)):
+        if any(c < 0 or c >= n for c in cell):
             yield cell
 
 
-def fill_boundary(system: ParticleSystem, seed: int, jitter: int = 0):
-    """Populate the collar with near-reference counts at uniform positions;
-    ``jitter`` adds a uniform integer in [-jitter, jitter] per cell/species."""
-    rng = np.random.default_rng(seed)
-    region = system.region
-    ell = region.ell_minus
-    vol = region.cell_volume
-    base = np.round(system.phase.rho_ref * vol).astype(int)
-    for cell in _collar_cells(system):
-        corner = (np.asarray(cell, dtype=float) - system.w) * ell
-        for s in range(region.S):
-            n = int(base[s])
-            if jitter:
-                n = max(0, n + int(rng.integers(-jitter, jitter + 1)))
-            for _ in range(n):
-                system._insert(corner + rng.random(region.d) * ell, s, frozen=True)
+def fill_boundary(system: ParticleSystem, seed: int):
+    """Populate the collar with the rounded reference counts at uniform
+    positions."""
+    counts = np.round(system.phase.rho_ref * system.region.cell_volume).astype(int)
+    cells = list(_collar_cells(system))
+    system.add_boundary(*system.draw_uniform(cells, counts, np.random.default_rng(seed)))
 
 
 def fill_interior(system: ParticleSystem, seed: int):
@@ -56,12 +45,11 @@ def fill_interior(system: ParticleSystem, seed: int):
 
 
 def make_pair(region: SimRegion, phase: PhaseTarget, boundary_seeds: tuple,
-              interior_seeds: tuple, ladder: LadderSpec | None = None,
-              jitter: int = 0) -> PairedState:
+              interior_seeds: tuple, ladder: LadderSpec | None = None) -> PairedState:
     s1 = ParticleSystem(region, phase, seed=0)
     s2 = ParticleSystem(region, phase, seed=1)
-    fill_boundary(s1, boundary_seeds[0], jitter=jitter)
-    fill_boundary(s2, boundary_seeds[1], jitter=jitter)
+    fill_boundary(s1, boundary_seeds[0])
+    fill_boundary(s2, boundary_seeds[1])
     fill_interior(s1, interior_seeds[0])
     fill_interior(s2, interior_seeds[1])
     return PairedState(s1, s2, ladder=ladder)
@@ -74,11 +62,10 @@ def make_identical_pair(region: SimRegion, phase: PhaseTarget, seed: int,
 
 
 def make_mismatched_pair(region: SimRegion, phase: PhaseTarget, seed: int,
-                         ladder: LadderSpec | None = None, jitter: int = 0) -> PairedState:
+                         ladder: LadderSpec | None = None) -> PairedState:
     """Independently drawn boundaries (equal interior start; the coupled
     dynamics resamples it anyway)."""
-    return make_pair(region, phase, (seed, seed + 13_371), (seed + 7, seed + 7),
-                     ladder=ladder, jitter=jitter)
+    return make_pair(region, phase, (seed, seed + 13_371), (seed + 7, seed + 7), ladder=ladder)
 
 
 def inject_polymer(pair: PairedState, cubes, into_first: bool = True,

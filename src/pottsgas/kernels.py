@@ -133,9 +133,6 @@ class PairPotential:
         out = np.interp(dist, self._radii, self._vals, right=0.0)
         return float(out) if out.ndim == 0 else out
 
-    def at_zero(self) -> float:
-        return float(self._vals[0])
-
 
 # ---------------------------------------------------------------------------
 # lattice cell-averaged kernel

@@ -117,11 +117,6 @@ class PhaseTarget:
     def neighbor_sum(self) -> np.ndarray:
         return self.rho_ref.sum() - self.rho_ref
 
-    def lam_offset_window(self, gamma: float, c: float = 1.0) -> tuple[float, float]:
-        """(|lam - lambda_beta|, c sqrt(gamma)): the offset and the window it
-        is expected to stay in for small gamma."""
-        return abs(self.lam - self.lambda_beta), c * math.sqrt(gamma)
-
 
 def occupancy_window(phase: PhaseTarget, volume: float) -> tuple[np.ndarray, np.ndarray]:
     """Integer accuracy window (n_lo, n_hi) per species for a cell of the
@@ -223,14 +218,21 @@ def interpolated_energy(positions, spins, boundary_positions, boundary_spins,
 
 
 # ---------------------------------------------------------------------------
-# particle system with cell lists
+# particle system and its cell index
 
 
 class ParticleSystem:
     """Mobile particles in the box plus frozen boundary particles on the
-    collar, indexed by cells of the fine partition for O(1) neighborhoods."""
+    collar, filed by cell of the fine partition for O(1) neighborhoods.
+
+    A cell is one flat index into the extended grid ``(n_ext,) * d`` in C
+    order, with the origin at the collar corner.  Particle i sits in cell
+    ``cell[i]``; row c of ``members`` lists the ids filed in cell c in filing
+    order, of which the first ``fill[c]`` are valid.
+    """
 
     GROW = 256
+    CAP = 8
 
     def __init__(self, region: SimRegion, phase: PhaseTarget, seed: int = 0):
         self.region = region
@@ -243,40 +245,48 @@ class ParticleSystem:
         n_int = region.cells_per_axis
         self.n_int = n_int
         self.n_ext = n_int + 2 * w
+        self._strides = tuple(self.n_ext ** (d - 1 - k) for k in range(d))
         cap = self.GROW
         self.pos = np.zeros((cap, d))
         self.spin = np.zeros(cap, dtype=np.int64)
         self.alive = np.zeros(cap, dtype=bool)
         self.frozen = np.zeros(cap, dtype=bool)
-        self.cell_of: list = [None] * cap  # python int tuples, hot path
+        self.cell = np.zeros(cap, dtype=np.int64)
         self._free: list[int] = []
         self._n_used = 0
-        self.cells: dict[tuple, list] = {}
-        self.counts = np.zeros((n_int,) * d + (S,), dtype=np.int64)
+        n_cells = self.n_ext**d
+        self.members = np.zeros((n_cells, self.CAP), dtype=np.int64)
+        self.fill = np.zeros(n_cells, dtype=np.int64)
+        self._counts = np.zeros((n_cells, S), dtype=np.int64)
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
         self.energy = 0.0  # running interpolated energy
-        self._offsets = [
-            tuple(int(v) - w for v in o) for o in np.ndindex(*((2 * w + 1,) * d))
-        ]
+        # flat offsets of the (2w+1)^d block around a cell, in np.ndindex order
+        self._ball = (np.indices((2 * w + 1,) * d).reshape(d, -1).T - w) @ self._strides
         self.mobile_ids: list[int] = []
         self._mobile_slot: dict[int, int] = {}
         self.accepted = 0
         self.audit_every = 1000
         self.audit_log: list[float] = []
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Species counts of the interior cells, shape ``(n_int,)*d + (S,)``;
+        a view, so writes reach the system.  Built on each access: a stored
+        view would not stay tied to its base through ``copy.deepcopy``."""
+        d, w = self.region.d, self.w
+        grid = self._counts.reshape((self.n_ext,) * d + (self.region.S,))
+        return grid[(slice(w, w + self.n_int),) * d]
+
     # -- geometry helpers
 
-    def _cell_index(self, r) -> tuple:
-        # cells indexed over the extended domain, origin at the collar corner
+    def _cell_at(self, r) -> int:
+        """Flat cell of the point r."""
         w, ell = self.w, self.region.ell_minus
-        return tuple(int(math.floor(x / ell)) + w for x in r)
+        return sum((math.floor(x / ell) + w) * k for x, k in zip(r, self._strides))
 
-    def _interior_cell(self, cell: tuple) -> tuple | None:
-        w, n = self.w, self.n_int
-        out = tuple(c - w for c in cell)
-        if all(0 <= c < n for c in out):
-            return out
-        return None
+    def _ext_cell(self, cell: tuple) -> int:
+        """Flat cell of an interior-coordinate cell tuple."""
+        return sum((c + self.w) * k for c, k in zip(cell, self._strides))
 
     def in_box(self, r) -> bool:
         L = self.region.side
@@ -285,17 +295,21 @@ class ParticleSystem:
     def mobile_in(self, cells: set | frozenset) -> list:
         """Mobile ids whose interior cell is in the set ``cells``, in
         ``mobile_ids`` order (a move's ``pick`` indexes into this list)."""
-        w = self.w
-        return [i for i in self.mobile_ids if tuple(c - w for c in self.cell_of[i]) in cells]
+        inner = np.asarray(list(cells), dtype=np.int64).reshape(-1, self.region.d)
+        inner = inner[np.all((inner >= 0) & (inner < self.n_int), axis=1)]
+        wanted = np.zeros(len(self.fill), dtype=bool)
+        wanted[(inner + self.w) @ self._strides] = True
+        ids = np.asarray(self.mobile_ids, dtype=np.int64)
+        return ids[wanted[self.cell[ids]]].tolist()
 
     def cell_particles(self, cell: tuple) -> tuple[np.ndarray, np.ndarray]:
         """(positions, spins) of all particles in the interior-coordinate
         cell, frozen ones included."""
-        ids = self.cells.get(tuple(c + self.w for c in cell))
-        if not ids:
+        if not all(-self.w <= c < self.n_int + self.w for c in cell):
             return np.zeros((0, self.region.d)), np.zeros(0, dtype=np.int64)
-        idx = np.asarray(ids, dtype=np.int64)
-        return self.pos[idx], self.spin[idx]
+        c = self._ext_cell(cell)
+        ids = self.members[c, : self.fill[c]]
+        return self.pos[ids], self.spin[ids]
 
     # -- storage
 
@@ -309,10 +323,39 @@ class ParticleSystem:
             self.alive = np.resize(self.alive, grow)
             self.alive[self._n_used :] = False
             self.frozen = np.resize(self.frozen, grow)
-            self.cell_of.extend([None] * self.GROW)
+            self.cell = np.resize(self.cell, grow)
         slot = self._n_used
         self._n_used += 1
         return slot
+
+    def _file(self, i: int, c: int):
+        """Append particle i to the row of cell c and count it there; a full
+        member table doubles its row capacity."""
+        n = self.fill[c]
+        if n == self.members.shape[1]:
+            self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
+        self.members[c, n] = i
+        self.fill[c] = n + 1
+        self.cell[i] = c
+        self._counts[c, self.spin[i]] += 1
+
+    def _unfile(self, i: int):
+        """Take particle i out of its cell's row; the later entries shift
+        down, so the row keeps its filing order."""
+        c = self.cell[i]
+        n = self.fill[c]
+        row = self.members[c]
+        k = row[:n].tolist().index(i)
+        row[k : n - 1] = row[k + 1 : n]
+        self.fill[c] = n - 1
+        self._counts[c, self.spin[i]] -= 1
+
+    def _respin(self, i: int, s: int):
+        """Give particle i species s; it keeps its place in its cell's row."""
+        c = self.cell[i]
+        self._counts[c, self.spin[i]] -= 1
+        self._counts[c, s] += 1
+        self.spin[i] = s
 
     def _insert(self, r, s: int, frozen: bool) -> int:
         i = self._new_slot()
@@ -320,23 +363,14 @@ class ParticleSystem:
         self.spin[i] = s
         self.alive[i] = True
         self.frozen[i] = frozen
-        cell = self._cell_index(r)
-        self.cell_of[i] = cell
-        self.cells.setdefault(cell, []).append(i)
-        interior = self._interior_cell(cell)
-        if interior is not None:
-            self.counts[interior + (s,)] += 1
+        self._file(i, self._cell_at(r))
         if not frozen:
             self._mobile_slot[i] = len(self.mobile_ids)
             self.mobile_ids.append(i)
         return i
 
     def _remove(self, i: int):
-        cell = self.cell_of[i]
-        self.cells[cell].remove(i)
-        interior = self._interior_cell(cell)
-        if interior is not None:
-            self.counts[interior + (int(self.spin[i]),)] -= 1
+        self._unfile(i)
         self.alive[i] = False
         self._free.append(i)
         slot = self._mobile_slot.pop(i)
@@ -345,6 +379,18 @@ class ParticleSystem:
         if last != i:
             self._mobile_slot[last] = slot
         self.mobile_ids.pop()
+
+    def draw_uniform(self, cells, counts, rng) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, spins) of counts[s] particles of each species s at
+        uniform positions in each interior-coordinate cell, cell by cell and
+        species by species.  One ``rng.random((N, d))`` call, which draws the
+        same values as one ``rng.random(d)`` per particle."""
+        d, ell = self.region.d, self.region.ell_minus
+        corners = np.asarray(cells, dtype=float).reshape(-1, d) * ell
+        species = np.repeat(np.arange(len(counts)), counts)
+        spin = np.tile(species, len(corners))
+        pos = np.repeat(corners, len(species), axis=0) + rng.random((len(spin), d)) * ell
+        return pos, spin
 
     def add_boundary(self, positions, spins):
         """Freeze particles on the collar (positions outside the box but
@@ -367,43 +413,26 @@ class ParticleSystem:
     def seed_phase_configuration(self, rng=None):
         """Fill every interior cell with round(rho_ref * volume) particles of
         each species at uniform positions: a canonical in-window start."""
-        rng = rng or self.rng
-        ell = self.region.ell_minus
-        vol = self.region.cell_volume
-        target = np.clip(np.round(self.phase.rho_ref * vol).astype(int), self.n_lo, self.n_hi)
-        for cell in np.ndindex(*((self.n_int,) * self.region.d)):
-            base = (np.array(cell)) * ell
-            for s in range(self.region.S):
-                for _ in range(target[s]):
-                    r = base + rng.uniform(0, ell, size=self.region.d)
-                    self._insert(r, s, frozen=False)
-        self.energy = self.total_energy()
+        d = self.region.d
+        target = np.clip(np.round(self.phase.rho_ref * self.region.cell_volume).astype(int),
+                         self.n_lo, self.n_hi)
+        cells = np.indices((self.n_int,) * d).reshape(d, -1).T
+        self.add_particles(*self.draw_uniform(cells, target, rng or self.rng))
 
     # -- energies
 
-    def _neighbor_ids(self, cell: tuple, skip: int | None = None) -> list:
-        ids = []
-        for off in self._offsets:
-            key = tuple(cell[k] + off[k] for k in range(self.region.d))
-            got = self.cells.get(key)
-            if got:
-                ids.extend(got)
-        if skip is not None and skip in ids:
-            ids.remove(skip)
-        return ids
-
-    def _pair_sum(self, r, s: int, cell: tuple, skip: int | None = None,
-                  same_species: bool = False) -> float:
-        """Sum of V(|r - r_j|) over neighbors with species != s (or == s)."""
-        ids = self._neighbor_ids(cell, skip)
-        if not ids:
+    def _pair_sum(self, r, s: int, c: int, skip: int | None = None) -> float:
+        """Sum of V(|r - r_j|) over the particles j of species != s filed in
+        the block of cells around cell c, in filing order."""
+        block = c + self._ball
+        filed = np.arange(self.members.shape[1]) < self.fill[block][:, None]
+        ids = self.members[block][filed]
+        if skip is not None:
+            ids = ids[ids != skip]
+        ids = ids[self.spin[ids] != s]
+        if not len(ids):
             return 0.0
-        idx = np.asarray(ids, dtype=np.int64)
-        spins = self.spin[idx]
-        mask = spins == s if same_species else spins != s
-        if not mask.any():
-            return 0.0
-        diff = self.pos[idx[mask]] - np.asarray(r, dtype=float)
+        diff = self.pos[ids] - np.asarray(r, dtype=float)
         dist = np.sqrt((diff**2).sum(axis=1))
         return float(np.sum(self.potential(dist)))
 
@@ -426,17 +455,10 @@ class ParticleSystem:
     # -- window checks
 
     def _window_ok_after(self, deltas) -> bool:
-        """deltas: list of (interior_cell, species, +-1); None entries are
-        ignored (cells outside the box have no window)."""
-        adjust: dict[tuple, int] = {}
-        for cell, s, dn in deltas:
-            if cell is None:
-                return False  # moves must stay inside the box
-            key = cell + (s,)
-            adjust[key] = adjust.get(key, 0) + dn
-        for key, dn in adjust.items():
-            s = key[-1]
-            new = self.counts[key] + dn
+        """deltas: (cell, species, +-1) triples, at most one per (cell,
+        species); whether every changed count stays inside the window."""
+        for c, s, dn in deltas:
+            new = self._counts[c, s] + dn
             if new < self.n_lo[s] or new > self.n_hi[s]:
                 return False
         return True
@@ -538,12 +560,12 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
         return math.exp(max(min(-beta * dh, 700.0), -700.0))
 
     if kind == "birth":
-        r, s, cell = move["r"], move["s"], move["cell"]
-        if not system._window_ok_after([(cell, s, +1)]):
+        r, s = move["r"], move["s"]
+        c = system._ext_cell(move["cell"])
+        if not system._window_ok_after([(c, s, +1)]):
             return False
         if phase.t > 0.0:
-            ext_cell = tuple(c + system.w for c in cell)
-            dpair = system._pair_sum(r, s, ext_cell) - phase.lam
+            dpair = system._pair_sum(r, s, c) - phase.lam
         else:
             dpair = 0.0
         dref = float(phase.neighbor_sum[s] - phase.lambda_beta)
@@ -562,13 +584,11 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
     i = local_ids[pick]
 
     if kind == "death":
-        s = int(system.spin[i])
-        cell_ext = system.cell_of[i]
-        cell = system._interior_cell(cell_ext)
-        if not system._window_ok_after([(cell, s, -1)]):
+        s, c = int(system.spin[i]), system.cell[i]
+        if not system._window_ok_after([(c, s, -1)]):
             return False
         if phase.t > 0.0:
-            dpair = -(system._pair_sum(system.pos[i], s, cell_ext, skip=i) - phase.lam)
+            dpair = -(system._pair_sum(system.pos[i], s, c, skip=i) - phase.lam)
         else:
             dpair = 0.0
         dref = -float(phase.neighbor_sum[s] - phase.lambda_beta)
@@ -587,32 +607,24 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
         r_new = r_old + move["jump"]
         if not system.in_box(r_new):
             return False
-        cell_old_ext = system.cell_of[i]
-        cell_new_ext = system._cell_index(r_new)
-        cell_old = system._interior_cell(cell_old_ext)
-        cell_new = system._interior_cell(cell_new_ext)
+        cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
         if cell_new not in active_set:
             return False
         s = int(system.spin[i])
-        deltas = []
-        if cell_old != cell_new:
-            deltas = [(cell_old, s, -1), (cell_new, s, +1)]
-            if not system._window_ok_after(deltas):
-                return False
+        c_old, c_new = int(system.cell[i]), system._ext_cell(cell_new)
+        if c_old != c_new and not system._window_ok_after([(c_old, s, -1), (c_new, s, +1)]):
+            return False
         if phase.t > 0.0:
-            e_old = system._pair_sum(r_old, s, cell_old_ext, skip=i)
-            e_new = system._pair_sum(r_new, s, cell_new_ext, skip=i)
+            e_old = system._pair_sum(r_old, s, c_old, skip=i)
+            e_new = system._pair_sum(r_new, s, c_new, skip=i)
             dh = phase.t * (e_new - e_old)
         else:
             dh = 0.0
         if u_accept < boltzmann(dh):
-            system.cells[cell_old_ext].remove(i)
-            system.cells.setdefault(cell_new_ext, []).append(i)
-            system.cell_of[i] = cell_new_ext
+            # refiled even within one cell: the particle moves to its row's end
+            system._unfile(i)
             system.pos[i] = r_new
-            if cell_old != cell_new:
-                system.counts[cell_old + (s,)] -= 1
-                system.counts[cell_new + (s,)] += 1
+            system._file(i, c_new)
             system.energy += dh
             return True
         return False
@@ -620,23 +632,20 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
     # flip
     s_old = int(system.spin[i])
     s_new = (s_old + move["shift"]) % region.S
-    cell_ext = system.cell_of[i]
-    cell = system._interior_cell(cell_ext)
-    if not system._window_ok_after([(cell, s_old, -1), (cell, s_new, +1)]):
+    c = system.cell[i]
+    if not system._window_ok_after([(c, s_old, -1), (c, s_new, +1)]):
         return False
     if phase.t > 0.0:
         r = system.pos[i]
-        gain = system._pair_sum(r, s_new, cell_ext, skip=i)  # neighbors unlike s_new
-        lose = system._pair_sum(r, s_old, cell_ext, skip=i)
+        gain = system._pair_sum(r, s_new, c, skip=i)  # neighbors unlike s_new
+        lose = system._pair_sum(r, s_old, c, skip=i)
         dpair = gain - lose
     else:
         dpair = 0.0
     dref = float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s_old])
     dh = phase.t * dpair + (1.0 - phase.t) * dref
     if u_accept < boltzmann(dh):
-        system.spin[i] = s_new
-        system.counts[cell + (s_old,)] -= 1
-        system.counts[cell + (s_new,)] += 1
+        system._respin(i, s_new)
         system.energy += dh
         return True
     return False

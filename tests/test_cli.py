@@ -18,6 +18,8 @@ COUPLE_BASE = {
     "n_runs": 4, "margins": [0, 1, 2], "ladder_zeta": 2.0, "c_star": 0.65,
 }
 
+VALIDATE_BASE = {"gamma": 0.2, "ell0": 2.5, "ell_minus": 5.0, "ell_plus": 10.0, "zeta": 2.0, "d": 2}
+
 
 def run_cli(args):
     return cli.main(args)
@@ -193,6 +195,13 @@ def test_console_entry_point(tmp_path):
     ("simulate", SIM_BASE, "thin"),
     ("couple", COUPLE_BASE, "n_runs"),
     ("couple", COUPLE_BASE, "sweeps"),
+    # scales: each of these crashed with a traceback before the schema bounds
+    ("simulate", SIM_BASE, "gamma"),
+    ("simulate", SIM_BASE, "ell0"),
+    ("simulate", SIM_BASE, "n_plus"),
+    ("couple", COUPLE_BASE, "gamma"),
+    ("couple", COUPLE_BASE, "ell0"),
+    ("validate", VALIDATE_BASE, "gamma"),
 ])
 def test_nonpositive_counts_exit_2(tmp_path, command, base, field):
     cfg = write_cfg(tmp_path, "c.json", {**base, field: 0})

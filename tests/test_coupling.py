@@ -58,10 +58,13 @@ def test_copy_region_makes_cells_identical(sol4):
     assert scr._agree(a, cells)
 
 
+def _home_cell(system, i):
+    return tuple(int(c) for c in np.floor(system.pos[i] / system.region.ell_minus))
+
+
 def _scan_mobile_in(system, cells):
-    # the hand-written scan that ParticleSystem.mobile_in replaces
-    return [i for i in system.mobile_ids
-            if tuple(c - system.w for c in system.cell_of[i]) in cells]
+    # mobile ids whose cell, read off the position, is in the set
+    return [i for i in system.mobile_ids if _home_cell(system, i) in cells]
 
 
 def test_mobile_in_and_cell_particles_track_the_cell_index(sol4):
@@ -90,12 +93,12 @@ def test_mobile_in_and_cell_particles_track_the_cell_index(sol4):
 
     check(s1)
     before_ids = set(s1.mobile_ids)
-    before_cell = {i: s1.cell_of[i] for i in s1.mobile_ids}
+    before_cell = {i: _home_cell(s1, i) for i in s1.mobile_ids}
     # births, deaths and displacements long enough to cross cells
     sim.metropolis_sweep(s1, sim.MoveKernel(step=3.0), n_moves=3000, audit=False)
     after_ids = set(s1.mobile_ids)
     assert before_ids - after_ids and after_ids - before_ids
-    assert any(s1.cell_of[i] != before_cell[i] for i in before_ids & after_ids)
+    assert any(_home_cell(s1, i) != before_cell[i] for i in before_ids & after_ids)
     check(s1)
     cpl.copy_region(s2, s1, all_cells[::3])
     check(s2)

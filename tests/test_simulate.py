@@ -1,7 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pottsgas import simulate as sim
@@ -389,3 +392,88 @@ def test_total_energy_of_empty_system():
     # a frozen collar alone carries no energy: frozen-frozen pairs are excluded
     system.add_boundary([[-0.5, 0.5], [-0.3, 0.6]], [0, 1])
     assert system.total_energy() == 0.0
+
+
+def index_region(d):
+    if d == 3:
+        return sim.SimRegion(d=3, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=2)
+    return sim.SimRegion(d=d, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=2)
+
+
+def _filed_in_order(system, stamp):
+    """Check every extended cell against a scan of floor(pos / ell): the
+    particles found there, in the order they were last filed."""
+    region, w, n = system.region, system.w, system.n_int
+    live = np.flatnonzero(system.alive[: system._n_used])
+    home = np.floor(system.pos[live] / region.ell_minus).astype(int)
+    for cell in np.ndindex(*((n + 2 * w,) * region.d)):
+        cell = tuple(c - w for c in cell)
+        ids = live[np.all(home == cell, axis=1)]
+        ids = ids[np.lexsort((ids, stamp[ids]))]
+        pos, spin = system.cell_particles(cell)
+        assert np.array_equal(pos, system.pos[ids]) and np.array_equal(spin, system.spin[ids])
+    inside = np.all((home >= 0) & (home < n), axis=1)
+    hist = np.zeros_like(system.counts)
+    np.add.at(hist, tuple(home[inside].T) + (system.spin[live[inside]],), 1)
+    assert np.array_equal(system.counts, hist)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 2**16),
+       st.lists(st.sampled_from(["insert", "collar", "remove", "sweep"]), min_size=1, max_size=8))
+def test_cell_index_matches_position_scan(d, seed, ops):
+    from pottsgas.fixtures import fill_boundary
+
+    region = index_region(d)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=1.0)
+    system = sim.ParticleSystem(region, phase, seed=seed)
+    fill_boundary(system, seed=seed + 1)
+    system.seed_phase_configuration()
+    rng = np.random.default_rng(seed + 2)
+    L, wlen = region.side, system.w * region.ell_minus
+    kernel = sim.MoveKernel(step=2.0 * region.ell_minus)
+    # stamp[i]: the step at which particle i was last filed; one step files
+    # at most one particle, so (stamp, id) orders each cell's row
+    stamp = np.zeros(system._n_used, dtype=np.int64)
+    step = 0
+    for op in ops:
+        for _ in range(20 if op == "sweep" else 1):
+            step += 1
+            before = (system.alive.copy(), system.pos.copy())
+            if op == "insert":
+                system._insert(rng.uniform(0, L, d), int(rng.integers(region.S)), frozen=False)
+            elif op == "collar":
+                r = rng.uniform(-wlen, L + wlen, d)
+                while system.in_box(r):
+                    r = rng.uniform(-wlen, L + wlen, d)
+                system._insert(r, int(rng.integers(region.S)), frozen=True)
+            elif op == "remove" and system.mobile_ids:
+                system._remove(system.mobile_ids[int(rng.integers(len(system.mobile_ids)))])
+            elif op == "sweep":
+                sim.metropolis_sweep(system, kernel, n_moves=1, rng=rng, audit=False)
+            m = len(before[0])
+            stamp = np.resize(stamp, system._n_used)
+            refiled = system.alive[:m] & (~before[0][:m] | np.any(system.pos[:m] != before[1][:m], axis=1))
+            stamp[np.flatnonzero(refiled)] = step
+            stamp[m : system._n_used] = step
+        _filed_in_order(system, stamp)
+
+    # the neighbour sum against every live particle (V vanishes beyond range)
+    live = np.flatnonzero(system.alive[: system._n_used])
+    probes = [(system.pos[i], i) for i in system.mobile_ids[:10]]
+    probes += [(rng.uniform(0, L, d), None) for _ in range(5)]
+    for r, skip in probes:
+        s = int(rng.integers(region.S))
+        others = live[(live != skip) & (system.spin[live] != s)]
+        want = float(np.sum(system.potential(np.linalg.norm(system.pos[others] - r, axis=1))))
+        got = system._pair_sum(r, s, system._cell_at(r), skip=skip)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+    clone = copy.deepcopy(system)
+    arrays = [v for v in vars(system).values() if isinstance(v, np.ndarray)] + [system.counts]
+    for v in list(vars(clone).values()) + [clone.counts]:
+        if isinstance(v, np.ndarray):
+            assert not any(np.shares_memory(v, a) for a in arrays)
+    _filed_in_order(clone, stamp)
