@@ -40,7 +40,6 @@ phase2 = sim.PhaseTarget(rho_ref=sol.minimizers[-1], lambda_beta=sol.lambda_beta
 system2 = sim.ParticleSystem(region2, phase2, seed=3)
 fx.fill_boundary(system2, seed=4)
 system2.seed_phase_configuration()
-system2.energy = system2.total_energy()
 kernel2 = sim.MoveKernel()
 accepted = sim.metropolis_sweep(system2, kernel2, n_moves=20_000)
 obs = sim.measure_observables(system2, references=[phase2.rho_ref],

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -176,13 +175,6 @@ def _write_json(path, payload, cfg, seed):
 
 def _csv_header_line(cfg, seed) -> str:
     return "# config " + json.dumps(cfg, sort_keys=True) + f" seed {seed}"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("POTTSGAS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +344,10 @@ def cmd_couple(cfg, seed, out):
 def cmd_wasserstein_check(cfg, seed, out):
     from . import transport as tr
 
-    rng = np.random.default_rng(seed)
     n_inst = cfg["n_instances"]
     cap = cfg.get("max_points", 6)
     violations = []
-
-    def one(k):
+    for k in range(n_inst):
         local = np.random.default_rng((seed, k))
         n = int(local.integers(2, cap + 1))
         pts = local.uniform(0, 1, size=(n, 3))
@@ -384,12 +374,8 @@ def cmd_wasserstein_check(cfg, seed, out):
             bad.append("exact>grid")
         if pb["grid_bound"] > pb["crude_bound"] + 1e-10:
             bad.append("grid>crude")
-        return bad
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        for k, bad in enumerate(pool.map(one, range(n_inst))):
-            if bad:
-                violations.append({"instance": k, "failed": bad})
+        if bad:
+            violations.append({"instance": k, "failed": bad})
     _write_json(
         os.path.join(out, "wasserstein_report.json"),
         {"n_instances": n_inst, "violations": violations, "ok": not violations},

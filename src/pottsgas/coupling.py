@@ -35,7 +35,6 @@ from .simulate import (
     MoveKernel,
     ParticleSystem,
     apply_move,
-    build_move,
     draw_move_uniforms,
     occupancy_window,
 )
@@ -67,25 +66,19 @@ def choose_branch(pair: PairedState, partition: CubePartition) -> str:
 def copy_region(dst: ParticleSystem, src: ParticleSystem, cells: list):
     """Make dst's mobile content on the cells identical to src's."""
     cell_set = set(map(tuple, cells))
-    for i in dst.mobile_in(cell_set):
-        dst._remove(i)
-    for j in src.mobile_in(cell_set):
-        dst._insert(src.pos[j].copy(), int(src.spin[j]), frozen=False)
+    dst.remove_particles(dst.mobile_in(cell_set))
+    ids = src.mobile_in(cell_set)
+    dst.add_particles(src.pos[ids], src.spin[ids])
 
 
 def reinit_identical(pair: PairedState, cells: list, rng):
     """Replace both chains' content on the cells with one shared draw at the
     rounded reference counts: the common start of the surrogate coupling."""
-    sys1 = pair.sys1
-    counts = np.round(sys1.phase.rho_ref * pair.region.cell_volume).astype(int)
-    counts = np.clip(counts, sys1.n_lo, sys1.n_hi)
     cell_set = set(map(tuple, cells))
-    pos, spin = sys1.draw_uniform(sorted(cell_set), counts, rng)
-    for system in (sys1, pair.sys2):
-        for i in system.mobile_in(cell_set):
-            system._remove(i)
-        for r, s in zip(pos, spin):
-            system._insert(r, int(s), frozen=False)
+    pos, spin = pair.sys1.draw_uniform(sorted(cell_set), pair.sys1.reference_counts, rng)
+    for system in (pair.sys1, pair.sys2):
+        system.remove_particles(system.mobile_in(cell_set))
+        system.add_particles(pos, spin)
 
 
 def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
@@ -101,12 +94,9 @@ def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
     acc1 = acc2 = 0
     for _ in range(n_moves):
         draws = draw_move_uniforms(rng, pair.region.d)
-        u_accept = draws[-1]
-        m1 = build_move(pair.sys1, kernel, draws, active, loc1)
-        m2 = build_move(pair.sys2, kernel, draws, active, loc2)
-        if m1 is not None and apply_move(pair.sys1, m1, u_accept, active_set, loc1, volume):
+        if apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume):
             acc1 += 1
-        if m2 is not None and apply_move(pair.sys2, m2, u_accept, active_set, loc2, volume):
+        if apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume):
             acc2 += 1
     return {"accepted": (acc1, acc2)}
 

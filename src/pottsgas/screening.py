@@ -548,11 +548,11 @@ def _default_perturbation(pair: PairedState, lambda_cubes: set, rng):
     for system in (pair.sys1, pair.sys2):
         cell = cells[int(rng.random() * len(cells))]
         r = (_cell_corner(cell, ell) + rng.random(region.d) * ell)
-        system._insert(r, int(rng.random() * region.S), frozen=False)
+        system.add_particles([r], [int(rng.random() * region.S)])
         # delete one mobile particle from inside the region if any
         inside = system.mobile_in(cell_set)
         if inside:
-            system._remove(inside[int(rng.random() * len(inside))])
+            system.remove_particles([inside[int(rng.random() * len(inside))]])
 
 
 # ---------------------------------------------------------------------------

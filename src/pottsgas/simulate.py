@@ -229,6 +229,9 @@ class ParticleSystem:
     order, with the origin at the collar corner.  Particle i sits in cell
     ``cell[i]``; row c of ``members`` lists the ids filed in cell c in filing
     order, of which the first ``fill[c]`` are valid.
+
+    Only this module changes the particles: callers use ``add_particles``,
+    ``add_boundary``, ``remove_particles`` and the Metropolis moves.
     """
 
     GROW = 256
@@ -259,7 +262,7 @@ class ParticleSystem:
         self.fill = np.zeros(n_cells, dtype=np.int64)
         self._counts = np.zeros((n_cells, S), dtype=np.int64)
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
-        self.energy = 0.0  # running interpolated energy
+        self._energy = 0.0  # running interpolated energy; NaN when unknown
         # flat offsets of the (2w+1)^d block around a cell, in np.ndindex order
         self._ball = (np.indices((2 * w + 1,) * d).reshape(d, -1).T - w) @ self._strides
         self.mobile_ids: list[int] = []
@@ -276,6 +279,26 @@ class ParticleSystem:
         d, w = self.region.d, self.w
         grid = self._counts.reshape((self.n_ext,) * d + (self.region.S,))
         return grid[(slice(w, w + self.n_int),) * d]
+
+    @property
+    def energy(self) -> float:
+        """Running interpolated energy H_t.  Accepted moves add their exact
+        deltas; a bulk edit marks it unknown, and the next read recomputes it
+        with ``total_energy``."""
+        if math.isnan(self._energy):
+            self._energy = self.total_energy()
+        return self._energy
+
+    @energy.setter
+    def energy(self, value: float):
+        self._energy = value
+
+    @property
+    def reference_counts(self) -> np.ndarray:
+        """Per-species count of one cell at the reference densities, rounded
+        and clipped into the accuracy window."""
+        target = np.round(self.phase.rho_ref * self.region.cell_volume).astype(int)
+        return np.clip(target, self.n_lo, self.n_hi)
 
     # -- geometry helpers
 
@@ -392,32 +415,41 @@ class ParticleSystem:
         pos = np.repeat(corners, len(species), axis=0) + rng.random((len(spin), d)) * ell
         return pos, spin
 
+    def _add(self, pos, spins, frozen: bool):
+        for r, s in zip(pos, spins):
+            self._insert(r, int(s), frozen)
+        self._energy = math.nan
+
     def add_boundary(self, positions, spins):
         """Freeze particles on the collar (positions outside the box but
-        within the collar)."""
+        within the collar), in the given order."""
+        pos = np.asarray(positions, dtype=float).reshape(-1, self.region.d)
         L, wlen = self.region.side, self.w * self.region.ell_minus
-        for r, s in zip(np.atleast_2d(positions), spins):
-            if self.in_box(r):
-                raise ValueError("boundary particle inside the box")
-            if any(x < -wlen or x >= L + wlen for x in r):
-                raise ValueError("boundary particle beyond the collar")
-            self._insert(np.asarray(r, dtype=float), int(s), frozen=True)
+        if np.any(np.all((pos >= 0.0) & (pos < L), axis=1)):
+            raise ValueError("boundary particle inside the box")
+        if np.any((pos < -wlen) | (pos >= L + wlen)):
+            raise ValueError("boundary particle beyond the collar")
+        self._add(pos, spins, frozen=True)
 
     def add_particles(self, positions, spins):
-        for r, s in zip(np.atleast_2d(positions), spins):
-            if not self.in_box(r):
-                raise ValueError("mobile particle outside the box")
-            self._insert(np.asarray(r, dtype=float), int(s), frozen=False)
-        self.energy = self.total_energy()
+        """Add mobile particles inside the box, in the given order."""
+        pos = np.asarray(positions, dtype=float).reshape(-1, self.region.d)
+        if not np.all((pos >= 0.0) & (pos < self.region.side)):
+            raise ValueError("mobile particle outside the box")
+        self._add(pos, spins, frozen=False)
+
+    def remove_particles(self, ids):
+        """Remove the mobile particles ``ids``, in the given order."""
+        for i in ids:
+            self._remove(i)
+        self._energy = math.nan
 
     def seed_phase_configuration(self, rng=None):
-        """Fill every interior cell with round(rho_ref * volume) particles of
-        each species at uniform positions: a canonical in-window start."""
+        """Fill every interior cell with the reference counts of each species
+        at uniform positions: a canonical in-window start."""
         d = self.region.d
-        target = np.clip(np.round(self.phase.rho_ref * self.region.cell_volume).astype(int),
-                         self.n_lo, self.n_hi)
         cells = np.indices((self.n_int,) * d).reshape(d, -1).T
-        self.add_particles(*self.draw_uniform(cells, target, rng or self.rng))
+        self.add_particles(*self.draw_uniform(cells, self.reference_counts, rng or self.rng))
 
     # -- energies
 
@@ -517,51 +549,25 @@ def draw_move_uniforms(rng, d: int) -> tuple:
     return (rng.random(), rng.random(), rng.random(d), rng.random(), rng.random())
 
 
-def build_move(system: ParticleSystem, kernel: MoveKernel, draws: tuple,
-               active: list, local_ids: list) -> dict | None:
-    """Resolve a uniform block into a concrete proposal for this system."""
-    region = system.region
-    ell = region.ell_minus
-    u_kind, u_a, vec_b, u_c, _ = draws
-    u = u_kind
-    if u < kernel.p_birth:
-        cell = active[int(u_a * len(active))]
-        r = (np.asarray(cell, dtype=float) + vec_b) * ell
-        s = int(u_c * region.S)
-        return {"kind": "birth", "r": r, "s": s, "cell": cell}
-    u -= kernel.p_birth
-    if u < kernel.p_death:
-        if not local_ids:
-            return None
-        return {"kind": "death", "pick": int(u_a * len(local_ids))}
-    u -= kernel.p_death
-    if u < kernel.p_move:
-        if not local_ids:
-            return None
-        jump = (2.0 * vec_b - 1.0) * kernel.step
-        return {"kind": "move", "pick": int(u_a * len(local_ids)), "jump": jump}
-    if not local_ids:
-        return None
-    shift = 1 + int(u_c * (region.S - 1))
-    return {"kind": "flip", "pick": int(u_a * len(local_ids)), "shift": shift}
-
-
-def apply_move(system: ParticleSystem, move: dict, u_accept: float,
+def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: tuple, active: list,
                active_set: frozenset, local_ids: list, volume: float) -> bool:
-    """Metropolis-accept the proposal with the shared uniform ``u_accept``;
-    moves that would leave the accuracy window or the active region are
-    rejected outright.  Returns True when accepted."""
+    """Resolve the uniform block ``draws`` into a proposal for this system
+    and Metropolis-accept it with the block's last uniform; moves that would
+    leave the accuracy window or the active region are rejected outright.
+    Returns True when accepted."""
     region, phase = system.region, system.phase
     beta = phase.beta
-    kind = move["kind"]
+    u, u_a, vec_b, u_c, u_accept = draws
     n_local = len(local_ids)
 
     def boltzmann(dh):
         return math.exp(max(min(-beta * dh, 700.0), -700.0))
 
-    if kind == "birth":
-        r, s = move["r"], move["s"]
-        c = system._ext_cell(move["cell"])
+    if u < kernel.p_birth:
+        cell = active[int(u_a * len(active))]
+        r = (np.asarray(cell, dtype=float) + vec_b) * region.ell_minus
+        s = int(u_c * region.S)
+        c = system._ext_cell(cell)
         if not system._window_ok_after([(c, s, +1)]):
             return False
         if phase.t > 0.0:
@@ -572,18 +578,18 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
         dh = phase.t * dpair + (1.0 - phase.t) * dref
         ratio = volume * region.S / (n_local + 1) * boltzmann(dh)
         if u_accept < ratio:
-            system._insert(r, s, frozen=False)
-            local_ids.append(system.mobile_ids[-1])
-            system.energy += dh
+            local_ids.append(system._insert(r, s, frozen=False))
+            system._energy += dh
             return True
         return False
 
-    pick = move["pick"]
-    if pick >= n_local:
+    if not n_local:
         return False
+    pick = int(u_a * n_local)
     i = local_ids[pick]
+    u -= kernel.p_birth
 
-    if kind == "death":
+    if u < kernel.p_death:
         s, c = int(system.spin[i]), system.cell[i]
         if not system._window_ok_after([(c, s, -1)]):
             return False
@@ -598,13 +604,14 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
             system._remove(i)
             local_ids[pick] = local_ids[-1]
             local_ids.pop()
-            system.energy += dh
+            system._energy += dh
             return True
         return False
+    u -= kernel.p_death
 
-    if kind == "move":
+    if u < kernel.p_move:
         r_old = system.pos[i].copy()
-        r_new = r_old + move["jump"]
+        r_new = r_old + (2.0 * vec_b - 1.0) * kernel.step
         if not system.in_box(r_new):
             return False
         cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
@@ -625,13 +632,13 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
             system._unfile(i)
             system.pos[i] = r_new
             system._file(i, c_new)
-            system.energy += dh
+            system._energy += dh
             return True
         return False
 
     # flip
     s_old = int(system.spin[i])
-    s_new = (s_old + move["shift"]) % region.S
+    s_new = (s_old + 1 + int(u_c * (region.S - 1))) % region.S
     c = system.cell[i]
     if not system._window_ok_after([(c, s_old, -1), (c, s_new, +1)]):
         return False
@@ -646,7 +653,7 @@ def apply_move(system: ParticleSystem, move: dict, u_accept: float,
     dh = phase.t * dpair + (1.0 - phase.t) * dref
     if u_accept < boltzmann(dh):
         system._respin(i, s_new)
-        system.energy += dh
+        system._energy += dh
         return True
     return False
 
@@ -665,22 +672,21 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
     volume = len(active) * system.region.cell_volume
     if n_moves is None:
         n_moves = max(len(local_ids), 1)
+    if audit:
+        system.energy  # resolve an unknown energy now: audits measure drift from here
     accepted = 0
     for _ in range(n_moves):
         draws = draw_move_uniforms(rng, system.region.d)
-        move = build_move(system, kernel, draws, active, local_ids)
-        if move is None:
-            continue
-        if apply_move(system, move, draws[-1], active_set, local_ids, volume):
+        if apply_move(system, kernel, draws, active, active_set, local_ids, volume):
             accepted += 1
             system.accepted += 1
             if audit and system.accepted % system.audit_every == 0:
                 fresh = system.total_energy()
-                drift = abs(system.energy - fresh)
+                drift = abs(system._energy - fresh)
                 system.audit_log.append(drift)
                 if drift > 1e-7 * max(abs(fresh), 1.0):
                     raise RuntimeError(f"energy drift {drift} exceeds tolerance")
-                system.energy = fresh
+                system._energy = fresh
     return accepted
 
 

@@ -293,7 +293,6 @@ def test_criterion_9_sampler_correctness():
     system2 = sim.ParticleSystem(region2, phase2, seed=9)
     fx.fill_boundary(system2, seed=10)
     system2.seed_phase_configuration()
-    system2.energy = system2.total_energy()
     system2.audit_every = 1000
     kernel2 = sim.MoveKernel()
     sim.metropolis_sweep(system2, kernel2, n_moves=30_000)

@@ -118,6 +118,33 @@ def test_reinit_identical(sol4):
         assert np.array_equal(pair.sys1.counts[cell], target)
 
 
+def _assert_energy_exact(pair):
+    for system in (pair.sys1, pair.sys2):
+        fresh = system.total_energy()
+        assert abs(system.energy - fresh) <= 1e-9 * max(abs(fresh), 1.0)
+
+
+def test_bulk_edits_keep_the_running_energy_exact(sol4):
+    # every edit outside the Metropolis moves leaves energy equal to a fresh
+    # total_energy(), so an audited sweep afterwards measures true drift
+    region = sim.SimRegion(d=2, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=2)
+    pair = fx.make_mismatched_pair(region, perc_phase(sol4, t=1.0), 5, ladder=perc_ladder())
+    lam = scr.CubePartition(region).lambda_cubes
+    cpl.reinit_identical(pair, [(1, 1), (1, 2), (2, 1), (2, 2)], np.random.default_rng(0))
+    _assert_energy_exact(pair)
+    cpl.copy_region(pair.sys2, pair.sys1, [(0, 0), (0, 1), (3, 3)])
+    _assert_energy_exact(pair)
+    scr._default_perturbation(pair, lam, np.random.default_rng(1))
+    _assert_energy_exact(pair)
+    # an edit followed directly by an audited sweep, with no read in between
+    scr._default_perturbation(pair, lam, np.random.default_rng(2))
+    for system in (pair.sys1, pair.sys2):
+        system.audit_every = 50
+        sim.metropolis_sweep(system, sim.MoveKernel(), n_moves=600)
+        drifts = np.array(system.audit_log)
+        assert len(drifts) and np.all(drifts <= 1e-7 * max(abs(system.energy), 1.0))
+
+
 def test_diagonal_branch_preserves_equality(sol4):
     region = perc_region()
     phase = perc_phase(sol4)
@@ -157,12 +184,8 @@ def test_crn_marginal_matches_exact_kernel():
     for _ in range(n_moves):
         draws = sim.draw_move_uniforms(rng, 2)
         st1 = tuple(int(v) for v in s1.counts[0, 0])
-        m1 = sim.build_move(s1, kernel, draws, active, loc1)
-        if m1 is not None:
-            sim.apply_move(s1, m1, draws[-1], active_set, loc1, volume)
-        m2 = sim.build_move(s2, kernel, draws, active, loc2)
-        if m2 is not None:
-            sim.apply_move(s2, m2, draws[-1], active_set, loc2, volume)
+        sim.apply_move(s1, kernel, draws, active, active_set, loc1, volume)
+        sim.apply_move(s2, kernel, draws, active, active_set, loc2, volume)
         new1 = tuple(int(v) for v in s1.counts[0, 0])
         i = index[st1]
         visits1[i] += 1

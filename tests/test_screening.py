@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pottsgas import fixtures as fx
@@ -102,7 +102,7 @@ def test_theta_event_cases():
     assert scr.theta_event(pair, (5, 5), 0)  # index 0 is the whole space
     assert scr.theta_event(pair, (5, 5), pair.ladder.m_bar + 1)  # equal + exact counts
     # perturb one chain's cell content: equality fails for positive index
-    pair.sys1._insert(np.array([5.2, 5.7]), 0, frozen=False)
+    pair.sys1.add_particles([[5.2, 5.7]], [0])
     assert not scr.theta_event(pair, (5, 5), 3)
     assert scr.theta_event(pair, (5, 5), 0)
 
@@ -114,9 +114,8 @@ def test_theta_event_threshold_edge():
     ladder = scr.LadderSpec(zeta=4.8, d=2, c_star=2.0)
     pair = fx.make_identical_pair(verify_region(), verify_phase(), 0, ladder=ladder)
     cell = (7, 7)
-    extra = np.array([7.3, 7.6])
-    pair.sys1._insert(extra.copy(), 0, frozen=False)
-    pair.sys2._insert(extra.copy(), 0, frozen=False)
+    pair.sys1.add_particles([[7.3, 7.6]], [0])
+    pair.sys2.add_particles([[7.3, 7.6]], [0])
     assert ladder.levels[1] >= 1.0 > ladder.levels[2]
     assert scr.theta_event(pair, cell, 2)  # threshold is rung 1 = 1.2
     assert not scr.theta_event(pair, cell, 3)  # threshold is rung 2 = 0.3
@@ -164,11 +163,38 @@ def test_far_polymer_confines_bad_cubes():
     assert (4, 4) not in part.lambda_cubes
 
 
-def test_replay_measurability_under_perturbation():
-    pair = identical_pair(seed=4)
+POLYMER_CORNERS = [(0, 0), (0, 4), (4, 0), (4, 4), (0, 2), (2, 0), (4, 2), (2, 4)]
+
+
+def _content_by_cell(system):
+    # (positions, spins) of every cell of the box and the collar, filing order
+    w, n = system.w, system.n_int
+    return {cell: system.cell_particles(cell)
+            for cell in itertools.product(range(-w, n + w), repeat=system.region.d)}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10_000), st.one_of(st.none(), st.sampled_from(POLYMER_CORNERS)),
+       st.booleans(), st.integers(0, 10_000))
+@example(4, None, False, 11)
+def test_replay_measurability_under_perturbation(seed, corner, into_first, verify_seed):
+    pair = identical_pair(seed=seed)
+    if corner is not None:
+        fx.inject_polymer(pair, [corner], into_first=into_first)
     part = scr.run_screening(pair)
-    report = scr.verify_stopping(pair, part, n_replays=5, seed=11)
+    report = scr.verify_stopping(pair, part, n_replays=5, seed=verify_seed)
     assert report["replay_ok"]
+    # the perturbation touches the mobile content of the final region only
+    region_cells = {c for cube in part.lambda_cubes
+                    for c in scr._cube_cells(cube, scr._cells_per_cube(pair.region))}
+    clone = copy.deepcopy(pair)
+    scr._default_perturbation(clone, part.lambda_cubes, np.random.default_rng(verify_seed))
+    for before, after in ((pair.sys1, clone.sys1), (pair.sys2, clone.sys2)):
+        old, new = _content_by_cell(before), _content_by_cell(after)
+        for cell in old:
+            if cell not in region_cells:
+                assert np.array_equal(old[cell][0], new[cell][0])
+                assert np.array_equal(old[cell][1], new[cell][1])
 
 
 def test_verify_stopping_leaves_the_pair_untouched():
@@ -277,8 +303,8 @@ def test_k_locality_outside_ball():
     # both chains gain one far-away boundary particle (outside the ball of
     # radius 1 around the cell corner)
     far_pos = np.array([10.0, -1.5])
-    pair.sys1._insert(far_pos, 0, frozen=True)
-    pair.sys2._insert(far_pos + 0.1, 1, frozen=True)
+    pair.sys1.add_boundary([far_pos], [0])
+    pair.sys2.add_boundary([far_pos + 0.1], [1])
     assert scr.k_function(pair, part.lambda_cubes, cell) == base
 
 
@@ -441,8 +467,8 @@ def geometry_pair(geometry, seed, same_boundary, same_interior):
     for _ in range(region.cells_per_axis * 3):
         r = rng.random(region.d) * region.side
         s = int(rng.integers(region.S))
-        pair.sys1._insert(r.copy(), s, frozen=False)
-        pair.sys2._insert(r.copy(), s, frozen=False)
+        pair.sys1.add_particles([r], [s])
+        pair.sys2.add_particles([r], [s])
     return pair
 
 

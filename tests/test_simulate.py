@@ -137,6 +137,10 @@ def test_boundary_validation():
         sys.add_boundary([[-5.0, 0.5]], [0])  # beyond the collar
     sys.add_boundary([[-0.5, 0.5]], [0])
     assert sys.frozen[: sys._n_used].sum() == 1
+    # one mobile particle on the far face (x = L) rejects the whole batch
+    with pytest.raises(ValueError):
+        sys.add_particles([[0.5, 0.5], [2.0, 0.5]], [0, 1])
+    assert sys.mobile_ids == [] and sys.counts.sum() == 0
 
 
 def test_sweep_keeps_ensemble_and_audits():
@@ -155,7 +159,15 @@ def test_sweep_keeps_ensemble_and_audits():
         if not sys.in_box(r):
             bpos.append(r)
     sys.add_boundary(bpos, rng.integers(0, 2, size=n_b))
-    sys.energy = sys.total_energy()
+    fresh = sys.total_energy()
+    assert abs(sys.energy - fresh) <= 1e-9 * max(abs(fresh), 1.0)
+    # take five particles out and put them back: exact after each edit
+    ids = sys.mobile_ids[:5]
+    pos, spin = sys.pos[ids].copy(), sys.spin[ids].copy()
+    sys.remove_particles(ids)
+    fresh = sys.total_energy()
+    assert abs(sys.energy - fresh) <= 1e-9 * max(abs(fresh), 1.0)
+    sys.add_particles(pos, spin)
     kernel = sim.MoveKernel()
     for _ in range(30):
         sim.metropolis_sweep(sys, kernel, n_moves=200)
@@ -171,6 +183,8 @@ def test_energy_delta_audit_against_recompute():
     sys = sim.ParticleSystem(region, phase, seed=11)
     sys.seed_phase_configuration()
     kernel = sim.MoveKernel(step=1.0)
+    # resolve the start value, so what is compared below is the deltas' sum
+    assert sys.energy == sys.total_energy()
     sim.metropolis_sweep(sys, kernel, n_moves=3000, audit=False)
     fresh = sys.total_energy()
     assert abs(sys.energy - fresh) < 1e-9 * max(1.0, abs(fresh))
@@ -199,10 +213,12 @@ def test_rejected_when_leaving_window():
     sys = make_system(t=0.0)
     sys.seed_phase_configuration()  # 6 per species on the single cell
     counts0 = sys.counts.copy()
-    # a birth pushing species 0 to 9 > 8 must be rejected regardless of energy
-    move = {"kind": "birth", "r": np.array([1.0, 1.0]), "s": 0, "cell": (0, 0)}
+    # a birth pushing species 0 to 9 > 8 must be rejected regardless of energy:
+    # kind uniform 0 (birth), cell (0, 0), position (1, 1), species 0, accept 0
+    draws = (0.0, 0.0, np.array([0.5, 0.5]), 0.0, 0.0)
     sys.counts[0, 0, 0] = sys.n_hi[0]
-    ok = sim.apply_move(sys, move, 0.0, frozenset([(0, 0)]), list(sys.mobile_ids), 4.0)
+    ok = sim.apply_move(sys, sim.MoveKernel(), draws, [(0, 0)], frozenset([(0, 0)]),
+                        list(sys.mobile_ids), 4.0)
     assert not ok
     sys.counts[:] = counts0
 
