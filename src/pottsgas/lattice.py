@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .kernels import lattice_kernel_stencil, profile_integral, stencil_radius
 
@@ -84,18 +83,31 @@ class CoarseKernel:
         self.stencil = stencil
         self.radius = stencil_radius(stencil)  # in cells
         self.support_length = 1.0 / spec.gamma + 2.0 * spec.ell
+        # (index, weight) per tap of the flipped stencil, in C order, keeping
+        # the weights above machine epsilon: the terms, and their order, of
+        # ndimage.convolve's sum at each cell.  Tap j reads the cell at
+        # offset j - radius.
+        flipped = stencil[(slice(None, None, -1),) * stencil.ndim]
+        keep = np.abs(flipped) > np.finfo(float).eps
+        self.taps = list(zip(np.argwhere(keep).tolist(), flipped[keep].tolist()))
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """V-bar acting on a ((*grid, S)) density array (any grid that
-        contains the stencil support; cells beyond the array count as 0)."""
-        S = self.spec.S
-        total = values.sum(axis=-1)
-        conv_tot = ndimage.convolve(total, self.stencil, mode="constant", cval=0.0)
-        out = np.empty_like(values)
-        for s in range(S):
-            conv_s = ndimage.convolve(values[..., s], self.stencil, mode="constant", cval=0.0)
-            out[..., s] = conv_tot - conv_s
-        return out
+    def apply(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
+        """V-bar acting on a ((*grid, S)) density array, returned on the cells
+        at least ``margin`` cells in from every edge (cells beyond the array
+        count as 0).
+
+        One accumulator over the species total and the S species sums the
+        taps in order from 0.0, so each cell equals ``ndimage.convolve`` with
+        ``mode="constant"`` bit for bit."""
+        x = np.concatenate([values.sum(axis=-1, keepdims=True), values], axis=-1)
+        pad = max(self.radius - margin, 0)
+        x = np.pad(x, [(pad, pad)] * (x.ndim - 1) + [(0, 0)])
+        shape = tuple(n - 2 * margin for n in values.shape[:-1])
+        start = margin + pad - self.radius
+        acc = np.zeros(shape + x.shape[-1:])
+        for idx, w in self.taps:
+            acc += x[tuple(slice(start + j, start + j + n) for j, n in zip(idx, shape))] * w
+        return acc[..., :1] - acc[..., 1:]
 
     def dense_interior_matrix(self) -> np.ndarray:
         """Dense matrix of the kernel restricted to interior sites, ordered as
@@ -237,18 +249,16 @@ class SinePerturbation:
 
 
 def _interaction_field(field: LatticeField, kernel: CoarseKernel) -> np.ndarray:
-    """V-bar applied to the full (interior + boundary) density, restricted to
-    the interior."""
-    return kernel.apply(field.values)[field.interior_slices]
+    """V-bar applied to the full (interior + boundary) density, on the
+    interior."""
+    return kernel.apply(field.values, field.collar)
 
 
 def lp_functional(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig) -> float:
     """Quadratic interaction (weight t), entropy minus chemical-potential
     term, and the linear reference energy (weight 1-t)."""
     rho = field.interior
-    interior_only = np.zeros_like(field.values)
-    interior_only[field.interior_slices] = rho
-    u_int = kernel.apply(interior_only)[field.interior_slices]
+    u_int = kernel.apply(rho)  # the interior density alone, zero elsewhere
     u_all = _interaction_field(field, kernel)
     # sum rho * u_all = (rho, V rho) + (rho, V rho_bar); subtract half the
     # interior-interior part to weight it 1/2

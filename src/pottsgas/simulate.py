@@ -684,7 +684,7 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
                 fresh = system.total_energy()
                 drift = abs(system._energy - fresh)
                 system.audit_log.append(drift)
-                if drift > 1e-7 * max(abs(fresh), 1.0):
+                if not drift <= 1e-7 * max(abs(fresh), 1.0):  # a NaN drift fails too
                     raise RuntimeError(f"energy drift {drift} exceeds tolerance")
                 system._energy = fresh
     return accepted

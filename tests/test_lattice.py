@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from pottsgas import lattice as lat
 from pottsgas import meanfield as mf
@@ -72,6 +75,52 @@ def test_kernel_support_bound(spec2d, kernel2d):
         off = np.array(idx) - R
         if np.max(np.abs(off)) * spec2d.ell > cutoff:
             assert W[idx] == 0.0
+
+
+def ndimage_apply(kern, values):
+    """The kernel as S+1 ndimage convolutions: the species total minus each
+    species, on the whole grid, cells beyond it counting as 0."""
+    def conv(a):
+        return ndimage.convolve(a, kern.stencil, mode="constant", cval=0.0)
+    total = conv(values.sum(axis=-1))
+    return np.stack([total - conv(values[..., s]) for s in range(values.shape[-1])], axis=-1)
+
+
+@pytest.mark.parametrize("S", [2, 3, 4])
+@pytest.mark.parametrize("d, gamma, ell, cells", [
+    (1, 0.25, 1.0, 9), (2, 0.3, 1.0, 10), (3, 0.3, 1.0, 4),
+    (2, 0.05, 2.0, 8),  # wide: radius 12
+])
+def test_apply_is_bit_identical_to_ndimage(d, gamma, ell, cells, S):
+    # the tap loop must add the same products in the same order as
+    # ndimage.convolve; a changed summation order in numpy or scipy shows here
+    kern = lat.build_kernel(lat.LatticeSpec(d=d, ell=ell, shape=(cells,) * d, gamma=gamma, S=S))
+    r = kern.radius
+    rng = np.random.default_rng(d * 10 + S)
+    values = rng.uniform(0.1, 1.0, size=(cells + 2 * r,) * d + (S,))
+    full = ndimage_apply(kern, values)
+    for margin in (0, 1, r, r + 1):
+        inner = tuple(slice(margin, n - margin) for n in values.shape[:-1])
+        assert np.array_equal(kern.apply(values, margin), full[inner]), margin
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), ell=st.floats(0.5, 2.0), S=st.integers(2, 4), data=st.data())
+def test_apply_on_a_constant_density_is_the_row_sum(d, ell, S, data):
+    # away from the edges a constant density sees whole stencil rows, which
+    # sum to 1: V-bar is (sum(rho) - rho_s) * stencil.sum()
+    gamma_ell = data.draw(st.floats(0.2 if d == 3 else 0.1, 0.75))  # small d=3 stencils
+    kern = lat.build_kernel(lat.LatticeSpec(d=d, ell=ell, shape=(1,) * d, gamma=gamma_ell / ell, S=S))
+    W = kern.stencil
+    assert abs(W.sum() - 1.0) < 1e-10
+    rho = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=S, max_size=S)))
+    margin = kern.radius + data.draw(st.integers(0, 2))
+    inner = data.draw(st.integers(1, 3))
+    values = np.broadcast_to(rho, (inner + 2 * margin,) * d + (S,))
+    out = kern.apply(values, margin)
+    assert out.shape == (inner,) * d + (S,)
+    want = (rho.sum() - rho) * W.sum()
+    assert np.allclose(out, want, rtol=1e-12, atol=0.0)
 
 
 def test_kernel_dense_matches_apply(spec2d, kernel2d):

@@ -190,6 +190,33 @@ def test_energy_delta_audit_against_recompute():
     assert abs(sys.energy - fresh) < 1e-9 * max(1.0, abs(fresh))
 
 
+@pytest.mark.parametrize("nan_at", ["fresh", "running"])
+def test_audit_raises_on_a_nan_energy(nan_at):
+    # a NaN drift is no smaller than the tolerance: the audit must raise
+    region = sim.SimRegion(d=2, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=1)
+    phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=0.5, t=0.7, zeta=0.8)
+    sys = sim.ParticleSystem(region, phase, seed=11)
+    sys.seed_phase_configuration()
+    sys.audit_every = 1
+    exact = sys.total_energy
+    calls = []
+
+    def total_energy():
+        # "fresh": every recomputation is NaN; "running": only the one that
+        # resolves the unknown start value before the sweep
+        calls.append(None)
+        return math.nan if nan_at == "fresh" or len(calls) == 1 else exact()
+
+    if nan_at == "fresh":
+        assert sys.energy == exact()
+    else:
+        sys.energy = math.nan  # unknown: the sweep resolves it first
+    sys.total_energy = total_energy
+    with pytest.raises(RuntimeError, match="energy drift"):
+        sim.metropolis_sweep(sys, sim.MoveKernel(step=1.0), n_moves=200)
+    assert math.isnan(sys.audit_log[-1])
+
+
 def test_zero_temperature_reference_decreases():
     # at t = 0 with a cold temperature the sweep drives the linear reference
     # energy down (fixed seed)
