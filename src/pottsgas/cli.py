@@ -31,6 +31,7 @@ _num = {"type": "number"}
 _int = {"type": "integer"}
 _pos_int = {"type": "integer", "minimum": 1}
 _pos_num = {"type": "number", "exclusiveMinimum": 0}
+_prob = {"type": "number", "minimum": 0, "maximum": 1}
 DEFAULT_THIN = 100
 
 _schema(
@@ -50,13 +51,13 @@ _schema(
         "beta": {"type": "number", "exclusiveMinimum": 0},
         "d": {"type": "integer", "minimum": 1, "maximum": 3},
         "ell_minus": _num,
-        "cells": {"type": "array", "items": _int},
+        "cells": {"type": "array", "items": _pos_int},
         "gamma": _num,
         "t": _num,
-        "zeta": _num,
+        "zeta": _pos_num,
         "one_body": {"type": "boolean"},
         "epsilon": _num,
-        "n_starts": _int,
+        "n_starts": _pos_int,
         "phase": {"type": "string", "enum": ["uniform", "ordered"]},
     },
     ["S", "d", "ell_minus", "cells", "gamma", "t", "zeta"],
@@ -68,12 +69,12 @@ _schema(
         "beta": {"type": "number", "exclusiveMinimum": 0},
         "d": {"type": "integer", "minimum": 1, "maximum": 3},
         "ell_minus": _num,
-        "cells": {"type": "array", "items": _int},
+        "cells": {"type": "array", "items": _pos_int},
         "gamma": _num,
         "t": _num,
-        "zeta": _num,
+        "zeta": _pos_num,
         "amplitude": _num,
-        "far_rows": _int,
+        "far_rows": _pos_int,
     },
     ["S", "d", "ell_minus", "cells", "gamma", "t", "zeta"],
 )
@@ -88,15 +89,15 @@ _schema(
         "ell_minus": _pos_num,
         "ell_plus": _pos_num,
         "n_plus": _pos_int,
-        "zeta": _num,
+        "zeta": _pos_num,
         "t": _num,
         "moves": _pos_int,
         "thin": _pos_int,
         "step": _num,
-        "p_birth": _num,
-        "p_death": _num,
-        "p_move": _num,
-        "p_flip": _num,
+        "p_birth": _prob,
+        "p_death": _prob,
+        "p_move": _prob,
+        "p_flip": _prob,
     },
     ["S", "d", "gamma", "ell0", "ell_minus", "ell_plus", "n_plus", "zeta", "t", "moves"],
 )
@@ -111,7 +112,7 @@ _schema(
         "ell_minus": _pos_num,
         "ell_plus": _pos_num,
         "n_plus": _pos_int,
-        "zeta": _num,
+        "zeta": _pos_num,
         "t": _num,
         "n_runs": _pos_int,
         "margins": {"type": "array", "items": _int},

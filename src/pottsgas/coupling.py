@@ -27,6 +27,7 @@ from .screening import (
     _cells_per_cube,
     _cube_cells,
     _range_collar_cells,
+    _touching,
     classify_and_peel,
     k_function,
     theta_event,
@@ -83,17 +84,16 @@ def reinit_identical(pair: PairedState, cells: list, rng):
 
 def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
               rng) -> dict:
-    """Common-random-number sweep on both chains: one shared uniform block
-    per proposal resolves to a per-chain move, and a shared acceptance
-    uniform maximally couples each accept decision."""
+    """Common-random-number sweep on both chains: one shared row of
+    uniforms per proposal resolves to a per-chain move, and a shared
+    acceptance uniform maximally couples each accept decision."""
     active = [tuple(c) for c in cells]
     active_set = frozenset(active)
     loc1 = pair.sys1.mobile_in(active_set)
     loc2 = pair.sys2.mobile_in(active_set)
     volume = len(active) * pair.region.cell_volume
     acc1 = acc2 = 0
-    for _ in range(n_moves):
-        draws = draw_move_uniforms(rng, pair.region.d)
+    for draws in draw_move_uniforms(rng, n_moves, pair.region.d):
         if apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume):
             acc1 += 1
         if apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume):
@@ -114,17 +114,19 @@ class CoupledRunStats:
         return self.theta_failures / self.theta_checks
 
 
-def _cube_rings(base: set, lam: set, partition: CubePartition, rings: int) -> set:
+HALO_RINGS = 2  # running-region cube rings around the screening set that one update resamples
+
+
+def _cube_rings(base: set, lam: set, rings: int) -> set:
     out = set(base)
     for _ in range(rings):
-        out |= {c for c in lam if any(partition.adjacent(c, q) for q in out)}
+        out |= _touching(out) & lam
     return out
 
 
 def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKernel,
-                   chosen: tuple, sigma: list, rng1, rng2,
-                   sweeps: int = 1, stats: CoupledRunStats | None = None,
-                   halo_rings: int = 2) -> str:
+                   sigma: list, rng1, rng2, sweeps: int = 1,
+                   stats: CoupledRunStats | None = None) -> str:
     """Resample the region content relevant to the upcoming peel, with the
     branch chosen from the pair outside the running region.
 
@@ -141,7 +143,7 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
     cpc = _cells_per_cube(region)
     lam = partition.lambda_cubes
     sigma_set = set(sigma)
-    halo = _cube_rings(sigma_set, lam, partition, halo_rings)
+    halo = _cube_rings(sigma_set, lam, HALO_RINGS)
     halo_cells = []
     for cube in sorted(halo):
         halo_cells.extend(_cube_cells(cube, cpc))
@@ -150,8 +152,7 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
 
     independent = branch == "product"
     if branch == "qt":
-        halo_shell = halo | {c for c in partition.interior | partition.collar
-                             if any(partition.adjacent(c, q) for q in halo)}
+        halo_shell = _touching(halo) & (partition.interior | partition.collar)
         independent = bool(pair.polymer_cubes() & halo_shell)
 
     # metropolis_sweep is looked up on its module at call time, so a wrapper
@@ -166,7 +167,7 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
         reinit_identical(pair, halo_cells, rng1)
         crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
         if stats is not None:
-            t_core = _cube_rings(sigma_set, lam, partition, 1)
+            t_core = _cube_rings(sigma_set, lam, 1)
             for cube in sorted(t_core):
                 for cell in _cube_cells(cube, cpc):
                     kv = k_function(pair, lam, cell)
@@ -197,8 +198,7 @@ def run_coupled_screening(pair: PairedState, kernel: MoveKernel, seed: int = 0,
         if sel is None:
             break
         chosen, sigma = sel
-        coupled_update(pair, partition, kernel, chosen, sigma, rng1, rng2,
-                       sweeps=sweeps, stats=stats)
+        coupled_update(pair, partition, kernel, sigma, rng1, rng2, sweeps=sweeps, stats=stats)
         classify_and_peel(partition, pair, chosen, sigma)
     return partition, stats
 

@@ -205,7 +205,6 @@ class FunctionalConfig:
     epsilon: float = 0.0  # 0 disables the quartic barrier
     one_body: bool = False
     lam: float | None = None  # chemical potential in the one-body term
-    a0: float = 0.5
     perturbation: "SinePerturbation | None" = None
 
     def __post_init__(self):

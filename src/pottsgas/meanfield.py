@@ -389,11 +389,7 @@ def convex_envelope_oracle(S: int, dx: float = 1e-4, span: tuple[float, float] =
     _check_coexistence_spins(S)
     x_s = coexistence_threshold(S) / beta
     xs = np.arange(span[0] * x_s, span[1] * x_s, dx)
-    if beta != 1.0:
-        fs = canonical_free_energy(xs, S, beta=beta)
-    else:
-        w = _ratio_inverse_w(np.maximum(xs, x_s), S)
-        fs = np.where(xs <= x_s, _fdis(np.minimum(xs, x_s), S), _ford(np.maximum(xs, x_s), S, w=w))
+    fs = canonical_free_energy(xs, S, beta=beta)
     # Andrew monotone chain, lower hull only (points already sorted in x)
     hull: list[int] = []
     for i in range(len(xs)):

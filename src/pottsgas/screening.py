@@ -52,17 +52,14 @@ class Polymer:
         cubes = sorted(self.support)
         if not cubes:
             raise ValueError("polymer support is empty")
-        # connectivity under closure contact (Chebyshev distance 1)
+        # connectivity under closure contact
         seen = {cubes[0]}
         frontier = [cubes[0]]
-        pool = set(cubes)
         while frontier:
-            c = frontier.pop()
-            for other in pool - seen:
-                if max(abs(a - b) for a, b in zip(c, other)) <= 1:
-                    seen.add(other)
-                    frontier.append(other)
-        if seen != pool:
+            new = _touching([frontier.pop()]) & self.support - seen
+            seen |= new
+            frontier.extend(new)
+        if seen != self.support:
             raise ValueError("polymer support is not connected")
 
     @property
@@ -78,10 +75,8 @@ class PolymerSet:
                  zeta: float = 1.0, ell_minus: float = 1.0, d: int = 2):
         self.polymers = list(polymers)
         for a, b in itertools.combinations(self.polymers, 2):
-            for ca in a.support:
-                for cb in b.support:
-                    if max(abs(x - y) for x, y in zip(ca, cb)) <= 1:
-                        raise ValueError("polymer supports must be mutually disconnected")
+            if _touching(a.support) & b.support:
+                raise ValueError("polymer supports must be mutually disconnected")
         self.weights = None
         if weights is not None:
             weights = list(map(float, weights))
@@ -182,6 +177,17 @@ class PairedState:
 # ---------------------------------------------------------------------------
 # geometry helpers (interior cell coordinates; cube coordinates in units of
 # the coarse side)
+
+
+def _touching(cubes) -> set:
+    """Cubes whose closure meets the closure of a cube in ``cubes``
+    (Chebyshev distance at most 1), the cubes themselves included: each
+    cube shifted by the 3^d unit offsets."""
+    cubes = list(cubes)
+    if not cubes:
+        return set()
+    offsets = list(itertools.product((-1, 0, 1), repeat=len(cubes[0])))
+    return {tuple(a + b for a, b in zip(c, off)) for c in cubes for off in offsets}
 
 
 def _cells_per_cube(region) -> int:
@@ -302,17 +308,9 @@ class CubePartition:
         self.history: list[dict] = []
         self.stopped = False
 
-    def adjacent(self, a: tuple, b: tuple) -> bool:
-        return max(abs(x - y) for x, y in zip(a, b)) <= 1
-
     def outer_shell(self, cube_set: set) -> list:
         """Classified-or-collar cubes outside the set touching it, sorted."""
-        out = set()
-        universe = self.interior | self.collar
-        for c in universe - cube_set:
-            if any(self.adjacent(c, q) for q in cube_set):
-                out.add(c)
-        return sorted(out)
+        return sorted((_touching(cube_set) - cube_set) & (self.interior | self.collar))
 
     def select_next(self, polymer_cubes: set):
         """The next cube to screen around: the first bad shell cube touching
@@ -335,7 +333,7 @@ class CubePartition:
                 break
         if chosen is None:
             chosen = bad[0]
-        sigma = sorted(q for q in self.lambda_cubes if self.adjacent(chosen, q))
+        sigma = sorted(_touching([chosen]) & self.lambda_cubes)
         return chosen, sigma
 
     def peel(self, chosen: tuple, sigma: list, statuses: dict):

@@ -139,6 +139,8 @@ class MoveKernel:
     step: float = 0.5
 
     def __post_init__(self):
+        if min(self.p_birth, self.p_death, self.p_move, self.p_flip) < 0:
+            raise ValueError("move probabilities must be nonnegative")
         total = self.p_birth + self.p_death + self.p_move + self.p_flip
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"move probabilities sum to {total}")
@@ -486,12 +488,13 @@ class ParticleSystem:
 
     # -- window checks
 
-    def _window_ok_after(self, deltas) -> bool:
-        """deltas: (cell, species, +-1) triples, at most one per (cell,
-        species); whether every changed count stays inside the window."""
-        for c, s, dn in deltas:
-            new = self._counts[c, s] + dn
-            if new < self.n_lo[s] or new > self.n_hi[s]:
+    def _window_ok_after(self, changes) -> bool:
+        """Whether every (cell, species) count that the particle changes
+        ``(sign, r, species, cell)`` alter, net of one another, stays inside
+        the window; a count they leave unchanged is not checked."""
+        for _, _, s, c in changes:
+            dn = sum(g for g, _, s2, c2 in changes if s2 == s and c2 == c)
+            if dn and not self.n_lo[s] <= self._counts[c, s] + dn <= self.n_hi[s]:
                 return False
         return True
 
@@ -541,118 +544,89 @@ def _default_active(system: ParticleSystem):
     return [tuple(c) for c in np.ndindex(*((system.n_int,) * system.region.d))]
 
 
-def draw_move_uniforms(rng, d: int) -> tuple:
-    """Fixed-size block of uniforms for one proposal: kind selector, index
-    selector, a d-vector, a species selector and the acceptance uniform.
-    Using a fixed layout keeps two chains sharing one stream aligned even
-    when their move resolutions differ."""
-    return (rng.random(), rng.random(), rng.random(d), rng.random(), rng.random())
+def draw_move_uniforms(rng, n_moves: int, d: int) -> np.ndarray:
+    """Uniforms for ``n_moves`` proposals, one row of ``d + 4`` each: kind
+    selector, index selector, a d-vector, a species selector and the
+    acceptance uniform.  The fixed layout keeps two chains sharing one
+    stream aligned even when their move resolutions differ.  One block draws
+    the same values as ``d + 4`` single draws per proposal."""
+    return rng.random((n_moves, d + 4))
 
 
-def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: tuple, active: list,
+def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, active: list,
                active_set: frozenset, local_ids: list, volume: float) -> bool:
-    """Resolve the uniform block ``draws`` into a proposal for this system
-    and Metropolis-accept it with the block's last uniform; moves that would
-    leave the accuracy window or the active region are rejected outright.
-    Returns True when accepted."""
+    """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
+    for this system and Metropolis-accept it with the row's last uniform;
+    moves that would leave the accuracy window or the active region are
+    rejected outright.  Returns True when accepted.
+
+    A proposal is its particle changes ``(sign, r, species, cell)``, a
+    birth at sign +1 and a death at -1 (a flip or a displacement is one of
+    each), plus its reference-energy change, its particle-count change, its
+    proposal ratio and the edit that commits it."""
     region, phase = system.region, system.phase
-    beta = phase.beta
-    u, u_a, vec_b, u_c, u_accept = draws
+    u, u_a, *_, u_c, u_accept = draws.tolist()
     n_local = len(local_ids)
-
-    def boltzmann(dh):
-        return math.exp(max(min(-beta * dh, 700.0), -700.0))
-
+    skip = None
     if u < kernel.p_birth:
         cell = active[int(u_a * len(active))]
-        r = (np.asarray(cell, dtype=float) + vec_b) * region.ell_minus
+        r = (np.asarray(cell, dtype=float) + draws[2:-2]) * region.ell_minus
         s = int(u_c * region.S)
-        c = system._ext_cell(cell)
-        if not system._window_ok_after([(c, s, +1)]):
-            return False
-        if phase.t > 0.0:
-            dpair = system._pair_sum(r, s, c) - phase.lam
-        else:
-            dpair = 0.0
+        changes = [(+1, r, s, system._ext_cell(cell))]
         dref = float(phase.neighbor_sum[s] - phase.lambda_beta)
-        dh = phase.t * dpair + (1.0 - phase.t) * dref
-        ratio = volume * region.S / (n_local + 1) * boltzmann(dh)
-        if u_accept < ratio:
+        dn, ratio = 1, volume * region.S / (n_local + 1)
+
+        def commit():
             local_ids.append(system._insert(r, s, frozen=False))
-            system._energy += dh
-            return True
-        return False
-
-    if not n_local:
-        return False
-    pick = int(u_a * n_local)
-    i = local_ids[pick]
-    u -= kernel.p_birth
-
-    if u < kernel.p_death:
-        s, c = int(system.spin[i]), system.cell[i]
-        if not system._window_ok_after([(c, s, -1)]):
-            return False
-        if phase.t > 0.0:
-            dpair = -(system._pair_sum(system.pos[i], s, c, skip=i) - phase.lam)
-        else:
-            dpair = 0.0
-        dref = -float(phase.neighbor_sum[s] - phase.lambda_beta)
-        dh = phase.t * dpair + (1.0 - phase.t) * dref
-        ratio = n_local / (volume * region.S) * boltzmann(dh)
-        if u_accept < ratio:
-            system._remove(i)
-            local_ids[pick] = local_ids[-1]
-            local_ids.pop()
-            system._energy += dh
-            return True
-        return False
-    u -= kernel.p_death
-
-    if u < kernel.p_move:
-        r_old = system.pos[i].copy()
-        r_new = r_old + (2.0 * vec_b - 1.0) * kernel.step
-        if not system.in_box(r_new):
-            return False
-        cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
-        if cell_new not in active_set:
-            return False
-        s = int(system.spin[i])
-        c_old, c_new = int(system.cell[i]), system._ext_cell(cell_new)
-        if c_old != c_new and not system._window_ok_after([(c_old, s, -1), (c_new, s, +1)]):
-            return False
-        if phase.t > 0.0:
-            e_old = system._pair_sum(r_old, s, c_old, skip=i)
-            e_new = system._pair_sum(r_new, s, c_new, skip=i)
-            dh = phase.t * (e_new - e_old)
-        else:
-            dh = 0.0
-        if u_accept < boltzmann(dh):
-            # refiled even within one cell: the particle moves to its row's end
-            system._unfile(i)
-            system.pos[i] = r_new
-            system._file(i, c_new)
-            system._energy += dh
-            return True
-        return False
-
-    # flip
-    s_old = int(system.spin[i])
-    s_new = (s_old + 1 + int(u_c * (region.S - 1))) % region.S
-    c = system.cell[i]
-    if not system._window_ok_after([(c, s_old, -1), (c, s_new, +1)]):
-        return False
-    if phase.t > 0.0:
-        r = system.pos[i]
-        gain = system._pair_sum(r, s_new, c, skip=i)  # neighbors unlike s_new
-        lose = system._pair_sum(r, s_old, c, skip=i)
-        dpair = gain - lose
     else:
-        dpair = 0.0
-    dref = float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s_old])
+        if not n_local:
+            return False
+        pick = int(u_a * n_local)
+        i = skip = local_ids[pick]
+        r, s, c = system.pos[i], int(system.spin[i]), system.cell[i]
+        u -= kernel.p_birth
+        if u < kernel.p_death:
+            changes = [(-1, r, s, c)]
+            dref = -float(phase.neighbor_sum[s] - phase.lambda_beta)
+            dn, ratio = -1, n_local / (volume * region.S)
+
+            def commit():
+                system._remove(i)
+                local_ids[pick] = local_ids[-1]
+                local_ids.pop()
+        elif u - kernel.p_death < kernel.p_move:
+            r_new = r + (2.0 * draws[2:-2] - 1.0) * kernel.step
+            if not system.in_box(r_new):
+                return False
+            cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
+            if cell_new not in active_set:
+                return False
+            c_new = system._ext_cell(cell_new)
+            changes = [(+1, r_new, s, c_new), (-1, r, s, c)]
+            dref, dn, ratio = 0.0, 0, 1.0
+
+            def commit():
+                # refiled even within one cell: the particle moves to its row's end
+                system._unfile(i)
+                system.pos[i] = r_new
+                system._file(i, c_new)
+        else:
+            s_new = (s + 1 + int(u_c * (region.S - 1))) % region.S
+            changes = [(+1, r, s_new, c), (-1, r, s, c)]
+            dref = float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s])
+            dn, ratio = 0, 1.0
+
+            def commit():
+                system._respin(i, s_new)
+
+    if not system._window_ok_after(changes):
+        return False
+    dpair = 0.0
+    if phase.t > 0.0:
+        dpair = sum(sign * system._pair_sum(*at, skip) for sign, *at in changes) - phase.lam * dn
     dh = phase.t * dpair + (1.0 - phase.t) * dref
-    if u_accept < boltzmann(dh):
-        system._respin(i, s_new)
+    if u_accept < ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0)):
+        commit()
         system._energy += dh
         return True
     return False
@@ -675,8 +649,7 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
     if audit:
         system.energy  # resolve an unknown energy now: audits measure drift from here
     accepted = 0
-    for _ in range(n_moves):
-        draws = draw_move_uniforms(rng, system.region.d)
+    for draws in draw_move_uniforms(rng, n_moves, system.region.d):
         if apply_move(system, kernel, draws, active, active_set, local_ids, volume):
             accepted += 1
             system.accepted += 1

@@ -19,6 +19,14 @@ COUPLE_BASE = {
 }
 
 VALIDATE_BASE = {"gamma": 0.2, "ell0": 2.5, "ell_minus": 5.0, "ell_plus": 10.0, "zeta": 2.0, "d": 2}
+LP_BASE = {
+    "S": 3, "d": 2, "ell_minus": 2.0, "cells": [6, 6], "gamma": 0.05,
+    "t": 1.0, "zeta": 0.05, "n_starts": 2,
+}
+DECAY_BASE = {
+    "S": 3, "d": 2, "ell_minus": 1.0, "cells": [8, 8], "gamma": 0.25,
+    "t": 1.0, "zeta": 0.05, "amplitude": 0.2,
+}
 
 
 def run_cli(args):
@@ -71,21 +79,25 @@ def test_malformed_file_exits_2(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, "pd.json", {"S": 3, "beta_min": 0.5, "beta_max": 1.5, "n_points": 4})
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        rc = run_cli(["phase-diagram", "--config", cfg, "--out", str(out), "--seed", "7"])
-        assert rc == 0
-        outs.append((out / "phase_diagram.csv").read_bytes() + (out / "solution.json").read_bytes())
-    assert outs[0] == outs[1]
+    # phase-diagram draws no random numbers; simulate and couple run the
+    # seeded sampler, so one seed must give the same chain
+    for command, payload in (
+        ("phase-diagram", {"S": 3, "beta_min": 0.5, "beta_max": 1.5, "n_points": 4}),
+        ("simulate", SIM_BASE),
+        ("couple", {**COUPLE_BASE, "n_runs": 2}),
+    ):
+        cfg = write_cfg(tmp_path, f"{command}.json", payload)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / command / name
+            rc = run_cli([command, "--config", cfg, "--out", str(out), "--seed", "7"])
+            assert rc == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0] and outs[0] == outs[1], command
 
 
 def test_lp_minimize_command(tmp_path):
-    cfg = write_cfg(tmp_path, "lp.json", {
-        "S": 3, "d": 2, "ell_minus": 2.0, "cells": [6, 6], "gamma": 0.05,
-        "t": 1.0, "zeta": 0.05, "n_starts": 2,
-    })
+    cfg = write_cfg(tmp_path, "lp.json", LP_BASE)
     out = tmp_path / "out"
     rc = run_cli(["lp-minimize", "--config", cfg, "--out", str(out), "--seed", "3"])
     assert rc == 0
@@ -99,10 +111,7 @@ def test_lp_minimize_command(tmp_path):
 
 
 def test_lp_decay_command(tmp_path):
-    cfg = write_cfg(tmp_path, "dec.json", {
-        "S": 3, "d": 2, "ell_minus": 1.0, "cells": [8, 8], "gamma": 0.25,
-        "t": 1.0, "zeta": 0.05, "amplitude": 0.2,
-    })
+    cfg = write_cfg(tmp_path, "dec.json", DECAY_BASE)
     out = tmp_path / "out"
     rc = run_cli(["lp-decay", "--config", cfg, "--out", str(out)])
     assert rc == 0
@@ -190,26 +199,41 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("command, base, field", [
-    ("simulate", SIM_BASE, "moves"),
-    ("simulate", SIM_BASE, "thin"),
-    ("couple", COUPLE_BASE, "n_runs"),
-    ("couple", COUPLE_BASE, "sweeps"),
+BAD_FIELDS = [
+    ("simulate", SIM_BASE, "moves", 0),
+    ("simulate", SIM_BASE, "thin", 0),
+    ("couple", COUPLE_BASE, "n_runs", 0),
+    ("couple", COUPLE_BASE, "sweeps", 0),
     # scales: each of these crashed with a traceback before the schema bounds
-    ("simulate", SIM_BASE, "gamma"),
-    ("simulate", SIM_BASE, "ell0"),
-    ("simulate", SIM_BASE, "n_plus"),
-    ("couple", COUPLE_BASE, "gamma"),
-    ("couple", COUPLE_BASE, "ell0"),
-    ("validate", VALIDATE_BASE, "gamma"),
-])
-def test_nonpositive_counts_exit_2(tmp_path, command, base, field):
-    cfg = write_cfg(tmp_path, "c.json", {**base, field: 0})
+    ("simulate", SIM_BASE, "gamma", 0),
+    ("simulate", SIM_BASE, "ell0", 0),
+    ("simulate", SIM_BASE, "n_plus", 0),
+    ("couple", COUPLE_BASE, "gamma", 0),
+    ("couple", COUPLE_BASE, "ell0", 0),
+    ("validate", VALIDATE_BASE, "gamma", 0),
+    # each of these ran with exit 0, or failed inside numpy, before the bounds
+    ("simulate", SIM_BASE, "p_move", -0.1),
+    ("simulate", SIM_BASE, "zeta", 0),
+    ("couple", COUPLE_BASE, "zeta", -0.1),
+    ("lp-minimize", LP_BASE, "zeta", -0.1),
+    ("lp-minimize", LP_BASE, "cells", [0, 4]),
+    ("lp-minimize", LP_BASE, "n_starts", 0),
+    ("lp-decay", DECAY_BASE, "zeta", 0),
+    ("lp-decay", DECAY_BASE, "far_rows", 0),
+]
+
+
+@pytest.mark.parametrize("command, base, field, value", BAD_FIELDS,
+                         ids=[f"{c}-base{k}-{f}" for k, (c, _, f, _) in enumerate(BAD_FIELDS)])
+def test_nonpositive_counts_exit_2(tmp_path, command, base, field, value):
+    cfg = write_cfg(tmp_path, "c.json", {**base, field: value})
     out = tmp_path / "out"
     rc = run_cli([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "config"
+    # the schema rejects it, not a failure further in
+    assert err["error"].startswith(f"config invalid for {command}: ")
     assert "minimum" in err["error"]
 
 

@@ -181,15 +181,15 @@ def test_crn_marginal_matches_exact_kernel():
     n_moves = 1_000_000
     counts1 = np.zeros_like(P)
     visits1 = np.zeros(len(states))
-    for _ in range(n_moves):
-        draws = sim.draw_move_uniforms(rng, 2)
-        st1 = tuple(int(v) for v in s1.counts[0, 0])
-        sim.apply_move(s1, kernel, draws, active, active_set, loc1, volume)
-        sim.apply_move(s2, kernel, draws, active, active_set, loc2, volume)
-        new1 = tuple(int(v) for v in s1.counts[0, 0])
-        i = index[st1]
-        visits1[i] += 1
-        counts1[i, index[new1]] += 1
+    for _ in range(100):  # in blocks, to bound memory; the stream is the same
+        for draws in sim.draw_move_uniforms(rng, n_moves // 100, 2):
+            st1 = tuple(int(v) for v in s1.counts[0, 0])
+            sim.apply_move(s1, kernel, draws, active, active_set, loc1, volume)
+            sim.apply_move(s2, kernel, draws, active, active_set, loc2, volume)
+            new1 = tuple(int(v) for v in s1.counts[0, 0])
+            i = index[st1]
+            visits1[i] += 1
+            counts1[i, index[new1]] += 1
     # entrywise comparison with a three-standard-error statistical allowance
     # on top of the contracted 1e-3
     for i in range(len(states)):

@@ -61,6 +61,7 @@ def test_polymer_validation():
         scr.Polymer(support=frozenset())
     with pytest.raises(ValueError):
         scr.Polymer(support=frozenset({(0, 0), (3, 3)}))  # disconnected
+    scr.Polymer(support=frozenset({(0, 0), (1, 1), (2, 0)}))  # connected through corners
     p1 = scr.Polymer(support=frozenset({(0, 0), (0, 1)}))
     p2 = scr.Polymer(support=frozenset({(1, 2)}))  # touches p1 diagonally
     with pytest.raises(ValueError):
@@ -268,6 +269,17 @@ def test_range_collar_cells_match_brute_force(geometry):
         saw_frozen |= any(not all(0 <= c < n for c in cell) for cell in got)
     assert saw_frozen
     assert scr._range_collar_cells(region, set()) == []
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.sets(st.tuples(*[st.integers(-2, 3)] * d), max_size=6)))
+def test_touching_matches_the_pair_loop(cubes):
+    expected = set()
+    if cubes:
+        d = len(next(iter(cubes)))
+        expected = {c for c in itertools.product(range(-3, 5), repeat=d)
+                    if any(max(abs(a - b) for a, b in zip(c, q)) <= 1 for q in cubes)}
+    assert scr._touching(cubes) == expected
 
 
 def test_screening_determinism():

@@ -30,6 +30,8 @@ def test_move_kernel_validation():
         sim.MoveKernel(p_birth=0.3, p_death=0.2, p_move=0.3, p_flip=0.2)
     with pytest.raises(ValueError):
         sim.MoveKernel(p_birth=0.3, p_death=0.3, p_move=0.3, p_flip=0.2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim.MoveKernel(p_move=-0.1, p_flip=0.6)  # sums to 1
 
 
 def test_pair_potential_support_and_symmetry():
@@ -236,18 +238,40 @@ def test_zero_temperature_reference_decreases():
     assert h1 < h0
 
 
-def test_rejected_when_leaving_window():
-    sys = make_system(t=0.0)
-    sys.seed_phase_configuration()  # 6 per species on the single cell
-    counts0 = sys.counts.copy()
-    # a birth pushing species 0 to 9 > 8 must be rejected regardless of energy:
-    # kind uniform 0 (birth), cell (0, 0), position (1, 1), species 0, accept 0
-    draws = (0.0, 0.0, np.array([0.5, 0.5]), 0.0, 0.0)
-    sys.counts[0, 0, 0] = sys.n_hi[0]
-    ok = sim.apply_move(sys, sim.MoveKernel(), draws, [(0, 0)], frozenset([(0, 0)]),
-                        list(sys.mobile_ids), 4.0)
-    assert not ok
-    sys.counts[:] = counts0
+# Each move kind with its target count at the edge of the window [4, 8]:
+# (n_plus, species-0/species-1 counts per cell, draws row, accepted).  The
+# row's kind uniform picks birth < 0.25 <= death < 0.5 <= move < 0.8 <= flip;
+# index 0 picks the first particle filed, and the accept uniform is 0, so at
+# t = 0 only the window (or the box) can reject.
+WINDOW_EDGE = {
+    "birth_at_n_hi": (1, {(0, 0): (8, 6)}, [0.0, 0.0, 0.5, 0.5, 0.0, 0.0], False),
+    "death_at_n_lo": (1, {(0, 0): (4, 6)}, [0.3, 0.0, 0.5, 0.5, 0.0, 0.0], False),
+    "flip_into_n_hi": (1, {(0, 0): (6, 8)}, [0.9, 0.0, 0.5, 0.5, 0.0, 0.0], False),
+    # +0.49 in x carries the first particle into the full cell (1, 0)
+    "displace_into_full_cell": (2, {(0, 0): (6, 6), (1, 0): (8, 6)},
+                                [0.6, 0.0, 0.99, 0.5, 0.0, 0.0], False),
+    # -0.05 in y keeps it in its own full cell: no count changes
+    "displace_within_full_cell": (1, {(0, 0): (8, 6)}, [0.6, 0.0, 0.5, 0.4, 0.0, 0.0], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_EDGE))
+def test_rejected_when_leaving_window(case):
+    n_plus, fill, row, accepted = WINDOW_EDGE[case]
+    sys = make_system(t=0.0, region=small_region(n_plus=n_plus))
+    for cell, (n0, n1) in fill.items():
+        k = np.arange(n0 + n1)[:, None]
+        sys.add_particles(np.asarray(cell) * 2.0 + 1.9 - 1.8 * (k + 0.5) / (n0 + n1),
+                          [0] * n0 + [1] * n1)
+    assert sys.n_lo.tolist() == [4, 4] and sys.n_hi.tolist() == [8, 8]
+    active = [tuple(c) for c in np.ndindex(n_plus, n_plus)]
+    counts0, pos0, spin0 = sys.counts.copy(), sys.pos.copy(), sys.spin.copy()
+    ok = sim.apply_move(sys, sim.MoveKernel(), np.array(row), active, frozenset(active),
+                        list(sys.mobile_ids), len(active) * sys.region.cell_volume)
+    assert ok == accepted
+    assert np.array_equal(sys.counts, counts0)
+    if not accepted:
+        assert np.array_equal(sys.pos, pos0) and np.array_equal(sys.spin, spin0)
 
 
 def test_stationary_law_matches_enumeration():
