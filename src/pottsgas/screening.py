@@ -159,6 +159,8 @@ class PairedState:
     polymers1: PolymerSet = field(default_factory=PolymerSet)
     polymers2: PolymerSet = field(default_factory=PolymerSet)
     ladder: LadderSpec | None = None
+    # (stamps, same, dev) of the last cell_table; see there
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sys1.region is not self.sys2.region:
@@ -172,6 +174,27 @@ class PairedState:
 
     def polymer_cubes(self) -> set:
         return self.polymers1.cubes() | self.polymers2.cubes()
+
+    def cell_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per flat cell of the extended grid: ``same``, whether the chains
+        carry the same particles (positions and spins) there, and ``dev``,
+        the largest deviation of the first chain's species densities from
+        rho_ref.  One trailing entry answers for every cell off the grid,
+        which is empty in both chains, so flat index -1 reads it.  Built once
+        per pair of chain states: it is rebuilt when either stamp moves."""
+        key = (self.sys1.stamp, self.sys2.stamp)
+        if self._table is None or self._table[0] != key:
+            pos1, spin1 = self.sys1.sorted_cells()
+            pos2, spin2 = self.sys2.sorted_cells()
+            counts = self.sys1.cell_counts()
+            k = min(spin1.shape[1], spin2.shape[1])
+            same = ((counts.sum(axis=1) == self.sys2.cell_counts().sum(axis=1))
+                    & (spin1[:, :k] == spin2[:, :k]).all(axis=1)
+                    & (pos1[:, :k] == pos2[:, :k]).all(axis=(1, 2)))
+            counts = np.concatenate([counts, np.zeros((1, counts.shape[1]), dtype=np.int64)])
+            dev = np.max(np.abs(counts / self.region.cell_volume - self.sys1.phase.rho_ref), axis=1)
+            self._table = (key, np.append(same, True), dev)
+        return self._table[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +247,20 @@ def _ball_offsets(d: int, ell: float, radius: float, extent: float) -> np.ndarra
 def _agree(pair: PairedState, cells, x: np.ndarray | None = None,
            radius: float | None = None) -> bool:
     """Whether the two chains carry the same particles (positions and spins)
-    on every cell, optionally counting only those within ``radius`` of x."""
+    on every cell: a lookup in the pair's cell table, or, given a ball, a
+    comparison of only the particles within ``radius`` of x."""
+    if x is None:
+        same, _ = pair.cell_table()
+        return bool(same[pair.sys1.flat_cells(list(cells))].all())
     for cell in cells:
         rows = []
         for system in (pair.sys1, pair.sys2):
             pos, spin = system.cell_particles(cell)
-            if x is not None:
-                keep = np.sqrt(np.sum((pos - x) ** 2, axis=1)) <= radius
-                pos, spin = pos[keep], spin[keep]
-            rows.append(sorted(zip(map(tuple, pos.tolist()), spin.tolist())))
+            keep = np.sqrt(np.sum((pos - x) ** 2, axis=1)) <= radius
+            rows.append(sorted(zip(map(tuple, pos[keep].tolist()), spin[keep].tolist())))
         if rows[0] != rows[1]:
             return False
     return True
-
-
-def _deviation(system: ParticleSystem, cell: tuple) -> float:
-    """Largest deviation of the cell's species densities from rho_ref."""
-    _, spin = system.cell_particles(cell)
-    dens = np.bincount(spin, minlength=system.region.S) / system.region.cell_volume
-    return float(np.max(np.abs(dens - system.phase.rho_ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +284,16 @@ def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
     r = frac * region.ell_plus
     # cells outside the region whose box comes within r of the corner
     ball = np.asarray(cell) + _ball_offsets(region.d, ell, r, ell)
-    near = [c for c in map(tuple, ball.tolist()) if _cube_of_cell(c, cpc) not in lambda_cubes]
-    if not near:
+    near = ball[[c not in lambda_cubes for c in map(tuple, (ball // cpc).tolist())]]
+    if not len(near):
         return ladder.m_bar + 1
-    if not _agree(pair, near, _cell_corner(cell, ell), r):
+    same, dev = pair.cell_table()
+    flat = pair.sys1.flat_cells(near)
+    # chains that agree on a whole cell agree on its part in the ball
+    differ = near[~same[flat]]
+    if len(differ) and not _agree(pair, map(tuple, differ.tolist()), _cell_corner(cell, ell), r):
         return 0
-    return ladder.bin_deviation(max(_deviation(pair.sys1, c) for c in near))
+    return ladder.bin_deviation(float(dev[flat].max()))
 
 
 def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
@@ -281,8 +303,9 @@ def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
     if k_value == 0:
         return True
     level = min(k_value - 1, pair.ladder.m_bar)
-    return _agree(pair, [cell]) and \
-        _deviation(pair.sys1, cell) <= pair.ladder.levels[level] + 1e-12
+    same, dev = pair.cell_table()
+    c = pair.sys1.flat_cell(cell)
+    return bool(same[c] and dev[c] <= pair.ladder.levels[level] + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ coupling experiments use to resample sub-regions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,6 +161,7 @@ def pair_potential(r, r_prime, gamma: float, d: int | None = None) -> float:
 
 
 _POTENTIALS: dict[tuple[float, int], PairPotential] = {}
+_STAMPS = itertools.count()  # ParticleSystem.stamp: one value per cell-index change
 
 
 def _potential_cache(gamma: float, d: int) -> PairPotential:
@@ -233,7 +235,10 @@ class ParticleSystem:
     order, of which the first ``fill[c]`` are valid.
 
     Only this module changes the particles: callers use ``add_particles``,
-    ``add_boundary``, ``remove_particles`` and the Metropolis moves.
+    ``add_boundary``, ``remove_particles`` and the Metropolis moves.  Every
+    change to the cell index draws a new ``stamp`` from one process-wide
+    counter, so two systems with equal stamps (a system and its deepcopy)
+    hold the same particles.
     """
 
     GROW = 256
@@ -269,6 +274,7 @@ class ParticleSystem:
         self._ball = (np.indices((2 * w + 1,) * d).reshape(d, -1).T - w) @ self._strides
         self.mobile_ids: list[int] = []
         self._mobile_slot: dict[int, int] = {}
+        self.stamp = next(_STAMPS)
         self.accepted = 0
         self.audit_every = 1000
         self.audit_log: list[float] = []
@@ -330,25 +336,67 @@ class ParticleSystem:
     def cell_particles(self, cell: tuple) -> tuple[np.ndarray, np.ndarray]:
         """(positions, spins) of all particles in the interior-coordinate
         cell, frozen ones included."""
-        if not all(-self.w <= c < self.n_int + self.w for c in cell):
+        c = self.flat_cell(cell)
+        if c < 0:
             return np.zeros((0, self.region.d)), np.zeros(0, dtype=np.int64)
-        c = self._ext_cell(cell)
         ids = self.members[c, : self.fill[c]]
         return self.pos[ids], self.spin[ids]
 
+    def flat_cell(self, cell: tuple) -> int:
+        """Flat cell of an interior-coordinate cell tuple, -1 for a cell off
+        the extended grid (which never holds a particle)."""
+        if all(-self.w <= c < self.n_int + self.w for c in cell):
+            return self._ext_cell(cell)
+        return -1
+
+    def flat_cells(self, cells) -> np.ndarray:
+        """``flat_cell`` of each row of an array of cells, in one pass."""
+        ext = np.asarray(cells, dtype=np.int64).reshape(-1, self.region.d) + self.w
+        flat = ext @ self._strides
+        flat[((ext < 0) | (ext >= self.n_ext)).any(axis=1)] = -1
+        return flat
+
+    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, spins) of every extended cell's particles, one row
+        per flat cell, sorted within the row by position and then spin; the
+        rows are as wide as the fullest cell, positions padded with inf and
+        spins with -1."""
+        width = max(int(self.fill.max()), 1)
+        ids = self.members[:, :width]
+        filed = np.arange(width) < self.fill[:, None]
+        pos = np.where(filed[..., None], self.pos[ids], np.inf)
+        spin = np.where(filed, self.spin[ids], -1)
+        order = np.lexsort((spin, *pos.transpose(2, 0, 1)[::-1]))
+        return (np.take_along_axis(pos, order[..., None], axis=1),
+                np.take_along_axis(spin, order, axis=1))
+
+    def cell_counts(self) -> np.ndarray:
+        """Species counts of every extended cell, shape ``(n_cells, S)``,
+        read-only."""
+        view = self._counts.view()
+        view.flags.writeable = False
+        return view
+
     # -- storage
+
+    def _reserve(self, n_used: int):
+        """Grow the particle arrays by whole ``GROW`` blocks until the first
+        ``n_used`` slots fit."""
+        cap = len(self.spin)
+        if n_used <= cap:
+            return
+        grow = cap + self.GROW * -(-(n_used - cap) // self.GROW)
+        self.pos = np.resize(self.pos, (grow, self.region.d))
+        self.spin = np.resize(self.spin, grow)
+        self.alive = np.resize(self.alive, grow)
+        self.alive[cap:] = False
+        self.frozen = np.resize(self.frozen, grow)
+        self.cell = np.resize(self.cell, grow)
 
     def _new_slot(self) -> int:
         if self._free:
             return self._free.pop()
-        if self._n_used == len(self.spin):
-            grow = len(self.spin) + self.GROW
-            self.pos = np.resize(self.pos, (grow, self.region.d))
-            self.spin = np.resize(self.spin, grow)
-            self.alive = np.resize(self.alive, grow)
-            self.alive[self._n_used :] = False
-            self.frozen = np.resize(self.frozen, grow)
-            self.cell = np.resize(self.cell, grow)
+        self._reserve(self._n_used + 1)
         slot = self._n_used
         self._n_used += 1
         return slot
@@ -363,6 +411,7 @@ class ParticleSystem:
         self.fill[c] = n + 1
         self.cell[i] = c
         self._counts[c, self.spin[i]] += 1
+        self.stamp = next(_STAMPS)
 
     def _unfile(self, i: int):
         """Take particle i out of its cell's row; the later entries shift
@@ -374,6 +423,39 @@ class ParticleSystem:
         row[k : n - 1] = row[k + 1 : n]
         self.fill[c] = n - 1
         self._counts[c, self.spin[i]] -= 1
+        self.stamp = next(_STAMPS)
+
+    def _file_batch(self, ids: np.ndarray, cells: np.ndarray):
+        """File particles ``ids`` into ``cells`` in one pass, as ``_file``
+        one at a time in the given order would: each row takes its newcomers
+        in that order, and a full member table doubles its row capacity."""
+        order = np.argsort(cells, kind="stable")
+        ranked = cells[order]
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[order] = np.arange(len(ids)) - np.searchsorted(ranked, ranked)
+        col = self.fill[cells] + rank
+        while col.max() >= self.members.shape[1]:
+            self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
+        self.members[cells, col] = ids
+        self.fill += np.bincount(cells, minlength=len(self.fill))
+        self.cell[ids] = cells
+        np.add.at(self._counts, (cells, self.spin[ids]), 1)
+        self.stamp = next(_STAMPS)
+
+    def _unfile_batch(self, ids: np.ndarray):
+        """Take particles ``ids`` out of their cells' rows in one pass; each
+        row keeps the filing order of what stays."""
+        cells = self.cell[ids]
+        rows = np.unique(cells)
+        gone = np.zeros(len(self.spin), dtype=bool)
+        gone[ids] = True
+        sub = self.members[rows]
+        keep = (np.arange(sub.shape[1]) < self.fill[rows][:, None]) & ~gone[sub]
+        order = np.argsort(~keep, axis=1, kind="stable")
+        self.members[rows] = np.take_along_axis(sub, order, axis=1)
+        self.fill[rows] = keep.sum(axis=1)
+        np.subtract.at(self._counts, (cells, self.spin[ids]), 1)
+        self.stamp = next(_STAMPS)
 
     def _respin(self, i: int, s: int):
         """Give particle i species s; it keeps its place in its cell's row."""
@@ -381,6 +463,7 @@ class ParticleSystem:
         self._counts[c, self.spin[i]] -= 1
         self._counts[c, s] += 1
         self.spin[i] = s
+        self.stamp = next(_STAMPS)
 
     def _insert(self, r, s: int, frozen: bool) -> int:
         i = self._new_slot()
@@ -398,6 +481,10 @@ class ParticleSystem:
         self._unfile(i)
         self.alive[i] = False
         self._free.append(i)
+        self._drop_mobile(i)
+
+    def _drop_mobile(self, i: int):
+        """Swap-remove mobile id i: the last mobile id takes its slot."""
         slot = self._mobile_slot.pop(i)
         last = self.mobile_ids[-1]
         self.mobile_ids[slot] = last
@@ -418,9 +505,30 @@ class ParticleSystem:
         return pos, spin
 
     def _add(self, pos, spins, frozen: bool):
-        for r, s in zip(pos, spins):
-            self._insert(r, int(s), frozen)
+        """Insert a batch in one pass, as ``_insert`` one particle at a time
+        would: slots from ``_free`` in pop order, then new ones, and mobile
+        ids appended in the given order."""
+        n = len(pos)
         self._energy = math.nan
+        if not n:
+            return
+        k = min(n, len(self._free))
+        reused = self._free[len(self._free) - k :][::-1]
+        del self._free[len(self._free) - k :]
+        start = self._n_used
+        self._n_used += n - k
+        self._reserve(self._n_used)
+        ids = np.array(reused + list(range(start, self._n_used)), dtype=np.int64)
+        self.pos[ids] = pos
+        self.spin[ids] = np.asarray(spins, dtype=np.int64)
+        self.alive[ids] = True
+        self.frozen[ids] = frozen
+        cells = (np.floor(pos / self.region.ell_minus).astype(np.int64) + self.w) @ self._strides
+        self._file_batch(ids, cells)
+        if not frozen:
+            new = ids.tolist()
+            self._mobile_slot.update(zip(new, itertools.count(len(self.mobile_ids))))
+            self.mobile_ids.extend(new)
 
     def add_boundary(self, positions, spins):
         """Freeze particles on the collar (positions outside the box but
@@ -441,10 +549,18 @@ class ParticleSystem:
         self._add(pos, spins, frozen=False)
 
     def remove_particles(self, ids):
-        """Remove the mobile particles ``ids``, in the given order."""
-        for i in ids:
-            self._remove(i)
+        """Remove the mobile particles ``ids`` in one pass; slots are freed
+        and ``mobile_ids`` swap-removed in the given order."""
+        ids = list(ids)
         self._energy = math.nan
+        if not ids:
+            return
+        for i in ids:
+            self._drop_mobile(i)
+        self._free.extend(ids)
+        idx = np.asarray(ids, dtype=np.int64)
+        self.alive[idx] = False
+        self._unfile_batch(idx)
 
     def seed_phase_configuration(self, rng=None):
         """Fill every interior cell with the reference counts of each species
@@ -722,8 +838,6 @@ def poisson_window_weights(region: SimRegion, phase: PhaseTarget) -> dict:
     lo, hi = occupancy_window(phase, vol)
     weights: dict[tuple, float] = {}
     ranges = [range(lo[s], hi[s] + 1) for s in range(region.S)]
-    import itertools
-
     for occ in itertools.product(*ranges):
         logw = 0.0
         for s, n in enumerate(occ):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pottsgas import coupling as cpl
 from pottsgas import fixtures as fx
 from pottsgas import meanfield as mf
 from pottsgas import screening as scr
@@ -545,3 +546,131 @@ def test_k_function_is_invariant_under_species_relabelling(case, data):
         system.phase = phase
     for cell in cells:
         assert scr.k_function(relabelled, lam, cell) == scr.k_function(pair, lam, cell)
+
+
+# ---------------------------------------------------------------------------
+# the pair's cell table against the per-cell agreement and deviation, after
+# every kind of edit
+
+
+def _check_table(pair):
+    # every cell of the extended grid plus one ring of cells off it
+    same, dev = pair.cell_table()
+    w, n = pair.sys1.w, pair.sys1.n_int
+    for cell in itertools.product(range(-w - 1, n + w + 1), repeat=pair.region.d):
+        c = pair.sys1.flat_cell(cell)
+        assert same[c] == (_signature(pair.sys1, cell) == _signature(pair.sys2, cell)), cell
+        assert dev[c] == _oracle_deviation(pair.sys1, cell), cell
+
+
+@functools.lru_cache(maxsize=None)
+def wide_phase(geometry):
+    # a window no edit leaves, so every forced move is accepted
+    if geometry == "criterion10":
+        rho_ref = verify_phase().rho_ref
+    else:
+        rho_ref = mf.rescale(mf.common_tangent(3), 4.0).minimizers[-1]
+    return sim.PhaseTarget(rho_ref=rho_ref, lambda_beta=0.5, beta=1.0, zeta=50.0, t=0.0)
+
+
+MOVE_U = {"birth": 0.1, "death": 0.35, "displace_within": 0.6, "displace_across": 0.6,
+          "flip": 0.9}
+
+
+def _forced_move(system, kind, rng):
+    # one apply_move of the given kind on a random site, accepted
+    region = system.region
+    d, ell = region.d, region.ell_minus
+    kernel = sim.MoveKernel(p_birth=0.25, p_death=0.25, p_move=0.25, p_flip=0.25,
+                            step=2.0 * region.side)
+    active = sim._default_active(system)
+    local = system.mobile_in(frozenset(active))
+    row = rng.random(d + 4)
+    row[0], row[-1] = MOVE_U[kind], 0.0
+    i = local[int(row[1] * len(local))]
+    if kind.startswith("displace"):
+        here = np.floor(system.pos[i] / ell)
+        there = here if kind == "displace_within" else \
+            (here + rng.integers(1, system.n_int, d)) % system.n_int
+        target = (there + 0.25 + 0.5 * rng.random(d)) * ell
+        row[2:-2] = ((target - system.pos[i]) / kernel.step + 1.0) / 2.0
+    volume = len(active) * region.cell_volume
+    assert sim.apply_move(system, kernel, row, active, frozenset(active), local, volume)
+    if kind.startswith("displace"):
+        assert np.array_equal(np.floor(system.pos[i] / ell), there)
+
+
+def _random_cells(pair, rng):
+    n = pair.sys1.n_int
+    lo = rng.integers(0, n - 3, pair.region.d)
+    return [tuple(lo + off) for off in np.ndindex(3, 2)]
+
+
+def _edit(pair, kind, rng):
+    # one edit of the given kind, returning the pair to read next
+    system = (pair.sys1, pair.sys2)[int(rng.integers(2))]
+    region = pair.region
+    if kind in MOVE_U:
+        _forced_move(system, kind, rng)
+    elif kind == "add_particles":
+        r = rng.random((2, region.d)) * region.side
+        s = rng.integers(0, region.S, 2)
+        for chain in (pair.sys1, pair.sys2)[: int(rng.integers(1, 3))]:
+            chain.add_particles(r, s)
+    elif kind == "remove_particles":
+        ids = system.mobile_ids
+        system.remove_particles([ids[k] for k in rng.choice(len(ids), 3, replace=False)])
+    elif kind == "copy_region":
+        cpl.copy_region(pair.sys2, pair.sys1, _random_cells(pair, rng))
+    elif kind == "reinit_identical":
+        cpl.reinit_identical(pair, _random_cells(pair, rng), rng)
+    else:  # deepcopy_perturbation: the clone inherits the original's table
+        pair = copy.deepcopy(pair)
+        cubes = sorted(np.ndindex(*(region.n_plus,) * region.d))
+        lam = {cubes[k] for k in rng.choice(len(cubes), 4, replace=False)}
+        scr._default_perturbation(pair, lam, rng)
+    return pair
+
+
+EDITS = [*MOVE_U, "add_particles", "remove_particles", "copy_region", "reinit_identical",
+         "deepcopy_perturbation"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["criterion10", "criterion11"]), st.integers(0, 10_000),
+       st.booleans(), st.lists(st.sampled_from(EDITS), min_size=1, max_size=6))
+@example("criterion10", 0, True, EDITS)
+@example("criterion11", 1, True, EDITS)
+@example("criterion10", 2, False, EDITS[::-1])
+def test_cell_table_matches_the_cell_loop_after_every_edit(geometry, seed, identical, edits):
+    region = geometry_region(geometry)
+    boundary = (seed, seed if identical else seed + 13)
+    pair = fx.make_pair(region, wide_phase(geometry), boundary, (seed + 7, seed + 7))
+    rng = np.random.default_rng(seed)
+    _check_table(pair)
+    for kind in edits:
+        stamps = (pair.sys1.stamp, pair.sys2.stamp)
+        pair.cell_table()  # the next read must not return this one
+        pair = _edit(pair, kind, rng)
+        assert (pair.sys1.stamp, pair.sys2.stamp) != stamps, kind
+        _check_table(pair)
+
+
+def test_k_function_ignores_a_difference_outside_the_corner_ball():
+    # the chains differ on a cell the ball around its corner meets, but only
+    # beyond the ball: the whole cell disagrees, its part in the ball agrees
+    pair = identical_pair(seed=3)
+    cell, lam = (8, 8), set()
+    ell = pair.region.ell_minus
+    r = pair.ladder.ball_fraction * pair.region.ell_plus
+    far = np.array([8.9, 8.8]) * ell
+    assert np.linalg.norm(far - scr._cell_corner(cell, ell)) > r
+    pair.sys2.add_particles([far], [0])
+    same, _ = pair.cell_table()
+    assert not same[pair.sys1.flat_cell(cell)]
+    kv = scr.k_function(pair, lam, cell)
+    assert kv != 0
+    assert kv == k_oracle(pair, lam, cell)
+    # the same difference inside the ball sets the index to 0
+    pair.sys1.add_particles([[8.1 * ell, 8.2 * ell]], [1])
+    assert scr.k_function(pair, lam, cell) == 0 == k_oracle(pair, lam, cell)
