@@ -25,12 +25,13 @@ from .screening import (
     PairedState,
     _agree,
     _cells_per_cube,
+    _cube_cell_array,
     _cube_cells,
     _range_collar_cells,
     _touching,
     classify_and_peel,
-    k_function,
-    theta_event,
+    k_values,
+    theta_events,
 )
 from .simulate import (
     MoveKernel,
@@ -167,13 +168,10 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
         reinit_identical(pair, halo_cells, rng1)
         crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
         if stats is not None:
-            t_core = _cube_rings(sigma_set, lam, 1)
-            for cube in sorted(t_core):
-                for cell in _cube_cells(cube, cpc):
-                    kv = k_function(pair, lam, cell)
-                    stats.theta_checks += 1
-                    if not theta_event(pair, cell, kv):
-                        stats.theta_failures += 1
+            cells = _cube_cell_array(sorted(_cube_rings(sigma_set, lam, 1)), cpc)
+            held = theta_events(pair, cells, k_values(pair, lam, cells))
+            stats.theta_checks += len(held)
+            stats.theta_failures += int(np.count_nonzero(~held))
     if stats is not None:
         stats.branches.append(branch)
     return branch

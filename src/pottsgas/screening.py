@@ -30,7 +30,9 @@ __all__ = [
     "PairedState",
     "CubePartition",
     "k_function",
+    "k_values",
     "theta_event",
+    "theta_events",
     "run_screening",
     "verify_stopping",
     "m_function",
@@ -117,6 +119,8 @@ class LadderSpec:
     ball_fraction: float = 0.25
     inner_ball_fraction: float = 0.1
     strict: bool = False
+    # ((zeta, c_star, d), rungs) of the last levels read; see there
+    _levels: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.strict:
@@ -133,21 +137,29 @@ class LadderSpec:
 
     @property
     def levels(self) -> np.ndarray:
-        return self.zeta * self.c_acc ** (-np.arange(self.m_bar + 1, dtype=float))
+        """The rungs zeta_0..zeta_m_bar, read-only.  Built once per value of
+        the fields they depend on: the fields are mutable, so a change to
+        zeta, c_star or d rebuilds them on the next read."""
+        key = (self.zeta, self.c_star, self.d)
+        if self._levels is None or self._levels[0] != key:
+            rungs = self.zeta * self.c_acc ** (-np.arange(self.m_bar + 1, dtype=float))
+            rungs.flags.writeable = False
+            self._levels = (key, rungs)
+        return self._levels[1]
+
+    def bin_deviations(self, b: np.ndarray) -> np.ndarray:
+        """Ladder index of each deviation: 0 outside (at or above zeta_2),
+        else the first m in 2..m_bar-1 with b in [zeta_{m+1}, zeta_m), else
+        m_bar (below the bottom rung, or rungs that do not decrease).  One
+        comparison of every deviation against every rung."""
+        at_or_above = np.asarray(b, dtype=float)[:, None] >= self.levels
+        in_bin = at_or_above[:, 3:] & ~at_or_above[:, 2:-1]  # column m - 2: bin m
+        bins = np.where(in_bin.any(axis=1), 2 + in_bin.argmax(axis=1), self.m_bar)
+        return np.where(at_or_above[:, 2], 0, bins)
 
     def bin_deviation(self, b: float) -> int:
-        """Ladder index of a deviation: 0 outside (at or above zeta_2),
-        m when b falls in [zeta_{m+1}, zeta_m), capped at m_bar below the
-        bottom rung."""
-        z = self.levels
-        if b >= z[2]:
-            return 0
-        if b < z[self.m_bar]:
-            return self.m_bar
-        for m in range(2, self.m_bar):
-            if z[m + 1] <= b < z[m]:
-                return m
-        return self.m_bar
+        """``bin_deviations`` of one deviation."""
+        return int(self.bin_deviations([b])[0])
 
 
 @dataclass
@@ -202,15 +214,37 @@ class PairedState:
 # the coarse side)
 
 
+@functools.lru_cache(maxsize=None)
+def _block_offsets(side: int, d: int) -> np.ndarray:
+    """Offsets of the ``side``^d block at the origin, in C order, read-only."""
+    out = np.indices((side,) * d).reshape(d, -1).T
+    out.flags.writeable = False
+    return out
+
+
 def _touching(cubes) -> set:
     """Cubes whose closure meets the closure of a cube in ``cubes``
     (Chebyshev distance at most 1), the cubes themselves included: each
-    cube shifted by the 3^d unit offsets."""
-    cubes = list(cubes)
-    if not cubes:
+    cube shifted by the 3^d unit offsets, in one broadcast."""
+    cubes = np.array(list(cubes), dtype=np.int64)
+    if not len(cubes):
         return set()
-    offsets = list(itertools.product((-1, 0, 1), repeat=len(cubes[0])))
-    return {tuple(a + b for a, b in zip(c, off)) for c in cubes for off in offsets}
+    d = cubes.shape[1]
+    shifted = cubes[:, None] - 1 + _block_offsets(3, d)
+    return set(map(tuple, shifted.reshape(-1, d).tolist()))
+
+
+def _in_cubes(cubes: np.ndarray, cube_set) -> np.ndarray:
+    """Whether each cube (along the last axis of ``cubes``) is in
+    ``cube_set``: one lookup in a boolean grid over the bounding box of
+    both."""
+    d = cubes.shape[-1]
+    marked = np.array(list(cube_set), dtype=np.int64).reshape(-1, d)
+    both = np.concatenate([cubes.reshape(-1, d), marked])
+    lo = both.min(axis=0, initial=0)
+    grid = np.zeros(both.max(axis=0, initial=0) - lo + 1, dtype=bool)
+    grid[tuple((marked - lo).T)] = True
+    return grid[tuple(np.moveaxis(cubes - lo, -1, 0))]
 
 
 def _cells_per_cube(region) -> int:
@@ -221,9 +255,17 @@ def _cube_of_cell(cell: tuple, cpc: int) -> tuple:
     return tuple(c // cpc for c in cell)
 
 
+def _cube_cell_array(cubes, cpc: int) -> np.ndarray:
+    """Interior-coordinate cells of one cube or of a nonempty sequence of
+    cubes, one row each: cube by cube, in C order within a cube."""
+    cubes = np.asarray(cubes, dtype=np.int64)
+    d = cubes.shape[-1]
+    return (cubes.reshape(-1, 1, d) * cpc + _block_offsets(cpc, d)).reshape(-1, d)
+
+
 def _cube_cells(cube: tuple, cpc: int):
-    ranges = [range(c * cpc, (c + 1) * cpc) for c in cube]
-    return itertools.product(*ranges)
+    """The cells of ``_cube_cell_array`` as tuples."""
+    return map(tuple, _cube_cell_array(cube, cpc).tolist())
 
 
 def _cell_corner(cell: tuple, ell: float) -> np.ndarray:
@@ -267,9 +309,10 @@ def _agree(pair: PairedState, cells, x: np.ndarray | None = None,
 # the agreement index K and the event Theta
 
 
-def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
-               inner_ball: bool = False) -> int:
-    """Agreement index at a lattice point (the corner of ``cell``).
+def k_values(pair: PairedState, lambda_cubes: set, cells,
+             inner_ball: bool = False) -> np.ndarray:
+    """Agreement index at the lattice point of each cell (its corner), for
+    the rows of ``cells`` in one pass.
 
     m_bar + 1 when the audit ball around the point stays inside the running
     region; 0 when the two configurations differ on the ball's intersection
@@ -278,34 +321,49 @@ def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
     """
     region = pair.region
     ladder = pair.ladder
-    ell = region.ell_minus
+    d, ell = region.d, region.ell_minus
     cpc = _cells_per_cube(region)
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
     r = frac * region.ell_plus
-    # cells outside the region whose box comes within r of the corner
-    ball = np.asarray(cell) + _ball_offsets(region.d, ell, r, ell)
-    near = ball[[c not in lambda_cubes for c in map(tuple, (ball // cpc).tolist())]]
-    if not len(near):
-        return ladder.m_bar + 1
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
+    # per point, the cells whose box comes within r of it, and which of
+    # them lie outside the region
+    balls = cells[:, None] + _ball_offsets(d, ell, r, ell)
+    near = ~_in_cubes(balls // cpc, lambda_cubes)
     same, dev = pair.cell_table()
-    flat = pair.sys1.flat_cells(near)
+    flat = pair.sys1.flat_cells(balls).reshape(near.shape)
+    worst = np.where(near, dev[flat], -np.inf).max(axis=1)
+    k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
     # chains that agree on a whole cell agree on its part in the ball
-    differ = near[~same[flat]]
-    if len(differ) and not _agree(pair, map(tuple, differ.tolist()), _cell_corner(cell, ell), r):
-        return 0
-    return ladder.bin_deviation(float(dev[flat].max()))
+    differ = near & ~same[flat]
+    for i in np.flatnonzero(differ.any(axis=1)):
+        if not _agree(pair, map(tuple, balls[i, differ[i]].tolist()),
+                      _cell_corner(cells[i], ell), r):
+            k[i] = 0
+    return k
+
+
+def theta_events(pair: PairedState, cells, k) -> np.ndarray:
+    """Agreement event at each cell (rows of ``cells``) inside the running
+    region given its index k, in one pass: trivially true where k is 0,
+    else the two chains carry identical particles on the cell and the first
+    chain's density sits within the ladder rung min(k - 1, m_bar)."""
+    k = np.asarray(k, dtype=np.int64)
+    same, dev = pair.cell_table()
+    c = pair.sys1.flat_cells(cells)
+    rung = pair.ladder.levels[np.minimum(k - 1, pair.ladder.m_bar)]
+    return (k == 0) | (same[c] & (dev[c] <= rung + 1e-12))
+
+
+def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
+               inner_ball: bool = False) -> int:
+    """``k_values`` at one cell."""
+    return int(k_values(pair, lambda_cubes, [cell], inner_ball)[0])
 
 
 def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
-    """Agreement event at a cell inside the running region: trivially true
-    when the index is 0, else the two chains carry identical particles on the
-    cell and the first chain's density sits within the ladder rung."""
-    if k_value == 0:
-        return True
-    level = min(k_value - 1, pair.ladder.m_bar)
-    same, dev = pair.cell_table()
-    c = pair.sys1.flat_cell(cell)
-    return bool(same[c] and dev[c] <= pair.ladder.levels[level] + 1e-12)
+    """``theta_events`` at one cell."""
+    return bool(theta_events(pair, [cell], [k_value])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +430,13 @@ def classify_and_peel(partition: CubePartition, pair: PairedState,
     cpc = _cells_per_cube(pair.region)
     poly = pair.polymer_cubes()
     statuses = {}
-    if chosen in poly:
-        for q in sigma:
+    for q in sigma:
+        if chosen in poly or q in poly:
             statuses[q] = "bad"
-    else:
-        for q in sigma:
-            if q in poly:
-                statuses[q] = "bad"
-                continue
-            good = True
-            for cell in _cube_cells(q, cpc):
-                kv = k_function(pair, partition.lambda_cubes, cell)
-                if not theta_event(pair, cell, kv):
-                    good = False
-                    break
-            statuses[q] = "good" if good else "bad"
+            continue
+        cells = _cube_cell_array(q, cpc)
+        held = theta_events(pair, cells, k_values(pair, partition.lambda_cubes, cells))
+        statuses[q] = "good" if held.all() else "bad"
     partition.peel(chosen, sigma, statuses)
 
 
@@ -482,7 +532,9 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
             n = region.cells_per_axis
             collar = [c for c in _range_collar_cells(region, partition.lambda_cubes)
                       if all(0 <= i < n for i in c)]
-            differ = next((c for c in collar if not _agree(pair, [c])), None)
+            same, _ = pair.cell_table()
+            held = same[pair.sys1.flat_cells(collar)]
+            differ = next((c for c, ok in zip(collar, held) if not ok), None)
             if differ is not None:
                 report["failures"].append(f"chains differ on collar cell {differ}")
             cubes = [c for g in pair.polymers1.polymers + pair.polymers2.polymers
@@ -499,21 +551,22 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     # passes the agreement event on the matching ladder rung
     M = m_function(partition, pair)
     m_bar = pair.ladder.m_bar
-    for step in partition.history:
-        for q in step["sigma"]:
-            if step["statuses"][q] != "good":
-                continue
-            for cell in _cube_cells(q, cpc):
-                val = M[cell]
-                if math.isinf(val):
-                    continue
-                h = m_bar - int(val)
-                if val >= m_bar - 2:
-                    report["audit_ok"] = False
-                    report["failures"].append(f"audit index {val} at {cell}")
-                elif not theta_event(pair, cell, h + 1):
-                    report["audit_ok"] = False
-                    report["failures"].append(f"agreement event fails on rung {h} at {cell}")
+    audited = [(cell, M[cell]) for step in partition.history for q in step["sigma"]
+               if step["statuses"][q] == "good" for cell in _cube_cells(q, cpc)
+               if not math.isinf(M[cell])]
+    vals = np.array([val for _, val in audited])
+    # audit index val asks for the event on rung h = m_bar - val, which is
+    # the event at K = h + 1; val >= m_bar - 2 fails by itself, so it asks
+    # for the trivial event at K = 0
+    held = theta_events(pair, [cell for cell, _ in audited],
+                        np.where(vals < m_bar - 2, m_bar + 1 - vals.astype(int), 0))
+    for (cell, val), ok in zip(audited, held):
+        if val >= m_bar - 2:
+            report["audit_ok"] = False
+            report["failures"].append(f"audit index {val} at {cell}")
+        elif not ok:
+            report["audit_ok"] = False
+            report["failures"].append(f"agreement event fails on rung {m_bar - int(val)} at {cell}")
     report["ok"] = (
         report["replay_ok"]
         and report["audit_ok"]

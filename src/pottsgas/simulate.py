@@ -13,6 +13,7 @@ coupling experiments use to resample sub-regions.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -278,6 +279,21 @@ class ParticleSystem:
         self.accepted = 0
         self.audit_every = 1000
         self.audit_log: list[float] = []
+
+    def __deepcopy__(self, memo):
+        """An independent system with the same particles, stamp and random
+        state.  Arrays, lists and dicts are copied whole (their items are
+        numbers); region, phase and rng are deep-copied through ``memo``, so
+        systems copied together still share one region; the process-cached
+        pair potential is shared."""
+        clone = memo[id(self)] = object.__new__(type(self))
+        for name, value in vars(self).items():
+            if isinstance(value, (np.ndarray, list, dict)):
+                value = value.copy()
+            elif name in ("region", "phase", "rng"):
+                value = copy.deepcopy(value, memo)
+            setattr(clone, name, value)
+        return clone
 
     @property
     def counts(self) -> np.ndarray:

@@ -57,6 +57,22 @@ def test_ladder_levels_and_bins():
     assert strict.ball_fraction == 1e-10
 
 
+def test_ladder_levels_follow_their_fields():
+    lad = scr.LadderSpec(zeta=0.5, d=2, c_star=2.0)
+    assert lad.levels is lad.levels  # built once per field values
+    with pytest.raises(ValueError):
+        lad.levels[0] = 1.0
+    lad.zeta = 0.8
+    assert np.array_equal(lad.levels, 0.8 * 4.0 ** (-np.arange(7.0)))
+    assert lad.bin_deviation(0.8 * 4.0**-3) == 2  # [zeta_3, zeta_2)
+    lad.c_star = 1.0
+    assert np.array_equal(lad.levels, 0.8 * 2.0 ** (-np.arange(7.0)))
+    lad.d = 3
+    assert np.array_equal(lad.levels, 0.8 * 2.0 ** (-np.arange(11.0)))
+    assert lad.bin_deviation(0.8 * 2.0**-10) == 9  # [zeta_10, zeta_9)
+    assert lad.bin_deviation(0.8 * 2.0**-11) == 10 == lad.m_bar
+
+
 def test_polymer_validation():
     with pytest.raises(ValueError):
         scr.Polymer(support=frozenset())
@@ -414,7 +430,21 @@ def k_oracle(pair, lambda_cubes, cell, inner_ball=False):
     for c in near:
         if _signature(pair.sys1, c, x, r) != _signature(pair.sys2, c, x, r):
             return 0
-    return ladder.bin_deviation(max(0.0, *(_oracle_deviation(pair.sys1, c) for c in near)))
+    return bin_oracle(ladder, max(0.0, *(_oracle_deviation(pair.sys1, c) for c in near)))
+
+
+def bin_oracle(ladder, b):
+    # the rung loop: 0 at or above zeta_2, m_bar below the bottom rung, else
+    # the first m with b in [zeta_{m+1}, zeta_m), m_bar if there is none
+    z = ladder.levels
+    if b >= z[2]:
+        return 0
+    if b < z[ladder.m_bar]:
+        return ladder.m_bar
+    for m in range(2, ladder.m_bar):
+        if z[m + 1] <= b < z[m]:
+            return m
+    return ladder.m_bar
 
 
 def theta_oracle(pair, cell, k_value):
@@ -521,6 +551,55 @@ def test_theta_event_matches_the_offset_loop(case):
     for cell in cells:
         for k_value in range(pair.ladder.m_bar + 2):
             assert scr.theta_event(pair, cell, k_value) == theta_oracle(pair, cell, k_value)
+
+
+@st.composite
+def batch_case(draw):
+    geometry = draw(st.sampled_from(["criterion10", "criterion11"]))
+    pair = geometry_pair(geometry, draw(st.integers(0, 2)), draw(st.booleans()),
+                         draw(st.booleans()))
+    region = pair.region
+    # c_star <= 0.5 gives rungs that do not decrease; a power-of-two c_acc
+    # puts a drawn deviation of the pair exactly on a drawn rung
+    c_star = draw(st.sampled_from([0.25, 0.5, 0.65, 2.0]))
+    if c_star != 0.65 and draw(st.booleans()):
+        _, dev = pair.cell_table()
+        b = draw(st.sampled_from(sorted(set(dev[dev > 0].tolist()))))
+        zeta = b * (2.0 * c_star) ** draw(st.integers(0, 2**region.d + 2))
+    else:
+        zeta = draw(st.floats(0.005, 5.0))
+    pair = dataclasses.replace(pair, ladder=scr.LadderSpec(zeta=zeta, d=2, c_star=c_star))
+    cubes = sorted(np.ndindex(region.n_plus, region.n_plus))
+    lam = draw(st.one_of(st.just(set()), st.just(set(cubes)), st.sets(st.sampled_from(cubes))))
+    # one cube's cells (box or collar), or cells of the box, the collar and
+    # beyond the extended grid
+    w, n = region.collar_cells, region.cells_per_axis
+    cpc = scr._cells_per_cube(region)
+    if draw(st.booleans()):
+        cube = draw(st.tuples(*[st.integers(-1, region.n_plus)] * 2))
+        cells = list(itertools.product(*[range(c * cpc, (c + 1) * cpc) for c in cube]))
+    else:
+        cell = st.tuples(*[st.integers(-w - 3, n + w + 2)] * 2)
+        cells = draw(st.lists(cell, min_size=1, max_size=30))
+    return pair, lam, cells
+
+
+@PROPERTY
+@given(batch_case(), st.booleans(), st.data())
+def test_batched_k_and_theta_match_the_per_cell_oracles(case, inner_ball, data):
+    pair, lam, cells = case
+    ladder = pair.ladder
+    k = scr.k_values(pair, lam, cells, inner_ball)
+    assert k.tolist() == [k_oracle(pair, lam, cell, inner_ball) for cell in cells]
+    drawn = data.draw(st.lists(st.integers(0, ladder.m_bar + 1), min_size=len(cells),
+                               max_size=len(cells)))
+    for ks in (k, drawn):
+        got = scr.theta_events(pair, cells, ks)
+        assert got.tolist() == [theta_oracle(pair, c, int(v)) for c, v in zip(cells, ks)]
+    # every deviation of the pair, and the rungs themselves
+    _, dev = pair.cell_table()
+    for b in (dev, ladder.levels):
+        assert ladder.bin_deviations(b).tolist() == [bin_oracle(ladder, x) for x in b]
 
 
 @settings(max_examples=6, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from pottsgas import fixtures as fx
 from pottsgas import simulate as sim
 
 
@@ -544,3 +545,46 @@ def test_cell_index_matches_position_scan(d, seed, ops):
         if isinstance(v, np.ndarray):
             assert not any(np.shares_memory(v, a) for a in arrays)
     _filed_in_order(clone, stamp)
+
+
+def test_deepcopy_of_a_pair_is_an_independent_clone():
+    region = sim.SimRegion(d=2, S=2, gamma=0.5, ell0=0.5, ell_minus=1.0, ell_plus=4.0, n_plus=2)
+    phase = sim.PhaseTarget(rho_ref=np.array([1.0, 1.0]), lambda_beta=0.5, zeta=0.6, t=1.0)
+    pair = fx.make_identical_pair(region, phase, 3)
+    for system in (pair.sys1, pair.sys2):
+        system.remove_particles(system.mobile_ids[:2])  # a nonempty free list
+        system.audit_log.append(0.25)
+    energy = (pair.sys1.energy, pair.sys2.energy)
+    table = [a.copy() for a in pair.cell_table()]
+    clone = copy.deepcopy(pair)
+
+    assert clone.sys1.region is clone.sys2.region
+    assert clone.sys1.phase is clone.sys2.phase
+    for mine, theirs in ((clone.sys1, pair.sys1), (clone.sys2, pair.sys2)):
+        assert theirs._free and theirs.audit_log
+        assert {"mobile_ids", "_free", "_mobile_slot", "audit_log"} <= set(vars(theirs))
+        assert mine.stamp == theirs.stamp
+        assert mine.potential is theirs.potential  # the process-cached table
+        for name, value in vars(theirs).items():
+            if isinstance(value, np.ndarray):
+                assert not np.shares_memory(getattr(mine, name), value), name
+                assert np.array_equal(getattr(mine, name), value), name
+            elif isinstance(value, (list, dict)):
+                assert getattr(mine, name) is not value, name
+                assert getattr(mine, name) == value, name
+        assert mine.rng is not theirs.rng
+        assert mine.rng.bit_generator.state == theirs.rng.bit_generator.state
+        draw = theirs.rng.random(3)
+        assert mine.rng.bit_generator.state != theirs.rng.bit_generator.state
+        assert np.array_equal(mine.rng.random(3), draw)
+
+    # editing the clone leaves the original alone
+    kernel = sim.MoveKernel()
+    sim.metropolis_sweep(clone.sys1, kernel, n_moves=200)
+    clone.sys2.add_particles([[1.5, 2.5]], [1])
+    clone.sys2.remove_particles(clone.sys2.mobile_ids[:3])
+    assert clone.sys1.stamp != pair.sys1.stamp and clone.sys2.stamp != pair.sys2.stamp
+    for got, want in zip(pair.cell_table(), table):
+        assert np.array_equal(got, want)
+    assert (pair.sys1.energy, pair.sys2.energy) == energy
+    assert [s.total_energy() for s in (pair.sys1, pair.sys2)] == list(energy)
