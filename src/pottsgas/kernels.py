@@ -4,8 +4,10 @@ The interaction is built from a smooth radial probability kernel J supported
 in |r| <= 1/2, scaled to range 1/gamma and convolved with itself, so that the
 pair potential is nonnegative, has range 1/gamma exactly, and integrates to
 one.  This module holds the base profile, its d-dimensional normalization,
-the tabulated radial self-convolution used by the particle sampler, and the
-cell-averaged lattice kernel used by the coarse-grained functional.
+the tabulated radial self-convolution used by the particle sampler (a radial
+Gauss-Legendre rule over a closed-form angular integral, exact to about
+1e-13 and built in tens of milliseconds), and the cell-averaged lattice
+kernel used by the coarse-grained functional.
 """
 
 from __future__ import annotations
@@ -60,72 +62,65 @@ def profile_integral(profile, d: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _self_convolution_table(d: int, n_table: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(J * J)(v) for |v| in [0, 1], J the normalized bump at unit scale.
+def _self_convolution_table(d: int, n_table: int, n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """(J * J)(v) at n_table shifts v in [0, 1], J the normalized bump at unit scale.
 
-    Computed with a deterministic midpoint grid; d = 3 uses cylindrical
-    coordinates around the shift axis.  For the shift v only grid points
-    with axial coordinate >= v - 1/2 reach the shifted support, so in d = 2
-    and 3 each sum runs over that sorted suffix (columns) of the grid alone.
+    In polar coordinates x = r w, 1 - 4|x - v e|^2 = a + b u with
+    a = 1 - 4r^2 - 4v^2, b = 8rv and u = w.e, so J(|x - v e|) = c (a + b u)^2
+    on the cap u >= u0 = clip(-a/b, -1, 1) and the angular integral is in
+    closed form: the two points u = +-1 at d = 1, the arc theta <= arccos(u0)
+    at d = 2 and the polar cap at d = 3.  The radial integral over [0, 1/2]
+    is split at |1/2 - v|, where the cap is the whole sphere or empty on one
+    side, and each piece is an n_nodes-point Gauss-Legendre rule in s with
+    r = lo + (hi - lo) s^2, which clears the square-root branch of the cap at
+    the split.  At d = 1 and 3 the integrand is then a polynomial in s and the
+    rule is exact; at d = 2 64 and 128 nodes agree to about 1e-14.
     """
-    prof = normalized_bump(d)
-    shifts = np.linspace(0.0, 1.0, n_table)
-    if d == 1:
-        h = 1.0 / n_grid
-        zs = -0.5 + (np.arange(n_grid) + 0.5) * h
-        jz = prof(np.abs(zs))
-        vals = np.array([np.sum(jz * prof(np.abs(zs - v))) * h for v in shifts])
-    elif d == 2:
-        h = 1.0 / n_grid
-        g = -0.5 + (np.arange(n_grid) + 0.5) * h
-        gx, gy = np.meshgrid(g, g, indexing="ij")
-        r0 = np.hypot(gx, gy)
-        j0 = prof(r0)
-        mask = j0 > 0
-        px, py, j0m = gx[mask], gy[mask], j0[mask]  # px sorted ascending
-        starts = np.searchsorted(px, shifts - 0.5)
-        vals = np.array(
-            [np.sum(j0m[k:] * prof(np.hypot(px[k:] - v, py[k:]))) * h * h
-             for v, k in zip(shifts, starts)]
-        )
-    elif d == 3:
-        h = 1.0 / n_grid
-        rho = (np.arange(n_grid // 2) + 0.5) * h  # cylindrical radius
-        zax = -0.5 + (np.arange(n_grid) + 0.5) * h
-        R, Z = np.meshgrid(rho, zax, indexing="ij")
-        j0 = prof(np.hypot(R, Z))
-        ring = 2.0 * np.pi * R * h * h  # volume element of each ring
-        starts = np.searchsorted(zax, shifts - 0.5)
-        vals = np.array(
-            [np.sum(j0[:, k:] * prof(np.hypot(R[:, k:], Z[:, k:] - v)) * ring[:, k:])
-             for v, k in zip(shifts, starts)]
-        )
-    else:
+    if d not in (1, 2, 3):
         raise ValueError(f"dimension {d} not supported")
-    return shifts, vals
-
-
-def pair_potential_table(gamma: float, d: int, n_table: int = 1001, n_grid: int = 400):
-    """Radial table of the pair potential V(r) = gamma^d (J*J)(gamma r).
-
-    Returns (radii, values) with radii spanning [0, 1/gamma]; V vanishes
-    beyond 1/gamma.  Linear interpolation between the tabulated points is the
-    contract used by the sampler.
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    shifts, vals = _self_convolution_table(d, n_table, n_grid)
-    return shifts / gamma, gamma**d * vals
+    c = bump_norm(d)
+    shifts = np.linspace(0.0, 1.0, n_table)
+    v = shifts[:, None, None]
+    kink = np.abs(0.5 - v)
+    lo = np.concatenate([np.zeros_like(kink), kink], axis=1)  # (shift, piece, 1)
+    hi = np.concatenate([kink, np.full_like(kink, 0.5)], axis=1)
+    s, w = np.polynomial.legendre.leggauss(n_nodes)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    r = lo + (hi - lo) * s * s
+    dr = (hi - lo) * 2.0 * s * w
+    a = 1.0 - 4.0 * r * r - 4.0 * v * v
+    b = 8.0 * r * v
+    if d == 1:
+        angular = np.maximum(a + b, 0.0) ** 2 + np.maximum(a - b, 0.0) ** 2
+    else:
+        # b = 0 (r = 0 or v = 0): the cap is everything or nothing
+        u0 = np.clip(np.divide(-a, b, out=np.where(a >= 0, -1.0, 1.0), where=b > 0), -1.0, 1.0)
+        if d == 2:
+            angular = (2.0 * a * a + b * b) * np.arccos(u0) + (4.0 * a + b * u0) * b * np.sqrt(1.0 - u0 * u0)
+        else:
+            top, bottom = a + b, a + b * u0
+            angular = 2.0 * np.pi / 3.0 * (1.0 - u0) * (top * top + top * bottom + bottom * bottom)
+    radial = c * c * (1.0 - 4.0 * r * r) ** 2 * r ** (d - 1)
+    return shifts, np.sum(radial * angular * dr, axis=(1, 2))
 
 
 class PairPotential:
-    """Interpolated finite-range pair potential between unlike species."""
+    """Interpolated finite-range pair potential V(r) = gamma^d (J*J)(gamma r)
+    between unlike species.
 
-    def __init__(self, gamma: float, d: int, n_table: int = 1001, n_grid: int = 400):
+    The table has n_table radii spanning [0, 1/gamma]; V vanishes beyond
+    1/gamma.  Linear interpolation between the tabulated points is the
+    contract used by the sampler.
+    """
+
+    def __init__(self, gamma: float, d: int, n_table: int = 1001):
+        if not gamma > 0:
+            raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self.d = int(d)
         self.range = 1.0 / gamma
-        self._radii, self._vals = pair_potential_table(gamma, d, n_table, n_grid)
+        shifts, vals = _self_convolution_table(self.d, n_table)
+        self._radii, self._vals = shifts / gamma, gamma**d * vals
 
     def __call__(self, dist):
         dist = np.asarray(dist, dtype=float)

@@ -49,19 +49,21 @@ def test_pair_potential_support_and_symmetry():
             assert v1 >= 0.0
 
 
-def test_pair_potential_at_zero_scale_identity():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_potential_at_zero_scale_identity(d):
     # V(r, r) = gamma^d * integral of the unit-scale profile squared
+    from scipy.integrate import quad
+    from scipy.special import gamma as gamma_fn
+
     from pottsgas.kernels import normalized_bump
 
-    gamma, d = 0.5, 2
+    gamma = 0.5
     prof = normalized_bump(d)
-    n = 1200
-    h = 1.0 / n
-    g = -0.5 + (np.arange(n) + 0.5) * h
-    gx, gy = np.meshgrid(g, g, indexing="ij")
-    direct = gamma**d * float(np.sum(prof(np.hypot(gx, gy)) ** 2) * h * h)
-    val = sim.pair_potential(np.zeros(2), np.zeros(2), gamma)
-    assert val == pytest.approx(direct, rel=1e-4)
+    area = 2.0 * np.pi ** (d / 2) / gamma_fn(d / 2)
+    radial, _ = quad(lambda r: prof(r) ** 2 * r ** (d - 1), 0.0, 0.5, epsabs=0.0, epsrel=1e-13)
+    direct = gamma**d * area * radial
+    val = sim.pair_potential(np.zeros(d), np.zeros(d), gamma)
+    assert val == pytest.approx(direct, rel=1e-12)
 
 
 def test_config_energy_examples():
