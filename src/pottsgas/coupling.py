@@ -36,6 +36,7 @@ from .screening import (
 from .simulate import (
     MoveKernel,
     ParticleSystem,
+    TwinRows,
     apply_move,
     draw_move_uniforms,
     occupancy_window,
@@ -87,19 +88,23 @@ def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
               rng) -> dict:
     """Common-random-number sweep on both chains: one shared row of
     uniforms per proposal resolves to a per-chain move, and a shared
-    acceptance uniform maximally couples each accept decision."""
+    acceptance uniform maximally couples each accept decision.  Where the
+    chains' proposals and neighbourhoods are twins, the second chain takes
+    the first chain's decision (``simulate.TwinRows``); the chains end as
+    they would with each row decided on its own."""
     active = [tuple(c) for c in cells]
     active_set = frozenset(active)
     loc1 = pair.sys1.mobile_in(active_set)
     loc2 = pair.sys2.mobile_in(active_set)
     volume = len(active) * pair.region.cell_volume
+    twins = TwinRows(pair.sys1, pair.sys2)
     acc1 = acc2 = 0
     for draws in draw_move_uniforms(rng, n_moves, pair.region.d):
-        if apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume):
+        if apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume, twins):
             acc1 += 1
-        if apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume):
+        if apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume, twins):
             acc2 += 1
-    return {"accepted": (acc1, acc2)}
+    return {"accepted": (acc1, acc2), "reused": twins.reused}
 
 
 @dataclass

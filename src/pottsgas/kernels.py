@@ -177,13 +177,22 @@ def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4,
         dist = np.sqrt(np.sum((diff0 + off) ** 2, axis=2))
         cell_avg[idx] = np.mean(gamma**d * np.asarray(prof(gamma * dist))) / z_h
     # cell_avg is J^(ell)(0, off); multiply by ell^d to make a stochastic
-    # matrix, then self-convolve for the two-step kernel (direct method keeps
-    # exact zeros and nonnegativity)
-    from scipy.signal import convolve
-
-    M = ell**d * cell_avg
-    W = convolve(M, M, mode="full", method="direct")
+    # matrix, then self-convolve for the two-step kernel
+    W = _self_convolve(ell**d * cell_avg)
     W.flags.writeable = False
+    return W
+
+
+def _self_convolve(M: np.ndarray) -> np.ndarray:
+    """Full self-convolution M * M of an array with equal sides, by the
+    direct sum, which keeps exact zeros and nonnegativity: np.convolve at
+    d = 1, and above it one shifted copy of M per entry, added in C order."""
+    if M.ndim == 1:
+        return np.convolve(M, M)
+    n = M.shape[0]
+    W = np.zeros((2 * n - 1,) * M.ndim)
+    for idx in np.ndindex(*M.shape):
+        W[tuple(slice(i, i + n) for i in idx)] += M[idx] * M
     return W
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,6 +36,7 @@ __all__ = [
     "empirical_density",
     "phase_indicator",
     "metropolis_sweep",
+    "TwinRows",
     "measure_observables",
     "poisson_window_weights",
     "occupancy_window",
@@ -107,6 +109,8 @@ class PhaseTarget:
     zeta: float = 0.5
     t: float = 1.0
     lam: float | None = None
+    # (rho_ref bytes, sums) of the last neighbor_sum read; see there
+    _neighbor_sum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rho_ref = np.asarray(self.rho_ref, dtype=float)
@@ -117,7 +121,16 @@ class PhaseTarget:
 
     @property
     def neighbor_sum(self) -> np.ndarray:
-        return self.rho_ref.sum() - self.rho_ref
+        """Per species, the summed reference density of the other species,
+        read-only.  Built once per value of ``rho_ref``: the field is
+        mutable, in place too, so a changed ``rho_ref`` rebuilds it on the
+        next read."""
+        key = self.rho_ref.tobytes()
+        if self._neighbor_sum is None or self._neighbor_sum[0] != key:
+            sums = self.rho_ref.sum() - self.rho_ref
+            sums.flags.writeable = False
+            self._neighbor_sum = (key, sums)
+        return self._neighbor_sum[1]
 
 
 def occupancy_window(phase: PhaseTarget, volume: float) -> tuple[np.ndarray, np.ndarray]:
@@ -435,11 +448,16 @@ class ParticleSystem:
         c = self.cell[i]
         n = self.fill[c]
         row = self.members[c]
-        k = row[:n].tolist().index(i)
+        k = self._row_index(i)
         row[k : n - 1] = row[k + 1 : n]
         self.fill[c] = n - 1
         self._counts[c, self.spin[i]] -= 1
         self.stamp = next(_STAMPS)
+
+    def _row_index(self, i: int) -> int:
+        """Place of particle i in its cell's row."""
+        c = self.cell[i]
+        return self.members[c, : self.fill[c]].tolist().index(i)
 
     def _file_batch(self, ids: np.ndarray, cells: np.ndarray):
         """File particles ``ids`` into ``cells`` in one pass, as ``_file``
@@ -587,20 +605,39 @@ class ParticleSystem:
 
     # -- energies
 
-    def _pair_sum(self, r, s: int, c: int, skip: int | None = None) -> float:
-        """Sum of V(|r - r_j|) over the particles j of species != s filed in
-        the block of cells around cell c, in filing order."""
-        block = c + self._ball
-        filed = np.arange(self.members.shape[1]) < self.fill[block][:, None]
-        ids = self.members[block][filed]
-        if skip is not None:
-            ids = ids[ids != skip]
-        ids = ids[self.spin[ids] != s]
-        if not len(ids):
-            return 0.0
-        diff = self.pos[ids] - np.asarray(r, dtype=float)
-        dist = np.sqrt((diff**2).sum(axis=1))
-        return float(np.sum(self.potential(dist)))
+    def _pair_delta(self, changes, skip: int | None = None) -> float:
+        """sum(sign * P(r, s, c)) over the particle changes ``(sign, r, s,
+        c)`` in order, where P(r, s, c) sums V(|r - r_j|) over the particles
+        j != skip of species != s filed in the block of cells around cell c,
+        in filing order.  A block shared by consecutive changes is gathered
+        once and V evaluated once per distinct point; each change's sum is a
+        masked sum over that gather."""
+        total = 0
+        c_last = r_last = None
+        for sign, r, s, c in changes:
+            if c != c_last:
+                block = c + self._ball
+                filed = np.arange(self.members.shape[1]) < self.fill[block][:, None]
+                ids = self.members[block][filed]
+                if skip is not None:
+                    ids = ids[ids != skip]
+                pos, spin = self.pos[ids], self.spin[ids]
+                c_last, r_last = c, None
+            if r is not r_last:
+                pot = self.potential(np.sqrt(((pos - r) ** 2).sum(axis=1)))
+                r_last = r
+            total += sign * float(pot[spin != s].sum())
+        return total
+
+    def twin_cells(self, other: ParticleSystem) -> np.ndarray:
+        """Per extended cell, whether this system's and ``other``'s member
+        rows hold equal positions and spins in the same filing order; one
+        array pass over both member tables."""
+        width = min(self.members.shape[1], other.members.shape[1])
+        mine, theirs = self.members[:, :width], other.members[:, :width]
+        equal = (self.spin[mine] == other.spin[theirs]) & (self.pos[mine] == other.pos[theirs]).all(axis=2)
+        vacant = np.arange(width) >= self.fill[:, None]
+        return (self.fill == other.fill) & (equal | vacant).all(axis=1)
 
     def total_energy(self) -> float:
         """Recompute the interpolated energy of the mobile configuration
@@ -685,83 +722,181 @@ def draw_move_uniforms(rng, n_moves: int, d: int) -> np.ndarray:
     return rng.random((n_moves, d + 4))
 
 
-def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, active: list,
-               active_set: frozenset, local_ids: list, volume: float) -> bool:
-    """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
-    for this system and Metropolis-accept it with the row's last uniform;
-    moves that would leave the accuracy window or the active region are
-    rejected outright.  Returns True when accepted.
+class Proposal(NamedTuple):
+    """One row resolved for one system: its particle changes ``(sign, r,
+    species, cell)``, a birth at sign +1 and a death at -1 (a flip or a
+    displacement is one of each), its reference-energy change, its
+    particle-count change, its proposal ratio, the particle it moves (None
+    for a birth) and the edit that commits it."""
 
-    A proposal is its particle changes ``(sign, r, species, cell)``, a
-    birth at sign +1 and a death at -1 (a flip or a displacement is one of
-    each), plus its reference-energy change, its particle-count change, its
-    proposal ratio and the edit that commits it."""
+    changes: list
+    dref: float
+    dn: int
+    ratio: float
+    skip: int | None
+    commit: Callable[[], None]
+
+
+def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, active: list,
+             active_set: frozenset, local_ids: list, volume: float) -> Proposal | None:
+    """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
+    for this system; None for a move rejected outright (nothing to pick, or
+    a displacement out of the box or the active cells)."""
     region, phase = system.region, system.phase
-    u, u_a, *_, u_c, u_accept = draws.tolist()
+    u, u_a, *_, u_c, _ = draws.tolist()
     n_local = len(local_ids)
-    skip = None
     if u < kernel.p_birth:
         cell = active[int(u_a * len(active))]
         r = (np.asarray(cell, dtype=float) + draws[2:-2]) * region.ell_minus
         s = int(u_c * region.S)
-        changes = [(+1, r, s, system._ext_cell(cell))]
-        dref = float(phase.neighbor_sum[s] - phase.lambda_beta)
-        dn, ratio = 1, volume * region.S / (n_local + 1)
 
         def commit():
             local_ids.append(system._insert(r, s, frozen=False))
-    else:
-        if not n_local:
-            return False
-        pick = int(u_a * n_local)
-        i = skip = local_ids[pick]
-        r, s, c = system.pos[i], int(system.spin[i]), system.cell[i]
-        u -= kernel.p_birth
-        if u < kernel.p_death:
-            changes = [(-1, r, s, c)]
-            dref = -float(phase.neighbor_sum[s] - phase.lambda_beta)
-            dn, ratio = -1, n_local / (volume * region.S)
+        return Proposal([(+1, r, s, system._ext_cell(cell))],
+                        float(phase.neighbor_sum[s] - phase.lambda_beta),
+                        1, volume * region.S / (n_local + 1), None, commit)
+    if not n_local:
+        return None
+    pick = int(u_a * n_local)
+    i = local_ids[pick]
+    r, s, c = system.pos[i], int(system.spin[i]), system.cell[i]
+    u -= kernel.p_birth
+    if u < kernel.p_death:
+        def commit():
+            system._remove(i)
+            local_ids[pick] = local_ids[-1]
+            local_ids.pop()
+        return Proposal([(-1, r, s, c)], -float(phase.neighbor_sum[s] - phase.lambda_beta),
+                        -1, n_local / (volume * region.S), i, commit)
+    if u - kernel.p_death < kernel.p_move:
+        r_new = r + (2.0 * draws[2:-2] - 1.0) * kernel.step
+        if not system.in_box(r_new):
+            return None
+        cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
+        if cell_new not in active_set:
+            return None
+        c_new = system._ext_cell(cell_new)
 
-            def commit():
-                system._remove(i)
-                local_ids[pick] = local_ids[-1]
-                local_ids.pop()
-        elif u - kernel.p_death < kernel.p_move:
-            r_new = r + (2.0 * draws[2:-2] - 1.0) * kernel.step
-            if not system.in_box(r_new):
-                return False
-            cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
-            if cell_new not in active_set:
-                return False
-            c_new = system._ext_cell(cell_new)
-            changes = [(+1, r_new, s, c_new), (-1, r, s, c)]
-            dref, dn, ratio = 0.0, 0, 1.0
+        def commit():
+            # refiled even within one cell: the particle moves to its row's end
+            system._unfile(i)
+            system.pos[i] = r_new
+            system._file(i, c_new)
+        return Proposal([(+1, r_new, s, c_new), (-1, r, s, c)], 0.0, 0, 1.0, i, commit)
+    s_new = (s + 1 + int(u_c * (region.S - 1))) % region.S
 
-            def commit():
-                # refiled even within one cell: the particle moves to its row's end
-                system._unfile(i)
-                system.pos[i] = r_new
-                system._file(i, c_new)
-        else:
-            s_new = (s + 1 + int(u_c * (region.S - 1))) % region.S
-            changes = [(+1, r, s_new, c), (-1, r, s, c)]
-            dref = float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s])
-            dn, ratio = 0, 1.0
+    def commit():
+        system._respin(i, s_new)
+    return Proposal([(+1, r, s_new, c), (-1, r, s, c)],
+                    float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s]), 0, 1.0, i, commit)
 
-            def commit():
-                system._respin(i, s_new)
 
-    if not system._window_ok_after(changes):
-        return False
+def _metropolis(system: ParticleSystem, move: Proposal | None,
+                u_accept: float) -> tuple[bool, float]:
+    """The tail every proposal takes: the window test, the pair sum and the
+    accept test against ``u_accept``.  Returns (accepted, energy change),
+    a rejection when ``move`` is None."""
+    if move is None or not system._window_ok_after(move.changes):
+        return False, 0.0
+    phase = system.phase
     dpair = 0.0
     if phase.t > 0.0:
-        dpair = sum(sign * system._pair_sum(*at, skip) for sign, *at in changes) - phase.lam * dn
-    dh = phase.t * dpair + (1.0 - phase.t) * dref
-    if u_accept < ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0)):
-        commit()
+        dpair = system._pair_delta(move.changes, move.skip) - phase.lam * move.dn
+    dh = phase.t * dpair + (1.0 - phase.t) * move.dref
+    return u_accept < move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0)), dh
+
+
+class TwinRows:
+    """Two chains driven by one stream of rows, as in
+    ``coupling.crn_sweep``: which extended cells are *twin* (both chains'
+    member rows hold equal positions and spins in the same filing order),
+    and the first chain's proposal and decision on the current row.
+
+    The second chain takes the first chain's decision and energy change
+    when both resolve the row to the same changes, reference-energy change,
+    count change and ratio, move a particle at the same place of its row,
+    and every cell of each change's block is twin: its window test, pair
+    sum and accept test would then see the first chain's operands in the
+    same order.  A row on which both chains commit the same proposal keeps
+    every flag; any other commit clears the flags of the cells it touches.
+    Rows must alternate first chain, second chain.
+
+    ``cells`` holds the flags; ``blocks`` marks the interior cells whose
+    whole block is flagged, kept with them."""
+
+    def __init__(self, first: ParticleSystem, second: ParticleSystem):
+        self.first = first
+        self._ball = first._ball
+        same_law = (first.region == second.region and first.potential is second.potential
+                    and (first.phase.t, first.phase.beta, first.phase.lam)
+                    == (second.phase.t, second.phase.beta, second.phase.lam)
+                    and np.array_equal(first.n_lo, second.n_lo)
+                    and np.array_equal(first.n_hi, second.n_hi))
+        self.cells = first.twin_cells(second) if same_law else np.zeros(len(first.fill), dtype=bool)
+        d = first.region.d
+        inner = (np.indices((first.n_int,) * d).reshape(d, -1).T + first.w) @ first._strides
+        self.blocks = np.zeros_like(self.cells)
+        self.blocks[inner] = self.cells[inner[:, None] + self._ball].all(axis=1)
+        self.reused = 0  # rows on which the second chain took the first chain's decision
+        self._row = None  # the first chain's (key, decision), None after no proposal
+
+    @staticmethod
+    def _key(system: ParticleSystem, move: Proposal) -> tuple:
+        """What the other chain must match: the changes by value, the
+        proposal's scalars and the moved particle's place in its row, read
+        before the commit moves it."""
+        place = None if move.skip is None else system._row_index(move.skip)
+        changes = tuple([(sign, *r.tolist(), s, c) for sign, r, s, c in move.changes])
+        return changes, move.dref, move.dn, move.ratio, place
+
+    def _clear(self, changes):
+        """Clear the flags of the cells the changes touch, and with them the
+        blocks that hold those cells."""
+        for *_, c in changes:
+            if self.cells[c]:
+                self.cells[c] = False
+                self.blocks.put(c + self._ball, False, mode="clip")
+
+    def decide(self, system: ParticleSystem, move: Proposal | None,
+               u_accept: float) -> tuple[bool, float]:
+        """(accepted, energy change) of this chain's proposal on the
+        current row (rejected when ``move`` is None), with the twin flags
+        kept up to date after the second chain's decision."""
+        if system is self.first:
+            decision = _metropolis(system, move, u_accept)
+            self._row = None if move is None else (self._key(system, move), decision)
+            return decision
+        key1, decision1 = self._row or (None, (False, 0.0))
+        same = key1 is not None and move is not None and self._key(system, move) == key1
+        if same and all(self.blocks[c] for *_, c in move.changes):
+            decision = decision1
+            self.reused += 1
+        else:
+            decision = _metropolis(system, move, u_accept)
+        if not (same and decision[0] and decision1[0]):
+            if decision1[0]:
+                self._clear(key1[0])
+            if decision[0]:
+                self._clear(move.changes)
+        return decision
+
+
+def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, active: list,
+               active_set: frozenset, local_ids: list, volume: float,
+               twins: TwinRows | None = None) -> bool:
+    """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
+    for this system and Metropolis-accept it with the row's last uniform;
+    moves that would leave the accuracy window or the active region are
+    rejected outright.  Returns True when accepted.  ``twins`` is the
+    pair's ``TwinRows`` when two chains share the rows: the second chain
+    then takes over the first chain's decision where its operands agree."""
+    move = _propose(system, kernel, draws, active, active_set, local_ids, volume)
+    decide = _metropolis if twins is None else twins.decide
+    accepted, dh = decide(system, move, float(draws[-1]))
+    if accepted:
+        move.commit()
         system._energy += dh
-        return True
-    return False
+    return accepted
 
 
 def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | None = None,

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -198,6 +199,172 @@ def test_crn_marginal_matches_exact_kernel():
         emp = counts1[i] / visits1[i]
         se = np.sqrt(np.maximum(P[i] * (1 - P[i]), 1e-12) / visits1[i])
         assert np.all(np.abs(emp - P[i]) <= 1e-3 + 3.0 * se), (states[i],)
+
+
+# ---------------------------------------------------------------------------
+# twin rows: crn_sweep against the two-call loop
+
+
+def twin_region():
+    # 4x4 interior cells of 12 particles, rows grown past CAP; the blocks
+    # of the four central cells stay off the collar
+    return sim.SimRegion(d=2, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=4)
+
+
+def twin_pair(start, t, seed=5):
+    """A pair whose cells start fully twin, partly twin (equal interiors,
+    other collars) or fully different."""
+    region = twin_region()
+    phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=1.5, beta=1.0, zeta=0.75, t=t)
+    if start == "twin":
+        return fx.make_identical_pair(region, phase, seed)
+    if start == "different":
+        return fx.make_pair(region, phase, (seed, seed + 1), (seed + 2, seed + 3))
+    return fx.make_mismatched_pair(region, phase, seed)
+
+
+def two_call_loop(pair, kernel, cells, n_moves, rng):
+    """The reference for crn_sweep: each chain decides each row on its own."""
+    active = [tuple(c) for c in cells]
+    active_set = frozenset(active)
+    loc1 = pair.sys1.mobile_in(active_set)
+    loc2 = pair.sys2.mobile_in(active_set)
+    volume = len(active) * pair.region.cell_volume
+    for draws in sim.draw_move_uniforms(rng, n_moves, pair.region.d):
+        sim.apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume)
+        sim.apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume)
+
+
+def full_state(system):
+    """Every attribute but the stamp, arrays and floats by their bits."""
+    out = {}
+    for name, value in vars(system).items():
+        if name in ("stamp", "region", "phase", "potential"):
+            continue
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            value = value.hex()
+        elif name == "rng":
+            value = value.bit_generator.state
+        out[name] = value
+    return out
+
+
+def twin_oracle(a, b):
+    """Per extended cell, whether both rows list equal (position, spin)
+    pairs in the same order: a loop over cells and particles."""
+    out = []
+    for c in range(len(a.fill)):
+        rows = [[(tuple(s.pos[i].tolist()), int(s.spin[i])) for i in s.members[c, : s.fill[c]]]
+                for s in (a, b)]
+        out.append(rows[0] == rows[1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.03, 1.0])
+@pytest.mark.parametrize("start", ["twin", "partly", "different"])
+def test_crn_sweep_matches_two_call_loop(start, t):
+    pair = twin_pair(start, t)
+    ref = copy.deepcopy(pair)
+    kernel = sim.MoveKernel()
+    cells = list(np.ndindex(4, 4))
+    out = cpl.crn_sweep(pair, kernel, cells, 1500, np.random.default_rng(17))
+    two_call_loop(ref, kernel, cells, 1500, np.random.default_rng(17))
+    for got, want in ((pair.sys1, ref.sys1), (pair.sys2, ref.sys2)):
+        assert full_state(got) == full_state(want)
+    # rows reused: all but a few of a twin start, a few hundred of a
+    # partly twin one at t < 1 (its interior blocks stay twin), a handful
+    # at t = 1 (the collars part the chains within a few hundred rows)
+    if start == "different":
+        assert out["reused"] == 0
+    else:
+        assert out["reused"] > (1000 if start == "twin" else 0)
+
+
+@pytest.mark.parametrize("t", [0.03, 1.0])
+@pytest.mark.parametrize("start", ["twin", "partly", "different"])
+def test_twin_flags_imply_twin_rows(start, t):
+    # the flags kept row by row claim no cell that the loop oracle denies,
+    # and start out as the oracle
+    pair = twin_pair(start, t)
+    twins = sim.TwinRows(pair.sys1, pair.sys2)
+    assert np.array_equal(twins.cells, twin_oracle(pair.sys1, pair.sys2))
+    assert twins.cells.any() == (start != "different")
+    kernel = sim.MoveKernel()
+    active = list(np.ndindex(4, 4))
+    active_set = frozenset(active)
+    loc = [s.mobile_in(active_set) for s in (pair.sys1, pair.sys2)]
+    volume = len(active) * pair.region.cell_volume
+    rows = sim.draw_move_uniforms(np.random.default_rng(3), 400, 2)
+    for k, draws in enumerate(rows):
+        for system, local in zip((pair.sys1, pair.sys2), loc):
+            sim.apply_move(system, kernel, draws, active, active_set, local, volume, twins)
+        if k % 20 == 19:
+            oracle = twin_oracle(pair.sys1, pair.sys2)
+            assert not np.any(twins.cells & ~oracle), k
+            assert np.array_equal(twins.blocks, whole_blocks(pair.sys1, twins.cells)), k
+    assert np.array_equal(pair.sys1.twin_cells(pair.sys2), twin_oracle(pair.sys1, pair.sys2))
+
+
+def whole_blocks(system, cells):
+    """Per extended cell, whether it is interior and every cell of its
+    block is flagged in ``cells``."""
+    out = np.zeros_like(cells)
+    for cell in np.ndindex(*(system.n_int,) * system.region.d):
+        c = system.flat_cell(cell)
+        out[c] = cells[c + system._ball].all()
+    return out
+
+
+@pytest.mark.parametrize("differ", ["place", "ratio"])
+def test_twin_rows_decide_apart_when_proposals_differ(differ):
+    # over a twin block: deaths of two equal particles (position and spin)
+    # at other places of one row, which leave different rows, or one birth
+    # under other proposal ratios; the second chain decides on its own, and
+    # the first chain's commit clears the cell's flag
+    region = twin_region()
+    phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=1.5, beta=1.0, zeta=5.0, t=1.0)
+    pair = fx.make_identical_pair(region, phase, 5)
+    for system in (pair.sys1, pair.sys2):
+        system.add_particles([[3.0, 3.0], [3.5, 3.5], [3.0, 3.0]], [0, 1, 0])
+    twins = sim.TwinRows(pair.sys1, pair.sys2)
+    c = pair.sys1.flat_cell((1, 1))
+    assert twins.blocks[c]
+    if differ == "place":
+        moves = [sim.Proposal([(-1, system.pos[i], 0, c)], 0.0, -1, 1.0, i, lambda: None)
+                 for system, i in ((pair.sys1, pair.sys1.mobile_ids[-3]),
+                                   (pair.sys2, pair.sys2.mobile_ids[-1]))]
+        want = (True, True)
+    else:
+        r = np.array([2.25, 3.75])
+        moves = [sim.Proposal([(+1, r, 2, c)], 0.0, 1, ratio, None, lambda: None)
+                 for ratio in (1e6, 1e-9)]
+        want = (True, False)
+    got = tuple(twins.decide(system, move, 0.5)[0]
+                for system, move in zip((pair.sys1, pair.sys2), moves))
+    assert got == want
+    assert twins.reused == 0
+    assert not twins.cells[c] and not twins.blocks[c]
+
+
+def test_twin_cells_matches_per_cell_loop():
+    pair = twin_pair("partly", 0.03)
+    a, b = pair.sys1, pair.sys2
+    assert np.array_equal(a.twin_cells(b), twin_oracle(a, b))
+    # rows of a member table wider than the other's, and reordered rows
+    a.add_particles(np.full((20, 2), 2.5) + np.linspace(0.0, 1.0, 20)[:, None], [0] * 20)
+    assert a.members.shape[1] > b.members.shape[1]
+    b.remove_particles(b.mobile_in({(0, 0)})[:1])
+    assert np.array_equal(a.twin_cells(b), twin_oracle(a, b))
+    assert np.array_equal(b.twin_cells(a), twin_oracle(b, a))
+    ids = a.mobile_in({(2, 2)})
+    pos, spin = a.pos[ids[:2]].copy(), a.spin[ids[:2]].copy()
+    a.remove_particles(ids[:2])
+    a.add_particles(pos[::-1], spin[::-1])  # same particles, other filing order
+    want = twin_oracle(a, b)
+    assert np.array_equal(a.twin_cells(b), want)
+    assert not want[a.flat_cell((2, 2))]
 
 
 def test_eps_hat_decreases_with_gamma(sol4):

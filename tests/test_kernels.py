@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.signal import convolve
 from scipy.special import gamma as gamma_fn
 
-from pottsgas.kernels import PairPotential, _self_convolution_table, normalized_bump
+from pottsgas.kernels import (
+    PairPotential,
+    _self_convolution_table,
+    _self_convolve,
+    normalized_bump,
+)
 
 N_TABLE = 101
 
@@ -75,3 +83,14 @@ def test_pair_potential_integrates_to_one(d, gamma):
 def test_pair_potential_rejects_bad_arguments(gamma, d):
     with pytest.raises(ValueError):
         PairPotential(gamma, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(0, 2**16), st.booleans())
+def test_self_convolve_is_scipy_direct_convolution(d, n, seed, symmetric):
+    # bit-equal to the direct method the stencil used to call
+    M = np.random.default_rng(seed).random((n,) * d)
+    if symmetric:  # as a cell-averaged stencil is
+        M = M + np.flip(M)
+    assert np.array_equal(_self_convolve(M), convolve(M, M, mode="full", method="direct"))
+

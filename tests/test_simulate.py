@@ -464,6 +464,87 @@ def test_total_energy_of_empty_system():
     assert system.total_energy() == 0.0
 
 
+def pair_sum_oracle(system, r, s, c, skip=None):
+    """Sum of V(|r - r_j|) over the particles j != skip of species != s
+    filed in the block of cells around cell c, in filing order: one gather
+    per call, the sum the sampler took per particle change before it
+    gathered each block once per proposal."""
+    block = c + system._ball
+    filed = np.arange(system.members.shape[1]) < system.fill[block][:, None]
+    ids = system.members[block][filed]
+    if skip is not None:
+        ids = ids[ids != skip]
+    ids = ids[system.spin[ids] != s]
+    if not len(ids):
+        return 0.0
+    diff = system.pos[ids] - np.asarray(r, dtype=float)
+    dist = np.sqrt((diff**2).sum(axis=1))
+    return float(np.sum(system.potential(dist)))
+
+
+def _changes(system, kind, rng):
+    """The particle changes and the moved particle of one proposal of the
+    given kind, built by hand as ``simulate._propose`` builds them: a flip's
+    two changes share one position array."""
+    region = system.region
+    d, ell, S = region.d, region.ell_minus, region.S
+    if kind == "birth":
+        cell = tuple(rng.integers(0, system.n_int, d))
+        r = (np.asarray(cell) + rng.random(d)) * ell
+        return [(+1, r, int(rng.integers(S)), system._ext_cell(cell))], None
+    i = system.mobile_ids[int(rng.integers(len(system.mobile_ids)))]
+    r, s, c = system.pos[i], int(system.spin[i]), system.cell[i]
+    if kind == "death":
+        return [(-1, r, s, c)], i
+    if kind == "flip":
+        return [(+1, r, (s + 1 + int(rng.integers(S - 1))) % S, c), (-1, r, s, c)], i
+    here = np.floor(r / ell)
+    there = here if kind == "displace_within" else (here + rng.integers(1, system.n_int, d)) % system.n_int
+    r_new = (there + rng.random(d)) * ell
+    c_new = system._cell_at(r_new)
+    assert (c_new == c) == (kind == "displace_within")
+    return [(+1, r_new, s, c_new), (-1, r, s, c)], i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 2**16),
+       st.sampled_from(["birth", "death", "flip", "displace_within", "displace_across"]),
+       st.booleans(), st.booleans())
+def test_pair_delta_is_the_per_change_oracle_sum(d, seed, kind, crowded, no_skip):
+    # bit-exact: the one-gather sum against one oracle gather per change
+    region = index_region(d)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=1.0)
+    system = sim.ParticleSystem(region, phase, seed=seed)
+    fx.fill_boundary(system, seed=seed + 1)
+    system.seed_phase_configuration()
+    rng = np.random.default_rng(seed + 2)
+    if crowded:  # one interior row grown past CAP
+        corner = np.zeros(d)
+        n = system.CAP + 1 + int(rng.integers(10))
+        system.add_particles(corner + rng.random((n, d)) * region.ell_minus,
+                             rng.integers(0, region.S, n))
+        assert system.members.shape[1] > system.CAP
+    changes, skip = _changes(system, kind, rng)
+    if no_skip:
+        skip = None
+    want = sum(sign * pair_sum_oracle(system, *at, skip) for sign, *at in changes)
+    assert system._pair_delta(changes, skip) == want
+
+
+def test_neighbor_sum_is_built_once_per_rho_ref():
+    phase = sim.PhaseTarget(rho_ref=np.array([1.0, 2.0, 4.0]), lambda_beta=0.5)
+    first = phase.neighbor_sum
+    assert first.tolist() == [6.0, 5.0, 3.0]
+    assert phase.neighbor_sum is first
+    assert not first.flags.writeable
+    phase.rho_ref[0] = 2.0  # an edit in place rebuilds
+    assert phase.neighbor_sum.tolist() == [6.0, 6.0, 4.0]
+    phase.rho_ref = np.array([1.0, 1.0])  # and so does a new array
+    assert phase.neighbor_sum.tolist() == [1.0, 1.0]
+
+
 def index_region(d):
     if d == 3:
         return sim.SimRegion(d=3, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=2)
@@ -538,7 +619,7 @@ def test_cell_index_matches_position_scan(d, seed, ops):
         s = int(rng.integers(region.S))
         others = live[(live != skip) & (system.spin[live] != s)]
         want = float(np.sum(system.potential(np.linalg.norm(system.pos[others] - r, axis=1))))
-        got = system._pair_sum(r, s, system._cell_at(r), skip=skip)
+        got = system._pair_delta([(+1, r, s, system._cell_at(r))], skip=skip)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
     clone = copy.deepcopy(system)
