@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import lattice_kernel_stencil, profile_integral, stencil_radius
 
@@ -43,6 +44,11 @@ __all__ = [
     "field_from_csv",
     "decay_fit_to_json",
 ]
+
+# elements of one gathered chunk of tap windows in CoarseKernel.apply (512 KB
+# of float64): large enough to amortize the per-chunk calls, small enough to
+# stay in cache
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,14 @@ class CoarseKernel:
         self.stencil = stencil
         self.radius = stencil_radius(stencil)  # in cells
         self.support_length = 1.0 / spec.gamma + 2.0 * spec.ell
-        # (index, weight) per tap of the flipped stencil, in C order, keeping
-        # the weights above machine epsilon: the terms, and their order, of
-        # ndimage.convolve's sum at each cell.  Tap j reads the cell at
-        # offset j - radius.
+        # the taps of the flipped stencil, in C order, keeping the weights
+        # above machine epsilon: the terms, and their order, of
+        # ndimage.convolve's sum at each cell.  Column j of ``tap_index``
+        # reads the cell at offset tap_index[:, j] - radius.
         flipped = stencil[(slice(None, None, -1),) * stencil.ndim]
         keep = np.abs(flipped) > np.finfo(float).eps
-        self.taps = list(zip(np.argwhere(keep).tolist(), flipped[keep].tolist()))
+        self.tap_index = np.argwhere(keep).T  # (d, n_taps)
+        self.tap_weight = flipped[keep]  # (n_taps,)
 
     def apply(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
         """V-bar acting on a ((*grid, S)) density array, returned on the cells
@@ -98,15 +105,30 @@ class CoarseKernel:
 
         One accumulator over the species total and the S species sums the
         taps in order from 0.0, so each cell equals ``ndimage.convolve`` with
-        ``mode="constant"`` bit for bit."""
-        x = np.concatenate([values.sum(axis=-1, keepdims=True), values], axis=-1)
-        pad = max(self.radius - margin, 0)
-        x = np.pad(x, [(pad, pad)] * (x.ndim - 1) + [(0, 0)])
-        shape = tuple(n - 2 * margin for n in values.shape[:-1])
-        start = margin + pad - self.radius
-        acc = np.zeros(shape + x.shape[-1:])
-        for idx, w in self.taps:
-            acc += x[tuple(slice(start + j, start + j + n) for j, n in zip(idx, shape))] * w
+        ``mode="constant"`` bit for bit.  The taps go in chunks: each tap's
+        window of the input is gathered at once, weighted, the running sum
+        added to the chunk's first row, and the rows summed along the tap
+        axis, which numpy adds one row after the other."""
+        r = self.radius
+        grid = values.shape[:-1]
+        shape = tuple(n - 2 * margin for n in grid)
+        # the input on the cells within the radius of the output, the species
+        # total first; zero beyond the array
+        lo, pad = max(margin - r, 0), max(r - margin, 0)
+        buf = np.zeros(tuple(n + 2 * r for n in shape) + (values.shape[-1] + 1,))
+        src = values[tuple(slice(lo, n - lo) for n in grid)]
+        dst = tuple(slice(pad, pad + n - 2 * lo) for n in grid)
+        buf[dst + (0,)] = src.sum(axis=-1)
+        buf[dst + (slice(1, None),)] = src
+        # windows[j..., 0] is the input block that tap j multiplies
+        windows = sliding_window_view(buf, shape + buf.shape[-1:])
+        acc = np.zeros(shape + buf.shape[-1:])
+        step = max(1, _CHUNK_ELEMENTS // acc.size)
+        for k in range(0, self.tap_weight.size, step):
+            chunk = windows[tuple(self.tap_index[:, k:k + step]) + (0,)]
+            chunk *= self.tap_weight[k:k + step].reshape((-1,) + (1,) * acc.ndim)
+            chunk[0] += acc
+            acc = chunk.sum(axis=0)
         return acc[..., :1] - acc[..., 1:]
 
     def dense_interior_matrix(self) -> np.ndarray:
@@ -211,7 +233,7 @@ class FunctionalConfig:
         self.rho_ref = np.asarray(self.rho_ref, dtype=float)
         if not 0.0 <= self.t <= 1.0:
             raise ValueError("t must lie in [0,1]")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN included
             raise ValueError("epsilon must be nonnegative")
         if not self.zeta < self.box / 2:
             raise ValueError("need zeta < box/2 for the barrier analysis")
@@ -498,11 +520,12 @@ def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
     fit log(difference) against gamma times the distance to that region.
 
     ``far_mask`` is a boolean array over the extended grid marking the far
-    region; the two boundary fields must agree outside it.
+    region; the two boundary fields must agree exactly outside it, since the
+    fit reads differences down to ``floor``.
     """
     spec = boundary_a.spec
     outside = ~far_mask
-    if not np.allclose(boundary_a.values[outside], boundary_b.values[outside]):
+    if not np.array_equal(boundary_a.values[outside], boundary_b.values[outside]):
         raise ValueError("boundaries differ outside the declared far region")
     if np.any(far_mask & ~boundary_a.boundary_mask()):
         raise ValueError("far region must sit in the boundary collar")

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsgas import cli
 
@@ -237,6 +241,16 @@ def test_nonpositive_counts_exit_2(tmp_path, command, base, field, value):
     assert "minimum" in err["error"]
 
 
+def test_lp_minimize_nan_epsilon_exits_2(tmp_path):
+    # a NaN barrier weight passed every schema and ran to exit 0 with a NaN
+    # objective; the functional's config now rejects it
+    cfg = write_cfg(tmp_path, "c.json", {**LP_BASE, "epsilon": float("nan")})
+    out = tmp_path / "out"
+    assert run_cli(["lp-minimize", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config" and "epsilon" in err["error"]
+
+
 def test_simulate_moves_below_thin_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {**SIM_BASE, "moves": 50, "thin": 200})
     out = tmp_path / "out"
@@ -246,3 +260,32 @@ def test_simulate_moves_below_thin_exits_2(tmp_path):
     assert err["kind"] == "config"
     assert "moves" in err["error"] and "thin" in err["error"]
     assert not (out / "trajectory.npy").exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["lp-minimize", "lp-decay"]), d=st.integers(1, 3),
+       ell=st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0]),
+       gamma_ell=st.sampled_from([0.25, 0.4, 0.7, 0.0, -0.4, 1.0, 2.5]),
+       t=st.sampled_from([0.0, 0.5, 1.0, -0.5, 1.5]),
+       zeta=st.sampled_from([0.05, 0.01, 0.0, -0.1, 0.5, 5.0]), data=st.data())
+def test_lattice_commands_exit_0_2_or_3(command, d, ell, gamma_ell, t, zeta, data):
+    # small boxes and stencils (gamma * ell >= 0.25) around out-of-range
+    # scales, weights and far strips; a nonzero exit leaves error.json
+    cfg = {"S": 3, "d": d, "ell_minus": ell,
+           "cells": data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)),
+           "gamma": gamma_ell / ell if ell else gamma_ell, "t": t, "zeta": zeta}
+    if command == "lp-minimize":
+        cfg["epsilon"] = data.draw(st.sampled_from([0.0, 1e-3, 0.1, -0.1, float("nan")]))
+    else:
+        cfg["amplitude"] = data.draw(st.sampled_from([0.2, 0.0, -0.5, -2.0, 1.0, 10.0]))
+        if data.draw(st.booleans()):
+            cfg["far_rows"] = data.draw(st.integers(0, 12))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc = run_cli([command, "--config", path, "--out", tmp])
+        assert rc in (0, 2, 3), cfg
+        if rc:
+            error = json.loads(open(os.path.join(tmp, "error.json")).read())
+            assert error["kind"] == {2: "config", 3: "numerical"}[rc], (cfg, error)

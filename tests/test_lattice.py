@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,13 +88,73 @@ def ndimage_apply(kern, values):
     return np.stack([total - conv(values[..., s]) for s in range(values.shape[-1])], axis=-1)
 
 
+def tap_loop_oracle(kern, values, margin=0):
+    """The kernel as one loop over the taps of the flipped stencil, in C order,
+    each adding its weighted window of the zero-padded species total and
+    species to one accumulator that starts at 0.0."""
+    flipped = kern.stencil[(slice(None, None, -1),) * kern.stencil.ndim]
+    keep = np.abs(flipped) > np.finfo(float).eps
+    taps = list(zip(np.argwhere(keep).tolist(), flipped[keep].tolist()))
+    x = np.concatenate([values.sum(axis=-1, keepdims=True), values], axis=-1)
+    pad = max(kern.radius - margin, 0)
+    x = np.pad(x, [(pad, pad)] * (x.ndim - 1) + [(0, 0)])
+    shape = tuple(n - 2 * margin for n in values.shape[:-1])
+    start = margin + pad - kern.radius
+    acc = np.zeros(shape + x.shape[-1:])
+    for idx, w in taps:
+        acc += x[tuple(slice(start + j, start + j + n) for j, n in zip(idx, shape))] * w
+    return acc[..., :1] - acc[..., 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), S=st.integers(2, 4), inner=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([None, 1, 300]), data=st.data())
+def test_apply_is_bit_identical_to_the_tap_loop(d, S, inner, seed, chunk, data):
+    # a random, asymmetric stencil with zero and sub-epsilon weights, built
+    # without the stencil cache; chunk caps the elements gathered at once
+    # (None: the module's cap), so small caps carry the running sum across
+    # many chunk boundaries
+    radius = data.draw(st.integers(0, 8 if d < 3 else 4))
+    rng = np.random.default_rng(seed)
+    stencil = rng.uniform(0.0, 1.0, size=(2 * radius + 1,) * d)
+    stencil *= rng.choice([0.0, 1e-17, 1.0], p=[0.2, 0.1, 0.7], size=stencil.shape)
+    kern = lat.CoarseKernel(lat.LatticeSpec(d=d, ell=1.0, shape=(inner,) * d, gamma=0.5, S=S), stencil)
+    margin = data.draw(st.integers(0, radius + 1))
+    values = rng.uniform(0.1, 1.0, size=(inner + 2 * margin,) * d + (S,))
+    with mock.patch.object(lat, "_CHUNK_ELEMENTS", chunk or lat._CHUNK_ELEMENTS):
+        out = kern.apply(values, margin)
+    assert np.array_equal(out, tap_loop_oracle(kern, values, margin))
+
+
+@pytest.mark.parametrize("margin", [0, 12])
+def test_apply_over_many_chunks_is_bit_identical_to_the_tap_loop(margin):
+    # radius 12, 401 taps on a 16x16 interior: 64 taps a chunk, 7 chunks
+    kern = lat.build_kernel(lat.LatticeSpec(d=2, ell=2.0, shape=(16, 16), gamma=0.05, S=3))
+    assert kern.radius == 12 and kern.tap_weight.size == 401
+    assert kern.tap_weight.size * 16 * 16 * 4 > 6 * lat._CHUNK_ELEMENTS
+    values = np.random.default_rng(4).uniform(0.1, 1.0, size=(16 + 2 * margin,) * 2 + (3,))
+    assert np.array_equal(kern.apply(values, margin), tap_loop_oracle(kern, values, margin))
+
+
+def test_apply_with_no_taps_is_zero():
+    spec = lat.LatticeSpec(d=2, ell=1.0, shape=(3, 3), gamma=0.3, S=3)
+    kern = lat.CoarseKernel(spec, np.zeros((3, 3)))
+    assert kern.tap_weight.size == 0
+    values = np.random.default_rng(1).uniform(0.1, 1.0, size=(5, 5, 3))
+    for margin in (0, 1):
+        out = kern.apply(values, margin)
+        assert out.shape == (5 - 2 * margin,) * 2 + (3,)
+        assert np.array_equal(out, tap_loop_oracle(kern, values, margin))
+        assert not np.any(out)
+
+
 @pytest.mark.parametrize("S", [2, 3, 4])
 @pytest.mark.parametrize("d, gamma, ell, cells", [
     (1, 0.25, 1.0, 9), (2, 0.3, 1.0, 10), (3, 0.3, 1.0, 4),
     (2, 0.05, 2.0, 8),  # wide: radius 12
 ])
 def test_apply_is_bit_identical_to_ndimage(d, gamma, ell, cells, S):
-    # the tap loop must add the same products in the same order as
+    # apply must add the same products in the same order as
     # ndimage.convolve; a changed summation order in numpy or scipy shows here
     kern = lat.build_kernel(lat.LatticeSpec(d=d, ell=ell, shape=(cells,) * d, gamma=gamma, S=S))
     r = kern.radius
@@ -419,6 +481,24 @@ def test_decay_experiment(sol3):
 
     with pytest.raises(lat.DecayFloorError):
         lat.decay_experiment(base, base, far, kern, cfg)
+
+
+def test_decay_experiment_rejects_boundaries_that_differ_outside_the_far_region(sol3):
+    # the fit reads differences down to 1e-14, so a relative change of 1e-6
+    # on the collar opposite the far strip is a second source, not noise
+    spec = lat.LatticeSpec(d=2, ell=1.0, shape=(10, 10), gamma=0.5, S=3)
+    kern = lat.build_kernel(spec)
+    cfg = make_cfg(sol3, t=1.0)
+    w = kern.radius
+    base = lat.LatticeField.constant(spec, w, cfg.rho_ref)
+    far = np.zeros(base.values.shape[:-1], dtype=bool)
+    far[: max(1, w - 1), :] = True
+    vals_b = base.values.copy()
+    vals_b[far] = np.minimum(cfg.rho_ref * 1.25, cfg.rho_ref + 0.9 * cfg.box)
+    vals_b[-w:, :] *= 1.0 + 1e-6
+    pert = lat.LatticeField(spec, vals_b, w)
+    with pytest.raises(ValueError, match="outside the declared far region"):
+        lat.decay_experiment(base, pert, far, kern, cfg)
 
 
 def test_decay_distance_doubling(sol3):
