@@ -161,6 +161,12 @@ def load_config(path, command):
         jsonschema.validate(cfg, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config invalid for {command}: {exc.message}") from exc
+    # JSON Schema counts 3.0 as an integer; the commands count and index with it
+    for key, prop in SCHEMAS[command]["properties"].items():
+        if key in cfg and prop.get("type") == "integer":
+            cfg[key] = int(cfg[key])
+        elif key in cfg and prop.get("items", {}).get("type") == "integer":
+            cfg[key] = [int(v) for v in cfg[key]]
     if command == "simulate" and cfg["moves"] < cfg.get("thin", DEFAULT_THIN):
         raise ConfigError(f"config invalid for simulate: moves ({cfg['moves']}) is less "
                           f"than thin ({cfg.get('thin', DEFAULT_THIN)})")
@@ -401,7 +407,7 @@ def cmd_validate(cfg, seed, out, strict=False):
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if strict and warnings:
-        return 2
+        raise ValueError(f"{len(warnings)} scale warnings under --strict-scales: {warnings[0]}")
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .kernels import lattice_kernel_stencil, profile_integral, stencil_radius
 
@@ -120,8 +120,11 @@ class CoarseKernel:
         dst = tuple(slice(pad, pad + n - 2 * lo) for n in grid)
         buf[dst + (0,)] = src.sum(axis=-1)
         buf[dst + (slice(1, None),)] = src
-        # windows[j..., 0] is the input block that tap j multiplies
-        windows = sliding_window_view(buf, shape + buf.shape[-1:])
+        # windows[j..., 0] is the input block that tap j multiplies: the view
+        # sliding_window_view(buf, shape + buf.shape[-1:]) returns, built
+        # without that function's per-call argument checks
+        windows = as_strided(buf, (2 * r + 1,) * len(shape) + (1,) + shape + buf.shape[-1:],
+                             buf.strides * 2, writeable=False)
         acc = np.zeros(shape + buf.shape[-1:])
         step = max(1, _CHUNK_ELEMENTS // acc.size)
         for k in range(0, self.tap_weight.size, step):
@@ -176,8 +179,9 @@ class LatticeField:
         expected = tuple(n + 2 * collar for n in spec.shape) + (spec.S,)
         if values.shape != expected:
             raise ValueError(f"expected array of shape {expected}, got {values.shape}")
-        if np.any(values < 0):
-            raise ValueError("densities must be nonnegative")
+        # written so that NaN fails too
+        if not np.all(values >= 0):
+            raise ValueError(f"densities must be nonnegative, got {values[~(values >= 0)][0]}")
         self.spec = spec
         self.values = values
         self.collar = collar
@@ -438,8 +442,10 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
     """
     box = cfg.box if box_override is None else box_override
     bvals = boundary_field.values[boundary_field.boundary_mask()]
-    if np.any(np.abs(bvals - np.broadcast_to(cfg.rho_ref, bvals.shape)) > cfg.box + 1e-12):
-        raise ValueError("boundary data leaves the relaxed box around the reference phase")
+    inside = np.abs(bvals - np.broadcast_to(cfg.rho_ref, bvals.shape)) <= cfg.box + 1e-12
+    if not np.all(inside):  # NaN is outside
+        raise ValueError(f"boundary data leaves the relaxed box around the reference phase: "
+                         f"density {bvals[~inside][0]}")
     rng = np.random.default_rng(seed)
     results = []
     first = _minimize_single(boundary_field.with_interior(

@@ -527,8 +527,8 @@ def phase_diagram_curve(S: int, beta_range: tuple[float, float], n_points: int) 
     """Coexistence curve as an (n, 2) table of (beta, lambda_beta), strictly
     sorted in beta, generated by rescaling one reference solve."""
     lo, hi = beta_range
-    if not (lo > 0 and hi > 0):
-        raise ValueError("beta range must be positive")
+    if not (0 < lo < np.inf and 0 < hi < np.inf):
+        raise ValueError(f"beta range must be positive and finite, got {beta_range}")
     if n_points < 1:
         raise ValueError("need at least one point")
     ref = common_tangent(S, 1.0)

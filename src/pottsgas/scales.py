@@ -28,6 +28,16 @@ class ScaleSet:
     zeta: float
     d: int = 2
 
+    def __post_init__(self):
+        for name in ("gamma", "ell0", "ell_minus", "ell_plus"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.zeta):
+            raise ValueError(f"zeta must be finite, got {self.zeta}")
+        if self.d < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.d}")
+
     def exponents(self) -> dict:
         """Exponents alpha_plus, alpha_minus, a reconstructed from the
         lengths: ell_minus = gamma^-(1-alpha_minus), ell_plus =
@@ -68,7 +78,9 @@ def validate_scales(scales: ScaleSet) -> list[str]:
         warnings.append(f"alpha_minus={am:.4g} not below alpha_plus={ap:.4g}")
     if not ap < 0.5:
         warnings.append(f"alpha_plus={ap:.4g} not below 1/2")
-    if not (ap + am) * scales.d / (2 * (1 - am)) < 1e-3:
+    # alpha_minus >= 1 (ell_minus <= 1) already fails one of the two checks
+    # above, and at alpha_minus = 1 this ratio divides by zero
+    if am < 1 and not (ap + am) * scales.d / (2 * (1 - am)) < 1e-3:
         warnings.append(
             f"(alpha_+ + alpha_-) d / (2(1 - alpha_-)) = "
             f"{(ap + am) * scales.d / (2 * (1 - am)):.4g} not below 1/1000"

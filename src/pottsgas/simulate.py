@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .kernels import PairPotential
 
@@ -643,6 +642,9 @@ class ParticleSystem:
         """Recompute the interpolated energy of the mobile configuration
         given the frozen boundary, from scratch: every unlike-species pair
         within range that is not frozen-frozen, counted once."""
+        # imported here, off the start-up path of the callers that never audit
+        from scipy.spatial import cKDTree
+
         phase = self.phase
         live = np.flatnonzero(self.alive[: self._n_used])
         pairs = cKDTree(self.pos[live]).query_pairs(self.potential.range, output_type="ndarray")

@@ -251,6 +251,17 @@ def test_lp_minimize_nan_epsilon_exits_2(tmp_path):
     assert err["kind"] == "config" and "epsilon" in err["error"]
 
 
+def test_lp_decay_nan_amplitude_exits_2(tmp_path):
+    # a NaN far strip used to pass the density checks and minimize to a NaN
+    # field, then exit 2 with "nothing to fit"
+    cfg = write_cfg(tmp_path, "c.json", {**DECAY_BASE, "amplitude": float("nan")})
+    out = tmp_path / "out"
+    assert run_cli(["lp-decay", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert err["error"] == "densities must be nonnegative, got nan"
+
+
 def test_simulate_moves_below_thin_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {**SIM_BASE, "moves": 50, "thin": 200})
     out = tmp_path / "out"
@@ -289,3 +300,44 @@ def test_lattice_commands_exit_0_2_or_3(command, d, ell, gamma_ell, t, zeta, dat
         if rc:
             error = json.loads(open(os.path.join(tmp, "error.json")).read())
             assert error["kind"] == {2: "config", 3: "numerical"}[rc], (cfg, error)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _exit_code_case(command, cfg, extra=()):
+    """Run one drawn config; a nonzero exit must leave error.json of its kind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc = run_cli([command, "--config", path, "--out", tmp, *extra])
+        assert rc in (0, 2, 3), cfg
+        if rc:
+            error = json.loads(open(os.path.join(tmp, "error.json")).read())
+            assert error["kind"] == {2: "config", 3: "numerical"}[rc], (cfg, error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.sampled_from([3, 4, 7, 3.0, 2, 0, -1, 4.5]),
+       beta_min=st.sampled_from([0.5, 1.0, 3.0, 1e-300, 0.0, -1.0, NAN, INF]),
+       beta_max=st.sampled_from([2.0, 0.7, 1e300, 0.0, -2.0, NAN, INF]),
+       n_points=st.sampled_from([1, 4, 2.0, 0, -3, 2.5]))
+def test_phase_diagram_exits_0_2_or_3(S, beta_min, beta_max, n_points):
+    # spin counts, temperatures and point counts out of range, non-integral,
+    # NaN or infinite; S = 3.0 and n_points = 2.0 crashed in range() and
+    # linspace before integer fields were converted
+    _exit_code_case("phase-diagram",
+                    {"S": S, "beta_min": beta_min, "beta_max": beta_max, "n_points": n_points})
+
+
+@settings(max_examples=150, deadline=None)
+@given(lengths=st.lists(st.sampled_from([0.2, 1e-6, 1.0, 2.5, 5.0, 1e6, 0.0, -1.0, NAN, INF]),
+                        min_size=4, max_size=4),
+       zeta=st.sampled_from([2.0, 0.5, 0.0, -1.0, NAN, INF]),
+       d=st.sampled_from([1, 2, 3, 2.0, 0, -1]), strict=st.booleans())
+def test_validate_exits_0_2_or_3(lengths, zeta, d, strict):
+    # ell_minus = 1 divided by zero, NaN and infinite lengths ran to exit 0,
+    # and --strict-scales exited 2 without error.json
+    cfg = dict(zip(["gamma", "ell0", "ell_minus", "ell_plus"], lengths), zeta=zeta, d=d)
+    _exit_code_case("validate", cfg, ["--strict-scales"] if strict else [])

@@ -11,6 +11,8 @@ from pottsgas.kernels import (
     PairPotential,
     _self_convolution_table,
     _self_convolve,
+    bump_norm,
+    bump_profile,
     normalized_bump,
 )
 
@@ -48,6 +50,20 @@ def quad_convolution(d: int, v: float) -> float:
 
     kink = abs(0.5 - v)
     return _quad(radial, 0.0, kink) + _quad(radial, kink, 0.5)
+
+
+@pytest.mark.parametrize("d, exact", [(1, 15 / 8), (2, 12 / np.pi), (3, 105 / (4 * np.pi))])
+def test_bump_norm_is_the_quadrature_constant(d, exact):
+    # the stored constants are the adaptive-quadrature values bit for bit,
+    # not the closed forms, which differ in the last bits at d = 2 and 3
+    val, _ = quad(lambda r: bump_profile(r) * r ** (d - 1), 0.0, 0.5, epsabs=1e-14, epsrel=1e-13)
+    assert bump_norm(d) == 1.0 / (val * (2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0)))
+    assert abs(bump_norm(d) - exact) <= 2 * np.spacing(exact)
+
+
+def test_bump_norm_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        bump_norm(4)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

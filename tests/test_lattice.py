@@ -52,6 +52,21 @@ def test_spec_validation():
         lat.LatticeSpec(d=2, ell=1.0, shape=(4,), gamma=0.2, S=3)
 
 
+@pytest.mark.parametrize("bad", [-10.0, float("nan")])
+def test_nan_and_negative_densities_rejected(spec2d, kernel2d, sol3, bad):
+    # every comparison with NaN is False, so both checks are written to
+    # pass only on densities known to be in range
+    cfg = make_cfg(sol3)
+    field = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
+    vals = field.values.copy()
+    vals[0, 0, 1] = bad
+    with pytest.raises(ValueError, match="densities must be nonnegative, got"):
+        lat.LatticeField(spec2d, vals, kernel2d.radius)
+    field.values[0, 0, 1] = bad  # past the constructor, onto the boundary
+    with pytest.raises(ValueError, match="leaves the relaxed box"):
+        lat.minimize(field, kernel2d, cfg)
+
+
 def test_kernel_row_sums_and_symmetry(kernel2d):
     W = kernel2d.stencil
     assert abs(W.sum() - 1.0) < 1e-10

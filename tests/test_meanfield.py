@@ -316,6 +316,11 @@ def test_phase_diagram_curve_contract():
     assert np.all(np.isfinite(table))
     at2 = table[-1]
     assert at2[1] == pytest.approx(mf.rescale(sol, 2.0).lambda_beta, rel=1e-12)
+    # an infinite end made NaN temperatures and an "empty coexistence
+    # interval" error instead of naming the range
+    for bad in ((1.0, np.inf), (np.nan, 2.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="beta range must be positive and finite"):
+            mf.phase_diagram_curve(3, bad, 4)
 
 
 def test_reduced_problem_matches_simplex_bruteforce():
