@@ -28,10 +28,7 @@ __all__ = [
     "PhaseTarget",
     "MoveKernel",
     "ParticleSystem",
-    "pair_potential",
-    "config_energy",
     "reference_energy",
-    "interpolated_energy",
     "empirical_density",
     "phase_indicator",
     "metropolis_sweep",
@@ -162,19 +159,9 @@ class MoveKernel:
             raise ValueError("birth and death must be proposed symmetrically")
 
 
-def pair_potential(r, r_prime, gamma: float, d: int | None = None) -> float:
-    """Finite-range repulsion V(r, r') between unlike species: the two-step
-    self-convolution of the scaled base profile, zero beyond 1/gamma."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    rp = np.atleast_1d(np.asarray(r_prime, dtype=float))
-    if d is None:
-        d = len(r)
-    pot = _potential_cache(gamma, d)
-    return float(pot(np.linalg.norm(rp - r)))
-
-
 _POTENTIALS: dict[tuple[float, int], PairPotential] = {}
 _STAMPS = itertools.count()  # ParticleSystem.stamp: one value per cell-index change
+_PAIR_BLOCK_ELEMENTS = 1 << 16  # slot pairs per group of cells in total_energy
 
 
 def _potential_cache(gamma: float, d: int) -> PairPotential:
@@ -184,25 +171,6 @@ def _potential_cache(gamma: float, d: int) -> PairPotential:
     return _POTENTIALS[key]
 
 
-def config_energy(positions, spins, lam: float, gamma: float) -> float:
-    """Energy of a finite configuration: half the sum of unlike-species pair
-    potentials minus lam times the particle count.  Quadratic scan; meant for
-    small configurations and audits."""
-    spins = np.asarray(spins, dtype=int)
-    n = len(spins)
-    if n == 0:
-        return 0.0
-    positions = np.asarray(positions, dtype=float).reshape(n, -1)
-    pot = _potential_cache(gamma, positions.shape[1])
-    total = 0.0
-    for i in range(n):
-        diff = positions[i + 1 :] - positions[i]
-        dist = np.sqrt((diff**2).sum(axis=1))
-        mask = spins[i + 1 :] != spins[i]
-        total += float(np.sum(pot(dist) * mask))
-    return total - lam * n
-
-
 def reference_energy(spins, phase: PhaseTarget) -> float:
     """Linear reference energy: each particle contributes the interaction of
     its species with the phase's other-species densities minus the tangent
@@ -210,28 +178,6 @@ def reference_energy(spins, phase: PhaseTarget) -> float:
     spins = np.asarray(spins, dtype=int)
     m = phase.neighbor_sum
     return float(np.sum(m[spins] - phase.lambda_beta))
-
-
-def interpolated_energy(positions, spins, boundary_positions, boundary_spins,
-                        phase: PhaseTarget, gamma: float) -> float:
-    """t * (pair energy of the configuration given the boundary) plus
-    (1-t) * reference energy."""
-    spins = np.asarray(spins, dtype=int)
-    n = len(spins)
-    if n == 0:
-        return 0.0
-    positions = np.asarray(positions, dtype=float).reshape(n, -1)
-    nb = len(boundary_spins)
-    if nb:
-        bpos = np.asarray(boundary_positions, dtype=float).reshape(nb, -1)
-        both_pos = np.concatenate([positions, bpos])
-        both_spin = np.concatenate([spins, np.asarray(boundary_spins, dtype=int)])
-        h_full = config_energy(both_pos, both_spin, phase.lam, gamma)
-        h_bnd = config_energy(bpos, boundary_spins, phase.lam, gamma)
-    else:
-        h_full = config_energy(positions, spins, phase.lam, gamma)
-        h_bnd = 0.0
-    return phase.t * (h_full - h_bnd) + (1.0 - phase.t) * reference_energy(spins, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +225,11 @@ class ParticleSystem:
         self._n_used = 0
         n_cells = self.n_ext**d
         self.members = np.zeros((n_cells, self.CAP), dtype=np.int64)
+        self._slots = np.arange(self.CAP)  # column numbers of members
         self.fill = np.zeros(n_cells, dtype=np.int64)
         self._counts = np.zeros((n_cells, S), dtype=np.int64)
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
+        self._window = (self.n_lo.tolist(), self.n_hi.tolist())  # read per proposal
         self._energy = 0.0  # running interpolated energy; NaN when unknown
         # flat offsets of the (2w+1)^d block around a cell, in np.ndindex order
         self._ball = (np.indices((2 * w + 1,) * d).reshape(d, -1).T - w) @ self._strides
@@ -337,11 +285,6 @@ class ParticleSystem:
         return np.clip(target, self.n_lo, self.n_hi)
 
     # -- geometry helpers
-
-    def _cell_at(self, r) -> int:
-        """Flat cell of the point r."""
-        w, ell = self.w, self.region.ell_minus
-        return sum((math.floor(x / ell) + w) * k for x, k in zip(r, self._strides))
 
     def _ext_cell(self, cell: tuple) -> int:
         """Flat cell of an interior-coordinate cell tuple."""
@@ -429,12 +372,17 @@ class ParticleSystem:
         self._n_used += 1
         return slot
 
+    def _widen(self):
+        """Double the row capacity of the member table."""
+        self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
+        self._slots = np.arange(self.members.shape[1])
+
     def _file(self, i: int, c: int):
         """Append particle i to the row of cell c and count it there; a full
         member table doubles its row capacity."""
         n = self.fill[c]
-        if n == self.members.shape[1]:
-            self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
+        if n == len(self._slots):
+            self._widen()
         self.members[c, n] = i
         self.fill[c] = n + 1
         self.cell[i] = c
@@ -467,8 +415,8 @@ class ParticleSystem:
         rank = np.empty(len(ids), dtype=np.int64)
         rank[order] = np.arange(len(ids)) - np.searchsorted(ranked, ranked)
         col = self.fill[cells] + rank
-        while col.max() >= self.members.shape[1]:
-            self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
+        while col.max() >= len(self._slots):
+            self._widen()
         self.members[cells, col] = ids
         self.fill += np.bincount(cells, minlength=len(self.fill))
         self.cell[ids] = cells
@@ -498,13 +446,14 @@ class ParticleSystem:
         self.spin[i] = s
         self.stamp = next(_STAMPS)
 
-    def _insert(self, r, s: int, frozen: bool) -> int:
+    def _insert(self, r, s: int, c: int, frozen: bool) -> int:
+        """File a new particle of species s at r into cell c, the cell of r."""
         i = self._new_slot()
         self.pos[i] = r
         self.spin[i] = s
         self.alive[i] = True
         self.frozen[i] = frozen
-        self._file(i, self._cell_at(r))
+        self._file(i, c)
         if not frozen:
             self._mobile_slot[i] = len(self.mobile_ids)
             self.mobile_ids.append(i)
@@ -616,14 +565,18 @@ class ParticleSystem:
         for sign, r, s, c in changes:
             if c != c_last:
                 block = c + self._ball
-                filed = np.arange(self.members.shape[1]) < self.fill[block][:, None]
-                ids = self.members[block][filed]
+                ids = self.members[block][self._slots < self.fill[block][:, None]]
                 if skip is not None:
                     ids = ids[ids != skip]
                 pos, spin = self.pos[ids], self.spin[ids]
                 c_last, r_last = c, None
             if r is not r_last:
-                pot = self.potential(np.sqrt(((pos - r) ** 2).sum(axis=1)))
+                # column by column, left to right, as sum(axis=1) adds d <= 3 terms
+                sq = (pos - r) ** 2
+                dist2 = sq[:, 0]
+                for k in range(1, len(r)):
+                    dist2 = dist2 + sq[:, k]
+                pot = self.potential(np.sqrt(dist2))
                 r_last = r
             total += sign * float(pot[spin != s].sum())
         return total
@@ -641,18 +594,47 @@ class ParticleSystem:
     def total_energy(self) -> float:
         """Recompute the interpolated energy of the mobile configuration
         given the frozen boundary, from scratch: every unlike-species pair
-        within range that is not frozen-frozen, counted once."""
-        # imported here, off the start-up path of the callers that never audit
-        from scipy.spatial import cKDTree
+        within range that is not frozen-frozen, counted once.
 
+        Pairs come from the cell index: each cell with itself (slot pairs
+        i < j) and with the cells at the offsets after 0 in the C-order
+        block, so each unordered pair of cells is visited once.  An offset
+        that wraps a grid row pairs two collar cells, whose particles are
+        all frozen.  Cells are taken in groups of about
+        ``_PAIR_BLOCK_ELEMENTS`` slot pairs.  The distances are sorted
+        before V is evaluated: the sum then does not depend on the visiting
+        order, and ``np.interp`` searches sorted input several times faster
+        than unsorted."""
         phase = self.phase
-        live = np.flatnonzero(self.alive[: self._n_used])
-        pairs = cKDTree(self.pos[live]).query_pairs(self.potential.range, output_type="ndarray")
-        i, j = live[pairs[:, 0]], live[pairs[:, 1]]
-        keep = (self.spin[i] != self.spin[j]) & ~(self.frozen[i] & self.frozen[j])
-        i, j = i[keep], j[keep]
-        dist = np.sqrt(((self.pos[i] - self.pos[j]) ** 2).sum(axis=1))
-        mobile_spins = self.spin[live[~self.frozen[live]]]
+        n_cells, width = len(self.fill), max(int(self.fill.max()), 1)
+        half = self._ball[len(self._ball) // 2 :]
+        ids = self.members[:, :width]
+        slots = np.arange(width)
+        # per slot: coordinates, species, and 2 mobile / 1 frozen / 0 vacant;
+        # a pair counts when its species differ and its kinds add to 3 or
+        # more.  Rows past the grid are vacant.
+        rows = n_cells + int(half[-1])
+        coords = np.zeros((self.region.d, rows, width))
+        coords[:, :n_cells] = np.moveaxis(self.pos[ids], 2, 0)
+        spin = np.zeros((rows, width), dtype=np.int64)
+        spin[:n_cells] = self.spin[ids]
+        kind = np.zeros((rows, width), dtype=np.int8)
+        kind[:n_cells] = np.where(slots < self.fill[:, None], 2 - self.frozen[ids], 0)
+        upper = slots[:, None] < slots
+        range2 = self.potential.range**2
+        step = max(1, _PAIR_BLOCK_ELEMENTS // (len(half) * width * width))
+        dist2 = []
+        for start in range(0, n_cells, step):
+            a = np.arange(start, min(start + step, n_cells))
+            b = a[:, None] + half
+            # axes: cell a of the group, offset, slot in a, slot in b
+            keep = ((spin[a][:, None, :, None] != spin[b][:, :, None, :])
+                    & (kind[a][:, None, :, None] + kind[b][:, :, None, :] >= 3))
+            keep[:, 0] &= upper
+            d2 = sum((x[a][:, None, :, None] - x[b][:, :, None, :]) ** 2 for x in coords)
+            dist2.append(d2[keep & (d2 <= range2)])
+        dist = np.sqrt(np.sort(np.concatenate(dist2)))
+        mobile_spins = self.spin[self.alive & ~self.frozen]
         h_pair = float(np.sum(self.potential(dist))) - phase.lam * len(mobile_spins)
         h_ref = float(np.sum(phase.neighbor_sum[mobile_spins] - phase.lambda_beta))
         return phase.t * h_pair + (1.0 - phase.t) * h_ref
@@ -663,9 +645,13 @@ class ParticleSystem:
         """Whether every (cell, species) count that the particle changes
         ``(sign, r, species, cell)`` alter, net of one another, stays inside
         the window; a count they leave unchanged is not checked."""
+        lo, hi = self._window
+        if len(changes) == 1:
+            sign, _, s, c = changes[0]
+            return lo[s] <= self._counts[c, s] + sign <= hi[s]
         for _, _, s, c in changes:
             dn = sum(g for g, _, s2, c2 in changes if s2 == s and c2 == c)
-            if dn and not self.n_lo[s] <= self._counts[c, s] + dn <= self.n_hi[s]:
+            if dn and not lo[s] <= self._counts[c, s] + dn <= hi[s]:
                 return False
         return True
 
@@ -679,22 +665,6 @@ class ParticleSystem:
 def empirical_density(system: ParticleSystem) -> np.ndarray:
     """Per-cell species densities of the interior, counts / cell volume."""
     return system.counts / system.region.cell_volume
-
-
-def empirical_density_at(system: ParticleSystem, ell: float, r, s: int) -> float:
-    """Density of species s in the ell-cell containing the point r, for any
-    mesh ell (finer or coarser than the storage cells); counts particles
-    directly, so it works for the sub-cell mesh as well."""
-    r = np.asarray(r, dtype=float)
-    lo = np.floor(r / ell) * ell
-    hi = lo + ell
-    ids = np.where(system.alive[: system._n_used])[0]
-    if len(ids) == 0:
-        return 0.0
-    pos = system.pos[ids]
-    inside = np.all((pos >= lo) & (pos < hi), axis=1)
-    count = int(np.sum((system.spin[ids] == s) & inside))
-    return count / ell ** system.region.d
 
 
 def phase_indicator(density_cell: np.ndarray, references: list[np.ndarray], zeta: float) -> int:
@@ -751,10 +721,11 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, acti
         cell = active[int(u_a * len(active))]
         r = (np.asarray(cell, dtype=float) + draws[2:-2]) * region.ell_minus
         s = int(u_c * region.S)
+        c = system._ext_cell(cell)
 
         def commit():
-            local_ids.append(system._insert(r, s, frozen=False))
-        return Proposal([(+1, r, s, system._ext_cell(cell))],
+            local_ids.append(system._insert(r, s, c, frozen=False))
+        return Proposal([(+1, r, s, c)],
                         float(phase.neighbor_sum[s] - phase.lambda_beta),
                         1, volume * region.S / (n_local + 1), None, commit)
     if not n_local:
@@ -772,9 +743,10 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, acti
                         -1, n_local / (volume * region.S), i, commit)
     if u - kernel.p_death < kernel.p_move:
         r_new = r + (2.0 * draws[2:-2] - 1.0) * kernel.step
-        if not system.in_box(r_new):
+        xs, side = r_new.tolist(), region.side
+        if not all(0.0 <= x < side for x in xs):
             return None
-        cell_new = tuple(math.floor(x / region.ell_minus) for x in r_new)
+        cell_new = tuple(math.floor(x / region.ell_minus) for x in xs)
         if cell_new not in active_set:
             return None
         c_new = system._ext_cell(cell_new)
@@ -840,16 +812,26 @@ class TwinRows:
         self.blocks = np.zeros_like(self.cells)
         self.blocks[inner] = self.cells[inner[:, None] + self._ball].all(axis=1)
         self.reused = 0  # rows on which the second chain took the first chain's decision
-        self._row = None  # the first chain's (key, decision), None after no proposal
+        # the first chain's (proposal, its changes' positions, its moved
+        # particle's place in its row, decision), None after no proposal
+        self._row = None
 
     @staticmethod
-    def _key(system: ParticleSystem, move: Proposal) -> tuple:
-        """What the other chain must match: the changes by value, the
-        proposal's scalars and the moved particle's place in its row, read
-        before the commit moves it."""
-        place = None if move.skip is None else system._row_index(move.skip)
-        changes = tuple([(sign, *r.tolist(), s, c) for sign, r, s, c in move.changes])
-        return changes, move.dref, move.dn, move.ratio, place
+    def _place(system: ParticleSystem, move: Proposal) -> int | None:
+        return None if move.skip is None else system._row_index(move.skip)
+
+    def _matches(self, system: ParticleSystem, move: Proposal) -> bool:
+        """Whether the second chain's proposal equals the first chain's
+        field by field: the scalars, then each change, then the moved
+        particle's place in its row."""
+        first, coords, place, _ = self._row
+        if (move.dref != first.dref or move.dn != first.dn or move.ratio != first.ratio
+                or len(move.changes) != len(first.changes)):
+            return False
+        for (sign, r, s, c), (sign1, _, s1, c1), xs in zip(move.changes, first.changes, coords):
+            if sign != sign1 or s != s1 or c != c1 or r.tolist() != xs:
+                return False
+        return self._place(system, move) == place
 
     def _clear(self, changes):
         """Clear the flags of the cells the changes touch, and with them the
@@ -866,10 +848,12 @@ class TwinRows:
         kept up to date after the second chain's decision."""
         if system is self.first:
             decision = _metropolis(system, move, u_accept)
-            self._row = None if move is None else (self._key(system, move), decision)
+            # read before the commit: a displacement's r is a view of pos[i]
+            self._row = None if move is None else (
+                move, [r.tolist() for _, r, _, _ in move.changes], self._place(system, move), decision)
             return decision
-        key1, decision1 = self._row or (None, (False, 0.0))
-        same = key1 is not None and move is not None and self._key(system, move) == key1
+        first, *_, decision1 = self._row or (None, (False, 0.0))
+        same = first is not None and move is not None and self._matches(system, move)
         if same and all(self.blocks[c] for *_, c in move.changes):
             decision = decision1
             self.reused += 1
@@ -877,7 +861,7 @@ class TwinRows:
             decision = _metropolis(system, move, u_accept)
         if not (same and decision[0] and decision1[0]):
             if decision1[0]:
-                self._clear(key1[0])
+                self._clear(first.changes)
             if decision[0]:
                 self._clear(move.changes)
         return decision
@@ -967,10 +951,6 @@ def save_trajectory(path, snapshots):
     """Flat binary record of density snapshots (one array per snapshot)."""
     arr = np.stack([np.asarray(s, dtype=float) for s in snapshots])
     np.save(path, arr)
-
-
-def load_trajectory(path) -> np.ndarray:
-    return np.load(path)
 
 
 def trajectory_to_csv(fh, snapshots):

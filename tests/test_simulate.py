@@ -1,5 +1,7 @@
 import copy
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,114 @@ from scipy import stats
 
 from pottsgas import fixtures as fx
 from pottsgas import simulate as sim
+from pottsgas.kernels import PairPotential
+
+# ---------------------------------------------------------------------------
+# oracles: direct forms of the energies and densities that the sampler keeps
+# incrementally or reads off its cell index
+
+
+@functools.lru_cache(maxsize=None)
+def _potential(gamma: float, d: int) -> PairPotential:
+    return PairPotential(gamma, d)
+
+
+def pair_potential(r, r_prime, gamma: float, d: int | None = None) -> float:
+    """Finite-range repulsion V(r, r') between unlike species: the two-step
+    self-convolution of the scaled base profile, zero beyond 1/gamma."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    rp = np.atleast_1d(np.asarray(r_prime, dtype=float))
+    if d is None:
+        d = len(r)
+    return float(_potential(gamma, d)(np.linalg.norm(rp - r)))
+
+
+def config_energy(positions, spins, lam: float, gamma: float) -> float:
+    """Energy of a finite configuration: half the sum of unlike-species pair
+    potentials minus lam times the particle count.  Quadratic scan."""
+    spins = np.asarray(spins, dtype=int)
+    n = len(spins)
+    if n == 0:
+        return 0.0
+    positions = np.asarray(positions, dtype=float).reshape(n, -1)
+    pot = _potential(gamma, positions.shape[1])
+    total = 0.0
+    for i in range(n):
+        diff = positions[i + 1 :] - positions[i]
+        dist = np.sqrt((diff**2).sum(axis=1))
+        mask = spins[i + 1 :] != spins[i]
+        total += float(np.sum(pot(dist) * mask))
+    return total - lam * n
+
+
+def interpolated_energy(positions, spins, boundary_positions, boundary_spins,
+                        phase: sim.PhaseTarget, gamma: float) -> float:
+    """t * (pair energy of the configuration given the boundary) plus
+    (1-t) * reference energy."""
+    spins = np.asarray(spins, dtype=int)
+    n = len(spins)
+    if n == 0:
+        return 0.0
+    positions = np.asarray(positions, dtype=float).reshape(n, -1)
+    nb = len(boundary_spins)
+    if nb:
+        bpos = np.asarray(boundary_positions, dtype=float).reshape(nb, -1)
+        both_pos = np.concatenate([positions, bpos])
+        both_spin = np.concatenate([spins, np.asarray(boundary_spins, dtype=int)])
+        h_full = config_energy(both_pos, both_spin, phase.lam, gamma)
+        h_bnd = config_energy(bpos, boundary_spins, phase.lam, gamma)
+    else:
+        h_full = config_energy(positions, spins, phase.lam, gamma)
+        h_bnd = 0.0
+    return phase.t * (h_full - h_bnd) + (1.0 - phase.t) * sim.reference_energy(spins, phase)
+
+
+def audit_oracle(system) -> float:
+    """interpolated_energy of the live configuration: the O(n^2) reference."""
+    live = np.flatnonzero(system.alive[: system._n_used])
+    mob, fro = live[~system.frozen[live]], live[system.frozen[live]]
+    return interpolated_energy(system.pos[mob], system.spin[mob], system.pos[fro],
+                               system.spin[fro], system.phase, system.region.gamma)
+
+
+def kdtree_energy(system) -> float:
+    """The energy audit by k-d tree pair search: every unlike-species pair
+    within range that is not frozen-frozen, as ``cKDTree.query_pairs``
+    lists them."""
+    from scipy.spatial import cKDTree
+
+    phase = system.phase
+    live = np.flatnonzero(system.alive[: system._n_used])
+    pairs = cKDTree(system.pos[live]).query_pairs(system.potential.range, output_type="ndarray")
+    i, j = live[pairs[:, 0]], live[pairs[:, 1]]
+    keep = (system.spin[i] != system.spin[j]) & ~(system.frozen[i] & system.frozen[j])
+    i, j = i[keep], j[keep]
+    dist = np.sqrt(((system.pos[i] - system.pos[j]) ** 2).sum(axis=1))
+    mobile_spins = system.spin[live[~system.frozen[live]]]
+    h_pair = float(np.sum(system.potential(dist))) - phase.lam * len(mobile_spins)
+    h_ref = float(np.sum(phase.neighbor_sum[mobile_spins] - phase.lambda_beta))
+    return phase.t * h_pair + (1.0 - phase.t) * h_ref
+
+
+def empirical_density_at(system, ell: float, r, s: int) -> float:
+    """Density of species s in the ell-cell containing the point r, for any
+    mesh ell (finer or coarser than the storage cells), by counting the
+    particles directly."""
+    r = np.asarray(r, dtype=float)
+    lo = np.floor(r / ell) * ell
+    hi = lo + ell
+    ids = np.where(system.alive[: system._n_used])[0]
+    if len(ids) == 0:
+        return 0.0
+    pos = system.pos[ids]
+    inside = np.all((pos >= lo) & (pos < hi), axis=1)
+    count = int(np.sum((system.spin[ids] == s) & inside))
+    return count / ell ** system.region.d
+
+
+def cell_of(system, r) -> int:
+    """Flat cell of the point r."""
+    return int(system.flat_cells(np.floor(np.asarray(r) / system.region.ell_minus))[0])
 
 
 def small_region(**kw):
@@ -40,8 +150,8 @@ def test_pair_potential_support_and_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = rng.uniform(0, 4, 2), rng.uniform(0, 4, 2)
-        v1 = sim.pair_potential(a, b, gamma)
-        v2 = sim.pair_potential(b, a, gamma)
+        v1 = pair_potential(a, b, gamma)
+        v2 = pair_potential(b, a, gamma)
         assert v1 == v2
         if np.linalg.norm(a - b) > 1 / gamma:
             assert v1 == 0.0
@@ -62,7 +172,7 @@ def test_pair_potential_at_zero_scale_identity(d):
     area = 2.0 * np.pi ** (d / 2) / gamma_fn(d / 2)
     radial, _ = quad(lambda r: prof(r) ** 2 * r ** (d - 1), 0.0, 0.5, epsabs=0.0, epsrel=1e-13)
     direct = gamma**d * area * radial
-    val = sim.pair_potential(np.zeros(d), np.zeros(d), gamma)
+    val = pair_potential(np.zeros(d), np.zeros(d), gamma)
     assert val == pytest.approx(direct, rel=1e-12)
 
 
@@ -70,12 +180,12 @@ def test_config_energy_examples():
     gamma = 0.5
     lam = 1.3
     # single particle: no pairs
-    assert sim.config_energy([[0.5, 0.5]], [0], lam, gamma) == pytest.approx(-lam)
+    assert config_energy([[0.5, 0.5]], [0], lam, gamma) == pytest.approx(-lam)
     # two same-species particles: the pair term vanishes
-    assert sim.config_energy([[0.5, 0.5], [0.7, 0.5]], [1, 1], lam, gamma) == pytest.approx(-2 * lam)
+    assert config_energy([[0.5, 0.5], [0.7, 0.5]], [1, 1], lam, gamma) == pytest.approx(-2 * lam)
     # two unlike particles at zero distance
-    v0 = sim.pair_potential(np.zeros(2), np.zeros(2), gamma)
-    got = sim.config_energy([[0.5, 0.5], [0.5, 0.5]], [0, 1], lam, gamma)
+    v0 = pair_potential(np.zeros(2), np.zeros(2), gamma)
+    got = config_energy([[0.5, 0.5], [0.5, 0.5]], [0, 1], lam, gamma)
     assert got == pytest.approx(v0 - 2 * lam, rel=1e-12)
 
 
@@ -86,15 +196,15 @@ def test_interpolated_energy_limits():
     spins = np.array([0, 1])
     bpos = np.array([[-0.4, 0.5]])
     bspins = np.array([1])
-    full = sim.config_energy(np.vstack([pos, bpos]), np.concatenate([spins, bspins]), phase.lam, gamma)
-    bnd = sim.config_energy(bpos, bspins, phase.lam, gamma)
-    assert sim.interpolated_energy(pos, spins, bpos, bspins, phase, gamma) == pytest.approx(full - bnd)
+    full = config_energy(np.vstack([pos, bpos]), np.concatenate([spins, bspins]), phase.lam, gamma)
+    bnd = config_energy(bpos, bspins, phase.lam, gamma)
+    assert interpolated_energy(pos, spins, bpos, bspins, phase, gamma) == pytest.approx(full - bnd)
 
     phase0 = sim.PhaseTarget(rho_ref=np.array([1.0, 1.0]), lambda_beta=1.0, t=0.0)
     expect = sim.reference_energy(spins, phase0)
-    assert sim.interpolated_energy(pos, spins, bpos, bspins, phase0, gamma) == pytest.approx(expect)
+    assert interpolated_energy(pos, spins, bpos, bspins, phase0, gamma) == pytest.approx(expect)
     # empty configuration: both parts vanish
-    assert sim.interpolated_energy(np.zeros((0, 2)), [], bpos, bspins, phase, gamma) == 0.0
+    assert interpolated_energy(np.zeros((0, 2)), [], bpos, bspins, phase, gamma) == 0.0
 
 
 def make_system(seed=0, t=0.0, zeta=0.626, rho=1.5, region=None, lam_beta=0.7):
@@ -374,16 +484,16 @@ def test_empirical_density_at_arbitrary_mesh():
     sys.add_particles([[0.2, 0.2], [0.8, 0.9], [1.7, 1.8]], [0, 1, 0])
     # fine sub-cell mesh: the spin-0 particle sits in the (0,0) half-cell,
     # the spin-1 particle in the (1,1) half-cell
-    assert sim.empirical_density_at(sys, 0.5, (0.1, 0.1), 0) == pytest.approx(1 / 0.25)
-    assert sim.empirical_density_at(sys, 0.5, (0.1, 0.1), 1) == 0.0
-    assert sim.empirical_density_at(sys, 0.5, (0.8, 0.9), 1) == pytest.approx(1 / 0.25)
+    assert empirical_density_at(sys, 0.5, (0.1, 0.1), 0) == pytest.approx(1 / 0.25)
+    assert empirical_density_at(sys, 0.5, (0.1, 0.1), 1) == 0.0
+    assert empirical_density_at(sys, 0.5, (0.8, 0.9), 1) == pytest.approx(1 / 0.25)
     # the storage mesh agrees with the cached counts
-    assert sim.empirical_density_at(sys, 2.0, (0.5, 0.5), 0) == pytest.approx(
+    assert empirical_density_at(sys, 2.0, (0.5, 0.5), 0) == pytest.approx(
         sim.empirical_density(sys)[0, 0, 0]
     )
     # sub-cell densities aggregate to the cell count
     total = sum(
-        sim.empirical_density_at(sys, 1.0, (x + 0.5, y + 0.5), 0) * 1.0
+        empirical_density_at(sys, 1.0, (x + 0.5, y + 0.5), 0) * 1.0
         for x in range(2)
         for y in range(2)
     )
@@ -394,7 +504,7 @@ def test_trajectory_binary_round_trip(tmp_path):
     snaps = [np.full((2, 2, 2), float(k)) for k in range(3)]
     p = tmp_path / "traj.npy"
     sim.save_trajectory(p, snaps)
-    back = sim.load_trajectory(p)
+    back = np.load(p)
     assert back.shape == (3, 2, 2, 2)
     assert np.array_equal(back[1], snaps[1])
     with open(tmp_path / "traj.csv", "w") as fh:
@@ -417,14 +527,6 @@ def test_fixed_seed_reproducibility():
     assert np.array_equal(c1, c2)
     assert np.array_equal(p1, p2)
     assert np.array_equal(s1, s2)
-
-
-def audit_oracle(system) -> float:
-    """interpolated_energy of the live configuration: the O(n^2) reference."""
-    live = np.flatnonzero(system.alive[: system._n_used])
-    mob, fro = live[~system.frozen[live]], live[system.frozen[live]]
-    return sim.interpolated_energy(system.pos[mob], system.spin[mob], system.pos[fro],
-                                   system.spin[fro], system.phase, system.region.gamma)
 
 
 def oracle_region(d):
@@ -464,6 +566,125 @@ def test_total_energy_of_empty_system():
     assert system.total_energy() == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.6, 1.0]), st.integers(0, 2**16),
+       st.booleans(), st.booleans(), st.sampled_from([1, 300, sim._PAIR_BLOCK_ELEMENTS]))
+def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap):
+    # the cell-pair audit against the O(n^2) sum and the k-d tree pair
+    # search; a cap of 1 takes one cell per group
+    region = index_region(d)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=t)
+    system = sim.ParticleSystem(region, phase, seed=seed)
+    rng = np.random.default_rng(seed)
+    if collar:  # cells that hold frozen particles only
+        fx.fill_boundary(system, seed=seed + 1)
+    # the top layer of interior cells along axis 0 stays empty
+    n = int(rng.integers(0, 3 * system.n_int**d))
+    pos = rng.random((n, d)) * region.side
+    pos[:, 0] *= (system.n_int - 1) / system.n_int
+    system.add_particles(pos, rng.integers(0, region.S, n))
+    if crowded:  # one row grown past CAP
+        k = system.CAP + 1 + int(rng.integers(10))
+        system.add_particles(rng.random((k, d)) * region.ell_minus, rng.integers(0, region.S, k))
+        assert system.members.shape[1] > system.CAP
+    system.remove_particles(system.mobile_ids[::3])  # free slots
+    assert (system.fill[system.flat_cells(np.indices((system.n_int,) * d).reshape(d, -1).T)] == 0).any()
+    with mock.patch.object(sim, "_PAIR_BLOCK_ELEMENTS", cap):
+        got = system.total_energy()
+    for want in (audit_oracle(system), kdtree_energy(system)):
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+# the kind uniform of a draws row under MoveKernel()'s mix: birth < 0.25 <=
+# death < 0.5 <= displacement < 0.8 <= flip
+KIND_UNIFORMS = {"birth": (0.0, 0.25), "death": (0.25, 0.5), "displace": (0.5, 0.8),
+                 "flip": (0.8, 1.0)}
+
+
+def _row(kind, u_index, vector, u_species):
+    lo, hi = KIND_UNIFORMS[kind]
+    return np.array([(lo + hi) / 2, u_index, *vector, u_species, 0.0])
+
+
+def _reverse_row(system, kind, row, local_ids, active):
+    """The draws row that maps the state after the proposal of ``row`` back
+    to the state before it, read before the forward commit: the death of
+    the newborn, the birth of the dead particle where it stood, the
+    mirrored displacement or the flip back."""
+    d, S, ell = system.region.d, system.region.S, system.region.ell_minus
+    n = len(local_ids)
+    if kind == "birth":  # the newborn is appended to local_ids
+        return _row("death", (n + 0.5) / (n + 1), np.full(d, 0.5), 0.5)
+    i = local_ids[int(row[1] * n)]
+    r, s = system.pos[i], int(system.spin[i])
+    if kind == "death":
+        cell = np.floor(r / ell)
+        k = active.index(tuple(int(c) for c in cell))
+        return _row("birth", (k + 0.5) / len(active), r / ell - cell, (s + 0.5) / S)
+    if kind == "displace":
+        return _row("displace", row[1], 1.0 - row[2:-2], 0.5)
+    s_new = (s + 1 + int(row[-2] * (S - 1))) % S
+    return _row("flip", row[1], np.full(d, 0.5), ((s - s_new - 1) % S + 0.5) / (S - 1))
+
+
+def _acceptance(system, move):
+    """(window test passed, Metropolis acceptance probability) of one
+    proposal, from the shared tail's energy change."""
+    passed, dh = sim._metropolis(system, move, 0.0)
+    return passed, min(1.0, move.ratio * math.exp(-system.phase.beta * dh))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**16),
+       st.sampled_from(sorted(KIND_UNIFORMS)))
+def test_detailed_balance(d, t, seed, kind):
+    # a(x -> y) / a(y -> x) = ratio * exp(-beta (H(y) - H(x))) with both H
+    # from total_energy; each species of each cell starts at the low edge,
+    # the middle or the high edge of the window [2, 6], so the window also
+    # rejects, and then y must lie outside the ensemble.  Unequal reference
+    # densities give a flip a nonzero reference-energy change.
+    region = oracle_region(d)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=(4.0 + np.array([0.0, 0.15, -0.15])[: region.S]) / vol,
+                            lambda_beta=0.7, beta=1.5, zeta=2.2 / vol, t=t)
+    system = sim.ParticleSystem(region, phase, seed=seed)
+    assert system.n_lo.tolist() == [2] * region.S and system.n_hi.tolist() == [6] * region.S
+    fx.fill_boundary(system, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    active = [tuple(c) for c in np.ndindex(*((system.n_int,) * d))]
+    for cell in active:
+        system.add_particles(*system.draw_uniform([cell], rng.choice([2, 4, 6], region.S), rng))
+    active_set = frozenset(active)
+    local_ids = system.mobile_in(active_set)
+    volume = len(active) * vol
+    kernel = sim.MoveKernel(step=region.ell_minus)
+    row = _row(kind, rng.random(), rng.random(d), rng.random())
+    counts, h_x = system.counts.copy(), system.total_energy()
+
+    move = sim._propose(system, kernel, row, active, active_set, local_ids, volume)
+    if move is None:  # a displacement out of the box is rejected outright
+        assert kind == "displace"
+        return
+    passed, a_forward = _acceptance(system, move)
+    reverse = _reverse_row(system, kind, row, local_ids, active)
+    move.commit()
+    assert system.in_ensemble() == passed
+    if not passed:
+        return
+    h_y = system.total_energy()
+    back = sim._propose(system, kernel, reverse, active, active_set, local_ids, volume)
+    passed_back, a_back = _acceptance(system, back)
+    assert passed_back
+    assert back.ratio * move.ratio == pytest.approx(1.0, rel=1e-12)
+    want = move.ratio * math.exp(-phase.beta * (h_y - h_x))
+    assert a_forward / a_back == pytest.approx(want, rel=1e-10)
+    back.commit()  # the reverse row restores x
+    assert np.array_equal(system.counts, counts)
+    assert system.total_energy() == pytest.approx(h_x, rel=1e-10, abs=1e-10)
+
+
 def pair_sum_oracle(system, r, s, c, skip=None):
     """Sum of V(|r - r_j|) over the particles j != skip of species != s
     filed in the block of cells around cell c, in filing order: one gather
@@ -501,7 +722,7 @@ def _changes(system, kind, rng):
     here = np.floor(r / ell)
     there = here if kind == "displace_within" else (here + rng.integers(1, system.n_int, d)) % system.n_int
     r_new = (there + rng.random(d)) * ell
-    c_new = system._cell_at(r_new)
+    c_new = cell_of(system, r_new)
     assert (c_new == c) == (kind == "displace_within")
     return [(+1, r_new, s, c_new), (-1, r, s, c)], i
 
@@ -594,12 +815,13 @@ def test_cell_index_matches_position_scan(d, seed, ops):
             step += 1
             before = (system.alive.copy(), system.pos.copy())
             if op == "insert":
-                system._insert(rng.uniform(0, L, d), int(rng.integers(region.S)), frozen=False)
+                r = rng.uniform(0, L, d)
+                system._insert(r, int(rng.integers(region.S)), cell_of(system, r), frozen=False)
             elif op == "collar":
                 r = rng.uniform(-wlen, L + wlen, d)
                 while system.in_box(r):
                     r = rng.uniform(-wlen, L + wlen, d)
-                system._insert(r, int(rng.integers(region.S)), frozen=True)
+                system._insert(r, int(rng.integers(region.S)), cell_of(system, r), frozen=True)
             elif op == "remove" and system.mobile_ids:
                 system._remove(system.mobile_ids[int(rng.integers(len(system.mobile_ids)))])
             elif op == "sweep":
@@ -619,7 +841,7 @@ def test_cell_index_matches_position_scan(d, seed, ops):
         s = int(rng.integers(region.S))
         others = live[(live != skip) & (system.spin[live] != s)]
         want = float(np.sum(system.potential(np.linalg.norm(system.pos[others] - r, axis=1))))
-        got = system._pair_delta([(+1, r, s, system._cell_at(r))], skip=skip)
+        got = system._pair_delta([(+1, r, s, cell_of(system, r))], skip=skip)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
     clone = copy.deepcopy(system)

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pottsgas
 
-# the set-up of every benchmark workload and of the couple, screen and
-# lattice paths: module imports, the mean-field solution, the pair table, a
-# lattice kernel, a seeded chain with one sweep, and a coupled pair
+# the set-up of every benchmark workload and of the sample, couple, screen
+# and lattice paths: module imports, the mean-field solution, the pair table,
+# a lattice kernel, a seeded chain with one sweep, the energy audit and one
+# audited sweep that crosses an audit, and a coupled pair
 SETUP = """
 import sys
 
@@ -24,6 +25,10 @@ system = simulate.ParticleSystem(region, phase, seed=1)
 fixtures.fill_boundary(system, seed=2)
 system.seed_phase_configuration()
 simulate.metropolis_sweep(system, simulate.MoveKernel(), n_moves=200, audit=False)
+system.total_energy()
+system.audit_every = 10
+simulate.metropolis_sweep(system, simulate.MoveKernel(), n_moves=200)
+assert system.audit_log, "the audited sweep crossed no audit"
 fixtures.make_mismatched_pair(region, phase, 3,
                               ladder=screening.LadderSpec(zeta=2.0, d=2, c_star=0.65))
 # the scipy subpackages loaded, by their first two name parts
@@ -34,8 +39,8 @@ print(" ".join(sorted({".".join(name.split(".")[:2]) for name in sys.modules
 
 def test_setup_path_imports_no_scipy():
     # scipy.integrate and scipy.spatial alone took 0.3-0.5 s of a 0.7 s
-    # start-up; only the energy audit, transport and custom lattice profiles
-    # import scipy, each when first called
+    # start-up; only transport (at import), custom lattice profiles and
+    # critical_spin_counts (when first called) import scipy
     src = str(Path(pottsgas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SETUP], env=env, capture_output=True, text=True,
