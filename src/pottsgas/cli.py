@@ -115,7 +115,7 @@ _schema(
         "zeta": _pos_num,
         "t": _num,
         "n_runs": _pos_int,
-        "margins": {"type": "array", "items": _int},
+        "margins": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "ladder_zeta": _num,
         "c_star": _num,
         "mismatched": {"type": "boolean"},

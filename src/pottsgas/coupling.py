@@ -25,13 +25,11 @@ from .screening import (
     PairedState,
     _agree,
     _cells_per_cube,
-    _cube_cell_array,
     _cube_cells,
+    _held,
     _range_collar_cells,
     _touching,
     classify_and_peel,
-    k_values,
-    theta_events,
 )
 from .simulate import (
     MoveKernel,
@@ -173,8 +171,7 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
         reinit_identical(pair, halo_cells, rng1)
         crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
         if stats is not None:
-            cells = _cube_cell_array(sorted(_cube_rings(sigma_set, lam, 1)), cpc)
-            held = theta_events(pair, cells, k_values(pair, lam, cells))
+            held = _held(pair, lam, sorted(_cube_rings(sigma_set, lam, 1)))
             stats.theta_checks += len(held)
             stats.theta_failures += int(np.count_nonzero(~held))
     if stats is not None:

@@ -14,6 +14,7 @@ cube.
 from __future__ import annotations
 
 import copy
+import csv
 import functools
 import itertools
 import math
@@ -88,10 +89,6 @@ class PolymerSet:
                 if not 0.0 <= w <= self.bound(g, c_pol, zeta, ell_minus, d):
                     raise ValueError("weight outside the admissible range")
             self.weights = weights
-        self.c_pol = c_pol
-        self.zeta = zeta
-        self.ell_minus = ell_minus
-        self.d = d
 
     @staticmethod
     def bound(polymer: Polymer, c_pol: float, zeta: float, ell_minus: float, d: int = 2) -> float:
@@ -123,6 +120,9 @@ class LadderSpec:
     _levels: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("zeta", "c_star"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"ladder {name} must be positive and finite, got {getattr(self, name)}")
         if self.strict:
             self.ball_fraction = 1e-10
             self.inner_ball_fraction = 1e-30
@@ -234,42 +234,13 @@ def _touching(cubes) -> set:
     return set(map(tuple, shifted.reshape(-1, d).tolist()))
 
 
-def _in_cubes(cubes: np.ndarray, cube_set) -> np.ndarray:
-    """Whether each cube (along the last axis of ``cubes``) is in
-    ``cube_set``: one lookup in a boolean grid over the bounding box of
-    both."""
-    d = cubes.shape[-1]
-    marked = np.array(list(cube_set), dtype=np.int64).reshape(-1, d)
-    both = np.concatenate([cubes.reshape(-1, d), marked])
-    lo = both.min(axis=0, initial=0)
-    grid = np.zeros(both.max(axis=0, initial=0) - lo + 1, dtype=bool)
-    grid[tuple((marked - lo).T)] = True
-    return grid[tuple(np.moveaxis(cubes - lo, -1, 0))]
-
-
 def _cells_per_cube(region) -> int:
     return int(round(region.ell_plus / region.ell_minus))
 
 
-def _cube_of_cell(cell: tuple, cpc: int) -> tuple:
-    return tuple(c // cpc for c in cell)
-
-
-def _cube_cell_array(cubes, cpc: int) -> np.ndarray:
-    """Interior-coordinate cells of one cube or of a nonempty sequence of
-    cubes, one row each: cube by cube, in C order within a cube."""
-    cubes = np.asarray(cubes, dtype=np.int64)
-    d = cubes.shape[-1]
-    return (cubes.reshape(-1, 1, d) * cpc + _block_offsets(cpc, d)).reshape(-1, d)
-
-
 def _cube_cells(cube: tuple, cpc: int):
-    """The cells of ``_cube_cell_array`` as tuples."""
-    return map(tuple, _cube_cell_array(cube, cpc).tolist())
-
-
-def _cell_corner(cell: tuple, ell: float) -> np.ndarray:
-    return np.asarray(cell, dtype=float) * ell
+    """Interior-coordinate cells of one cube, in C order, as tuples."""
+    return map(tuple, (np.asarray(cube) * cpc + _block_offsets(cpc, len(cube))).tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,6 +255,68 @@ def _ball_offsets(d: int, ell: float, radius: float, extent: float) -> np.ndarra
     out = off[np.sqrt(np.sum(gap**2, axis=1)) <= radius]
     out.flags.writeable = False
     return out
+
+
+class _CubeLattice:
+    """The fixed geometry of one region.  The cubes of the box and its
+    collar have codes in C order of ``cube + 1`` (sorted codes, sorted
+    cubes), and their cells rows, cube by cube, C order within a cube;
+    ``n_codes`` and ``n_rows`` stand for every cube or cell off that grid.
+    Tables: each code's 3^d neighbours, each cube's neighbours on the grid
+    (sorted), and per ball each row's ball."""
+
+    def __init__(self, region):
+        d, side = region.d, region.n_plus + 2
+        self.d, self.ell, self.cpc = d, region.ell_minus, _cells_per_cube(region)
+        self.block, self.n_codes, self.n_rows = self.cpc**d, side**d, (self.cpc * side) ** d
+        cubes = _block_offsets(side, d) - 1
+        self.cubes = list(map(tuple, cubes.tolist()))
+        self.code = {c: i for i, c in enumerate(self.cubes)}
+        self.cells = (cubes[:, None] * self.cpc + _block_offsets(self.cpc, d)).reshape(-1, d)
+        self._side, self._strides = side, side ** np.arange(d - 1, -1, -1)
+        self._local = self.cpc ** np.arange(d - 1, -1, -1)
+        corners = (cubes[:, None] - 1 + _block_offsets(3, d)) * self.cpc
+        self.neighbours = self.rows(corners) // self.block
+        self.adjacent = {c: [self.cubes[n] for n in row if n < self.n_codes]
+                         for c, row in zip(self.cubes, self.neighbours.tolist())}
+        self._balls, self._flat = {}, None
+
+    def mask(self, cubes) -> np.ndarray:
+        """Whether each code is in the set ``cubes`` (never ``n_codes``)."""
+        out = np.zeros(self.n_codes + 1, dtype=bool)
+        out[[self.code[c] for c in cubes if c in self.code]] = True
+        return out
+
+    def rows(self, cells) -> np.ndarray:
+        """Row of each cell along the last axis of ``cells``."""
+        cells = np.asarray(cells, dtype=np.int64)
+        cube = cells // self.cpc + 1
+        off = ((cube < 0) | (cube >= self._side)).any(axis=-1)
+        return np.where(off, self.n_rows,
+                        cube @ self._strides * self.block + (cells % self.cpc) @ self._local)
+
+    def cube_rows(self, cubes) -> np.ndarray:
+        """Rows of the cells of each grid cube, cube by cube."""
+        codes = np.array([self.code[c] for c in cubes], dtype=np.int64)
+        return (codes[:, None] * self.block + np.arange(self.block)).ravel()
+
+    def ball(self, radius: float, extent: float) -> np.ndarray:
+        """Rows of the ``_ball_offsets`` cells around each row."""
+        key = (radius, extent)
+        if key not in self._balls:
+            self._balls[key] = self.rows(self.cells[:, None]
+                                         + _ball_offsets(self.d, self.ell, radius, extent))
+        return self._balls[key]
+
+    def flat(self, system: ParticleSystem) -> np.ndarray:
+        """``system.flat_cells`` of each row, -1 at ``n_rows``: all systems of
+        the region share it (their collar is at most one cube wide)."""
+        if self._flat is None:
+            self._flat = np.append(system.flat_cells(self.cells), -1)
+        return self._flat
+
+
+_lattice = functools.lru_cache(maxsize=None)(_CubeLattice)  # one per region
 
 
 def _agree(pair: PairedState, cells, x: np.ndarray | None = None,
@@ -319,26 +352,34 @@ def k_values(pair: PairedState, lambda_cubes: set, cells,
     with the complement; otherwise the ladder bin of the worst cell deviation
     from the reference densities there (0 if even the coarsest rung fails).
     """
-    region = pair.region
-    ladder = pair.ladder
-    d, ell = region.d, region.ell_minus
-    cpc = _cells_per_cube(region)
+    lattice = _lattice(pair.region)
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, lattice.d)
+    return _k_rows(pair, lattice.mask(lambda_cubes), cells, lattice.rows(cells), inner_ball)
+
+
+def _k_rows(pair: PairedState, in_region: np.ndarray, cells: np.ndarray, rows: np.ndarray,
+            inner_ball: bool = False) -> np.ndarray:
+    """``k_values`` given the running region's code mask and the cells' rows:
+    each ball is read from the ball table, or for a cell off the grid built."""
+    lattice, ladder = _lattice(pair.region), pair.ladder
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
-    r = frac * region.ell_plus
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
+    r, ell = frac * pair.region.ell_plus, lattice.ell
+    if (rows < lattice.n_rows).all():
+        balls = lattice.ball(r, ell)[rows]
+    else:
+        balls = lattice.rows(cells[:, None] + _ball_offsets(lattice.d, ell, r, ell))
     # per point, the cells whose box comes within r of it, and which of
     # them lie outside the region
-    balls = cells[:, None] + _ball_offsets(d, ell, r, ell)
-    near = ~_in_cubes(balls // cpc, lambda_cubes)
+    near = ~in_region[balls // lattice.block]
     same, dev = pair.cell_table()
-    flat = pair.sys1.flat_cells(balls).reshape(near.shape)
+    flat = lattice.flat(pair.sys1)[balls]
     worst = np.where(near, dev[flat], -np.inf).max(axis=1)
     k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
     # chains that agree on a whole cell agree on its part in the ball
     differ = near & ~same[flat]
     for i in np.flatnonzero(differ.any(axis=1)):
-        if not _agree(pair, map(tuple, balls[i, differ[i]].tolist()),
-                      _cell_corner(cells[i], ell), r):
+        if not _agree(pair, map(tuple, lattice.cells[balls[i, differ[i]]].tolist()),
+                      cells[i] * ell, r):
             k[i] = 0
     return k
 
@@ -348,11 +389,24 @@ def theta_events(pair: PairedState, cells, k) -> np.ndarray:
     region given its index k, in one pass: trivially true where k is 0,
     else the two chains carry identical particles on the cell and the first
     chain's density sits within the ladder rung min(k - 1, m_bar)."""
+    return _theta(pair, pair.sys1.flat_cells(cells), k)
+
+
+def _theta(pair: PairedState, flat: np.ndarray, k) -> np.ndarray:
+    """``theta_events`` at the cells of the given flat indices."""
     k = np.asarray(k, dtype=np.int64)
     same, dev = pair.cell_table()
-    c = pair.sys1.flat_cells(cells)
     rung = pair.ladder.levels[np.minimum(k - 1, pair.ladder.m_bar)]
-    return (k == 0) | (same[c] & (dev[c] <= rung + 1e-12))
+    return (k == 0) | (same[flat] & (dev[flat] <= rung + 1e-12))
+
+
+def _held(pair: PairedState, lambda_cubes: set, cubes) -> np.ndarray:
+    """The agreement event at each cell of the grid cubes at its own index
+    K: cube by cube, in C order within a cube."""
+    lattice = _lattice(pair.region)
+    rows = lattice.cube_rows(cubes)
+    k = _k_rows(pair, lattice.mask(lambda_cubes), lattice.cells[rows], rows)
+    return _theta(pair, lattice.flat(pair.sys1)[rows], k)
 
 
 def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
@@ -376,14 +430,9 @@ class CubePartition:
 
     def __init__(self, region):
         self.region = region
-        n = region.n_plus
-        d = region.d
-        self.interior = {c for c in itertools.product(range(n), repeat=d)}
-        self.collar = {
-            c
-            for c in itertools.product(range(-1, n + 1), repeat=d)
-            if c not in self.interior
-        }
+        cubes = _lattice(region).cubes
+        self.interior = {c for c in cubes if all(0 <= i < region.n_plus for i in c)}
+        self.collar = set(cubes) - self.interior
         self.status: dict = {c: "bad" for c in self.collar}
         self.lambda_cubes = set(self.interior)
         self.history: list[dict] = []
@@ -391,7 +440,11 @@ class CubePartition:
 
     def outer_shell(self, cube_set: set) -> list:
         """Classified-or-collar cubes outside the set touching it, sorted."""
-        return sorted((_touching(cube_set) - cube_set) & (self.interior | self.collar))
+        lattice = _lattice(self.region)
+        inside = lattice.mask(cube_set)
+        touched = np.zeros_like(inside)
+        touched[lattice.neighbours[inside[:-1]]] = True
+        return [lattice.cubes[c] for c in np.flatnonzero(touched[:-1] & ~inside[:-1]).tolist()]
 
     def select_next(self, polymer_cubes: set):
         """The next cube to screen around: the first bad shell cube touching
@@ -399,23 +452,12 @@ class CubePartition:
         (cube, screening_set) or None when the sequence has stopped."""
         if self.stopped:
             raise RuntimeError("screening already stopped")
-        if not self.lambda_cubes:
-            self.stopped = True
-            return None
-        shell = self.outer_shell(self.lambda_cubes)
-        bad = [c for c in shell if self.status.get(c) == "bad"]
+        bad = [c for c in self.outer_shell(self.lambda_cubes) if self.status.get(c) == "bad"]
         if not bad:
             self.stopped = True
             return None
-        chosen = None
-        for c in bad:
-            if c in polymer_cubes:
-                chosen = c
-                break
-        if chosen is None:
-            chosen = bad[0]
-        sigma = sorted(_touching([chosen]) & self.lambda_cubes)
-        return chosen, sigma
+        chosen = next((c for c in bad if c in polymer_cubes), bad[0])
+        return chosen, [q for q in _lattice(self.region).adjacent[chosen] if q in self.lambda_cubes]
 
     def peel(self, chosen: tuple, sigma: list, statuses: dict):
         for q in sigma:
@@ -427,16 +469,12 @@ class CubePartition:
 def classify_and_peel(partition: CubePartition, pair: PairedState,
                       chosen: tuple, sigma: list):
     """Classify the screening shell of the selected cube and peel it."""
-    cpc = _cells_per_cube(pair.region)
     poly = pair.polymer_cubes()
-    statuses = {}
-    for q in sigma:
-        if chosen in poly or q in poly:
-            statuses[q] = "bad"
-            continue
-        cells = _cube_cell_array(q, cpc)
-        held = theta_events(pair, cells, k_values(pair, partition.lambda_cubes, cells))
-        statuses[q] = "good" if held.all() else "bad"
+    statuses = {q: "bad" for q in sigma}
+    screened = [] if chosen in poly else [q for q in sigma if q not in poly]
+    if screened:
+        held = _held(pair, partition.lambda_cubes, screened).reshape(len(screened), -1)
+        statuses.update(zip(screened, np.where(held.all(axis=1), "good", "bad").tolist()))
     partition.peel(chosen, sigma, statuses)
 
 
@@ -463,30 +501,27 @@ def m_function(partition: CubePartition, pair: PairedState) -> dict:
     on good cubes (the ball is small enough that an age-decreasing chain
     cannot visit that many distinct cubes).
     """
-    region = pair.region
-    cpc = _cells_per_cube(region)
-    r = pair.ladder.ball_fraction * region.ell_plus
-    offsets = _ball_offsets(region.d, region.ell_minus, r + 1e-12, 0.0)
-    M: dict[tuple, float] = {}
-    age: dict[tuple, int] = {}
-    for c in partition.collar:
-        age[c] = -1
-        for cell in _cube_cells(c, cpc):
-            M[cell] = math.inf
-    for n, step in enumerate(partition.history):
-        lam_n_c_cubes = set(age)  # cubes already peeled or collar
-        for q in step["sigma"]:
-            status = step["statuses"][q]
-            for cell in _cube_cells(q, cpc):
-                if status == "bad":
-                    M[cell] = math.inf
-                    continue
-                ball = map(tuple, (np.asarray(cell) + offsets).tolist())
-                older = [M.get(y, math.inf) for y in ball
-                         if _cube_of_cell(y, cpc) in lam_n_c_cubes]
-                M[cell] = 1.0 + max(older) if older else 0.0
-        for q in step["sigma"]:
-            age[q] = n
+    lattice = _lattice(pair.region)
+    M = _m_rows(partition, pair)
+    rows = lattice.cube_rows(sorted(partition.collar)
+                             + [q for step in partition.history for q in step["sigma"]])
+    return dict(zip(map(tuple, lattice.cells[rows].tolist()), M[rows].tolist()))
+
+
+def _m_rows(partition: CubePartition, pair: PairedState) -> np.ndarray:
+    """``m_function`` at every lattice row, infinite off the collar and the
+    peeled cubes, one peel at a time: a step reads only older steps."""
+    lattice = _lattice(pair.region)
+    r = pair.ladder.ball_fraction * pair.region.ell_plus
+    ball = lattice.ball(r + 1e-12, 0.0)
+    M = np.full(lattice.n_rows + 1, math.inf)
+    older = lattice.mask(partition.collar)  # cubes already peeled or collar
+    for step in partition.history:
+        rows = lattice.cube_rows([q for q in step["sigma"] if step["statuses"][q] == "good"])
+        seen = older[ball[rows] // lattice.block]
+        worst = np.where(seen, M[ball[rows]], -math.inf).max(axis=1)
+        M[rows] = np.where(seen.any(axis=1), 1.0 + worst, 0.0)
+        older[[lattice.code[q] for q in step["sigma"]]] = True
     return M
 
 
@@ -502,23 +537,14 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     agreement event on the matching ladder rung.
     """
     region = pair.region
-    cpc = _cells_per_cube(region)
     report = {"replay_ok": True, "shell_ok": None, "audit_ok": True, "failures": []}
 
     # (a) replay with perturbations confined to the final region
     rng = np.random.default_rng(seed)
-    base_history = [(h["selected"], tuple(h["sigma"]), tuple(sorted(h["statuses"].items())))
-                    for h in partition.history]
     for _ in range(n_replays):
         clone = copy.deepcopy(pair)
-        if perturb is not None:
-            perturb(clone, partition.lambda_cubes, rng)
-        else:
-            _default_perturbation(clone, partition.lambda_cubes, rng)
-        repart = run_screening(clone)
-        new_hist = [(h["selected"], tuple(h["sigma"]), tuple(sorted(h["statuses"].items())))
-                    for h in repart.history]
-        if new_hist != base_history:
+        (perturb or _default_perturbation)(clone, partition.lambda_cubes, rng)
+        if run_screening(clone).history != partition.history:
             report["replay_ok"] = False
             report["failures"].append("history changed under interior perturbation")
             break
@@ -539,27 +565,27 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
                 report["failures"].append(f"chains differ on collar cell {differ}")
             cubes = [c for g in pair.polymers1.polymers + pair.polymers2.polymers
                      for c in g.support]
-            near = []
-            if cubes:
-                lo = np.array(cubes, dtype=float) * region.ell_plus
-                gaps = _gaps(lo, lo + region.ell_plus, partition.lambda_cubes, region.ell_plus)
-                near = [c for c, gap in zip(cubes, gaps) if gap <= 1.0 / region.gamma]
+            lo = np.array(cubes, dtype=float).reshape(-1, region.d) * region.ell_plus
+            gaps = _gaps(lo, lo + region.ell_plus, partition.lambda_cubes, region.ell_plus)
+            near = [c for c, gap in zip(cubes, gaps) if gap <= 1.0 / region.gamma]
             report["failures"] += [f"polymer within range of the final region: {c}" for c in near]
             report["shell_ok"] = differ is None and not near
 
     # (c) audit bounds on good cubes: where the index is finite, the cell
     # passes the agreement event on the matching ladder rung
-    M = m_function(partition, pair)
+    lattice = _lattice(region)
+    M = _m_rows(partition, pair)
     m_bar = pair.ladder.m_bar
-    audited = [(cell, M[cell]) for step in partition.history for q in step["sigma"]
-               if step["statuses"][q] == "good" for cell in _cube_cells(q, cpc)
-               if not math.isinf(M[cell])]
-    vals = np.array([val for _, val in audited])
+    rows = lattice.cube_rows([q for step in partition.history for q in step["sigma"]
+                              if step["statuses"][q] == "good"])
+    rows = rows[np.isfinite(M[rows])]
+    vals = M[rows]
     # audit index val asks for the event on rung h = m_bar - val, which is
     # the event at K = h + 1; val >= m_bar - 2 fails by itself, so it asks
     # for the trivial event at K = 0
-    held = theta_events(pair, [cell for cell, _ in audited],
-                        np.where(vals < m_bar - 2, m_bar + 1 - vals.astype(int), 0))
+    held = _theta(pair, lattice.flat(pair.sys1)[rows],
+                  np.where(vals < m_bar - 2, m_bar + 1 - vals.astype(int), 0))
+    audited = zip(map(tuple, lattice.cells[rows].tolist()), vals.tolist())
     for (cell, val), ok in zip(audited, held):
         if val >= m_bar - 2:
             report["audit_ok"] = False
@@ -567,11 +593,7 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
         elif not ok:
             report["audit_ok"] = False
             report["failures"].append(f"agreement event fails on rung {m_bar - int(val)} at {cell}")
-    report["ok"] = (
-        report["replay_ok"]
-        and report["audit_ok"]
-        and (report["shell_ok"] is not False)
-    )
+    report["ok"] = report["replay_ok"] and report["audit_ok"] and report["shell_ok"] is not False
     return report
 
 
@@ -590,38 +612,26 @@ def _range_collar_cells(region, cubes: set) -> list:
     particles count: the box and its frozen collar, [-w, n + w) per axis."""
     if not cubes:
         return []
-    cpc = _cells_per_cube(region)
-    ell = region.ell_minus
-    rng_len = 1.0 / region.gamma
+    lattice, ell = _lattice(region), region.ell_minus
     w, n = region.collar_cells, region.cells_per_axis
-    cube_arr = np.array(sorted(cubes), dtype=np.int64)
-    margin = int(math.ceil(rng_len / ell)) + 1
-    lo_cell = np.maximum(cube_arr.min(axis=0) * cpc - margin, -w)
-    hi_cell = np.minimum((cube_arr.max(axis=0) + 1) * cpc + margin, n + w)
-    axes = [np.arange(a, b) for a, b in zip(lo_cell, hi_cell)]
-    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.d)
-    inside = ((cells // cpc)[:, None] == cube_arr[None]).all(axis=-1).any(axis=1)
-    cells = cells[~inside]
-    lo = cells.astype(float) * ell
-    dist = _gaps(lo, lo + ell, cubes, region.ell_plus)
-    return [tuple(c) for c in cells[dist <= rng_len].tolist()]
+    cells = lattice.cells[~lattice.mask(cubes)[:-1].repeat(lattice.block)]
+    cells = cells[((cells >= -w) & (cells < n + w)).all(axis=1)]
+    lo = cells * ell
+    near = _gaps(lo, lo + ell, cubes, region.ell_plus) <= 1.0 / region.gamma
+    return sorted(map(tuple, cells[near].tolist()))
 
 
 def _default_perturbation(pair: PairedState, lambda_cubes: set, rng):
     """Move, add and delete a few particles of both chains strictly inside
     the running region."""
-    region = pair.region
-    cpc = _cells_per_cube(region)
-    cells = []
-    for cube in lambda_cubes:
-        cells.extend(_cube_cells(cube, cpc))
+    region, lattice = pair.region, _lattice(pair.region)
+    cells = list(map(tuple, lattice.cells[lattice.cube_rows(lambda_cubes)].tolist()))
     if not cells:
         return
-    ell = region.ell_minus
-    cell_set = set(cells)
+    cell_set, ell = set(cells), region.ell_minus
     for system in (pair.sys1, pair.sys2):
         cell = cells[int(rng.random() * len(cells))]
-        r = (_cell_corner(cell, ell) + rng.random(region.d) * ell)
+        r = np.asarray(cell, dtype=float) * ell + rng.random(region.d) * ell
         system.add_particles([r], [int(rng.random() * region.S)])
         # delete one mobile particle from inside the region if any
         inside = system.mobile_in(cell_set)
@@ -646,30 +656,20 @@ def peierls_chain_check(polymers: PolymerSet, weights, c_pol: float = C_POL_DEFA
     for w, cap in zip(weights, bounds):
         if w < 0 or w > cap + 1e-15:
             raise ValueError(f"weight {w} violates the admissible bound {cap}")
-    n = len(weights)
-    total = 0.0
-    subset_weight = {}
-    for mask in range(2**n):
-        w = 1.0
-        for i in range(n):
-            if mask >> i & 1:
-                w *= weights[i]
-        subset_weight[mask] = w
-        total += w
-    for mask in range(1, 2**n):
-        containing = sum(w for m2, w in subset_weight.items() if m2 & mask == mask)
-        chain_bound = 1.0
-        for i in range(n):
-            if mask >> i & 1:
-                chain_bound *= bounds[i]
-        if containing / total > chain_bound + 1e-12:
+
+    def product(values, mask):
+        return math.prod(v for i, v in enumerate(values) if mask >> i & 1)
+
+    subset_weight = [product(weights, mask) for mask in range(2 ** len(weights))]
+    total = sum(subset_weight)
+    for mask in range(1, len(subset_weight)):
+        containing = sum(w for m2, w in enumerate(subset_weight) if m2 & mask == mask)
+        if containing / total > product(bounds, mask) + 1e-12:
             return False
     return True
 
 
 def history_to_csv(partition: CubePartition, path):
-    import csv
-
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["step", "selected", "sigma_cube", "status"])

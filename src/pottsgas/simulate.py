@@ -157,6 +157,8 @@ class MoveKernel:
             raise ValueError(f"move probabilities sum to {total}")
         if abs(self.p_birth - self.p_death) > 1e-12:
             raise ValueError("birth and death must be proposed symmetrically")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"displacement step must be positive and finite, got {self.step}")
 
 
 _POTENTIALS: dict[tuple[float, int], PairPotential] = {}
@@ -715,11 +717,19 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, acti
     for this system; None for a move rejected outright (nothing to pick, or
     a displacement out of the box or the active cells)."""
     region, phase = system.region, system.phase
-    u, u_a, *_, u_c, _ = draws.tolist()
+    u, u_a, *frac, u_c, _ = draws.tolist()
     n_local = len(local_ids)
     if u < kernel.p_birth:
         cell = active[int(u_a * len(active))]
-        r = (np.asarray(cell, dtype=float) + draws[2:-2]) * region.ell_minus
+        ell, side = region.ell_minus, region.side
+        r = [(c + f) * ell for c, f in zip(cell, frac)]
+        # for f near 1, c + f can round up to c + 1 (in the last cell, onto
+        # the box's far face): step such a coordinate down until it lies in
+        # the box and in its cell, as a displacement's box and cell tests see it
+        for k, c in enumerate(cell):
+            while r[k] >= side or math.floor(r[k] / ell) > c:
+                r[k] = math.nextafter(r[k], 0.0)
+        r = np.array(r)
         s = int(u_c * region.S)
         c = system._ext_cell(cell)
 

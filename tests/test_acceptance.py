@@ -318,7 +318,6 @@ def _verify_fixture(kind, seed):
     return pair
 
 
-@pytest.mark.slow
 def test_criterion_10_stopping_set_verification():
     failures = []
     n_runs = 200

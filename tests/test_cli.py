@@ -224,6 +224,8 @@ BAD_FIELDS = [
     ("lp-minimize", LP_BASE, "n_starts", 0),
     ("lp-decay", DECAY_BASE, "zeta", 0),
     ("lp-decay", DECAY_BASE, "far_rows", 0),
+    # a target margin below 0 is empty, so its agreement read 0 at exit 0
+    ("couple", COUPLE_BASE, "margins", [-3, 0]),
 ]
 
 
@@ -260,6 +262,26 @@ def test_lp_decay_nan_amplitude_exits_2(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "config"
     assert err["error"] == "densities must be nonnegative, got nan"
+
+
+@pytest.mark.parametrize("command, base, field, value", [
+    # NaN ran to exit 0 and reported eps_hat_mean 0.80
+    ("couple", COUPLE_BASE, "ladder_zeta", float("nan")),
+    ("couple", COUPLE_BASE, "ladder_zeta", -1.0),
+    ("couple", COUPLE_BASE, "c_star", float("inf")),
+    ("couple", COUPLE_BASE, "c_star", 0.0),
+    # NaN failed every box test, so the run silently made no displacements
+    ("simulate", SIM_BASE, "step", float("nan")),
+    ("simulate", SIM_BASE, "step", -1.0),
+])
+def test_bad_ladder_or_step_exits_2(tmp_path, command, base, field, value):
+    cfg = write_cfg(tmp_path, "c.json", {**base, field: value})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert "must be positive and finite" in err["error"]
+    assert not (out / "percolation.json").exists() and not (out / "trajectory.npy").exists()
 
 
 def test_simulate_moves_below_thin_exits_2(tmp_path):

@@ -37,6 +37,14 @@ def make_ladder():
     return scr.LadderSpec(zeta=0.6, d=2, c_star=2.0)
 
 
+def _cube_of_cell(cell, cpc):
+    return tuple(c // cpc for c in cell)
+
+
+def _cell_corner(cell, ell):
+    return np.asarray(cell, dtype=float) * ell
+
+
 def identical_pair(seed=0):
     return fx.make_identical_pair(verify_region(), verify_phase(), seed, ladder=make_ladder())
 
@@ -275,9 +283,9 @@ def test_range_collar_cells_match_brute_force(geometry):
         expected = []
         for raw in every:
             cell = tuple(int(c) - w for c in raw)
-            if scr._cube_of_cell(cell, cpc) in lam:
+            if _cube_of_cell(cell, cpc) in lam:
                 continue
-            lo = scr._cell_corner(cell, region.ell_minus)
+            lo = _cell_corner(cell, region.ell_minus)
             if _boxes_gap(lo, lo + region.ell_minus, lam, region.ell_plus) <= rng_len:
                 expected.append(cell)
         got = scr._range_collar_cells(region, lam)
@@ -415,14 +423,14 @@ def k_oracle(pair, lambda_cubes, cell, inner_ball=False):
     cpc = scr._cells_per_cube(region)
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
     r = frac * region.ell_plus
-    x = scr._cell_corner(cell, ell)
+    x = _cell_corner(cell, ell)
     reach = int(math.ceil(r / ell)) + 1
     near = []
     for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
         c = tuple(cell[k] + off[k] for k in range(region.d))
-        lo = scr._cell_corner(c, ell)
+        lo = _cell_corner(c, ell)
         gap = np.maximum(np.maximum(lo - x, x - (lo + ell)), 0.0)
-        if float(np.sqrt(np.sum(gap**2))) > r or scr._cube_of_cell(c, cpc) in lambda_cubes:
+        if float(np.sqrt(np.sum(gap**2))) > r or _cube_of_cell(c, cpc) in lambda_cubes:
             continue
         near.append(c)
     if not near:
@@ -473,15 +481,15 @@ def m_oracle(partition, pair):
                 if step["statuses"][q] == "bad":
                     M[cell] = math.inf
                     continue
-                x = scr._cell_corner(cell, ell)
+                x = _cell_corner(cell, ell)
                 best = None
                 reach = int(math.ceil(r / ell)) + 1
                 for off in itertools.product(range(-reach, reach + 1), repeat=region.d):
                     y_cell = tuple(cell[k] + off[k] for k in range(region.d))
-                    y = scr._cell_corner(y_cell, ell)
+                    y = _cell_corner(y_cell, ell)
                     if float(np.linalg.norm(y - x)) > r + 1e-12:
                         continue
-                    if scr._cube_of_cell(y_cell, cpc) not in older:
+                    if _cube_of_cell(y_cell, cpc) not in older:
                         continue
                     val = M.get(y_cell, math.inf)
                     best = val if best is None else max(best, val)
@@ -628,6 +636,121 @@ def test_k_function_is_invariant_under_species_relabelling(case, data):
 
 
 # ---------------------------------------------------------------------------
+# the cube-lattice tables against the set-based geometry they replace: a
+# fresh cube grid per call for the running region, flat cells per call, and
+# the outer shell as a set difference of touching cubes
+
+
+def set_in_cubes(cubes, cube_set):
+    d = cubes.shape[-1]
+    marked = np.array(list(cube_set), dtype=np.int64).reshape(-1, d)
+    both = np.concatenate([cubes.reshape(-1, d), marked])
+    lo = both.min(axis=0, initial=0)
+    grid = np.zeros(both.max(axis=0, initial=0) - lo + 1, dtype=bool)
+    grid[tuple((marked - lo).T)] = True
+    return grid[tuple(np.moveaxis(cubes - lo, -1, 0))]
+
+
+def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
+    region, ladder = pair.region, pair.ladder
+    d, ell = region.d, region.ell_minus
+    cpc = scr._cells_per_cube(region)
+    frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
+    r = frac * region.ell_plus
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
+    balls = cells[:, None] + scr._ball_offsets(d, ell, r, ell)
+    near = ~set_in_cubes(balls // cpc, lambda_cubes)
+    same, dev = pair.cell_table()
+    flat = pair.sys1.flat_cells(balls).reshape(near.shape)
+    worst = np.where(near, dev[flat], -np.inf).max(axis=1)
+    k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
+    differ = near & ~same[flat]
+    for i in np.flatnonzero(differ.any(axis=1)):
+        if not scr._agree(pair, map(tuple, balls[i, differ[i]].tolist()),
+                          _cell_corner(cells[i], ell), r):
+            k[i] = 0
+    return k
+
+
+def set_theta_events(pair, cells, k):
+    k = np.asarray(k, dtype=np.int64)
+    same, dev = pair.cell_table()
+    c = pair.sys1.flat_cells(cells)
+    rung = pair.ladder.levels[np.minimum(k - 1, pair.ladder.m_bar)]
+    return (k == 0) | (same[c] & (dev[c] <= rung + 1e-12))
+
+
+def set_outer_shell(partition, cube_set):
+    return sorted((scr._touching(cube_set) - cube_set) & (partition.interior | partition.collar))
+
+
+def set_run_screening(pair):
+    part = scr.CubePartition(pair.region)
+    cpc = scr._cells_per_cube(pair.region)
+    poly = pair.polymer_cubes()
+    while True:
+        bad = [c for c in set_outer_shell(part, part.lambda_cubes) if part.status.get(c) == "bad"]
+        if not part.lambda_cubes or not bad:
+            return part
+        chosen = next((c for c in bad if c in poly), bad[0])
+        sigma = sorted(scr._touching([chosen]) & part.lambda_cubes)
+        statuses = {}
+        for q in sigma:
+            cells = list(scr._cube_cells(q, cpc))
+            held = set_theta_events(pair, cells, set_k_values(pair, part.lambda_cubes, cells))
+            statuses[q] = "good" if held.all() and chosen not in poly and q not in poly else "bad"
+        part.peel(chosen, sigma, statuses)
+
+
+@st.composite
+def table_case(draw):
+    geometry = draw(st.sampled_from(["criterion10", "criterion11"]))
+    pair = geometry_pair(geometry, draw(st.integers(0, 2)), draw(st.booleans()),
+                         draw(st.booleans()))
+    pair = dataclasses.replace(pair, ladder=scr.LadderSpec(
+        zeta=draw(st.floats(0.005, 5.0)), d=2, c_star=draw(st.sampled_from([0.65, 2.0]))))
+    region = pair.region
+    box = sorted(np.ndindex(region.n_plus, region.n_plus))
+    grid = sorted(itertools.product(range(-1, region.n_plus + 1), repeat=2))
+    lam = draw(st.one_of(st.just(set()), st.just(set(box)), st.sets(st.sampled_from(box))))
+    # whole cubes of the box and its collar, and cells of the box, the
+    # frozen collar and beyond the extended grid
+    cubes = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4))
+    w, n = region.collar_cells, region.cells_per_axis
+    cells = draw(st.lists(st.tuples(*[st.integers(-w - 3, n + w + 2)] * 2), min_size=1,
+                          max_size=30))
+    return pair, lam, cubes, cells
+
+
+@PROPERTY
+@given(table_case(), st.booleans())
+def test_lattice_tables_match_the_set_based_geometry(case, inner_ball):
+    pair, lam, cubes, cells = case
+    cpc = scr._cells_per_cube(pair.region)
+    cube_cells = [c for q in cubes for c in scr._cube_cells(q, cpc)]
+    for batch in (cells, cube_cells):
+        k = scr.k_values(pair, lam, batch, inner_ball)
+        assert k.tolist() == set_k_values(pair, lam, batch, inner_ball).tolist()
+        assert (scr.theta_events(pair, batch, k).tolist()
+                == set_theta_events(pair, batch, k).tolist())
+    # the table path the screening takes: whole cubes, the outer ball
+    expected = set_theta_events(pair, cube_cells, set_k_values(pair, lam, cube_cells))
+    assert scr._held(pair, lam, cubes).tolist() == expected.tolist()
+    partition = scr.CubePartition(pair.region)
+    assert partition.outer_shell(lam) == set_outer_shell(partition, lam)
+
+
+@settings(max_examples=10, deadline=None)
+@given(table_case(), st.data())
+def test_screening_history_matches_the_set_based_run(case, data):
+    pair = copy.deepcopy(case[0])
+    if data.draw(st.booleans()):
+        cube = data.draw(st.sampled_from(sorted(np.ndindex(pair.region.n_plus, pair.region.n_plus))))
+        fx.inject_polymer(pair, [cube], into_first=data.draw(st.booleans()))
+    assert scr.run_screening(pair).history == set_run_screening(pair).history
+
+
+# ---------------------------------------------------------------------------
 # the pair's cell table against the per-cell agreement and deviation, after
 # every kind of edit
 
@@ -743,7 +866,7 @@ def test_k_function_ignores_a_difference_outside_the_corner_ball():
     ell = pair.region.ell_minus
     r = pair.ladder.ball_fraction * pair.region.ell_plus
     far = np.array([8.9, 8.8]) * ell
-    assert np.linalg.norm(far - scr._cell_corner(cell, ell)) > r
+    assert np.linalg.norm(far - _cell_corner(cell, ell)) > r
     pair.sys2.add_particles([far], [0])
     same, _ = pair.cell_table()
     assert not same[pair.sys1.flat_cell(cell)]

@@ -387,6 +387,41 @@ def test_rejected_when_leaving_window(case):
         assert np.array_equal(sys.pos, pos0) and np.array_equal(sys.spin, spin0)
 
 
+def test_birth_at_the_far_face_lies_in_its_cell():
+    # f = 1 - 2**-53, the largest uniform, makes 1 + f round up to 2: a
+    # birth in cell (1, 1) of the 2x2 box of side 4 would land on (4, 4)
+    sys = make_system(t=0.0, region=small_region(n_plus=2))
+    k = np.arange(12)[:, None]
+    sys.add_particles(2.0 + 1.9 - 1.8 * (k + 0.5) / 12 + np.zeros(2), [0] * 6 + [1] * 6)
+    active = [tuple(c) for c in np.ndindex(2, 2)]
+    f = 1.0 - 2.0**-53
+    row = np.array([0.0, 0.99, f, f, 0.0, 0.0])  # birth of species 0 in cell (1, 1)
+    assert sim.apply_move(sys, sim.MoveKernel(), row, active, frozenset(active),
+                          list(sys.mobile_ids), len(active) * sys.region.cell_volume)
+    born = sys.mobile_ids[-1]
+    assert sys.pos[born].tolist() == [math.nextafter(4.0, 0.0)] * 2
+    assert sys.in_box(sys.pos[born])
+    assert sys.cell[born] == sys.flat_cell((1, 1))
+    assert np.floor(sys.pos[born] / sys.region.ell_minus).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("ell, ell_plus, n_plus", [(2.0, 4.0, 1), (0.1, 0.2, 10), (0.7, 0.7, 6)])
+def test_birth_at_any_far_face_lies_in_its_cell(ell, ell_plus, n_plus):
+    # c + f is c + 1 for c >= 1 and f = 1 - 2**-53; where ell is not a power
+    # of 2, even the float below (c + 1) * ell can bin into cell c + 1 (cell
+    # 16 at ell 0.1, cell 4 at ell 0.7)
+    region = sim.SimRegion(d=1, S=2, gamma=1.0 / ell, ell0=ell, ell_minus=ell,
+                           ell_plus=ell_plus, n_plus=n_plus)
+    sys = make_system(region=region)
+    row = np.array([0.0, 0.0, 1.0 - 2.0**-53, 0.0, 0.0])
+    for cell in range(region.cells_per_axis):
+        active = [(cell,)]
+        (_, r, _, c), = sim._propose(sys, sim.MoveKernel(), row, active, frozenset(active),
+                                     [], ell).changes
+        assert sys.in_box(r) and math.floor(r[0] / ell) == cell
+        assert c == sys.flat_cell((cell,))
+
+
 def test_stationary_law_matches_enumeration():
     # single-cell two-species system at t=0: the occupancy law is a product
     # of window-truncated Poisson weights; the tangent value is chosen so the
