@@ -1,9 +1,10 @@
 """Configuration-driven command line entry points.
 
-Each command reads a JSON config validated against its schema (unknown keys
-rejected), runs the corresponding experiment and writes artifacts into the
-output directory.  Every artifact embeds the resolved config and seed.  Exit
-codes: 0 success, 2 config/validation error, 3 numerical failure.
+Each command reads a JSON object checked against ``FIELDS``, one rule per field
+name for every command (numbers finite, integers possibly written as ``3.0``, no
+unknown keys, every required key present), runs its experiment and writes
+artifacts that embed the resolved config and seed into the output directory.
+Exit codes: 0 success, 2 config/validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,141 +13,86 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-SCHEMAS: dict = {}
-
-
-def _schema(name, properties, required):
-    SCHEMAS[name] = {
-        "type": "object",
-        "properties": properties,
-        "required": required,
-        "additionalProperties": False,
-    }
-
-
-_num = {"type": "number"}
-_int = {"type": "integer"}
-_pos_int = {"type": "integer", "minimum": 1}
-_pos_num = {"type": "number", "exclusiveMinimum": 0}
-_prob = {"type": "number", "minimum": 0, "maximum": 1}
 DEFAULT_THIN = 100
 
-_schema(
-    "phase-diagram",
-    {
-        "S": {"type": "integer", "minimum": 3},
-        "beta_min": {"type": "number", "exclusiveMinimum": 0},
-        "beta_max": {"type": "number", "exclusiveMinimum": 0},
-        "n_points": {"type": "integer", "minimum": 1},
-    },
-    ["S", "beta_min", "beta_max", "n_points"],
-)
-_schema(
-    "lp-minimize",
-    {
-        "S": {"type": "integer", "minimum": 3},
-        "beta": {"type": "number", "exclusiveMinimum": 0},
-        "d": {"type": "integer", "minimum": 1, "maximum": 3},
-        "ell_minus": _num,
-        "cells": {"type": "array", "items": _pos_int},
-        "gamma": _num,
-        "t": _num,
-        "zeta": _pos_num,
-        "one_body": {"type": "boolean"},
-        "epsilon": _num,
-        "n_starts": _pos_int,
-        "phase": {"type": "string", "enum": ["uniform", "ordered"]},
-    },
-    ["S", "d", "ell_minus", "cells", "gamma", "t", "zeta"],
-)
-_schema(
-    "lp-decay",
-    {
-        "S": {"type": "integer", "minimum": 3},
-        "beta": {"type": "number", "exclusiveMinimum": 0},
-        "d": {"type": "integer", "minimum": 1, "maximum": 3},
-        "ell_minus": _num,
-        "cells": {"type": "array", "items": _pos_int},
-        "gamma": _num,
-        "t": _num,
-        "zeta": _pos_num,
-        "amplitude": _num,
-        "far_rows": _pos_int,
-    },
-    ["S", "d", "ell_minus", "cells", "gamma", "t", "zeta"],
-)
-_schema(
-    "simulate",
-    {
-        "S": _int,
-        "beta": _num,
-        "d": _int,
-        "gamma": _pos_num,
-        "ell0": _pos_num,
-        "ell_minus": _pos_num,
-        "ell_plus": _pos_num,
-        "n_plus": _pos_int,
-        "zeta": _pos_num,
-        "t": _num,
-        "moves": _pos_int,
-        "thin": _pos_int,
-        "step": _num,
-        "p_birth": _prob,
-        "p_death": _prob,
-        "p_move": _prob,
-        "p_flip": _prob,
-    },
-    ["S", "d", "gamma", "ell0", "ell_minus", "ell_plus", "n_plus", "zeta", "t", "moves"],
-)
-_schema(
-    "couple",
-    {
-        "S": _int,
-        "beta": _num,
-        "d": _int,
-        "gamma": _pos_num,
-        "ell0": _pos_num,
-        "ell_minus": _pos_num,
-        "ell_plus": _pos_num,
-        "n_plus": _pos_int,
-        "zeta": _pos_num,
-        "t": _num,
-        "n_runs": _pos_int,
-        "margins": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "ladder_zeta": _num,
-        "c_star": _num,
-        "mismatched": {"type": "boolean"},
-        "sweeps": _pos_int,
-    },
-    ["S", "d", "gamma", "ell0", "ell_minus", "ell_plus", "n_plus", "zeta", "t", "n_runs", "margins"],
-)
-_schema(
-    "wasserstein-check",
-    {
-        "n_instances": {"type": "integer", "minimum": 1},
-        "max_points": {"type": "integer", "minimum": 2, "maximum": 12},
-    },
-    ["n_instances"],
-)
-_schema(
-    "validate",
-    {
-        "gamma": _pos_num,
-        "ell0": _pos_num,
-        "ell_minus": _pos_num,
-        "ell_plus": _pos_num,
-        "zeta": _num,
-        "d": _int,
-    },
-    ["gamma", "ell0", "ell_minus", "ell_plus", "zeta"],
-)
+
+class Rule(NamedTuple):
+    """One config field's rule: ``kind`` is "number", "integer", "integers" (a
+    list), "boolean" or a tuple of allowed strings; bounds apply to each number."""
+
+    kind: str | tuple
+    minimum: float | None = None
+    maximum: float | None = None
+    exclusive_minimum: float | None = None
 
 
-class ConfigError(Exception):
-    pass
+_POSITIVE = Rule("number", exclusive_minimum=0)
+_FRACTION = Rule("number", 0, 1)
+_COUNT = Rule("integer", 1)
+
+FIELDS = {
+    "S": Rule("integer", 3),
+    "d": Rule("integer", 1, 3),
+    "t": _FRACTION,
+    "cells": Rule("integers", 1),
+    "margins": Rule("integers", 0),
+    "max_points": Rule("integer", 2, 12),
+    "epsilon": Rule("number", 0),
+    "amplitude": Rule("number"),
+    "one_body": Rule("boolean"),
+    "mismatched": Rule("boolean"),
+    "phase": Rule(("uniform", "ordered")),
+    **dict.fromkeys(["beta", "beta_min", "beta_max", "gamma", "ell0", "ell_minus", "ell_plus",
+                     "zeta", "ladder_zeta", "c_star", "step"], _POSITIVE),
+    **dict.fromkeys(["p_birth", "p_death", "p_move", "p_flip"], _FRACTION),
+    **dict.fromkeys(["n_points", "n_plus", "n_starts", "far_rows", "moves", "thin", "n_runs",
+                     "sweeps", "n_instances"], _COUNT),
+}
+
+
+class ConfigError(ValueError):
+    """A config that cannot be read or breaks its command's field rules."""
+
+
+def _conform(value, rule: Rule):
+    """``value`` as the commands read it (integers as int), or None if it breaks ``rule``."""
+    if isinstance(rule.kind, tuple):
+        return value if value in rule.kind else None
+    if rule.kind == "boolean":
+        return value if isinstance(value, bool) else None
+    if rule.kind == "integers":
+        if not isinstance(value, list):
+            return None
+        items = [_conform(v, rule._replace(kind="integer")) for v in value]
+        return None if None in items else items
+    # a bool is not a number; NaN, +-inf and ints beyond the float range fail abs() <= max
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        return None
+    if rule.kind == "integer" and value != int(value):
+        return None
+    if ((rule.minimum is not None and value < rule.minimum)
+            or (rule.exclusive_minimum is not None and value <= rule.exclusive_minimum)
+            or (rule.maximum is not None and value > rule.maximum)):
+        return None
+    return int(value) if rule.kind == "integer" else value
+
+
+def _requirement(rule: Rule) -> str:
+    if isinstance(rule.kind, tuple):
+        return "one of " + ", ".join(rule.kind)
+    if rule.kind == "boolean":
+        return "true or false"
+    noun = "positive and finite" if rule.exclusive_minimum == 0 else {
+        "number": "a finite number", "integer": "a finite integer",
+        "integers": "a list of finite integers"}[rule.kind]
+    bounds = [f"{name} {bound}" for name, bound in
+              zip(("minimum", "maximum", "exclusive minimum"), rule[1:]) if bound is not None]
+    return f"{noun} with {' and '.join(bounds)}" if bounds else noun
 
 
 def load_config(path, command):
@@ -155,18 +101,21 @@ def load_config(path, command):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    import jsonschema
-
-    try:
-        jsonschema.validate(cfg, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config invalid for {command}: {exc.message}") from exc
-    # JSON Schema counts 3.0 as an integer; the commands count and index with it
-    for key, prop in SCHEMAS[command]["properties"].items():
-        if key in cfg and prop.get("type") == "integer":
-            cfg[key] = int(cfg[key])
-        elif key in cfg and prop.get("items", {}).get("type") == "integer":
-            cfg[key] = [int(v) for v in cfg[key]]
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config invalid for {command}: expected a JSON object, "
+                          f"got {type(cfg).__name__}")
+    _, required, optional = COMMANDS[command]
+    problems = [f"missing required field {key}" for key in required if key not in cfg]
+    for key, value in cfg.items():
+        if key not in required and key not in optional:
+            problems.append(f"unknown field {key}")
+            continue
+        conformed = _conform(value, FIELDS[key])
+        if conformed is None:
+            problems.append(f"{key} must be {_requirement(FIELDS[key])}, got {value!r}")
+        cfg[key] = conformed
+    if problems:
+        raise ConfigError(f"config invalid for {command}: " + "; ".join(problems))
     if command == "simulate" and cfg["moves"] < cfg.get("thin", DEFAULT_THIN):
         raise ConfigError(f"config invalid for simulate: moves ({cfg['moves']}) is less "
                           f"than thin ({cfg.get('thin', DEFAULT_THIN)})")
@@ -205,8 +154,7 @@ def _lattice_setup(cfg):
     from . import meanfield as mf
 
     sol = mf.common_tangent(cfg["S"], cfg.get("beta", 1.0))
-    which = cfg.get("phase", "uniform")
-    rho_ref = sol.minimizers[-1] if which == "uniform" else sol.minimizers[0]
+    rho_ref = sol.minimizers[0] if cfg.get("phase") == "ordered" else sol.minimizers[-1]
     box = 0.5 * max(
         float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
         for i, a in enumerate(sol.minimizers)
@@ -336,10 +284,9 @@ def cmd_couple(cfg, seed, out):
 
     ladder = scr.LadderSpec(zeta=cfg.get("ladder_zeta", phase.zeta), d=region.d,
                             c_star=cfg.get("c_star", 2.0))
-    mismatched = cfg.get("mismatched", True)
+    maker = make_mismatched_pair if cfg.get("mismatched", True) else make_identical_pair
 
     def build(run_seed):
-        maker = make_mismatched_pair if mismatched else make_identical_pair
         return maker(region, phase, run_seed, ladder=ladder)
 
     stats = cpl.percolation_stats(build, cfg["n_runs"], cfg["margins"], kernel,
@@ -411,14 +358,21 @@ def cmd_validate(cfg, seed, out, strict=False):
     return 0
 
 
+_LATTICE = ("S", "d", "ell_minus", "cells", "gamma", "t", "zeta")
+_PARTICLES = ("S", "d", "gamma", "ell0", "ell_minus", "ell_plus", "n_plus", "zeta", "t")
+
+# each command's function, its required config fields and its optional ones
 COMMANDS = {
-    "phase-diagram": cmd_phase_diagram,
-    "lp-minimize": cmd_lp_minimize,
-    "lp-decay": cmd_lp_decay,
-    "simulate": cmd_simulate,
-    "couple": cmd_couple,
-    "wasserstein-check": cmd_wasserstein_check,
-    "validate": cmd_validate,
+    "phase-diagram": (cmd_phase_diagram, ("S", "beta_min", "beta_max", "n_points"), ()),
+    "lp-minimize": (cmd_lp_minimize, _LATTICE,
+                    ("beta", "one_body", "epsilon", "n_starts", "phase")),
+    "lp-decay": (cmd_lp_decay, _LATTICE, ("beta", "amplitude", "far_rows")),
+    "simulate": (cmd_simulate, _PARTICLES + ("moves",),
+                 ("beta", "thin", "step", "p_birth", "p_death", "p_move", "p_flip")),
+    "couple": (cmd_couple, _PARTICLES + ("n_runs", "margins"),
+               ("beta", "ladder_zeta", "c_star", "mismatched", "sweeps")),
+    "wasserstein-check": (cmd_wasserstein_check, ("n_instances",), ("max_points",)),
+    "validate": (cmd_validate, ("gamma", "ell0", "ell_minus", "ell_plus", "zeta"), ("d",)),
 }
 
 
@@ -434,24 +388,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
+    cfg = {}
     try:
         cfg = load_config(args.config, args.command)
-    except ConfigError as exc:
-        _write_json(os.path.join(args.out, "error.json"),
-                    {"error": str(exc), "kind": "config"}, {}, args.seed)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "validate":
             return cmd_validate(cfg, args.seed, args.out, strict=args.strict_scales)
-        return COMMANDS[args.command](cfg, args.seed, args.out)
+        return COMMANDS[args.command][0](cfg, args.seed, args.out)
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         _write_json(os.path.join(args.out, "error.json"),
                     {"error": str(exc), "kind": "numerical"}, cfg, args.seed)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError from load_config included
         _write_json(os.path.join(args.out, "error.json"),
                     {"error": str(exc), "kind": "config"}, cfg, args.seed)
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulate
+from .lattice import _log_linear_fit
 from .screening import (
     CubePartition,
     PairedState,
@@ -219,8 +220,9 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
     fits log(1 - p) of the containment against the distance.
 
     ``make_pair(seed)`` must build a fresh PairedState.  All-contained
-    distances are excluded from the fit; if fewer than two distances remain
-    the decay floor was reached and the fit is reported as such.
+    distances are excluded from the fit; if fewer than two distances remain,
+    or log(1 - p) is the same at all of them, the decay floor was reached:
+    ``decay_floor`` is True and ``c1``, ``c2`` and ``r_squared`` are None.
     """
     contain = {m: 0 for m in margins}
     agree = {m: 0 for m in margins}
@@ -254,17 +256,11 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
         if p < 1.0:
             xs.append(float(m))  # dist(Delta, Lambda^c) in units of the cube side
             ys.append(math.log(1.0 - p))
-    if len(xs) < 2:
+    fit = _log_linear_fit(xs, ys)
+    if fit is None:
         out["decay_floor"] = True
-        return out
-    A = np.stack([np.ones(len(xs)), np.asarray(xs)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.asarray(ys), rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((np.asarray(ys) - pred) ** 2))
-    ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
-    out["c1"] = float(np.exp(coef[0]))
-    out["c2"] = float(-coef[1])
-    out["r_squared"] = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    else:
+        out["c1"], out["c2"], out["r_squared"] = fit
     return out
 
 

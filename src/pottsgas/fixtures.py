@@ -4,8 +4,6 @@ pairs, and hand-placed polymer marks."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .screening import LadderSpec, PairedState, Polymer, PolymerSet
@@ -21,21 +19,15 @@ __all__ = [
 ]
 
 
-def _collar_cells(system: ParticleSystem):
-    """Interior-coordinate cells of the frozen collar (within one interaction
-    range of the box, outside it), in C order."""
-    w, n = system.w, system.n_int
-    for cell in itertools.product(*([range(-w, n + w)] * system.region.d)):
-        if any(c < 0 or c >= n for c in cell):
-            yield cell
-
-
 def fill_boundary(system: ParticleSystem, seed: int):
-    """Populate the collar with the rounded reference counts at uniform
-    positions."""
+    """Populate the frozen collar (the cells within one interaction range of
+    the box, outside it, in C order) with the rounded reference counts at
+    uniform positions."""
     counts = np.round(system.phase.rho_ref * system.region.cell_volume).astype(int)
-    cells = list(_collar_cells(system))
-    system.add_boundary(*system.draw_uniform(cells, counts, np.random.default_rng(seed)))
+    w, n, d = system.w, system.n_int, system.region.d
+    cells = np.indices((n + 2 * w,) * d).reshape(d, -1).T - w
+    collar = cells[((cells < 0) | (cells >= n)).any(axis=1)]
+    system.add_boundary(*system.draw_uniform(collar, counts, np.random.default_rng(seed)))
 
 
 def fill_interior(system: ParticleSystem, seed: int):

@@ -507,7 +507,8 @@ def hessian_coercivity(field: LatticeField, kernel: CoarseKernel, cfg: Functiona
 
 
 class DecayFloorError(ValueError):
-    """All interior differences sit below the resolvable floor."""
+    """Fewer than two interior differences sit above the resolvable floor, or
+    they are all equal: there is no decay to fit."""
 
 
 @dataclass
@@ -550,23 +551,35 @@ def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
 
     vals = diff.reshape(-1)
     keep = vals > floor
-    if not np.any(keep):
-        raise DecayFloorError("all differences below the floor; nothing to fit")
-    x = spec.gamma * dists[keep]
-    y = np.log(vals[keep])
-    A = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    fit = _log_linear_fit(spec.gamma * dists[keep], np.log(vals[keep]))
+    if fit is None:
+        raise DecayFloorError("fewer than two differences above the floor, or all "
+                              "equal; nothing to fit")
+    prefactor, rate, r2 = fit
     return DecayFit(
-        omega_hat=float(-coef[1]),
+        omega_hat=rate,
         r_squared=r2,
         n_cells=int(np.sum(keep)),
         max_difference=float(vals.max()),
-        prefactor=float(np.exp(coef[0])),
+        prefactor=prefactor,
     )
+
+
+def _log_linear_fit(x, log_y):
+    """Least-squares fit of ``log_y = log(prefactor) - rate * x``; returns
+    ``(prefactor, rate, r_squared)``, or None for fewer than two points or a
+    flat ``log_y``, where there is no decay to fit."""
+    x = np.asarray(x, dtype=float)
+    log_y = np.asarray(log_y, dtype=float)
+    if len(x) < 2:
+        return None
+    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
+    if ss_tot == 0:
+        return None
+    A = np.stack([np.ones_like(x), x], axis=1)
+    coef, *_ = np.linalg.lstsq(A, log_y, rcond=None)
+    ss_res = float(np.sum((log_y - A @ coef) ** 2))
+    return float(np.exp(coef[0])), float(-coef[1]), 1.0 - ss_res / ss_tot
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -261,7 +262,7 @@ def test_lp_decay_nan_amplitude_exits_2(tmp_path):
     assert run_cli(["lp-decay", "--config", cfg, "--out", str(out)]) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "config"
-    assert err["error"] == "densities must be nonnegative, got nan"
+    assert err["error"] == "config invalid for lp-decay: amplitude must be a finite number, got nan"
 
 
 @pytest.mark.parametrize("command, base, field, value", [
@@ -328,16 +329,19 @@ NAN, INF = float("nan"), float("inf")
 
 
 def _exit_code_case(command, cfg, extra=()):
-    """Run one drawn config; a nonzero exit must leave error.json of its kind."""
+    """Run one drawn config; a nonzero exit must leave error.json of its kind.
+    Returns the exit code and the error message ("" on exit 0)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         rc = run_cli([command, "--config", path, "--out", tmp, *extra])
         assert rc in (0, 2, 3), cfg
-        if rc:
-            error = json.loads(open(os.path.join(tmp, "error.json")).read())
-            assert error["kind"] == {2: "config", 3: "numerical"}[rc], (cfg, error)
+        if not rc:
+            return rc, ""
+        error = json.loads(open(os.path.join(tmp, "error.json")).read())
+        assert error["kind"] == {2: "config", 3: "numerical"}[rc], (cfg, error)
+        return rc, error["error"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -363,3 +367,76 @@ def test_validate_exits_0_2_or_3(lengths, zeta, d, strict):
     # and --strict-scales exited 2 without error.json
     cfg = dict(zip(["gamma", "ell0", "ell_minus", "ell_plus"], lengths), zeta=zeta, d=d)
     _exit_code_case("validate", cfg, ["--strict-scales"] if strict else [])
+
+
+# values every numeric field must survive: non-finite, zero, negative, an
+# integer written as a float, a fraction and a boolean
+EDGE_VALUES = [NAN, INF, -INF, 0, -1.0, 3.0, 4.5, True]
+# beyond the float range; drawn only for fields whose maximum rejects it, since
+# an unbounded count would run for ever
+HUGE = 10**400
+SIM_SMALL = {**SIM_BASE, "moves": 200, "thin": 100}
+COUPLE_SMALL = {
+    "S": 3, "beta": 4.0, "d": 2, "gamma": 0.5, "ell0": 1.0, "ell_minus": 2.0,
+    "ell_plus": 4.0, "n_plus": 2, "zeta": 2.0, "t": 0.03, "n_runs": 1, "margins": [0, 1],
+}
+SIM_FIELDS = sorted(SIM_SMALL) + ["step", "p_birth", "p_death", "p_move", "p_flip"]
+COUPLE_FIELDS = sorted(set(COUPLE_SMALL) - {"margins"}) + [
+    "ladder_zeta", "c_star", "mismatched", "sweeps"]
+
+
+def _assert_rejected_at_load(command, edits, rc, error, booleans=()):
+    # a non-finite number, or a boolean where a number belongs, never gets
+    # past load_config
+    if any((isinstance(v, float) and not math.isfinite(v)) or (v is True and k not in booleans)
+           for k, v in edits.items()):
+        assert rc == 2 and error.startswith(f"config invalid for {command}: "), (edits, error)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(SIM_FIELDS), st.sampled_from(EDGE_VALUES),
+                             min_size=1, max_size=2),
+       huge_d=st.booleans())
+def test_simulate_exits_0_2_or_3(edits, huge_d):
+    if huge_d:
+        edits["d"] = HUGE
+    rc, error = _exit_code_case("simulate", {**SIM_SMALL, **edits})
+    _assert_rejected_at_load("simulate", edits, rc, error)
+    if huge_d:
+        assert rc == 2 and "d must be" in error
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(COUPLE_FIELDS), st.sampled_from(EDGE_VALUES),
+                             max_size=2),
+       margin=st.sampled_from([1] + EDGE_VALUES), huge_d=st.booleans())
+def test_couple_exits_0_2_or_3(edits, margin, huge_d):
+    edits["margins"] = [0, margin]
+    if huge_d:
+        edits["d"] = HUGE
+    rc, error = _exit_code_case("couple", {**COUPLE_SMALL, **edits})
+    _assert_rejected_at_load("couple", {**edits, "margin": margin}, rc, error,
+                             booleans=("mismatched",))
+    if huge_d:
+        assert rc == 2 and "d must be" in error
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_instances=st.sampled_from([1, 3] + EDGE_VALUES),
+       max_points=st.sampled_from([None, 2, 12, 13, 1, HUGE] + EDGE_VALUES))
+def test_wasserstein_check_exits_0_2_or_3(n_instances, max_points):
+    edits = {"n_instances": n_instances}
+    if max_points is not None:
+        edits["max_points"] = max_points
+    rc, error = _exit_code_case("wasserstein-check", edits)
+    _assert_rejected_at_load("wasserstein-check", edits, rc, error)
+    if max_points == HUGE:
+        assert rc == 2 and "max_points must be" in error
+
+
+@pytest.mark.parametrize("payload", [[SIM_BASE], 3.0])
+def test_config_that_is_not_an_object_exits_2(tmp_path, payload):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "config"

@@ -403,6 +403,22 @@ def test_percolation_identical_boundaries_agree(sol4):
     assert all(v == 1.0 for v in out["agreement"].values())
 
 
+def test_percolation_margins_beyond_the_box_report_a_decay_floor(sol4):
+    # with n_plus = 2 a margin of 1 or more leaves no target cube, so the
+    # containment is 0 at every margin and every log(1 - p) is 0: a flat line
+    # is no decay, not a perfect fit with c2 = -0.0 and r_squared = 1
+    region = sim.SimRegion(d=2, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=2)
+    phase = perc_phase(sol4)
+
+    def build(seed):
+        return fx.make_mismatched_pair(region, phase, seed, ladder=perc_ladder())
+
+    out = cpl.percolation_stats(build, n_runs=1, margins=[1, 2], kernel=sim.MoveKernel(), seed=3)
+    assert out["containment"] == {1: 0.0, 2: 0.0}
+    assert out["decay_floor"] is True
+    assert out["c1"] is None and out["c2"] is None and out["r_squared"] is None
+
+
 @pytest.mark.slow
 def test_percolation_mismatched_decay(sol4):
     region = perc_region()
