@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .kernels import lattice_kernel_stencil, profile_integral, stencil_radius
 
@@ -41,7 +40,6 @@ __all__ = [
     "decay_experiment",
     "DecayFit",
     "field_to_csv",
-    "field_from_csv",
     "decay_fit_to_json",
 ]
 
@@ -97,6 +95,7 @@ class CoarseKernel:
         keep = np.abs(flipped) > np.finfo(float).eps
         self.tap_index = np.argwhere(keep).T  # (d, n_taps)
         self.tap_weight = flipped[keep]  # (n_taps,)
+        self._plans = {}  # (values.shape, margin) -> _ApplyPlan
 
     def apply(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
         """V-bar acting on a ((*grid, S)) density array, returned on the cells
@@ -109,27 +108,25 @@ class CoarseKernel:
         window of the input is gathered at once, weighted, the running sum
         added to the chunk's first row, and the rows summed along the tap
         axis, which numpy adds one row after the other."""
-        r = self.radius
-        grid = values.shape[:-1]
-        shape = tuple(n - 2 * margin for n in grid)
+        key = (values.shape, margin)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _ApplyPlan(self, values.shape, margin)
         # the input on the cells within the radius of the output, the species
-        # total first; zero beyond the array
-        lo, pad = max(margin - r, 0), max(r - margin, 0)
-        buf = np.zeros(tuple(n + 2 * r for n in shape) + (values.shape[-1] + 1,))
-        src = values[tuple(slice(lo, n - lo) for n in grid)]
-        dst = tuple(slice(pad, pad + n - 2 * lo) for n in grid)
-        buf[dst + (0,)] = src.sum(axis=-1)
-        buf[dst + (slice(1, None),)] = src
-        # windows[j..., 0] is the input block that tap j multiplies: the view
-        # sliding_window_view(buf, shape + buf.shape[-1:]) returns, built
-        # without that function's per-call argument checks
-        windows = as_strided(buf, (2 * r + 1,) * len(shape) + (1,) + shape + buf.shape[-1:],
-                             buf.strides * 2, writeable=False)
-        acc = np.zeros(shape + buf.shape[-1:])
-        step = max(1, _CHUNK_ELEMENTS // acc.size)
-        for k in range(0, self.tap_weight.size, step):
-            chunk = windows[tuple(self.tap_index[:, k:k + step]) + (0,)]
-            chunk *= self.tap_weight[k:k + step].reshape((-1,) + (1,) * acc.ndim)
+        # total first; zero beyond the array.  A fresh buffer per call keeps
+        # apply reentrant.
+        buf = np.zeros(plan.buf_shape)
+        src = values[plan.src]
+        buf[plan.dst_total] = src.sum(axis=-1)
+        buf[plan.dst_species] = src
+        # windows[j...] is the input block that tap j multiplies: the view
+        # sliding_window_view(buf, shape + buf.shape[-1:]) returns, less its
+        # window axis of length 1
+        windows = np.ndarray(plan.window_shape, float, buffer=buf, strides=plan.window_strides)
+        acc = np.zeros(plan.out_shape)
+        for index, weight in plan.chunks:
+            chunk = windows[index]
+            chunk *= weight
             chunk[0] += acc
             acc = chunk.sum(axis=0)
         return acc[..., :1] - acc[..., 1:]
@@ -147,6 +144,35 @@ class CoarseKernel:
         spatial = np.where(inside, self.stencil[idx], 0.0)
         mix = np.ones((spec.S, spec.S)) - np.eye(spec.S)
         return np.kron(spatial, mix)
+
+
+class _ApplyPlan:
+    """What ``CoarseKernel.apply`` needs for one input shape and margin,
+    worked out once: where the input goes in the zero-padded buffer, the
+    shape and strides of the tap-window view, and each chunk's tap indices
+    and weight column.  The chunk size is the ``_CHUNK_ELEMENTS`` in force
+    when the plan is built."""
+
+    def __init__(self, kern: CoarseKernel, in_shape: tuple, margin: int):
+        r = kern.radius
+        grid = in_shape[:-1]
+        shape = tuple(n - 2 * margin for n in grid)
+        lo, pad = max(margin - r, 0), max(r - margin, 0)
+        self.buf_shape = tuple(n + 2 * r for n in shape) + (in_shape[-1] + 1,)
+        self.src = tuple(slice(lo, n - lo) for n in grid)
+        dst = tuple(slice(pad, pad + n - 2 * lo) for n in grid)
+        self.dst_total = dst + (0,)
+        self.dst_species = dst + (slice(1, None),)
+        self.out_shape = shape + self.buf_shape[-1:]
+        strides = np.empty(self.buf_shape).strides
+        self.window_shape = (2 * r + 1,) * len(shape) + self.out_shape
+        self.window_strides = strides[:-1] + strides
+        step = max(1, _CHUNK_ELEMENTS // int(np.prod(self.out_shape)))
+        self.chunks = [
+            (tuple(kern.tap_index[:, k:k + step].copy()),
+             kern.tap_weight[k:k + step].reshape((-1,) + (1,) * len(self.out_shape)))
+            for k in range(0, kern.tap_weight.size, step)
+        ]
 
 
 def build_kernel(spec: LatticeSpec, profile=None, n_panel: int = 4) -> CoarseKernel:
@@ -235,6 +261,12 @@ class FunctionalConfig:
 
     def __post_init__(self):
         self.rho_ref = np.asarray(self.rho_ref, dtype=float)
+        if not 0 < self.beta < np.inf:  # NaN included
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not np.isfinite(self.lambda_beta):
+            raise ValueError(f"lambda_beta must be finite, got {self.lambda_beta}")
+        if self.lam is not None and not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError("t must lie in [0,1]")
         if not self.epsilon >= 0:  # NaN included
@@ -370,21 +402,28 @@ def _fixed_point_map(rho, u_all, cfg, ell_d):
 
 def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig,
                      tol: float, max_iter: int, box: float) -> tuple[LatticeField, int, float]:
+    """Minimize from ``start``, whose interior the fixed-point loop
+    overwrites with each iterate."""
     spec = start.spec
     ell_d = spec.ell**spec.d
     lo = np.maximum(cfg.rho_ref - box, 1e-12)
     hi = cfg.rho_ref + box
     fld = start
-    rho = fld.interior.copy()
+    interior = fld.values[fld.interior_slices]  # a view: iterates go in here
+    rho = interior.copy()
     alpha = 0.5
     prev_res = np.inf
     stall = 0
     for it in range(max_iter):
         u_all = _interaction_field(fld, kernel)
         target = _fixed_point_map(rho, u_all, cfg, ell_d)
-        res = float(np.max(np.abs(np.clip(target, lo, hi) - rho)))
+        # np.minimum(np.maximum(...)) gives np.clip's floats without its
+        # Python-level wrapper
+        res = float(np.abs(np.minimum(np.maximum(target, lo), hi) - rho).max())
         if res < tol:
             return fld, it, res
+        if not res < np.inf:  # NaN included
+            raise ValueError(f"fixed-point residual {res} at iteration {it}")
         if res >= prev_res:
             alpha = max(alpha * 0.5, 0.05)
             stall += 1
@@ -393,8 +432,8 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
         if stall >= 8:
             break  # hand over to projected gradient
         prev_res = res
-        rho = np.clip((1.0 - alpha) * rho + alpha * target, lo, hi)
-        fld = fld.with_interior(rho)
+        rho = np.minimum(np.maximum((1.0 - alpha) * rho + alpha * target, lo), hi)
+        interior[...] = rho
     else:
         it = max_iter
 
@@ -463,7 +502,8 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
             dispersion = max(dispersion, float(np.max(np.abs(fields[a] - fields[b]))))
     if dispersion > 1e-8:
         raise RuntimeError(f"multi-start dispersion {dispersion:.3e} exceeds 1e-8")
-    best = min(results, key=lambda r: objective(r[0], kernel, cfg))
+    # the objective only ranks several starts
+    best = first if len(results) == 1 else min(results, key=lambda r: objective(r[0], kernel, cfg))
     return MinimizeResult(field=best[0], iterations=best[1], residual=best[2], dispersion=dispersion)
 
 
@@ -596,20 +636,6 @@ def field_to_csv(field: LatticeField, fh):
     for idx in np.ndindex(*field.values.shape[:-1]):
         for s in range(field.spec.S):
             wr.writerow(list(idx) + [s, repr(float(field.values[idx + (s,)]))])
-
-
-def field_from_csv(path, spec: LatticeSpec, collar: int) -> LatticeField:
-    import csv
-
-    shape = tuple(n + 2 * collar for n in spec.shape) + (spec.S,)
-    vals = np.zeros(shape)
-    with open(path) as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            *idx, s, v = row
-            vals[tuple(int(i) for i in idx) + (int(s),)] = float(v)
-    return LatticeField(spec, vals, collar)
 
 
 def decay_fit_to_json(fit: DecayFit) -> str:

@@ -531,9 +531,11 @@ def phase_diagram_curve(S: int, beta_range: tuple[float, float], n_points: int) 
         raise ValueError(f"beta range must be positive and finite, got {beta_range}")
     if n_points < 1:
         raise ValueError("need at least one point")
+    betas = np.sort(np.linspace(lo, hi, n_points) if n_points > 1 else np.array([lo]))
+    if np.any(np.diff(betas) <= 0):
+        raise ValueError(f"beta range {beta_range} gives repeated betas at {n_points} points")
     ref = common_tangent(S, 1.0)
-    betas = np.linspace(lo, hi, n_points) if n_points > 1 else np.array([lo])
-    rows = [(b, rescale(ref, b).lambda_beta) for b in np.sort(betas)]
+    rows = [(b, rescale(ref, b).lambda_beta) for b in betas]
     table = np.array(rows)
     if np.any(~np.isfinite(table)):
         raise RuntimeError("non-finite entries in the phase diagram table")

@@ -69,6 +69,15 @@ def test_invalid_config_exits_2(tmp_path):
     assert err["kind"] == "config"
 
 
+def test_phase_diagram_with_repeated_betas_exits_2(tmp_path):
+    # it wrote two identical 1e+300 rows at exit 0
+    cfg = write_cfg(tmp_path, "eq.json", {"S": 3, "beta_min": 1e300, "beta_max": 1e300, "n_points": 2})
+    out = tmp_path / "out"
+    assert run_cli(["phase-diagram", "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "config"
+    assert not (out / "phase_diagram.csv").exists()
+
+
 def test_unknown_keys_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "bad2.json", {"S": 3, "beta_min": 1.0, "beta_max": 2.0,
                                             "n_points": 3, "bogus": 1})

@@ -128,7 +128,8 @@ def test_apply_is_bit_identical_to_the_tap_loop(d, S, inner, seed, chunk, data):
     # a random, asymmetric stencil with zero and sub-epsilon weights, built
     # without the stencil cache; chunk caps the elements gathered at once
     # (None: the module's cap), so small caps carry the running sum across
-    # many chunk boundaries
+    # many chunk boundaries.  A kernel plans its chunks under the cap in force
+    # at its first call with a shape, so each example builds its own kernel.
     radius = data.draw(st.integers(0, 8 if d < 3 else 4))
     rng = np.random.default_rng(seed)
     stencil = rng.uniform(0.0, 1.0, size=(2 * radius + 1,) * d)
@@ -149,6 +150,30 @@ def test_apply_over_many_chunks_is_bit_identical_to_the_tap_loop(margin):
     assert kern.tap_weight.size * 16 * 16 * 4 > 6 * lat._CHUNK_ELEMENTS
     values = np.random.default_rng(4).uniform(0.1, 1.0, size=(16 + 2 * margin,) * 2 + (3,))
     assert np.array_equal(kern.apply(values, margin), tap_loop_oracle(kern, values, margin))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), S=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([None, 1, 300]), data=st.data())
+def test_one_kernel_over_interleaved_shapes_and_margins(d, S, seed, chunk, data):
+    # apply keeps a plan per (input shape, margin): calls that alternate
+    # between shapes and margins (0, inside, at and past the radius) must each
+    # equal the tap loop, and a later call must not change an earlier result
+    radius = data.draw(st.integers(1, 5 if d < 3 else 2))
+    rng = np.random.default_rng(seed)
+    stencil = rng.uniform(0.0, 1.0, size=(2 * radius + 1,) * d)
+    stencil *= rng.choice([0.0, 1.0], p=[0.2, 0.8], size=stencil.shape)
+    kern = lat.CoarseKernel(lat.LatticeSpec(d=d, ell=1.0, shape=(1,) * d, gamma=0.5, S=S), stencil)
+    margins = st.sampled_from([0, 1, radius, radius + 1, radius + 2])
+    calls = data.draw(st.lists(st.tuples(st.integers(1, 3), margins), min_size=2, max_size=6))
+    kept = []
+    with mock.patch.object(lat, "_CHUNK_ELEMENTS", chunk or lat._CHUNK_ELEMENTS):
+        for inner, margin in calls + calls[:1]:  # the first key again: a reused plan
+            values = rng.uniform(0.1, 1.0, size=(inner + 2 * margin,) * d + (S,))
+            out = kern.apply(values, margin)
+            assert np.array_equal(out, tap_loop_oracle(kern, values, margin))
+            kept.append((out, out.copy()))
+    assert all(np.array_equal(out, copy) for out, copy in kept)
 
 
 def test_apply_with_no_taps_is_zero():
@@ -392,6 +417,45 @@ def test_minimize_rejects_out_of_box_boundary(spec2d, kernel2d, sol3):
         lat.minimize(bad, kernel2d, cfg)
 
 
+def test_minimize_leaves_the_boundary_field_alone(spec2d, kernel2d, sol3):
+    # the minimizer writes its iterates into a working copy of the boundary
+    # field, never into the caller's values
+    cfg = make_cfg(sol3, t=1.0)
+    rng = np.random.default_rng(5)
+    bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
+    bnd.values[...] *= rng.uniform(0.99, 1.01, size=bnd.values.shape)
+    before = bnd.values.copy()
+    for n_starts in (1, 2):
+        res = lat.minimize(bnd, kernel2d, cfg, n_starts=n_starts)
+        assert np.array_equal(bnd.values, before)
+        assert not np.shares_memory(res.field.values, bnd.values)
+        assert np.array_equal(res.field.values[bnd.boundary_mask()], before[bnd.boundary_mask()])
+        assert np.any(res.field.interior != before[bnd.interior_slices])
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("beta", 0.0), ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")),
+    ("lambda_beta", float("nan")), ("lambda_beta", float("-inf")),
+    ("lam", float("nan")), ("lam", float("inf")),
+])
+def test_functional_config_rejects_bad_beta_and_slopes(sol3, field, bad):
+    with pytest.raises(ValueError, match=field):
+        make_cfg(sol3, **{field: bad})
+
+
+def test_minimize_stops_at_the_first_non_finite_residual(spec2d, kernel2d, sol3):
+    # a NaN parameter set past the constructor makes every iterate NaN; the
+    # loop must fail at once, not run out its 20,000 iterations
+    cfg = make_cfg(sol3)
+    cfg.beta = float("nan")
+    bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
+    with mock.patch.object(lat.CoarseKernel, "apply", autospec=True,
+                           side_effect=lat.CoarseKernel.apply) as spy:
+        with pytest.raises(ValueError, match="fixed-point residual nan at iteration 0"):
+            lat.minimize(bnd, kernel2d, cfg)
+    assert spy.call_count == 1
+
+
 def test_permutation_equivariance(spec2d, kernel2d, sol3):
     perm = np.array([1, 0, 2])
     rho_ref = sol3.minimizers[0]
@@ -541,13 +605,28 @@ def test_decay_distance_doubling(sol3):
     assert row_max[d1] <= row_max[d0] * np.exp(-fit.omega_hat * gap) * 2.0
 
 
+def field_from_csv(path, spec, collar):
+    """The extended-grid field that ``lat.field_to_csv`` wrote."""
+    import csv
+
+    shape = tuple(n + 2 * collar for n in spec.shape) + (spec.S,)
+    vals = np.zeros(shape)
+    with open(path) as fh:
+        rd = csv.reader(fh)
+        next(rd)
+        for row in rd:
+            *idx, s, v = row
+            vals[tuple(int(i) for i in idx) + (int(s),)] = float(v)
+    return lat.LatticeField(spec, vals, collar)
+
+
 def test_field_csv_round_trip(tmp_path, spec2d, kernel2d, sol3):
     cfg = make_cfg(sol3)
     fld = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
     p = tmp_path / "field.csv"
     with open(p, "w", newline="") as fh:
         lat.field_to_csv(fld, fh)
-    back = lat.field_from_csv(p, spec2d, kernel2d.radius)
+    back = field_from_csv(p, spec2d, kernel2d.radius)
     assert np.allclose(back.values, fld.values)
 
 

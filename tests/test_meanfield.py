@@ -323,6 +323,32 @@ def test_phase_diagram_curve_contract():
             mf.phase_diagram_curve(3, bad, 4)
 
 
+def test_phase_diagram_curve_rejects_repeated_betas():
+    # equal bounds at two points, or bounds so close that linspace repeats a
+    # float, gave duplicate rows in a table promised strictly sorted in beta
+    with pytest.raises(ValueError, match="repeated betas"):
+        mf.phase_diagram_curve(3, (1.0, 1.0), 2)
+    with pytest.raises(ValueError, match="repeated betas"):
+        mf.phase_diagram_curve(3, (1.0, np.nextafter(1.0, 2.0)), 3)
+    assert mf.phase_diagram_curve(3, (1.0, 1.0), 1).shape == (1, 2)
+
+
+def axis_density_rows(z, x, S):
+    """``mf.axis_density(z, x, S)`` for each z in an array, one row each."""
+    rho = np.empty((len(z), S))
+    rho[:, 0] = x * (1.0 + (S - 1) * z) / S
+    rho[:, 1:] = (x * (1.0 - z) / S)[:, None]
+    return rho
+
+
+def free_energy_rows(rho, sys):
+    """``mf.free_energy`` of each row, as one array expression."""
+    interaction = 0.5 * (np.sum(rho, axis=1) ** 2 - np.sum(rho**2, axis=1))
+    safe = np.where(rho > 0, rho, 1.0)
+    entropy = np.sum(np.where(rho > 0, rho * (np.log(safe) - 1.0), 0.0), axis=1)
+    return interaction + entropy / sys.beta - sys.lam * np.sum(rho, axis=1)
+
+
 def test_reduced_problem_matches_simplex_bruteforce():
     # constrained minimization over the one-parameter family equals a dense
     # scan of the symmetric-simplex slice rho_1 >= rho_2 = ... = rho_S
@@ -334,11 +360,15 @@ def test_reduced_problem_matches_simplex_bruteforce():
             # coarse scan, then one refinement pass around the argmin (the
             # minimum sits within 1e-5 of z=1 for large S and x)
             zg = np.linspace(0, 1, 20_001)
-            vals = np.array([mf.free_energy(mf.axis_density(z, x, S), sys) for z in zg[:-1]])
+            rows = axis_density_rows(zg[:-1], x, S)
+            vals = free_energy_rows(rows, sys)
+            for k in (0, 7_777, 19_999):  # the rows are the scalar functions' values
+                assert np.array_equal(rows[k], mf.axis_density(zg[k], x, S))
+                assert vals[k] == pytest.approx(mf.free_energy(rows[k], sys), rel=1e-13, abs=1e-13)
             k = int(np.argmin(vals))
             lo, hi = max(0.0, zg[k] - 1e-4), min(1.0, zg[k] + 1e-4)
             zf = np.linspace(lo, hi, 20_001)
-            fine = np.array([mf.free_energy(mf.axis_density(z, x, S), sys) for z in zf])
+            fine = free_energy_rows(axis_density_rows(zf, x, S), sys)
             brute = min(vals.min(), fine.min())
             assert mf.canonical_free_energy(float(x), S) <= brute + 1e-9
             assert mf.canonical_free_energy(float(x), S) >= brute - 1e-6
