@@ -18,7 +18,6 @@ __all__ = [
     "random_instance",
     "decay_bound_report",
     "decaying_inverse_check",
-    "neumann_inverse",
     "projection_bound_check",
 ]
 
@@ -127,17 +126,6 @@ def decaying_inverse_check(spec: BandedInstanceSpec) -> dict:
     """Generate an admissible instance from the spec and verify the bounds."""
     A, R1 = random_instance(spec)
     return decay_bound_report(A, R1, spec.kappa, spec.gamma)
-
-
-def neumann_inverse(D: np.ndarray, R: np.ndarray, terms: int = 30) -> np.ndarray:
-    """Truncated series inverse of D + R around the diagonal part D."""
-    Dinv = np.diag(1.0 / np.diag(D))
-    out = Dinv.copy()
-    term = Dinv.copy()
-    for _ in range(terms - 1):
-        term = -Dinv @ R @ term
-        out = out + term
-    return out
 
 
 def projection_bound_check(n: int = 40, b: float = 20.0, c: float = 2.0, band: int = 2,

@@ -38,7 +38,6 @@ from .simulate import (
     TwinRows,
     apply_move,
     draw_move_uniforms,
-    occupancy_window,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "percolation_stats",
     "crn_sweep",
     "copy_region",
-    "exact_occupancy_kernel",
 ]
 
 
@@ -262,58 +260,3 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
     else:
         out["c1"], out["c2"], out["r_squared"] = fit
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact single-chain kernel on the one-cell system (marginal audit)
-
-
-def exact_occupancy_kernel(region, phase, kernel: MoveKernel) -> tuple[list, np.ndarray]:
-    """Transition matrix of the single-chain dynamics on the occupancy
-    numbers of a one-cell system at t = 0 (positions integrate out)."""
-    if phase.t != 0.0:
-        raise ValueError("closed-form kernel requires t = 0")
-    if region.cells_per_axis != 1:
-        raise ValueError("one-cell system required")
-    vol = region.cell_volume
-    S = region.S
-    lo, hi = occupancy_window(phase, vol)
-    states = list(itertools.product(*[range(lo[s], hi[s] + 1) for s in range(S)]))
-    index = {st: i for i, st in enumerate(states)}
-    P = np.zeros((len(states), len(states)))
-    m = phase.neighbor_sum
-    for st in states:
-        i = index[st]
-        n = sum(st)
-        for s in range(S):
-            # birth of species s
-            dh = float(m[s] - phase.lambda_beta)
-            a = min(1.0, vol * S / (n + 1) * math.exp(-phase.beta * dh))
-            target = tuple(st[k] + (k == s) for k in range(S))
-            p = kernel.p_birth / S * (a if target in index else 0.0)
-            if target in index:
-                P[i, index[target]] += p
-            # death of species s: pick a uniform particle of that species
-            if n > 0 and st[s] > 0:
-                dh_d = -float(m[s] - phase.lambda_beta)
-                a_d = min(1.0, n / (vol * S) * math.exp(-phase.beta * dh_d))
-                target_d = tuple(st[k] - (k == s) for k in range(S))
-                if target_d in index:
-                    P[i, index[target_d]] += kernel.p_death * st[s] / n * a_d
-            # flips s -> s2
-            if st[s] > 0:
-                for s2 in range(S):
-                    if s2 == s:
-                        continue
-                    dh_f = float(m[s2] - m[s])
-                    a_f = min(1.0, math.exp(-phase.beta * dh_f))
-                    tgt = list(st)
-                    tgt[s] -= 1
-                    tgt[s2] += 1
-                    tgt = tuple(tgt)
-                    if tgt in index:
-                        P[i, index[tgt]] += (
-                            kernel.p_flip * st[s] / n / (S - 1) * a_f
-                        )
-        P[i, i] += 1.0 - P[i].sum()
-    return states, P

@@ -305,18 +305,12 @@ class SinePerturbation:
 # functional terms
 
 
-def _interaction_field(field: LatticeField, kernel: CoarseKernel) -> np.ndarray:
-    """V-bar applied to the full (interior + boundary) density, on the
-    interior."""
-    return kernel.apply(field.values, field.collar)
-
-
 def lp_functional(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig) -> float:
     """Quadratic interaction (weight t), entropy minus chemical-potential
     term, and the linear reference energy (weight 1-t)."""
     rho = field.interior
     u_int = kernel.apply(rho)  # the interior density alone, zero elsewhere
-    u_all = _interaction_field(field, kernel)
+    u_all = kernel.apply(field.values, field.collar)  # interior and boundary
     # sum rho * u_all = (rho, V rho) + (rho, V rho_bar); subtract half the
     # interior-interior part to weight it 1/2
     quad = float(np.sum(rho * u_all) - 0.5 * np.sum(rho * u_int))
@@ -341,10 +335,16 @@ def penalty(field: LatticeField, cfg: FunctionalConfig) -> float:
     """Quartic barrier outside the accuracy tube; zero inside it."""
     if cfg.epsilon == 0.0:
         return 0.0
-    rho = field.interior
+    up, dn = _excess(field.interior, cfg)
+    return float(np.sum(up**4 + dn**4)) / (4.0 * cfg.epsilon)
+
+
+def _excess(rho: np.ndarray, cfg: FunctionalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """How far each density lies above and below the accuracy tube: (up >= 0,
+    dn <= 0), both zero inside it."""
     up = np.clip(rho - (cfg.rho_ref + cfg.zeta), 0.0, None)
     dn = np.clip(rho - (cfg.rho_ref - cfg.zeta), None, 0.0)
-    return float(np.sum(up**4 + dn**4)) / (4.0 * cfg.epsilon)
+    return up, dn
 
 
 def objective(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig) -> float:
@@ -360,17 +360,22 @@ def objective(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig) 
 def gradient(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig) -> np.ndarray:
     """Analytic gradient of the objective w.r.t. interior densities."""
     rho = field.interior
-    u_all = _interaction_field(field, kernel)
-    g = cfg.t * u_all + (1.0 - cfg.t) * cfg.neighbor_sum
-    g = g + np.log(rho) / cfg.beta - cfg.lambda_beta
+    drift = _drift(rho, kernel.apply(field.values, field.collar), cfg,
+                   field.spec.ell ** field.spec.d, (1.0 - cfg.t) * cfg.neighbor_sum)
+    return drift + np.log(rho) / cfg.beta
+
+
+def _drift(rho, u_all, cfg, ell_d, linear):
+    """The gradient less the entropy's log(rho)/beta, given the interaction
+    field ``u_all`` on the interior and ``linear = (1 - t) * neighbor_sum``.
+    Stationarity is the fixed point rho = exp(-beta * drift)."""
+    g = cfg.t * u_all + linear - cfg.lambda_beta
     if cfg.one_body:
-        ell_d = field.spec.ell ** field.spec.d
         g = g + (0.5 / rho + cfg.t * (cfg.lambda_beta - cfg.lam)) / (cfg.beta * ell_d)
     if cfg.perturbation is not None:
         g = g + cfg.perturbation.grad(rho)
     if cfg.epsilon > 0:
-        up = np.clip(rho - (cfg.rho_ref + cfg.zeta), 0.0, None)
-        dn = np.clip(rho - (cfg.rho_ref - cfg.zeta), None, 0.0)
+        up, dn = _excess(rho, cfg)
         g = g + (up**3 + dn**3) / cfg.epsilon
     return g
 
@@ -387,27 +392,25 @@ class MinimizeResult:
     dispersion: float = 0.0
 
 
-def _fixed_point_map(rho, u_all, cfg, ell_d):
-    expo = -cfg.beta * (cfg.t * u_all + (1.0 - cfg.t) * cfg.neighbor_sum - cfg.lambda_beta)
-    if cfg.one_body:
-        expo = expo - (0.5 / rho + cfg.t * (cfg.lambda_beta - cfg.lam)) / ell_d
-    if cfg.perturbation is not None:
-        expo = expo - cfg.beta * cfg.perturbation.grad(rho)
-    if cfg.epsilon > 0:
-        up = np.clip(rho - (cfg.rho_ref + cfg.zeta), 0.0, None)
-        dn = np.clip(rho - (cfg.rho_ref - cfg.zeta), None, 0.0)
-        expo = expo - cfg.beta * (up**3 + dn**3) / cfg.epsilon
-    return np.exp(expo)
-
-
 def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig,
                      tol: float, max_iter: int, box: float) -> tuple[LatticeField, int, float]:
     """Minimize from ``start``, whose interior the fixed-point loop
     overwrites with each iterate."""
     spec = start.spec
     ell_d = spec.ell**spec.d
+    linear = (1.0 - cfg.t) * cfg.neighbor_sum  # constant over the minimization
     lo = np.maximum(cfg.rho_ref - box, 1e-12)
     hi = cfg.rho_ref + box
+
+    def fixed_point(fld, rho):
+        """The drift at ``rho``, the fixed-point target exp(-beta * drift)
+        and the sup distance of the clipped target from ``rho``."""
+        drift = _drift(rho, kernel.apply(fld.values, fld.collar), cfg, ell_d, linear)
+        target = np.exp(-cfg.beta * drift)
+        # np.minimum(np.maximum(...)) gives np.clip's floats without its
+        # Python-level wrapper
+        return drift, target, float(np.abs(np.minimum(np.maximum(target, lo), hi) - rho).max())
+
     fld = start
     interior = fld.values[fld.interior_slices]  # a view: iterates go in here
     rho = interior.copy()
@@ -415,11 +418,7 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
     prev_res = np.inf
     stall = 0
     for it in range(max_iter):
-        u_all = _interaction_field(fld, kernel)
-        target = _fixed_point_map(rho, u_all, cfg, ell_d)
-        # np.minimum(np.maximum(...)) gives np.clip's floats without its
-        # Python-level wrapper
-        res = float(np.abs(np.minimum(np.maximum(target, lo), hi) - rho).max())
+        _, target, res = fixed_point(fld, rho)
         if res < tol:
             return fld, it, res
         if not res < np.inf:  # NaN included
@@ -441,13 +440,11 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
     step = 1.0
     f_cur = objective(fld, kernel, cfg)
     for jt in range(max_iter):
-        g = gradient(fld, kernel, cfg)
-        u_all = _interaction_field(fld, kernel)
-        target = np.clip(_fixed_point_map(rho, u_all, cfg, ell_d), lo, hi)
-        res = float(np.max(np.abs(target - rho)))
+        drift, _, res = fixed_point(fld, rho)
+        g = drift + np.log(rho) / cfg.beta
         # gradient can vanish on the box faces where the fixed point cannot;
         # accept either certificate
-        proj_res = float(np.max(np.abs(np.clip(rho - g, lo, hi) - rho)))
+        proj_res = float(np.abs(np.minimum(np.maximum(rho - g, lo), hi) - rho).max())
         if res < tol or proj_res < tol:
             return fld, it + jt, min(res, proj_res)
         while step > 1e-14:
@@ -486,24 +483,22 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
         raise ValueError(f"boundary data leaves the relaxed box around the reference phase: "
                          f"density {bvals[~inside][0]}")
     rng = np.random.default_rng(seed)
-    results = []
-    first = _minimize_single(boundary_field.with_interior(
-        np.broadcast_to(cfg.rho_ref, boundary_field.interior.shape).copy()
-    ), kernel, cfg, tol, max_iter, box)
-    results.append(first)
-    for _ in range(n_starts - 1):
-        rho0 = cfg.rho_ref + rng.uniform(-cfg.zeta, cfg.zeta, size=boundary_field.interior.shape)
-        rho0 = np.maximum(rho0, 1e-12)
-        results.append(_minimize_single(boundary_field.with_interior(rho0), kernel, cfg, tol, max_iter, box))
-    fields = [r[0].interior for r in results]
-    dispersion = 0.0
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            dispersion = max(dispersion, float(np.max(np.abs(fields[a] - fields[b]))))
-    if dispersion > 1e-8:
-        raise RuntimeError(f"multi-start dispersion {dispersion:.3e} exceeds 1e-8")
-    # the objective only ranks several starts
-    best = first if len(results) == 1 else min(results, key=lambda r: objective(r[0], kernel, cfg))
+    shape = boundary_field.interior.shape
+    starts = [np.broadcast_to(cfg.rho_ref, shape)] + [
+        np.maximum(cfg.rho_ref + rng.uniform(-cfg.zeta, cfg.zeta, size=shape), 1e-12)
+        for _ in range(n_starts - 1)
+    ]
+    results = [_minimize_single(boundary_field.with_interior(rho0), kernel, cfg, tol, max_iter, box)
+               for rho0 in starts]
+    best, dispersion = results[0], 0.0
+    if len(results) > 1:
+        # the largest difference between two starts, cell by cell: rounding
+        # is monotone, so max - min is the largest pairwise difference
+        dispersion = float(np.ptp([r[0].interior for r in results], axis=0).max())
+        if dispersion > 1e-8:
+            raise RuntimeError(f"multi-start dispersion {dispersion:.3e} exceeds 1e-8")
+        # the objective only ranks several starts
+        best = min(results, key=lambda r: objective(r[0], kernel, cfg))
     return MinimizeResult(field=best[0], iterations=best[1], residual=best[2], dispersion=dispersion)
 
 
@@ -524,9 +519,7 @@ def hessian_matrix(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalCon
     if cfg.perturbation is not None:
         diag = diag + cfg.perturbation.hess_diag(field.interior).reshape(-1)
     if cfg.epsilon > 0:
-        r = field.interior
-        up = np.clip(r - (cfg.rho_ref + cfg.zeta), 0.0, None)
-        dn = np.clip(r - (cfg.rho_ref - cfg.zeta), None, 0.0)
+        up, dn = _excess(field.interior, cfg)
         diag = diag + (3.0 * (up**2 + dn**2) / cfg.epsilon).reshape(-1)
     return A + np.diag(diag)
 

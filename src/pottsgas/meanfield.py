@@ -15,7 +15,6 @@ the closed forms suffer catastrophic cancellation when written in z.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -45,9 +44,7 @@ __all__ = [
     "rescale",
     "phase_diagram_curve",
     "write_phase_diagram_csv",
-    "write_branch_table_csv",
     "solution_to_json",
-    "solution_from_json",
 ]
 
 
@@ -553,19 +550,6 @@ def write_phase_diagram_csv(fh, table: np.ndarray):
         fh.write(f"{float(b)!r},{float(lam)!r}\n")
 
 
-def write_branch_table_csv(path, S: int, xs):
-    """Table of (x, branch, f, f_left, f_right) rows over a density grid."""
-    x_s = coexistence_threshold(S)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "branch", "f", "df_left", "df_right"])
-        for x in xs:
-            left, right = one_sided_derivatives(float(x), S)
-            branch = "disordered" if x <= x_s else "ordered"
-            wr.writerow([repr(float(x)), branch, repr(float(canonical_free_energy(float(x), S))),
-                         repr(left), repr(right)])
-
-
 def solution_to_json(sol: CoexistenceSolution) -> str:
     return json.dumps(
         {
@@ -578,17 +562,3 @@ def solution_to_json(sol: CoexistenceSolution) -> str:
             "kappa_star": sol.kappa_star,
         }
     )
-
-
-def solution_from_json(text: str) -> CoexistenceSolution:
-    data = json.loads(text)
-    sol = CoexistenceSolution(
-        S=data["S"],
-        beta=data["beta"],
-        x_minus=data["x_minus"],
-        x_plus=data["x_plus"],
-        lambda_beta=data["lambda_beta"],
-    )
-    sol.minimizers = [np.asarray(r, dtype=float) for r in data["minimizers"]]
-    sol.kappa_star = data["kappa_star"]
-    return sol

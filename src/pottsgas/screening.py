@@ -14,7 +14,6 @@ cube.
 from __future__ import annotations
 
 import copy
-import csv
 import functools
 import itertools
 import math
@@ -38,7 +37,6 @@ __all__ = [
     "verify_stopping",
     "m_function",
     "peierls_chain_check",
-    "history_to_csv",
 ]
 
 C_POL_DEFAULT = 1.0
@@ -667,12 +665,3 @@ def peierls_chain_check(polymers: PolymerSet, weights, c_pol: float = C_POL_DEFA
         if containing / total > product(bounds, mask) + 1e-12:
             return False
     return True
-
-
-def history_to_csv(partition: CubePartition, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["step", "selected", "sigma_cube", "status"])
-        for n, step in enumerate(partition.history):
-            for q in step["sigma"]:
-                wr.writerow([n, repr(step["selected"]), repr(q), step["statuses"][q]])

@@ -292,10 +292,6 @@ class ParticleSystem:
         """Flat cell of an interior-coordinate cell tuple."""
         return sum((c + self.w) * k for c, k in zip(cell, self._strides))
 
-    def in_box(self, r) -> bool:
-        L = self.region.side
-        return all(0.0 <= x < L for x in r)
-
     def mobile_in(self, cells: set | frozenset) -> list:
         """Mobile ids whose interior cell is in the set ``cells``, in
         ``mobile_ids`` order (a move's ``pick`` indexes into this list)."""

@@ -8,7 +8,6 @@ the total-variation lower bound, and the Gaussian mean-shift bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "tv_lower_bound",
     "gaussian_variation_bound",
     "gaussian_tv_1d",
-    "measure_to_json",
-    "measure_from_json",
 ]
 
 _MARGINAL_TOL = 1e-10
@@ -228,26 +225,3 @@ def gaussian_tv_1d(var: float, delta: float) -> float:
     if var <= 0:
         raise ValueError("variance must be positive")
     return float(2.0 * norm.cdf(abs(delta) / (2.0 * np.sqrt(var))) - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-
-
-def measure_to_json(mu: FiniteMetricMeasure) -> str:
-    return json.dumps(
-        {
-            "weights": list(map(float, mu.weights)),
-            "metric": [list(map(float, row)) for row in mu.metric],
-            "anchor": mu.anchor,
-        }
-    )
-
-
-def measure_from_json(text: str) -> FiniteMetricMeasure:
-    data = json.loads(text)
-    return FiniteMetricMeasure(
-        np.asarray(data["weights"], dtype=float),
-        np.asarray(data["metric"], dtype=float),
-        anchor=data["anchor"],
-    )

@@ -39,19 +39,6 @@ def test_precondition_violations_raise():
         bd.decay_bound_report(np.triu(A), R1, kappa=0.01, gamma=0.3)  # not symmetric
 
 
-def test_neumann_series_matches_dense():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = 25
-        D = np.diag(4.0 + rng.uniform(0, 2, n))
-        R = rng.normal(size=(n, n)) * bd._band_mask(n, 2)
-        # keep the contraction ratio at or below one half
-        R *= 0.5 * np.diag(D).min() / np.linalg.norm(R, 2)
-        approx = bd.neumann_inverse(D, R, terms=30)
-        dense = np.linalg.inv(D + R)
-        assert np.max(np.abs(approx - dense)) < 1e-8
-
-
 def test_projection_bound():
     for seed in range(10):
         report = bd.projection_bound_check(n=35, b=24.0, c=2.0, band=2, seed=seed)

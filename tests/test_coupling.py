@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from pottsgas import fixtures as fx
 from pottsgas import meanfield as mf
 from pottsgas import screening as scr
 from pottsgas import simulate as sim
+from pottsgas.simulate import MoveKernel, occupancy_window
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,57 @@ def test_diagonal_branch_preserves_equality(sol4):
     assert scr._agree(pair, [cell for cube in part.interior for cell in scr._cube_cells(cube, cpc)])
 
 
+def exact_occupancy_kernel(region, phase, kernel: MoveKernel) -> tuple[list, np.ndarray]:
+    """Transition matrix of the single-chain dynamics on the occupancy
+    numbers of a one-cell system at t = 0 (positions integrate out)."""
+    if phase.t != 0.0:
+        raise ValueError("closed-form kernel requires t = 0")
+    if region.cells_per_axis != 1:
+        raise ValueError("one-cell system required")
+    vol = region.cell_volume
+    S = region.S
+    lo, hi = occupancy_window(phase, vol)
+    states = list(itertools.product(*[range(lo[s], hi[s] + 1) for s in range(S)]))
+    index = {st: i for i, st in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    m = phase.neighbor_sum
+    for st in states:
+        i = index[st]
+        n = sum(st)
+        for s in range(S):
+            # birth of species s
+            dh = float(m[s] - phase.lambda_beta)
+            a = min(1.0, vol * S / (n + 1) * math.exp(-phase.beta * dh))
+            target = tuple(st[k] + (k == s) for k in range(S))
+            p = kernel.p_birth / S * (a if target in index else 0.0)
+            if target in index:
+                P[i, index[target]] += p
+            # death of species s: pick a uniform particle of that species
+            if n > 0 and st[s] > 0:
+                dh_d = -float(m[s] - phase.lambda_beta)
+                a_d = min(1.0, n / (vol * S) * math.exp(-phase.beta * dh_d))
+                target_d = tuple(st[k] - (k == s) for k in range(S))
+                if target_d in index:
+                    P[i, index[target_d]] += kernel.p_death * st[s] / n * a_d
+            # flips s -> s2
+            if st[s] > 0:
+                for s2 in range(S):
+                    if s2 == s:
+                        continue
+                    dh_f = float(m[s2] - m[s])
+                    a_f = min(1.0, math.exp(-phase.beta * dh_f))
+                    tgt = list(st)
+                    tgt[s] -= 1
+                    tgt[s2] += 1
+                    tgt = tuple(tgt)
+                    if tgt in index:
+                        P[i, index[tgt]] += (
+                            kernel.p_flip * st[s] / n / (S - 1) * a_f
+                        )
+        P[i, i] += 1.0 - P[i].sum()
+    return states, P
+
+
 def test_crn_marginal_matches_exact_kernel():
     # one-cell two-species system at t=0: the per-move transition law of each
     # CRN-coupled chain equals the single-chain kernel
@@ -165,7 +218,7 @@ def test_crn_marginal_matches_exact_kernel():
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=1.5 + math.log(1.5),
                             beta=1.0, zeta=0.626, t=0.0)
     kernel = sim.MoveKernel()
-    states, P = cpl.exact_occupancy_kernel(region, phase, kernel)
+    states, P = exact_occupancy_kernel(region, phase, kernel)
     index = {st: i for i, st in enumerate(states)}
 
     s1 = sim.ParticleSystem(region, phase, seed=11)
@@ -442,7 +495,7 @@ def test_exact_kernel_rows_stochastic():
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=0.9, beta=1.0,
                             zeta=0.626, t=0.0)
     kernel = sim.MoveKernel()
-    states, P = cpl.exact_occupancy_kernel(region, phase, kernel)
+    states, P = exact_occupancy_kernel(region, phase, kernel)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(P >= 0)
     # stationarity of the closed-form law under the kernel (detailed balance)

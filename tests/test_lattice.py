@@ -364,16 +364,21 @@ def test_gradient_matches_finite_differences(sol3):
         rho = cfg.rho_ref + rng.uniform(-1.5 * cfg.zeta, 1.5 * cfg.zeta, size=(3, 3, 3))
         fld = base.with_interior(rho)
         g = lat.gradient(fld, kern, cfg)
+        H = lat.hessian_matrix(fld, kern, cfg)
         h = 1e-6
         for _ in range(6):
             idx = tuple(rng.integers(0, 3, size=2)) + (int(rng.integers(0, 3)),)
-            up = rho.copy()
-            up[idx] += h
-            dn = rho.copy()
-            dn[idx] -= h
-            fd = (lat.objective(base.with_interior(up), kern, cfg)
-                  - lat.objective(base.with_interior(dn), kern, cfg)) / (2 * h)
+            up = base.with_interior(rho.copy())
+            up.interior[idx] += h
+            dn = base.with_interior(rho.copy())
+            dn.interior[idx] -= h
+            fd = (lat.objective(up, kern, cfg) - lat.objective(dn, kern, cfg)) / (2 * h)
             assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            # the curvature's column at idx against central differences of
+            # the gradient
+            fd_col = (lat.gradient(up, kern, cfg) - lat.gradient(dn, kern, cfg)) / (2 * h)
+            col = H[:, np.ravel_multi_index(idx, rho.shape)]
+            assert col == pytest.approx(fd_col.reshape(-1), rel=1e-5, abs=1e-7)
 
 
 def test_minimize_perfect_boundary_exact(spec2d, kernel2d, sol3):
@@ -408,6 +413,27 @@ def test_minimize_t0_matches_percell_newton(spec2d, kernel2d, sol3):
             fp = 1.0 / (cfg.beta * x) - 0.5 / (cfg.beta * ell_d * x**2)
             x = x - fval / fp
         assert np.max(np.abs(res.field.interior[..., s] - x)) < 1e-10
+
+
+def test_minimize_hands_a_stalled_fixed_point_to_the_projected_gradient():
+    # lp-minimize's config S=3, d=1, ell=1, cells=[6], gamma=0.1, beta=1,
+    # t=0.5, uniform phase, one_body, zeta=0.05: the one-body term drives the
+    # damped fixed point into a stall at the lower box face, and the
+    # projected gradient finishes.  A one-start minimize evaluates the
+    # objective only in that fallback.
+    sol = mf.common_tangent(3, 1.0)
+    box = 0.5 * max(float(np.max(np.abs(a - b)))
+                    for i, a in enumerate(sol.minimizers) for b in sol.minimizers[i + 1:])
+    spec = lat.LatticeSpec(d=1, ell=1.0, shape=(6,), gamma=0.1, S=3)
+    kern = lat.build_kernel(spec)
+    cfg = lat.FunctionalConfig(beta=sol.beta, lambda_beta=sol.lambda_beta, t=0.5,
+                               rho_ref=sol.minimizers[-1], zeta=0.05, box=box, one_body=True)
+    bnd = lat.LatticeField.constant(spec, kern.radius, cfg.rho_ref)
+    tol = 1e-12
+    with mock.patch.object(lat, "objective", side_effect=lat.objective) as spy:
+        res = lat.minimize(bnd, kern, cfg, tol=tol)
+    assert spy.called
+    assert res.residual < tol
 
 
 def test_minimize_rejects_out_of_box_boundary(spec2d, kernel2d, sol3):

@@ -385,16 +385,6 @@ def test_peierls_chain_check():
         scr.peierls_chain_check(fam, [2.0, 0.0, 0.0])
 
 
-def test_history_csv(tmp_path):
-    pair = identical_pair(seed=16)
-    part = scr.run_screening(pair)
-    p = tmp_path / "history.csv"
-    scr.history_to_csv(part, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "step,selected,sigma_cube,status"
-    assert len(lines) == 1 + sum(len(h["sigma"]) for h in part.history)
-
-
 # ---------------------------------------------------------------------------
 # property tests against the per-offset loops, on both benchmark geometries
 

@@ -271,7 +271,7 @@ def test_sweep_keeps_ensemble_and_audits():
     bpos = []
     while len(bpos) < n_b:
         r = rng.uniform(-wlen, L + wlen, size=2)
-        if not sys.in_box(r):
+        if not all(0.0 <= x < L for x in r):
             bpos.append(r)
     sys.add_boundary(bpos, rng.integers(0, 2, size=n_b))
     fresh = sys.total_energy()
@@ -400,7 +400,7 @@ def test_birth_at_the_far_face_lies_in_its_cell():
                           list(sys.mobile_ids), len(active) * sys.region.cell_volume)
     born = sys.mobile_ids[-1]
     assert sys.pos[born].tolist() == [math.nextafter(4.0, 0.0)] * 2
-    assert sys.in_box(sys.pos[born])
+    assert all(0.0 <= x < sys.region.side for x in sys.pos[born])
     assert sys.cell[born] == sys.flat_cell((1, 1))
     assert np.floor(sys.pos[born] / sys.region.ell_minus).tolist() == [1.0, 1.0]
 
@@ -418,7 +418,7 @@ def test_birth_at_any_far_face_lies_in_its_cell(ell, ell_plus, n_plus):
         active = [(cell,)]
         (_, r, _, c), = sim._propose(sys, sim.MoveKernel(), row, active, frozenset(active),
                                      [], ell).changes
-        assert sys.in_box(r) and math.floor(r[0] / ell) == cell
+        assert all(0.0 <= x < region.side for x in r) and math.floor(r[0] / ell) == cell
         assert c == sys.flat_cell((cell,))
 
 
@@ -854,7 +854,7 @@ def test_cell_index_matches_position_scan(d, seed, ops):
                 system._insert(r, int(rng.integers(region.S)), cell_of(system, r), frozen=False)
             elif op == "collar":
                 r = rng.uniform(-wlen, L + wlen, d)
-                while system.in_box(r):
+                while all(0.0 <= x < L for x in r):
                     r = rng.uniform(-wlen, L + wlen, d)
                 system._insert(r, int(rng.integers(region.S)), cell_of(system, r), frozen=True)
             elif op == "remove" and system.mobile_ids:

@@ -243,12 +243,3 @@ def test_gaussian_bound_3d_monte_carlo():
     tv_est = float(np.mean(np.clip(1.0 - ratio, 0.0, None)))
     assert tv_est <= bound
     assert 2 * tv_est <= bound  # L1 distance of the densities
-
-
-def test_measure_json_round_trip():
-    rng = np.random.default_rng(10)
-    mu, _ = random_measure_pair(rng, 5)
-    back = tr.measure_from_json(tr.measure_to_json(mu))
-    assert np.allclose(back.weights, mu.weights)
-    assert np.allclose(back.metric, mu.metric)
-    assert back.anchor == mu.anchor
