@@ -139,7 +139,6 @@ class PairPotential:
 # lattice cell-averaged kernel
 
 
-@lru_cache(maxsize=32)
 def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4,
                            profile=None) -> np.ndarray:
     """Spatial part of the coarse-grained pair kernel as a stencil.
@@ -150,8 +149,16 @@ def lattice_kernel_stencil(gamma: float, ell: float, d: int, n_panel: int = 4,
     between cells at integer offset ``off``; the stencil is symmetric with
     radius R and its full-lattice row sums are 1 to machine precision.
     ``profile`` is the radial base profile J (default: the normalized bump).
-    The result is cached per argument tuple and returned read-only.
+    The result is cached per value of the five arguments, defaults included,
+    and returned read-only.
     """
+    # one positional key: lru_cache would file (g, l, 2) and (g, l, 2, 4, None)
+    # apart
+    return _lattice_kernel_stencil(gamma, ell, d, n_panel, profile)
+
+
+@lru_cache(maxsize=32)
+def _lattice_kernel_stencil(gamma, ell, d, n_panel, profile) -> np.ndarray:
     if d not in (1, 2, 3):
         raise ValueError(f"dimension {d} not supported")
     if not 0 < gamma * ell < 1:

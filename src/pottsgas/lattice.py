@@ -14,6 +14,7 @@ numerically here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,13 @@ __all__ = [
 # of float64): large enough to amortize the per-chunk calls, small enough to
 # stay in cache
 _CHUNK_ELEMENTS = 1 << 16
+
+# output cells times taps above which CoarseKernel.apply convolves by FFT.
+# Measured at margin=radius (BENCH_lattice_fft.json), FFT wins from about 20k
+# at d = 1 and 25k at d = 2; at d = 3 the passes stay within about 20% of
+# each other up to 250k.  The narrow decay stencils of the benchmark (at most
+# 12,900) stay on the strided pass, bit-identical to ndimage
+_FFT_CELL_TAPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,29 +104,38 @@ class CoarseKernel:
         self.tap_index = np.argwhere(keep).T  # (d, n_taps)
         self.tap_weight = flipped[keep]  # (n_taps,)
         self._plans = {}  # (values.shape, margin) -> _ApplyPlan
+        self._spectra = {}  # FFT buffer grid shape -> the stencil's transform
 
     def apply(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
         """V-bar acting on a ((*grid, S)) density array, returned on the cells
         at least ``margin`` cells in from every edge (cells beyond the array
         count as 0).
 
-        One accumulator over the species total and the S species sums the
-        taps in order from 0.0, so each cell equals ``ndimage.convolve`` with
-        ``mode="constant"`` bit for bit.  The taps go in chunks: each tap's
-        window of the input is gathered at once, weighted, the running sum
-        added to the chunk's first row, and the rows summed along the tap
-        axis, which numpy adds one row after the other."""
+        Up to ``_FFT_CELL_TAPS`` output cells times taps this is the strided
+        pass, equal to ``ndimage.convolve`` with ``mode="constant"`` bit for
+        bit; above it, the FFT pass, equal to it within a few 1e-15 of the
+        largest species total."""
+        cells = math.prod(n - 2 * margin for n in values.shape[:-1])
+        if cells * self.tap_weight.size <= _FFT_CELL_TAPS:
+            return self._apply_strided(values, margin)
+        return self._apply_fft(values, margin)
+
+    def _plan(self, values: np.ndarray, margin: int) -> "_ApplyPlan":
         key = (values.shape, margin)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _ApplyPlan(self, values.shape, margin)
-        # the input on the cells within the radius of the output, the species
-        # total first; zero beyond the array.  A fresh buffer per call keeps
-        # apply reentrant.
-        buf = np.zeros(plan.buf_shape)
-        src = values[plan.src]
-        buf[plan.dst_total] = src.sum(axis=-1)
-        buf[plan.dst_species] = src
+        return plan
+
+    def _apply_strided(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
+        """One accumulator over the species total and the S species sums the
+        taps in order from 0.0, so each cell equals ``ndimage.convolve`` bit
+        for bit.  The taps go in chunks: each tap's window of the input is
+        gathered at once, weighted, the running sum added to the chunk's first
+        row, and the rows summed along the tap axis, which numpy adds one row
+        after the other."""
+        plan = self._plan(values, margin)
+        buf = plan.fill(values)
         # windows[j...] is the input block that tap j multiplies: the view
         # sliding_window_view(buf, shape + buf.shape[-1:]) returns, less its
         # window axis of length 1
@@ -129,6 +146,23 @@ class CoarseKernel:
             chunk *= weight
             chunk[0] += acc
             acc = chunk.sum(axis=0)
+        return acc[..., :1] - acc[..., 1:]
+
+    def _apply_fft(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
+        """The same sums as one circular convolution over the zero-bordered
+        buffer, whose side per axis is the output's plus twice the radius:
+        every tap of an output cell reads inside it, so nothing wraps.  The
+        stencil's transform is kept per buffer shape."""
+        buf = self._plan(values, margin).fill(values)
+        window = buf.shape[:-1]
+        axes = tuple(range(len(window)))
+        spectrum = self._spectra.get(window)
+        if spectrum is None:
+            spectrum = self._spectra[window] = np.fft.rfftn(self.stencil, window, axes)[..., None]
+        conv = np.fft.irfftn(np.fft.rfftn(buf, axes=axes) * spectrum, window, axes=axes)
+        # circular index y holds sum_k stencil[k] * buf[y - k]: the output
+        # cell at x is y = x + 2 * radius
+        acc = conv[(slice(2 * self.radius, None),) * len(window)]
         return acc[..., :1] - acc[..., 1:]
 
     def dense_interior_matrix(self) -> np.ndarray:
@@ -173,6 +207,16 @@ class _ApplyPlan:
              kern.tap_weight[k:k + step].reshape((-1,) + (1,) * len(self.out_shape)))
             for k in range(0, kern.tap_weight.size, step)
         ]
+
+    def fill(self, values: np.ndarray) -> np.ndarray:
+        """The input on the cells within the radius of the output, the species
+        total first; zero beyond the array.  A fresh buffer per call keeps
+        apply reentrant."""
+        buf = np.zeros(self.buf_shape)
+        src = values[self.src]
+        buf[self.dst_total] = src.sum(axis=-1)
+        buf[self.dst_species] = src
+        return buf
 
 
 def build_kernel(spec: LatticeSpec, profile=None, n_panel: int = 4) -> CoarseKernel:
@@ -474,8 +518,11 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
     initializations inside the accuracy tube must land on the same field
     within 1e-8 or a RuntimeError is raised.  ``box_override`` shrinks the
     projection box (e.g. to the accuracy tube itself for the hard-constrained
-    problem).
+    problem).  Each of the two loops runs at most ``max_iter`` (at least 1)
+    iterations.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     box = cfg.box if box_override is None else box_override
     bvals = boundary_field.values[boundary_field.boundary_mask()]
     inside = np.abs(bvals - np.broadcast_to(cfg.rho_ref, bvals.shape)) <= cfg.box + 1e-12

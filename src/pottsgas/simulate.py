@@ -425,7 +425,9 @@ class ParticleSystem:
         """Take particles ``ids`` out of their cells' rows in one pass; each
         row keeps the filing order of what stays."""
         cells = self.cell[ids]
-        rows = np.unique(cells)
+        # the sorted distinct cells; np.unique would import numpy.ma on its
+        # first call, 16 ms of a process's first removal
+        rows = np.flatnonzero(np.bincount(cells))
         gone = np.zeros(len(self.spin), dtype=bool)
         gone[ids] = True
         sub = self.members[rows]

@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 from scipy.signal import convolve
 from scipy.special import gamma as gamma_fn
 
+from pottsgas import kernels
 from pottsgas.kernels import (
     PairPotential,
     _self_convolution_table,
@@ -110,3 +111,15 @@ def test_self_convolve_is_scipy_direct_convolution(d, n, seed, symmetric):
         M = M + np.flip(M)
     assert np.array_equal(_self_convolve(M), convolve(M, M, mode="full", method="direct"))
 
+
+
+def test_stencil_cache_files_defaults_and_explicit_arguments_together():
+    # the lattice workload asks for (gamma, ell, 2) and build_kernel for
+    # (gamma, ell, 2, 4, None): one build between them
+    before = kernels._lattice_kernel_stencil.cache_info()
+    first = kernels.lattice_kernel_stencil(0.3713, 1.0, 2)
+    again = kernels.lattice_kernel_stencil(0.3713, 1.0, 2, 4, None)
+    by_name = kernels.lattice_kernel_stencil(gamma=0.3713, ell=1.0, d=2, n_panel=4)
+    after = kernels._lattice_kernel_stencil.cache_info()
+    assert first is again is by_name
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)

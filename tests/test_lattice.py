@@ -144,12 +144,57 @@ def test_apply_is_bit_identical_to_the_tap_loop(d, S, inner, seed, chunk, data):
 
 @pytest.mark.parametrize("margin", [0, 12])
 def test_apply_over_many_chunks_is_bit_identical_to_the_tap_loop(margin):
-    # radius 12, 401 taps on a 16x16 interior: 64 taps a chunk, 7 chunks
+    # radius 12, 401 taps on a 16x16 interior: 64 taps a chunk, 7 chunks.
+    # Above _FFT_CELL_TAPS, so apply would take the FFT pass: the strided
+    # pass is called by name
     kern = lat.build_kernel(lat.LatticeSpec(d=2, ell=2.0, shape=(16, 16), gamma=0.05, S=3))
     assert kern.radius == 12 and kern.tap_weight.size == 401
     assert kern.tap_weight.size * 16 * 16 * 4 > 6 * lat._CHUNK_ELEMENTS
     values = np.random.default_rng(4).uniform(0.1, 1.0, size=(16 + 2 * margin,) * 2 + (3,))
-    assert np.array_equal(kern.apply(values, margin), tap_loop_oracle(kern, values, margin))
+    assert np.array_equal(kern._apply_strided(values, margin), tap_loop_oracle(kern, values, margin))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), S=st.integers(2, 4), inner=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fft_pass_matches_the_tap_loop(d, S, inner, seed, data):
+    # the FFT pass reorders the sums, so on a stencil summing to 1, as the
+    # lattice stencils do, it agrees with the tap loop to a few ulp of the
+    # largest species total, whatever the stencil's shape
+    radius = data.draw(st.integers(0, 8 if d < 3 else 4))
+    rng = np.random.default_rng(seed)
+    stencil = rng.uniform(0.0, 1.0, size=(2 * radius + 1,) * d)
+    stencil *= rng.choice([0.0, 1e-17, 1.0], p=[0.2, 0.1, 0.7], size=stencil.shape)
+    if stencil.any():
+        stencil /= stencil.sum()
+    kern = lat.CoarseKernel(lat.LatticeSpec(d=d, ell=1.0, shape=(inner,) * d, gamma=0.5, S=S), stencil)
+    margin = data.draw(st.integers(0, radius + 1))
+    values = rng.uniform(0.1, 1.0, size=(inner + 2 * margin,) * d + (S,))
+    out = kern._apply_fft(values, margin)
+    want = tap_loop_oracle(kern, values, margin)
+    assert out.shape == want.shape
+    assert np.max(np.abs(out - want)) <= 1e-13 * values.sum(axis=-1).max()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3, 0.2])
+def test_apply_on_the_narrow_decay_stencils_is_the_tap_loop(gamma):
+    # the benchmark's narrow decay stencils on their 10x10 boxes: the fits
+    # read boundary responses down to 1e-14, and a reordered sum moves
+    # omega_hat by about 1e-6, so these must stay on the strided pass
+    cells = 10
+    kern = lat.build_kernel(lat.LatticeSpec(d=2, ell=1.0, shape=(cells, cells), gamma=gamma, S=3))
+    r = kern.radius
+    values = np.random.default_rng(5).uniform(0.1, 1.0, size=(cells + 2 * r,) * 2 + (3,))
+    assert np.array_equal(kern.apply(values, r), tap_loop_oracle(kern, values, r))
+
+
+def test_apply_takes_the_fft_pass_above_the_size_rule():
+    # the benchmark's wide stencil on a 16x16 interior: 1,437 taps
+    kern = lat.build_kernel(lat.LatticeSpec(d=2, ell=1.0, shape=(16, 16), gamma=0.05, S=3))
+    r = kern.radius
+    assert 16 * 16 * kern.tap_weight.size > lat._FFT_CELL_TAPS
+    values = np.random.default_rng(6).uniform(0.1, 1.0, size=(16 + 2 * r,) * 2 + (3,))
+    assert np.array_equal(kern.apply(values, r), kern._apply_fft(values, r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,8 +239,10 @@ def test_apply_with_no_taps_is_zero():
     (2, 0.05, 2.0, 8),  # wide: radius 12
 ])
 def test_apply_is_bit_identical_to_ndimage(d, gamma, ell, cells, S):
-    # apply must add the same products in the same order as
-    # ndimage.convolve; a changed summation order in numpy or scipy shows here
+    # the strided pass must add the same products in the same order as
+    # ndimage.convolve; a changed summation order in numpy or scipy shows
+    # here.  Some of these sizes are above _FFT_CELL_TAPS, so the pass is
+    # called by name
     kern = lat.build_kernel(lat.LatticeSpec(d=d, ell=ell, shape=(cells,) * d, gamma=gamma, S=S))
     r = kern.radius
     rng = np.random.default_rng(d * 10 + S)
@@ -203,7 +250,7 @@ def test_apply_is_bit_identical_to_ndimage(d, gamma, ell, cells, S):
     full = ndimage_apply(kern, values)
     for margin in (0, 1, r, r + 1):
         inner = tuple(slice(margin, n - margin) for n in values.shape[:-1])
-        assert np.array_equal(kern.apply(values, margin), full[inner]), margin
+        assert np.array_equal(kern._apply_strided(values, margin), full[inner]), margin
 
 
 @settings(max_examples=25, deadline=None)
@@ -480,6 +527,14 @@ def test_minimize_stops_at_the_first_non_finite_residual(spec2d, kernel2d, sol3)
         with pytest.raises(ValueError, match="fixed-point residual nan at iteration 0"):
             lat.minimize(bnd, kernel2d, cfg)
     assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_minimize_rejects_fewer_than_one_iteration(spec2d, kernel2d, sol3, max_iter):
+    cfg = make_cfg(sol3)
+    bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        lat.minimize(bnd, kernel2d, cfg, max_iter=max_iter)
 
 
 def test_permutation_equivariance(spec2d, kernel2d, sol3):

@@ -29,21 +29,23 @@ system.total_energy()
 system.audit_every = 10
 simulate.metropolis_sweep(system, simulate.MoveKernel(), n_moves=200)
 assert system.audit_log, "the audited sweep crossed no audit"
+system.remove_particles(system.mobile_ids[:5])
 fixtures.make_mismatched_pair(region, phase, 3,
                               ladder=screening.LadderSpec(zeta=2.0, d=2, c_star=0.65))
-# the scipy subpackages loaded, by their first two name parts
+# the scipy subpackages and numpy.ma, if loaded, by their first two name parts
 print(" ".join(sorted({".".join(name.split(".")[:2]) for name in sys.modules
-                       if name.split(".")[0] == "scipy"})))
+                       if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]})))
 """
 
 
 def test_setup_path_imports_no_scipy():
     # scipy.integrate and scipy.spatial alone took 0.3-0.5 s of a 0.7 s
     # start-up; only transport (at import), custom lattice profiles and
-    # critical_spin_counts (when first called) import scipy
+    # critical_spin_counts (when first called) import scipy.  numpy.ma, which
+    # np.unique loads on its first call, costs 16 ms
     src = str(Path(pottsgas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SETUP], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "", f"scipy modules loaded during set-up: {proc.stdout.strip()}"
+    assert proc.stdout.strip() == "", f"modules loaded during set-up: {proc.stdout.strip()}"
