@@ -140,8 +140,10 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
     and runs common-random-number sweeps; disagreement then enters only
     through the genuinely differing environment, and the observed failure
     rate of the agreement events over the screening set and its first ring is
-    recorded.
+    recorded.  ``sweeps`` (at least 1) scales the moves per update.
     """
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
     region = pair.region
     cpc = _cells_per_cube(region)
     lam = partition.lambda_cubes
@@ -221,11 +223,13 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
     distances are excluded from the fit; if fewer than two distances remain,
     or log(1 - p) is the same at all of them, the decay floor was reached:
     ``decay_floor`` is True and ``c1``, ``c2`` and ``r_squared`` are None.
+    ``n_runs`` must be at least 1.
     """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
     contain = {m: 0 for m in margins}
     agree = {m: 0 for m in margins}
     eps_hats = []
-    region = None
     for k in range(n_runs):
         pair = make_pair(seed + 1000 * k)
         region = pair.region
@@ -242,7 +246,7 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
         "n_runs": n_runs,
         "containment": {m: contain[m] / n_runs for m in margins},
         "agreement": {m: agree[m] / n_runs for m in margins},
-        "eps_hat_mean": float(np.mean(eps_hats)) if eps_hats else 0.0,
+        "eps_hat_mean": float(np.mean(eps_hats)),
         "decay_floor": False,
         "c1": None,
         "c2": None,

@@ -788,6 +788,39 @@ def _metropolis(system: ParticleSystem, move: Proposal | None,
     return u_accept < move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0)), dh
 
 
+def _decide(system: ParticleSystem, move: Proposal | None,
+            u_accept: float) -> tuple[bool, float]:
+    """``_metropolis``'s decision, settled first from an upper bound on the
+    pair sum where that can accept: at t > 0 on a chain whose running energy
+    is unknown (NaN), which an accepted move leaves unknown, so no exact
+    energy change is needed.  Such an accept returns a NaN change.
+
+    Each +1 change ``(r, s, c)`` adds at most ``vmax`` per particle of
+    another species in the block of c, read from the counts, and a -1 change
+    adds at most 0, since V lies in [0, vmax]; so the exponent from that
+    bound is at most the exact one and its threshold at most the exact
+    threshold.  Rounding moves either exponent by a few ulps of beta times
+    the sum of the magnitudes of its terms, about 1e-14 at this sampler's
+    energies, and a threshold by that share; the relative margin of 1e-9
+    leaves room for it, so the bound accepts only where ``_metropolis``
+    accepts.  Every other case takes ``_metropolis`` unchanged."""
+    if math.isnan(system._energy) and move is not None and system.phase.t > 0.0:
+        phase = system.phase
+        others = 0
+        for sign, _, s, c in move.changes:
+            if sign > 0:
+                block = system._counts.take(c + system._ball, axis=0).sum(axis=0).tolist()
+                others += sum(block) - block[s]
+        dh = phase.t * (system.potential.vmax * others - phase.lam * move.dn) \
+            + (1.0 - phase.t) * move.dref
+        bound = move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0))
+        if u_accept < bound * (1.0 - 1e-9):
+            if not system._window_ok_after(move.changes):
+                return False, 0.0
+            return True, math.nan
+    return _metropolis(system, move, u_accept)
+
+
 class TwinRows:
     """Two chains driven by one stream of rows, as in
     ``coupling.crn_sweep``: which extended cells are *twin* (both chains'
@@ -855,18 +888,20 @@ class TwinRows:
         current row (rejected when ``move`` is None), with the twin flags
         kept up to date after the second chain's decision."""
         if system is self.first:
-            decision = _metropolis(system, move, u_accept)
+            decision = _decide(system, move, u_accept)
             # read before the commit: a displacement's r is a view of pos[i]
             self._row = None if move is None else (
                 move, [r.tolist() for _, r, _, _ in move.changes], self._place(system, move), decision)
             return decision
         first, *_, decision1 = self._row or (None, (False, 0.0))
         same = first is not None and move is not None and self._matches(system, move)
-        if same and all(self.blocks[c] for *_, c in move.changes):
+        # a bound accept's NaN change only fits a chain whose energy is unknown too
+        fits = not math.isnan(decision1[1]) or math.isnan(system._energy)
+        if same and fits and all(self.blocks[c] for *_, c in move.changes):
             decision = decision1
             self.reused += 1
         else:
-            decision = _metropolis(system, move, u_accept)
+            decision = _decide(system, move, u_accept)
         if not (same and decision[0] and decision1[0]):
             if decision1[0]:
                 self._clear(first.changes)
@@ -881,11 +916,16 @@ def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, ac
     """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
     for this system and Metropolis-accept it with the row's last uniform;
     moves that would leave the accuracy window or the active region are
-    rejected outright.  Returns True when accepted.  ``twins`` is the
-    pair's ``TwinRows`` when two chains share the rows: the second chain
-    then takes over the first chain's decision where its operands agree."""
+    rejected outright.  Returns True when accepted.  An accepted move adds
+    its exact energy change to the running energy; while that energy is
+    unknown at t > 0 (after a bulk edit), the move may instead be accepted
+    from a bound on its pair energy without the pair sum, and the energy
+    stays unknown until the next read of ``energy`` recomputes it.  The
+    decisions are the same either way.  ``twins`` is the pair's
+    ``TwinRows`` when two chains share the rows: the second chain then
+    takes over the first chain's decision where its operands agree."""
     move = _propose(system, kernel, draws, active, active_set, local_ids, volume)
-    decide = _metropolis if twins is None else twins.decide
+    decide = _decide if twins is None else twins.decide
     accepted, dh = decide(system, move, float(draws[-1]))
     if accepted:
         move.commit()

@@ -213,7 +213,11 @@ def exact_occupancy_kernel(region, phase, kernel: MoveKernel) -> tuple[list, np.
 
 def test_crn_marginal_matches_exact_kernel():
     # one-cell two-species system at t=0: the per-move transition law of each
-    # CRN-coupled chain equals the single-chain kernel
+    # chain of a CRN pair equals the single-chain kernel.  The chains start
+    # from one configuration and share the rows through the pair's TwinRows,
+    # so the second chain takes over the first chain's decision wherever the
+    # two resolve a row to the same proposal: its law checks those shared
+    # decisions
     region = sim.SimRegion(d=2, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=1)
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=1.5 + math.log(1.5),
                             beta=1.0, zeta=0.626, t=0.0)
@@ -224,34 +228,31 @@ def test_crn_marginal_matches_exact_kernel():
     s1 = sim.ParticleSystem(region, phase, seed=11)
     s2 = sim.ParticleSystem(region, phase, seed=12)
     s1.seed_phase_configuration()
-    s2.seed_phase_configuration()
+    s2.add_particles(s1.pos[s1.mobile_ids], s1.spin[s1.mobile_ids])
     pair = scr.PairedState(s1, s2, ladder=scr.LadderSpec(zeta=0.626, d=2))
+    twins = sim.TwinRows(pair.sys1, pair.sys2)
     rng = np.random.default_rng(123)
     active = [(0, 0)]
     active_set = frozenset(active)
-    loc1 = list(s1.mobile_ids)
-    loc2 = list(s2.mobile_ids)
+    chains = [(pair.sys1, list(pair.sys1.mobile_ids)), (pair.sys2, list(pair.sys2.mobile_ids))]
     volume = region.cell_volume
     n_moves = 1_000_000
-    counts1 = np.zeros_like(P)
-    visits1 = np.zeros(len(states))
+    counts = np.zeros((2,) + P.shape)
     for _ in range(100):  # in blocks, to bound memory; the stream is the same
         for draws in sim.draw_move_uniforms(rng, n_moves // 100, 2):
-            st1 = tuple(int(v) for v in s1.counts[0, 0])
-            sim.apply_move(s1, kernel, draws, active, active_set, loc1, volume)
-            sim.apply_move(s2, kernel, draws, active, active_set, loc2, volume)
-            new1 = tuple(int(v) for v in s1.counts[0, 0])
-            i = index[st1]
-            visits1[i] += 1
-            counts1[i, index[new1]] += 1
+            for k, (system, loc) in enumerate(chains):
+                i = index[tuple(system.counts[0, 0].tolist())]
+                sim.apply_move(system, kernel, draws, active, active_set, loc, volume, twins)
+                counts[k, i, index[tuple(system.counts[0, 0].tolist())]] += 1
+    assert twins.reused > n_moves // 2
     # entrywise comparison with a three-standard-error statistical allowance
     # on top of the contracted 1e-3
-    for i in range(len(states)):
-        if visits1[i] == 0:
-            continue
-        emp = counts1[i] / visits1[i]
-        se = np.sqrt(np.maximum(P[i] * (1 - P[i]), 1e-12) / visits1[i])
-        assert np.all(np.abs(emp - P[i]) <= 1e-3 + 3.0 * se), (states[i],)
+    for k in range(2):
+        visits = counts[k].sum(axis=1)
+        for i in np.flatnonzero(visits):
+            emp = counts[k, i] / visits[i]
+            se = np.sqrt(np.maximum(P[i] * (1 - P[i]), 1e-12) / visits[i])
+            assert np.all(np.abs(emp - P[i]) <= 1e-3 + 3.0 * se), (k, states[i])
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +334,24 @@ def test_crn_sweep_matches_two_call_loop(start, t):
         assert out["reused"] == 0
     else:
         assert out["reused"] > (1000 if start == "twin" else 0)
+
+
+@pytest.mark.parametrize("start", ["twin", "partly"])
+def test_crn_sweep_keeps_a_known_energy_exact(start):
+    # at t > 0 the first chain's unknown energy lets the bound accept rows
+    # with a NaN change; the second chain, whose energy is known, must decide
+    # such rows itself and end as the two-call loop leaves it
+    pair = twin_pair(start, 0.03)
+    pair.sys2.energy  # resolve it
+    ref = copy.deepcopy(pair)
+    kernel = sim.MoveKernel()
+    cells = list(np.ndindex(4, 4))
+    out = cpl.crn_sweep(pair, kernel, cells, 1500, np.random.default_rng(17))
+    two_call_loop(ref, kernel, cells, 1500, np.random.default_rng(17))
+    for got, want in ((pair.sys1, ref.sys1), (pair.sys2, ref.sys2)):
+        assert full_state(got) == full_state(want)
+    assert math.isnan(pair.sys1._energy) and math.isfinite(pair.sys2._energy)
+    assert out["reused"] > 0
 
 
 @pytest.mark.parametrize("t", [0.03, 1.0])
@@ -470,6 +489,19 @@ def test_percolation_margins_beyond_the_box_report_a_decay_floor(sol4):
     assert out["containment"] == {1: 0.0, 2: 0.0}
     assert out["decay_floor"] is True
     assert out["c1"] is None and out["c2"] is None and out["r_squared"] is None
+
+
+def test_percolation_stats_rejects_fewer_than_one_run():
+    # n_runs = 0 divided by zero in the containment estimate
+    with pytest.raises(ValueError, match="n_runs"):
+        cpl.percolation_stats(lambda seed: None, n_runs=0, margins=[0], kernel=sim.MoveKernel())
+
+
+def test_coupled_screening_rejects_fewer_than_one_sweep(sol4):
+    # sweeps = 0 ran one move per peel through max(1, sweeps * moves)
+    pair = fx.make_mismatched_pair(perc_region(), perc_phase(sol4), 3, ladder=perc_ladder())
+    with pytest.raises(ValueError, match="sweeps"):
+        cpl.run_coupled_screening(pair, sim.MoveKernel(), seed=3, sweeps=0)
 
 
 @pytest.mark.slow

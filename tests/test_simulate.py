@@ -159,6 +159,23 @@ def test_pair_potential_support_and_symmetry():
             assert v1 >= 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.5, 0.2, 0.05])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_potential_lies_between_zero_and_vmax(d, gamma):
+    # the premise of the sampler's accept bound: V(0) = vmax, V vanishes
+    # from the range on, and every value lies in [0, vmax], at random
+    # distances and at the table's radii and their neighbouring floats
+    pot = PairPotential(gamma, d)
+    beyond = np.array([pot.range, np.nextafter(pot.range, np.inf), 1.5 * pot.range, 1e6])
+    radii = pot._radii
+    inside = np.concatenate([np.random.default_rng(d).uniform(0.0, pot.range, 100_000), radii,
+                             np.nextafter(radii, 0.0), np.nextafter(radii, np.inf)])
+    assert pot(0.0) == pot.vmax > 0.0
+    assert np.all(pot(beyond) == 0.0)
+    v = pot(inside)
+    assert v.min() >= 0.0 and v.max() <= pot.vmax
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_potential_at_zero_scale_identity(d):
     # V(r, r) = gamma^d * integral of the unit-scale profile squared
@@ -718,6 +735,106 @@ def test_detailed_balance(d, t, seed, kind):
     back.commit()  # the reverse row restores x
     assert np.array_equal(system.counts, counts)
     assert system.total_energy() == pytest.approx(h_x, rel=1e-10, abs=1e-10)
+
+
+def _decide_settled(system, move, u):
+    """(``_decide``'s decision, whether the bound settled it): the bound
+    settled it when ``_metropolis`` was not called."""
+    with mock.patch.object(sim, "_metropolis", wraps=sim._metropolis) as exact:
+        decision = sim._decide(system, move, u)
+    return decision, not exact.called
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([0.03, 0.5, 1.0]), st.integers(0, 2**16),
+       st.sampled_from(sorted(KIND_UNIFORMS)), st.sampled_from([None, 1e-3, 1e-12]))
+def test_bound_decisions_are_the_exact_decisions(d, t, seed, kind, spread):
+    # on an unknown energy, wherever the pair-energy bound settles an accept
+    # test it decides as _metropolis does, and an accept carries a NaN
+    # change.  u is uniform, 0 (the bound then settles every test), the
+    # exact threshold ratio * exp(-beta dh), and 1 and 2 ulps either side.
+    # Counts at the window's edges make the window reject too.  With a
+    # ``spread``, there is no collar and every particle, birth and
+    # displacement lies within about ``spread`` of the box centre, where V is
+    # nearly vmax: the bound on a birth or a flip is then the exact pair sum
+    # to about 1e-7, or to rounding at 1e-12
+    region = oracle_region(d)
+    vol, ell = region.cell_volume, region.ell_minus
+    phase = sim.PhaseTarget(rho_ref=(4.0 + np.array([0.0, 0.15, -0.15])[: region.S]) / vol,
+                            lambda_beta=0.7, beta=1.5, zeta=2.2 / vol, t=t)
+    system = sim.ParticleSystem(region, phase, seed=seed)
+    if spread is None:
+        fx.fill_boundary(system, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    active = [tuple(c) for c in np.ndindex(*((system.n_int,) * d))]
+
+    def near_centre(cell, n):
+        """n points of the cell within about ``spread`` of its point nearest the
+        box centre."""
+        lo = np.asarray(cell) * ell
+        nearest = np.clip(region.side / 2, lo, lo + ell)
+        return nearest + (lo + ell / 2 - nearest) * rng.random((n, d)) * spread
+
+    for cell in active:
+        pos, spin = system.draw_uniform([cell], rng.choice([2, 4, 6], region.S), rng)
+        system.add_particles(pos if spread is None else near_centre(cell, len(pos)), spin)
+    local_ids = system.mobile_in(frozenset(active))
+    kernel = sim.MoveKernel(step=ell)
+    u_index, vector = rng.random(), rng.random(d)
+    if spread is not None and kind == "birth":
+        cell = active[int(u_index * len(active))]
+        vector = near_centre(cell, 1)[0] / ell - cell
+    elif spread is not None and kind == "displace":
+        vector = 0.5 + (vector - 0.5) * spread
+    row = _row(kind, u_index, vector, rng.random())
+    move = sim._propose(system, kernel, row, active, frozenset(active), local_ids,
+                        len(active) * vol)
+    if move is None:
+        return
+    _, dh = sim._metropolis(system, move, 0.0)
+    threshold = move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0))
+    below = np.nextafter(threshold, 0.0)
+    above = np.nextafter(threshold, np.inf)
+    for u in (rng.random(), 0.0, threshold, below, np.nextafter(below, 0.0), above,
+              np.nextafter(above, np.inf)):
+        (accepted, change), settled = _decide_settled(system, move, float(u))
+        assert settled or u != 0.0
+        if settled:
+            assert accepted == sim._metropolis(system, move, float(u))[0]
+            assert math.isnan(change) if accepted else change == 0.0
+    assert math.isnan(system._energy)
+
+
+@pytest.mark.parametrize("t", [0.03, 1.0])
+def test_known_energy_takes_exact_changes(t):
+    # every row of an unaudited sweep from a known energy takes _metropolis,
+    # so the running energy stays exact and finite; the same sweep from an
+    # unknown energy lets the bound settle rows, leaves the energy unknown
+    # and makes the same decisions
+    region = oracle_region(2)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=t)
+    known = sim.ParticleSystem(region, phase, seed=5)
+    fx.fill_boundary(known, seed=6)
+    known.seed_phase_configuration()
+    unknown = copy.deepcopy(known)
+    known.energy  # resolve it
+    kernel = sim.MoveKernel(step=1.0)
+    calls = []
+    for system in (known, unknown):
+        with mock.patch.object(sim, "_metropolis", wraps=sim._metropolis) as exact:
+            accepted = sim.metropolis_sweep(system, kernel, n_moves=600, audit=False)
+        calls.append(exact.call_count)
+    assert accepted > 0
+    assert calls[0] == 600 > calls[1]
+    fresh = known.total_energy()
+    assert math.isfinite(known._energy)
+    assert abs(known._energy - fresh) <= 1e-9 * max(abs(fresh), 1.0)
+    assert math.isnan(unknown._energy)
+    assert known.mobile_ids == unknown.mobile_ids
+    for name in ("pos", "spin", "alive", "members", "fill"):
+        assert np.array_equal(getattr(known, name), getattr(unknown, name)), name
 
 
 def pair_sum_oracle(system, r, s, c, skip=None):
