@@ -131,6 +131,15 @@ class PairPotential:
         self._radii, self._vals = shifts / gamma, gamma**d * vals
         self.vmax = float(self._vals.max())
 
+    def tail_max(self, dist):
+        """Per distance r, the largest value of V at r or beyond: the
+        largest table value from the table interval holding r on, since an
+        interpolated value is a convex combination of its interval's ends.
+        No monotonicity of the table is assumed."""
+        tail = np.maximum.accumulate(self._vals[::-1])[::-1]
+        k = np.searchsorted(self._radii, np.asarray(dist, dtype=float), side="right") - 1
+        return tail[np.maximum(k, 0)]
+
     def __call__(self, dist):
         dist = np.asarray(dist, dtype=float)
         # right=0.0 zeroes V past _radii[-1], which is self.range

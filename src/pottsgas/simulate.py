@@ -164,6 +164,8 @@ class MoveKernel:
 _POTENTIALS: dict[tuple[float, int], PairPotential] = {}
 _STAMPS = itertools.count()  # ParticleSystem.stamp: one value per cell-index change
 _PAIR_BLOCK_ELEMENTS = 1 << 16  # slot pairs per group of cells in total_energy
+_SUBCELLS = 4  # subcells per cell axis in the pair-energy bound's count table
+_SUBCELL_GRIDS: dict[tuple, _SubcellGrid] = {}
 
 
 def _potential_cache(gamma: float, d: int) -> PairPotential:
@@ -171,6 +173,60 @@ def _potential_cache(gamma: float, d: int) -> PairPotential:
     if key not in _POTENTIALS:
         _POTENTIALS[key] = PairPotential(gamma, d)
     return _POTENTIALS[key]
+
+
+class _SubcellGrid:
+    """The grid of the pair-energy bound: ``_SUBCELLS`` subcells per cell
+    axis over the extended grid plus two padding subcells on each side, one
+    flat index per subcell in C order, and the bound's weights.
+
+    A point x lies in subcell ``floor(x * _SUBCELLS / ell)`` along each axis.
+    ``offsets`` are the flat offsets from a subcell to every subcell within
+    range of it, and ``weights[k]`` bounds V over every distance at or beyond
+    the closest distance between the two subcells, shrunk by a relative 1e-9:
+    the shrink covers a point that rounding in the floor files one subcell
+    over, and the closest distance's own rounding.  A point of the box, even
+    one that rounding files a subcell over, lies at least the stencil's reach
+    inside the padded grid, so ``index(r) + offsets`` stays on it."""
+
+    PAD = 2
+
+    def __init__(self, region: SimRegion, potential: PairPotential, n_ext: int, w: int):
+        d, K = region.d, _SUBCELLS
+        self.ell = region.ell_minus
+        side = K * n_ext + 2 * self.PAD
+        self.size = side**d
+        self.strides = tuple(side ** (d - 1 - k) for k in range(d))
+        self.origin = (K * w + self.PAD) * sum(self.strides)
+        h = self.ell / K
+        # w cells span the range, so subcells K w + 2 or more apart along an
+        # axis are beyond it
+        reach = K * w + 1
+        delta = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
+        gap = np.maximum(np.abs(delta) - 1, 0) * h
+        weights = potential.tail_max(np.sqrt((gap**2).sum(axis=1)) * (1.0 - 1e-9))
+        within = weights > 0.0
+        self.offsets = delta[within] @ self.strides
+        self.weights = weights[within]
+
+    @classmethod
+    def of(cls, system: ParticleSystem) -> _SubcellGrid:
+        """The grid of the system's geometry, built once per process."""
+        key = (system.region, system.potential)
+        if key not in _SUBCELL_GRIDS:
+            _SUBCELL_GRIDS[key] = cls(system.region, system.potential, system.n_ext, system.w)
+        return _SUBCELL_GRIDS[key]
+
+    def index(self, xs) -> int:
+        """Flat subcell of the point with coordinates ``xs`` (a list)."""
+        flat = self.origin
+        for x, k in zip(xs, self.strides):
+            flat += math.floor(x * _SUBCELLS / self.ell) * k
+        return flat
+
+    def indices(self, pos: np.ndarray) -> np.ndarray:
+        """``index`` of each row of ``pos``, in one pass."""
+        return np.floor(pos * _SUBCELLS / self.ell).astype(np.int64) @ self.strides + self.origin
 
 
 def reference_energy(spins, phase: PhaseTarget) -> float:
@@ -233,6 +289,10 @@ class ParticleSystem:
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
         self._window = (self.n_lo.tolist(), self.n_hi.tolist())  # read per proposal
         self._energy = 0.0  # running interpolated energy; NaN when unknown
+        # per subcell of _subgrid, per species, the particles filed there;
+        # kept only while the pair-energy bound can fire (see _decide)
+        self._subcounts: np.ndarray | None = None
+        self._subgrid: _SubcellGrid | None = None
         # flat offsets of the (2w+1)^d block around a cell, in np.ndindex order
         self._ball = (np.indices((2 * w + 1,) * d).reshape(d, -1).T - w) @ self._strides
         self.mobile_ids: list[int] = []
@@ -272,12 +332,29 @@ class ParticleSystem:
         deltas; a bulk edit marks it unknown, and the next read recomputes it
         with ``total_energy``."""
         if math.isnan(self._energy):
-            self._energy = self.total_energy()
+            self.energy = self.total_energy()
         return self._energy
 
     @energy.setter
     def energy(self, value: float):
         self._energy = value
+        if not math.isnan(value):
+            self._subcounts = None  # the bound fires only on an unknown energy
+
+    def _energy_unknown(self, ids: np.ndarray, sign: int):
+        """Mark the running energy unknown after a bulk edit that filed
+        (``sign`` +1) or unfiled (-1) the particles ``ids``.  At t > 0 the
+        pair-energy bound can then fire, so the subcell table is brought up
+        to date, or counted from scratch if there is none."""
+        self._energy = math.nan
+        if self._subcounts is not None:
+            np.add.at(self._subcounts, (self._subgrid.indices(self.pos[ids]), self.spin[ids]), sign)
+        elif self.phase.t > 0.0:
+            self._subgrid = _SubcellGrid.of(self)
+            live = np.flatnonzero(self.alive[: self._n_used])
+            flat = self._subgrid.indices(self.pos[live]) * self.region.S + self.spin[live]
+            table = np.bincount(flat, minlength=self._subgrid.size * self.region.S)
+            self._subcounts = table.reshape(-1, self.region.S).astype(float)
 
     @property
     def reference_counts(self) -> np.ndarray:
@@ -385,6 +462,8 @@ class ParticleSystem:
         self.fill[c] = n + 1
         self.cell[i] = c
         self._counts[c, self.spin[i]] += 1
+        if self._subcounts is not None:
+            self._subcounts[self._subgrid.index(self.pos[i].tolist()), self.spin[i]] += 1
         self.stamp = next(_STAMPS)
 
     def _unfile(self, i: int):
@@ -397,6 +476,8 @@ class ParticleSystem:
         row[k : n - 1] = row[k + 1 : n]
         self.fill[c] = n - 1
         self._counts[c, self.spin[i]] -= 1
+        if self._subcounts is not None:
+            self._subcounts[self._subgrid.index(self.pos[i].tolist()), self.spin[i]] -= 1
         self.stamp = next(_STAMPS)
 
     def _row_index(self, i: int) -> int:
@@ -443,6 +524,10 @@ class ParticleSystem:
         c = self.cell[i]
         self._counts[c, self.spin[i]] -= 1
         self._counts[c, s] += 1
+        if self._subcounts is not None:
+            row = self._subcounts[self._subgrid.index(self.pos[i].tolist())]
+            row[self.spin[i]] -= 1
+            row[s] += 1
         self.spin[i] = s
         self.stamp = next(_STAMPS)
 
@@ -491,8 +576,8 @@ class ParticleSystem:
         would: slots from ``_free`` in pop order, then new ones, and mobile
         ids appended in the given order."""
         n = len(pos)
-        self._energy = math.nan
         if not n:
+            self._energy_unknown(np.zeros(0, dtype=np.int64), +1)
             return
         k = min(n, len(self._free))
         reused = self._free[len(self._free) - k :][::-1]
@@ -511,6 +596,7 @@ class ParticleSystem:
             new = ids.tolist()
             self._mobile_slot.update(zip(new, itertools.count(len(self.mobile_ids))))
             self.mobile_ids.extend(new)
+        self._energy_unknown(ids, +1)
 
     def add_boundary(self, positions, spins):
         """Freeze particles on the collar (positions outside the box but
@@ -533,16 +619,14 @@ class ParticleSystem:
     def remove_particles(self, ids):
         """Remove the mobile particles ``ids`` in one pass; slots are freed
         and ``mobile_ids`` swap-removed in the given order."""
-        ids = list(ids)
-        self._energy = math.nan
-        if not ids:
-            return
-        for i in ids:
-            self._drop_mobile(i)
-        self._free.extend(ids)
-        idx = np.asarray(ids, dtype=np.int64)
-        self.alive[idx] = False
-        self._unfile_batch(idx)
+        idx = np.asarray(list(ids), dtype=np.int64)
+        if len(idx):
+            for i in idx.tolist():
+                self._drop_mobile(i)
+            self._free.extend(idx.tolist())
+            self.alive[idx] = False
+            self._unfile_batch(idx)
+        self._energy_unknown(idx, -1)
 
     def seed_phase_configuration(self, rng=None):
         """Fill every interior cell with the reference counts of each species
@@ -580,6 +664,16 @@ class ParticleSystem:
                 r_last = r
             total += sign * float(pot[spin != s].sum())
         return total
+
+    def _pair_bound(self, r, s: int) -> float:
+        """An upper bound on the pair sum P(r, s, c) of ``_pair_delta``
+        from the subcell table: per subcell within range of r's, its count
+        of particles of species other than s times its weight (see
+        ``_SubcellGrid``)."""
+        grid = self._subgrid
+        rows = self._subcounts.take(grid.index(r.tolist()) + grid.offsets, axis=0)
+        near = np.dot(grid.weights, rows).tolist()  # per species
+        return sum(near) - near[s]
 
     def twin_cells(self, other: ParticleSystem) -> np.ndarray:
         """Per extended cell, whether this system's and ``other``'s member
@@ -793,26 +887,27 @@ def _decide(system: ParticleSystem, move: Proposal | None,
     """``_metropolis``'s decision, settled first from an upper bound on the
     pair sum where that can accept: at t > 0 on a chain whose running energy
     is unknown (NaN), which an accepted move leaves unknown, so no exact
-    energy change is needed.  Such an accept returns a NaN change.
+    energy change is needed.  Such an accept returns a NaN change.  The
+    chain then holds its subcell table, ``_subcounts``.
 
-    Each +1 change ``(r, s, c)`` adds at most ``vmax`` per particle of
-    another species in the block of c, read from the counts, and a -1 change
-    adds at most 0, since V lies in [0, vmax]; so the exponent from that
-    bound is at most the exact one and its threshold at most the exact
-    threshold.  Rounding moves either exponent by a few ulps of beta times
-    the sum of the magnitudes of its terms, about 1e-14 at this sampler's
-    energies, and a threshold by that share; the relative margin of 1e-9
-    leaves room for it, so the bound accepts only where ``_metropolis``
-    accepts.  Every other case takes ``_metropolis`` unchanged."""
-    if math.isnan(system._energy) and move is not None and system.phase.t > 0.0:
+    Each +1 change ``(r, s, c)`` adds at most the table's other-species
+    counts of the subcells within range of r's subcell, weighted by
+    ``_SubcellGrid.weights``: each weight is the largest V at or beyond the
+    two subcells' closest distance shrunk by a relative 1e-9, so it bounds
+    V for every particle filed there, and it counts the moved particle of a
+    flip too, which the exact sum skips.  A -1 change adds at most 0, since
+    V >= 0.  So the exponent from that bound is at most the exact one and
+    its threshold at most the exact threshold.  Rounding moves either
+    exponent by a few ulps of beta times the sum of the magnitudes of its
+    terms, about 1e-14 at this sampler's energies, and a threshold by that
+    share; the relative margin of 1e-9 leaves room for it, so the bound
+    accepts only where ``_metropolis`` accepts.  Every other case takes
+    ``_metropolis`` unchanged."""
+    if system._subcounts is not None and move is not None and math.isnan(system._energy) \
+            and system.phase.t > 0.0:
         phase = system.phase
-        others = 0
-        for sign, _, s, c in move.changes:
-            if sign > 0:
-                block = system._counts.take(c + system._ball, axis=0).sum(axis=0).tolist()
-                others += sum(block) - block[s]
-        dh = phase.t * (system.potential.vmax * others - phase.lam * move.dn) \
-            + (1.0 - phase.t) * move.dref
+        pair_hi = sum(system._pair_bound(r, s) for sign, r, s, _ in move.changes if sign > 0)
+        dh = phase.t * (pair_hi - phase.lam * move.dn) + (1.0 - phase.t) * move.dref
         bound = move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0))
         if u_accept < bound * (1.0 - 1e-9):
             if not system._window_ok_after(move.changes):

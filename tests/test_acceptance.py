@@ -266,20 +266,13 @@ def test_criterion_8_transport_bound_chain():
                   f"{elapsed:.2f}s")
 
 
-def test_criterion_9_sampler_correctness():
-    region = sim.SimRegion(d=2, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=1)
-    phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=1.5 + math.log(1.5),
-                            beta=1.0, zeta=0.626, t=0.0)
-    exact = sim.poisson_window_weights(region, phase)
+def test_criterion_9_sampler_correctness(enumeration_chain):
+    # the single-cell chain at t = 0 against its exact occupancy law, one
+    # million proposals (the chain is shared with
+    # test_stationary_law_matches_enumeration, see tests/conftest.py)
+    exact, counts = enumeration_chain
     states = sorted(exact)
-    system = sim.ParticleSystem(region, phase, seed=123)
-    system.seed_phase_configuration()
-    kernel = sim.MoveKernel()
-    thin, n_samples = 40, 25_000  # one million proposals
-    counts = {st: 0 for st in states}
-    for _ in range(n_samples):
-        sim.metropolis_sweep(system, kernel, n_moves=thin, audit=False)
-        counts[tuple(int(v) for v in system.counts[0, 0])] += 1
+    n_samples = sum(counts.values())
     observed = np.array([counts[st] for st in states], dtype=float)
     expected = np.array([exact[st] * n_samples for st in states])
     chi2 = float(np.sum((observed - expected) ** 2 / expected))

@@ -439,27 +439,15 @@ def test_birth_at_any_far_face_lies_in_its_cell(ell, ell_plus, n_plus):
         assert c == sys.flat_cell((cell,))
 
 
-def test_stationary_law_matches_enumeration():
+def test_stationary_law_matches_enumeration(enumeration_chain):
     # single-cell two-species system at t=0: the occupancy law is a product
     # of window-truncated Poisson weights; the tangent value is chosen so the
     # Poisson rate (= 6) sits mid-window and every state has expected
-    # frequency well above the chi-square validity floor
-    region = small_region(S=2)
-    phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=1.5 + math.log(1.5),
-                            beta=1.0, zeta=0.626, t=0.0)
-    exact = sim.poisson_window_weights(region, phase)
+    # frequency well above the chi-square validity floor.  The chain is
+    # shared with criterion 9 (tests/conftest.py)
+    exact, counts = enumeration_chain
     states = sorted(exact)
-    sys = sim.ParticleSystem(region, phase, seed=123)
-    sys.seed_phase_configuration()
-    kernel = sim.MoveKernel()
-
-    thin = 40
-    n_samples = 25_000  # one million proposals in total
-    counts = {st: 0 for st in states}
-    for _ in range(n_samples):
-        sim.metropolis_sweep(sys, kernel, n_moves=thin, audit=False)
-        occ = tuple(int(v) for v in sys.counts[0, 0])
-        counts[occ] += 1
+    n_samples = sum(counts.values())
     observed = np.array([counts[st] for st in states], dtype=float)
     expected = np.array([exact[st] * n_samples for st in states])
     assert expected.min() > 5
@@ -1002,6 +990,188 @@ def test_cell_index_matches_position_scan(d, seed, ops):
         if isinstance(v, np.ndarray):
             assert not any(np.shares_memory(v, a) for a in arrays)
     _filed_in_order(clone, stamp)
+
+
+def subcell_scan(system) -> dict:
+    """{(subcell coordinates..., species): count} of the live particles,
+    from a scan of pos, spin and alive: a point x lies in subcell
+    floor(x * _SUBCELLS / ell) along each axis."""
+    K, ell = sim._SUBCELLS, system.region.ell_minus
+    out = {}
+    for i in np.flatnonzero(system.alive).tolist():
+        key = tuple(math.floor(x * K / ell) for x in system.pos[i].tolist()) + (int(system.spin[i]),)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def subcell_table(system) -> dict:
+    """The same dict read off the system's subcell table."""
+    grid, d = system._subgrid, system.region.d
+    side = sim._SUBCELLS * system.n_ext + 2 * grid.PAD
+    assert grid.size == side**d
+    flat, species = np.nonzero(system._subcounts)
+    coords = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - (sim._SUBCELLS * system.w + grid.PAD)
+    return {tuple(c) + (int(s),): system._subcounts[f, s]
+            for c, f, s in zip(coords.tolist(), flat.tolist(), species.tolist())}
+
+
+def on_faces(system, n, rng, collar=False):
+    """n points on subcell faces, each coordinate either exactly on a face
+    or one ulp below it, inside the box or on the collar."""
+    region = system.region
+    K, ell, L = sim._SUBCELLS, region.ell_minus, region.side
+    lo, hi = (-system.w * K, (system.n_int + system.w) * K) if collar else (1, system.n_int * K)
+    pts = []
+    while len(pts) < n:
+        faces = rng.integers(lo, hi, region.d) * ell / K
+        below = rng.random(region.d) < 0.5
+        r = np.where(below, np.nextafter(faces, -np.inf), faces)
+        if collar != bool(np.all((r >= 0.0) & (r < L))) and np.all(r >= -system.w * ell):
+            pts.append(r)
+    return np.array(pts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 2**16), st.sampled_from([2.0, 0.7]),
+       st.lists(st.sampled_from(["birth", "death", "displace", "flip", "sweep", "add_particles",
+                                 "add_boundary", "remove_particles", "reinit"]),
+                min_size=1, max_size=10))
+def test_subcell_table_matches_position_scan(d, seed, ell, ops):
+    # the table kept through single edits, sweeps and bulk edits, on both
+    # chains of a pair, equals a from-scratch count; the points of births,
+    # displacements and bulk adds lie on subcell faces or one ulp below
+    # them half of the time.  ell = 0.7 puts faces where x * 4 / ell rounds
+    from pottsgas import coupling as cpl
+
+    region = index_region(d) if ell == 2.0 else sim.SimRegion(
+        d=d, S=2, gamma=1 / 0.7, ell0=0.7, ell_minus=0.7, ell_plus=0.7, n_plus=3)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=0.5)
+    pair = fx.make_identical_pair(region, phase, seed)
+    system = pair.sys1
+    rng = np.random.default_rng(seed + 2)
+    L, S = region.side, region.S
+    kernel = sim.MoveKernel(step=2.0 * region.ell_minus)
+
+    def point():
+        return on_faces(system, 1, rng)[0] if rng.random() < 0.5 else rng.uniform(0, L, d)
+
+    def some_mobile(k):
+        ids = system.mobile_ids
+        return [ids[j] for j in rng.permutation(len(ids))[:k]]
+
+    for op in ops:
+        if op == "birth":
+            r = point()
+            system._insert(r, int(rng.integers(S)), cell_of(system, r), frozen=False)
+        elif op in ("death", "displace", "flip") and system.mobile_ids:
+            i = some_mobile(1)[0]
+            if op == "death":
+                system._remove(i)
+            elif op == "displace":
+                system._unfile(i)
+                system.pos[i] = point()
+                system._file(i, cell_of(system, system.pos[i]))
+            else:
+                system._respin(i, (int(system.spin[i]) + 1 + int(rng.integers(S - 1))) % S)
+        elif op == "sweep":
+            sim.metropolis_sweep(system, kernel, n_moves=30, rng=rng, audit=False)
+        elif op == "add_particles":
+            pos = np.concatenate([on_faces(system, 3, rng), rng.uniform(0, L, (2, d))])
+            system.add_particles(pos, rng.integers(0, S, len(pos)))
+        elif op == "add_boundary":
+            pos = on_faces(system, 3, rng, collar=True)
+            system.add_boundary(pos, rng.integers(0, S, len(pos)))
+        elif op == "remove_particles":
+            system.remove_particles(some_mobile(3))
+        elif op == "reinit":
+            cells = [tuple(c) for c in np.ndindex(*((system.n_int,) * d)) if rng.random() < 0.5]
+            cpl.reinit_identical(pair, cells, rng)
+        for chain in (pair.sys1, pair.sys2):
+            assert math.isnan(chain._energy)
+            assert subcell_table(chain) == subcell_scan(chain), op
+    clone = copy.deepcopy(system)
+    assert not np.shares_memory(clone._subcounts, system._subcounts)
+    assert subcell_table(clone) == subcell_scan(system)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([0.5, 0.2, 0.05]), st.sampled_from([1, 2]),
+       st.integers(0, 2**16), st.sampled_from(["birth", "flip", "displace", "clustered"]),
+       st.booleans())
+def test_subcell_bound_is_at_least_the_pair_sum(d, gamma, cells_per_range, seed, kind, collar):
+    # each +1 change's bound from the subcell table against its exact
+    # _pair_delta term, with or without a collar; a flip's own particle
+    # sits in the block at distance 0, and "clustered" puts every particle
+    # and the birth within 1e-9 of one point, where the terms approach the
+    # weights.  The sums are taken in different orders, so the bound may
+    # fall below the exact sum by rounding alone: 1e-12 relative
+    ell = 1.0 / gamma / cells_per_range
+    region = sim.SimRegion(d=d, S=3 if d < 3 else 2, gamma=gamma, ell0=ell, ell_minus=ell,
+                           ell_plus=1.0 / gamma, n_plus=2)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 3.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=0.5)
+    system = sim.ParticleSystem(region, phase, seed=seed)
+    if collar:
+        fx.fill_boundary(system, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    if kind == "clustered":
+        centre = rng.uniform(0.0, region.side - 1e-6, d)
+        system.add_particles(centre + rng.random((12, d)) * 1e-9, rng.integers(0, region.S, 12))
+    else:
+        system.seed_phase_configuration(rng=rng)
+    assert system._subcounts is not None
+    active = [tuple(c) for c in np.ndindex(*((system.n_int,) * d))]
+    local_ids = system.mobile_in(frozenset(active))
+    if kind == "clustered":
+        r = system.pos[local_ids[0]] + 1e-9
+        changes, skip = [(+1, r, int(rng.integers(region.S)), cell_of(system, r))], None
+    else:
+        row = _row(kind, rng.random(), rng.random(d), rng.random())
+        move = sim._propose(system, sim.MoveKernel(step=ell), row, active, frozenset(active),
+                            local_ids, len(active) * vol)
+        if move is None:
+            return
+        changes, skip = move.changes, move.skip
+    for sign, r, s, c in changes:
+        if sign > 0:
+            exact, bound = system._pair_delta([(+1, r, s, c)], skip), system._pair_bound(r, s)
+            assert bound >= exact * (1.0 - 1e-12), (bound, exact)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.03])
+def test_subcell_table_lives_only_while_the_bound_can_fire(t):
+    # at t = 0 no chain holds a table; at t > 0 a bulk edit builds it, and
+    # whatever makes the energy known again (a read, an audited sweep, a
+    # set value) drops it
+    region = oracle_region(2)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=t)
+    system = sim.ParticleSystem(region, phase, seed=5)
+    assert system._subcounts is None
+    fx.fill_boundary(system, seed=6)
+    system.seed_phase_configuration()
+    kernel = sim.MoveKernel(step=1.0)
+    assert (system._subcounts is None) == (t == 0.0)
+    sim.metropolis_sweep(system, kernel, n_moves=200, audit=False)
+    assert (system._subcounts is None) == (t == 0.0)
+    system.energy  # resolve it
+    assert system._subcounts is None
+    sim.metropolis_sweep(system, kernel, n_moves=200, audit=False)
+    assert system._subcounts is None and math.isfinite(system._energy)
+    assert copy.deepcopy(system)._subcounts is None
+
+    system.remove_particles(system.mobile_ids[:3])
+    assert (system._subcounts is None) == (t == 0.0)
+    sim.metropolis_sweep(system, kernel, n_moves=200)  # an audited sweep reads the energy first
+    assert system._subcounts is None
+    system.add_particles([[0.5] * region.d], [1])
+    assert (system._subcounts is None) == (t == 0.0)
+    system.energy = system.total_energy()
+    assert system._subcounts is None
 
 
 def test_deepcopy_of_a_pair_is_an_independent_clone():
