@@ -85,23 +85,22 @@ def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
               rng) -> dict:
     """Common-random-number sweep on both chains: one shared row of
     uniforms per proposal resolves to a per-chain move, and a shared
-    acceptance uniform maximally couples each accept decision.  Where the
-    chains' proposals and neighbourhoods are twins, the second chain takes
-    the first chain's decision (``simulate.TwinRows``); the chains end as
-    they would with each row decided on its own."""
+    acceptance uniform maximally couples each accept decision.  While the
+    chains stay aligned, each row is resolved once for both
+    (``simulate.TwinRows``); they end as with each row resolved alone."""
     active = [tuple(c) for c in cells]
     active_set = frozenset(active)
     loc1 = pair.sys1.mobile_in(active_set)
     loc2 = pair.sys2.mobile_in(active_set)
     volume = len(active) * pair.region.cell_volume
-    twins = TwinRows(pair.sys1, pair.sys2)
+    twins = TwinRows(pair.sys1, pair.sys2, loc1, loc2)
     acc1 = acc2 = 0
-    for draws in draw_move_uniforms(rng, n_moves, pair.region.d):
+    for draws in draw_move_uniforms(rng, n_moves, pair.region.d).tolist():
         if apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume, twins):
             acc1 += 1
         if apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume, twins):
             acc2 += 1
-    return {"accepted": (acc1, acc2), "reused": twins.reused}
+    return {"accepted": (acc1, acc2), "aligned": twins.aligned_rows, "reused": twins.reused}
 
 
 @dataclass
@@ -109,6 +108,10 @@ class CoupledRunStats:
     branches: list = field(default_factory=list)
     theta_checks: int = 0
     theta_failures: int = 0
+    # rows of the crn_sweep calls: all, swept while aligned, decisions reused
+    crn_rows: int = 0
+    aligned_rows: int = 0
+    reused_rows: int = 0
 
     @property
     def eps_hat(self) -> float:
@@ -170,8 +173,11 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
             simulate.metropolis_sweep(system, kernel, n_moves, halo_cells, rng, audit=False)
     else:
         reinit_identical(pair, halo_cells, rng1)
-        crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
+        sweep = crn_sweep(pair, kernel, halo_cells, n_moves, rng1)
         if stats is not None:
+            stats.crn_rows += n_moves
+            stats.aligned_rows += sweep["aligned"]
+            stats.reused_rows += sweep["reused"]
             held = _held(pair, lam, sorted(_cube_rings(sigma_set, lam, 1)))
             stats.theta_checks += len(held)
             stats.theta_failures += int(np.count_nonzero(~held))

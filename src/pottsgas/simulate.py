@@ -472,18 +472,13 @@ class ParticleSystem:
         c = self.cell[i]
         n = self.fill[c]
         row = self.members[c]
-        k = self._row_index(i)
+        k = row[:n].tolist().index(i)
         row[k : n - 1] = row[k + 1 : n]
         self.fill[c] = n - 1
         self._counts[c, self.spin[i]] -= 1
         if self._subcounts is not None:
             self._subcounts[self._subgrid.index(self.pos[i].tolist()), self.spin[i]] -= 1
         self.stamp = next(_STAMPS)
-
-    def _row_index(self, i: int) -> int:
-        """Place of particle i in its cell's row."""
-        c = self.cell[i]
-        return self.members[c, : self.fill[c]].tolist().index(i)
 
     def _file_batch(self, ids: np.ndarray, cells: np.ndarray):
         """File particles ``ids`` into ``cells`` in one pass, as ``_file``
@@ -789,27 +784,29 @@ def draw_move_uniforms(rng, n_moves: int, d: int) -> np.ndarray:
 
 
 class Proposal(NamedTuple):
-    """One row resolved for one system: its particle changes ``(sign, r,
+    """One row resolved into a move: its particle changes ``(sign, r,
     species, cell)``, a birth at sign +1 and a death at -1 (a flip or a
     displacement is one of each), its reference-energy change, its
-    particle-count change, its proposal ratio, the particle it moves (None
-    for a birth) and the edit that commits it."""
+    particle-count change, its proposal ratio, the index into the local ids
+    of the particle it moves (None for a birth) and its edit,
+    ``commit(system, local_ids, local_ids[pick])``.  It holds copies of what
+    it read, so any chain whose local ids list equal particles may commit it."""
 
     changes: list
     dref: float
     dn: int
     ratio: float
-    skip: int | None
-    commit: Callable[[], None]
+    pick: int | None
+    commit: Callable[[ParticleSystem, list, int | None], None]
 
 
-def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, active: list,
+def _propose(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
              active_set: frozenset, local_ids: list, volume: float) -> Proposal | None:
-    """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
-    for this system; None for a move rejected outright (nothing to pick, or
-    a displacement out of the box or the active cells)."""
+    """Resolve one row ``draws`` of ``draw_move_uniforms``, as floats, into
+    a proposal for this system; None for a move rejected outright (nothing
+    to pick, or a displacement out of the box or the active cells)."""
     region, phase = system.region, system.phase
-    u, u_a, *frac, u_c, _ = draws.tolist()
+    u, u_a, *frac, u_c, _ = draws
     n_local = len(local_ids)
     if u < kernel.p_birth:
         cell = active[int(u_a * len(active))]
@@ -825,7 +822,7 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, acti
         s = int(u_c * region.S)
         c = system._ext_cell(cell)
 
-        def commit():
+        def commit(system, local_ids, i):
             local_ids.append(system._insert(r, s, c, frozen=False))
         return Proposal([(+1, r, s, c)],
                         float(phase.neighbor_sum[s] - phase.lambda_beta),
@@ -834,56 +831,57 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, acti
         return None
     pick = int(u_a * n_local)
     i = local_ids[pick]
-    r, s, c = system.pos[i], int(system.spin[i]), system.cell[i]
+    r, s, c = system.pos[i].copy(), int(system.spin[i]), system.cell[i]
     u -= kernel.p_birth
     if u < kernel.p_death:
-        def commit():
+        def commit(system, local_ids, i):
             system._remove(i)
             local_ids[pick] = local_ids[-1]
             local_ids.pop()
         return Proposal([(-1, r, s, c)], -float(phase.neighbor_sum[s] - phase.lambda_beta),
-                        -1, n_local / (volume * region.S), i, commit)
+                        -1, n_local / (volume * region.S), pick, commit)
     if u - kernel.p_death < kernel.p_move:
-        r_new = r + (2.0 * draws[2:-2] - 1.0) * kernel.step
-        xs, side = r_new.tolist(), region.side
+        step, side = kernel.step, region.side
+        # the operations of r + (2 f - 1) step on arrays, one coordinate at a time
+        xs = [x + (2.0 * f - 1.0) * step for x, f in zip(r.tolist(), frac)]
         if not all(0.0 <= x < side for x in xs):
             return None
         cell_new = tuple(math.floor(x / region.ell_minus) for x in xs)
         if cell_new not in active_set:
             return None
-        c_new = system._ext_cell(cell_new)
+        r_new, c_new = np.array(xs), system._ext_cell(cell_new)
 
-        def commit():
+        def commit(system, local_ids, i):
             # refiled even within one cell: the particle moves to its row's end
             system._unfile(i)
             system.pos[i] = r_new
             system._file(i, c_new)
-        return Proposal([(+1, r_new, s, c_new), (-1, r, s, c)], 0.0, 0, 1.0, i, commit)
+        return Proposal([(+1, r_new, s, c_new), (-1, r, s, c)], 0.0, 0, 1.0, pick, commit)
     s_new = (s + 1 + int(u_c * (region.S - 1))) % region.S
 
-    def commit():
+    def commit(system, local_ids, i):
         system._respin(i, s_new)
     return Proposal([(+1, r, s_new, c), (-1, r, s, c)],
-                    float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s]), 0, 1.0, i, commit)
+                    float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s]), 0, 1.0, pick, commit)
 
 
-def _metropolis(system: ParticleSystem, move: Proposal | None,
-                u_accept: float) -> tuple[bool, float]:
-    """The tail every proposal takes: the window test, the pair sum and the
-    accept test against ``u_accept``.  Returns (accepted, energy change),
-    a rejection when ``move`` is None."""
+def _metropolis(system: ParticleSystem, move: Proposal | None, u_accept: float,
+                skip: int | None) -> tuple[bool, float]:
+    """The tail every proposal takes: the window test, the pair sum without
+    ``skip`` (the moved particle) and the accept test against ``u_accept``.
+    Returns (accepted, energy change), a rejection when ``move`` is None."""
     if move is None or not system._window_ok_after(move.changes):
         return False, 0.0
     phase = system.phase
     dpair = 0.0
     if phase.t > 0.0:
-        dpair = system._pair_delta(move.changes, move.skip) - phase.lam * move.dn
+        dpair = system._pair_delta(move.changes, skip) - phase.lam * move.dn
     dh = phase.t * dpair + (1.0 - phase.t) * move.dref
     return u_accept < move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0)), dh
 
 
-def _decide(system: ParticleSystem, move: Proposal | None,
-            u_accept: float) -> tuple[bool, float]:
+def _decide(system: ParticleSystem, move: Proposal | None, u_accept: float,
+            skip: int | None) -> tuple[bool, float]:
     """``_metropolis``'s decision, settled first from an upper bound on the
     pair sum where that can accept: at t > 0 on a chain whose running energy
     is unknown (NaN), which an accepted move leaves unknown, so no exact
@@ -913,99 +911,93 @@ def _decide(system: ParticleSystem, move: Proposal | None,
             if not system._window_ok_after(move.changes):
                 return False, 0.0
             return True, math.nan
-    return _metropolis(system, move, u_accept)
+    return _metropolis(system, move, u_accept, skip)
 
 
 class TwinRows:
     """Two chains driven by one stream of rows, as in
-    ``coupling.crn_sweep``: which extended cells are *twin* (both chains'
-    member rows hold equal positions and spins in the same filing order),
-    and the first chain's proposal and decision on the current row.
+    ``coupling.crn_sweep``, while they stay *aligned*: the second chain
+    would resolve each row to the first chain's proposal.
 
-    The second chain takes the first chain's decision and energy change
-    when both resolve the row to the same changes, reference-energy change,
-    count change and ratio, move a particle at the same place of its row,
-    and every cell of each change's block is twin: its window test, pair
-    sum and accept test would then see the first chain's operands in the
-    same order.  A row on which both chains commit the same proposal keeps
-    every flag; any other commit clears the flags of the cells it touches.
-    Rows must alternate first chain, second chain.
+    They start aligned when they share region, potential, phase fields and
+    window, and their local ids ``loc1`` and ``loc2`` are as many and list,
+    index by index, particles of equal position, species and cell at the
+    same place of their cell's row (checked once, here).  While aligned,
+    the second chain commits the first chain's proposal on its own
+    ``loc2[pick]``, with the first chain's decision and energy change where
+    every cell a change touches has a *twin* block (member rows with equal
+    positions and spins in the same filing order), as its window test,
+    pair sum and accept test would see the same operands in the same
+    order, and else with its own decision.  Both chains then make the same
+    edit, which keeps them aligned and every twin cell twin, so the flags
+    are built once.  Alignment ends at the first row the decisions differ;
+    after it each chain proposes and decides alone.  Rows must alternate
+    first chain, second chain.
 
-    ``cells`` holds the flags; ``blocks`` marks the interior cells whose
-    whole block is flagged, kept with them."""
+    ``cells`` holds the twin flags, ``blocks`` marks the interior cells
+    whose whole block is twin, and ``aligned_rows`` and ``reused`` count
+    the rows swept aligned and the rows whose decision was reused."""
 
-    def __init__(self, first: ParticleSystem, second: ParticleSystem):
+    def __init__(self, first: ParticleSystem, second: ParticleSystem, loc1: list, loc2: list):
         self.first = first
-        self._ball = first._ball
-        same_law = (first.region == second.region and first.potential is second.potential
-                    and (first.phase.t, first.phase.beta, first.phase.lam)
-                    == (second.phase.t, second.phase.beta, second.phase.lam)
-                    and np.array_equal(first.n_lo, second.n_lo)
-                    and np.array_equal(first.n_hi, second.n_hi))
-        self.cells = first.twin_cells(second) if same_law else np.zeros(len(first.fill), dtype=bool)
+        self.aligned = self._aligned(first, second, loc1, loc2)
+        self.cells = first.twin_cells(second) if self.aligned else np.zeros(len(first.fill), dtype=bool)
         d = first.region.d
         inner = (np.indices((first.n_int,) * d).reshape(d, -1).T + first.w) @ first._strides
         self.blocks = np.zeros_like(self.cells)
-        self.blocks[inner] = self.cells[inner[:, None] + self._ball].all(axis=1)
-        self.reused = 0  # rows on which the second chain took the first chain's decision
-        # the first chain's (proposal, its changes' positions, its moved
-        # particle's place in its row, decision), None after no proposal
-        self._row = None
+        self.blocks[inner] = self.cells[inner[:, None] + first._ball].all(axis=1)
+        self.aligned_rows = self.reused = 0
+        self._row = None  # the first chain's _resolve of the current row
 
     @staticmethod
-    def _place(system: ParticleSystem, move: Proposal) -> int | None:
-        return None if move.skip is None else system._row_index(move.skip)
-
-    def _matches(self, system: ParticleSystem, move: Proposal) -> bool:
-        """Whether the second chain's proposal equals the first chain's
-        field by field: the scalars, then each change, then the moved
-        particle's place in its row."""
-        first, coords, place, _ = self._row
-        if (move.dref != first.dref or move.dn != first.dn or move.ratio != first.ratio
-                or len(move.changes) != len(first.changes)):
+    def _aligned(first: ParticleSystem, second: ParticleSystem, loc1: list, loc2: list) -> bool:
+        p1, p2 = first.phase, second.phase
+        scalars = [(p.lambda_beta, p.beta, p.zeta, p.t, p.lam) for p in (p1, p2)]
+        if not (first.region == second.region and first.potential is second.potential
+                and np.array_equal(p1.rho_ref, p2.rho_ref) and scalars[0] == scalars[1]
+                and first._window == second._window):
             return False
-        for (sign, r, s, c), (sign1, _, s1, c1), xs in zip(move.changes, first.changes, coords):
-            if sign != sign1 or s != s1 or c != c1 or r.tolist() != xs:
-                return False
-        return self._place(system, move) == place
 
-    def _clear(self, changes):
-        """Clear the flags of the cells the changes touch, and with them the
-        blocks that hold those cells."""
-        for *_, c in changes:
-            if self.cells[c]:
-                self.cells[c] = False
-                self.blocks.put(c + self._ball, False, mode="clip")
+        def particles(s: ParticleSystem, ids: list):
+            ids = np.asarray(ids, dtype=np.int64)
+            # a place in a row is the first match: stale entries sit past the fill
+            place = (s.members[s.cell[ids]] == ids[:, None]).argmax(axis=1)
+            return s.pos[ids], s.spin[ids], s.cell[ids], place
+        return all(map(np.array_equal, particles(first, loc1), particles(second, loc2)))
 
-    def decide(self, system: ParticleSystem, move: Proposal | None,
-               u_accept: float) -> tuple[bool, float]:
-        """(accepted, energy change) of this chain's proposal on the
-        current row (rejected when ``move`` is None), with the twin flags
-        kept up to date after the second chain's decision."""
+    def resolve(self, system: ParticleSystem, kernel: MoveKernel, draws, active: list,
+                active_set: frozenset, local_ids: list, volume: float):
+        """``_resolve`` of the current row for one chain of the pair."""
+        if not self.aligned:
+            return _resolve(system, kernel, draws, active, active_set, local_ids, volume)
         if system is self.first:
-            decision = _decide(system, move, u_accept)
-            # read before the commit: a displacement's r is a view of pos[i]
-            self._row = None if move is None else (
-                move, [r.tolist() for _, r, _, _ in move.changes], self._place(system, move), decision)
-            return decision
-        first, *_, decision1 = self._row or (None, (False, 0.0))
-        same = first is not None and move is not None and self._matches(system, move)
+            self._row = _resolve(system, kernel, draws, active, active_set, local_ids, volume)
+            return self._row
+        self.aligned_rows += 1
+        move, _, first = self._row
+        if move is None:
+            return self._row
+        i = None if move.pick is None else local_ids[move.pick]
         # a bound accept's NaN change only fits a chain whose energy is unknown too
-        fits = not math.isnan(decision1[1]) or math.isnan(system._energy)
-        if same and fits and all(self.blocks[c] for *_, c in move.changes):
-            decision = decision1
+        if all(self.blocks[c] for *_, c in move.changes) and (
+                not math.isnan(first[1]) or math.isnan(system._energy)):
             self.reused += 1
-        else:
-            decision = _decide(system, move, u_accept)
-        if not (same and decision[0] and decision1[0]):
-            if decision1[0]:
-                self._clear(first.changes)
-            if decision[0]:
-                self._clear(move.changes)
-        return decision
+            return move, i, first
+        decision = _decide(system, move, draws[-1], i)
+        self.aligned = decision[0] == first[0]
+        return move, i, decision
 
 
-def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, active: list,
+def _resolve(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
+             active_set: frozenset, local_ids: list, volume: float):
+    """(proposal, its moved particle, (accepted, energy change)) of one row
+    on one chain: ``_propose``, then ``_decide`` on the row's last uniform."""
+    move = _propose(system, kernel, draws, active, active_set, local_ids, volume)
+    i = None if move is None or move.pick is None else local_ids[move.pick]
+    return move, i, _decide(system, move, draws[-1], i)
+
+
+def apply_move(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
                active_set: frozenset, local_ids: list, volume: float,
                twins: TwinRows | None = None) -> bool:
     """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
@@ -1017,13 +1009,13 @@ def apply_move(system: ParticleSystem, kernel: MoveKernel, draws: np.ndarray, ac
     from a bound on its pair energy without the pair sum, and the energy
     stays unknown until the next read of ``energy`` recomputes it.  The
     decisions are the same either way.  ``twins`` is the pair's
-    ``TwinRows`` when two chains share the rows: the second chain then
-    takes over the first chain's decision where its operands agree."""
-    move = _propose(system, kernel, draws, active, active_set, local_ids, volume)
-    decide = _decide if twins is None else twins.decide
-    accepted, dh = decide(system, move, float(draws[-1]))
+    ``TwinRows`` when two chains share the rows: while they are aligned,
+    the second chain takes over the first chain's proposal, and its
+    decision where their operands agree."""
+    resolve = _resolve if twins is None else twins.resolve
+    move, i, (accepted, dh) = resolve(system, kernel, draws, active, active_set, local_ids, volume)
     if accepted:
-        move.commit()
+        move.commit(system, local_ids, i)
         system._energy += dh
     return accepted
 
@@ -1045,7 +1037,7 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
     if audit:
         system.energy  # resolve an unknown energy now: audits measure drift from here
     accepted = 0
-    for draws in draw_move_uniforms(rng, n_moves, system.region.d):
+    for draws in draw_move_uniforms(rng, n_moves, system.region.d).tolist():
         if apply_move(system, kernel, draws, active, active_set, local_ids, volume):
             accepted += 1
             system.accepted += 1

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +162,24 @@ def test_diagonal_branch_preserves_equality(sol4):
     assert scr._agree(pair, [cell for cube in part.interior for cell in scr._cube_cells(cube, cpc)])
 
 
+def test_run_stats_count_the_crn_rows(sol4):
+    # CoupledRunStats sums crn_sweep's counts over a run: every row of every
+    # common-random-number sweep, the rows swept aligned and the rows reused
+    pair = fx.make_mismatched_pair(perc_region(), perc_phase(sol4), 11, ladder=perc_ladder())
+    crn_sweep, sweeps = cpl.crn_sweep, []
+
+    def counted(pair, kernel, cells, n_moves, rng):
+        out = crn_sweep(pair, kernel, cells, n_moves, rng)
+        sweeps.append((n_moves, out["aligned"], out["reused"]))
+        return out
+
+    with mock.patch.object(cpl, "crn_sweep", counted):
+        _, stats = cpl.run_coupled_screening(pair, sim.MoveKernel(), seed=11)
+    assert 0 < len(sweeps) <= stats.branches.count("qt")
+    assert [stats.crn_rows, stats.aligned_rows, stats.reused_rows] == np.sum(sweeps, axis=0).tolist()
+    assert 0 < stats.reused_rows <= stats.aligned_rows <= stats.crn_rows
+
+
 def exact_occupancy_kernel(region, phase, kernel: MoveKernel) -> tuple[list, np.ndarray]:
     """Transition matrix of the single-chain dynamics on the occupancy
     numbers of a one-cell system at t = 0 (positions integrate out)."""
@@ -215,9 +235,9 @@ def test_crn_marginal_matches_exact_kernel():
     # one-cell two-species system at t=0: the per-move transition law of each
     # chain of a CRN pair equals the single-chain kernel.  The chains start
     # from one configuration and share the rows through the pair's TwinRows,
-    # so the second chain takes over the first chain's decision wherever the
-    # two resolve a row to the same proposal: its law checks those shared
-    # decisions
+    # so while they stay aligned the second chain takes over the first
+    # chain's proposal, and its decision wherever their blocks are twin:
+    # its law checks those shared decisions
     region = sim.SimRegion(d=2, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=1)
     phase = sim.PhaseTarget(rho_ref=np.array([1.5, 1.5]), lambda_beta=1.5 + math.log(1.5),
                             beta=1.0, zeta=0.626, t=0.0)
@@ -230,16 +250,16 @@ def test_crn_marginal_matches_exact_kernel():
     s1.seed_phase_configuration()
     s2.add_particles(s1.pos[s1.mobile_ids], s1.spin[s1.mobile_ids])
     pair = scr.PairedState(s1, s2, ladder=scr.LadderSpec(zeta=0.626, d=2))
-    twins = sim.TwinRows(pair.sys1, pair.sys2)
     rng = np.random.default_rng(123)
     active = [(0, 0)]
     active_set = frozenset(active)
     chains = [(pair.sys1, list(pair.sys1.mobile_ids)), (pair.sys2, list(pair.sys2.mobile_ids))]
+    twins = sim.TwinRows(pair.sys1, pair.sys2, chains[0][1], chains[1][1])
     volume = region.cell_volume
     n_moves = 1_000_000
     counts = np.zeros((2,) + P.shape)
     for _ in range(100):  # in blocks, to bound memory; the stream is the same
-        for draws in sim.draw_move_uniforms(rng, n_moves // 100, 2):
+        for draws in sim.draw_move_uniforms(rng, n_moves // 100, 2).tolist():
             for k, (system, loc) in enumerate(chains):
                 i = index[tuple(system.counts[0, 0].tolist())]
                 sim.apply_move(system, kernel, draws, active, active_set, loc, volume, twins)
@@ -267,14 +287,30 @@ def twin_region():
 
 def twin_pair(start, t, seed=5):
     """A pair whose cells start fully twin, partly twin (equal interiors,
-    other collars) or fully different."""
+    other collars) or fully different; or twin contents under another
+    ``lambda_beta``; or twin contents whose equal local ids hold duplicate
+    particles (equal position and spin) at other places of one cell row."""
     region = twin_region()
     phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=1.5, beta=1.0, zeta=0.75, t=t)
-    if start == "twin":
-        return fx.make_identical_pair(region, phase, seed)
     if start == "different":
         return fx.make_pair(region, phase, (seed, seed + 1), (seed + 2, seed + 3))
-    return fx.make_mismatched_pair(region, phase, seed)
+    if start == "partly":
+        return fx.make_mismatched_pair(region, phase, seed)
+    pair = fx.make_identical_pair(region, phase, seed)
+    if start == "lambda":
+        # lam stays 1.5: only the reference energy's tangent value differs
+        pair.sys2.phase = dataclasses.replace(phase, lambda_beta=1.25)
+    elif start == "duplicates":
+        # each chain drops its particle y at (5, 5), and the swap-removal
+        # moves the last duplicate a2 of cell (1, 1) into y's local slot:
+        # local ids end ..., a2, a1, b in the first chain and ..., a1, a2, b
+        # in the second, over one cell row ..., a1, b, a2
+        a, b, y = [3.0, 3.0], [3.5, 3.5], [5.0, 5.0]
+        for system, batch, drop in ((pair.sys1, [y, a, b, a], -4), (pair.sys2, [a, y, b, a], -3)):
+            system.add_particles(batch, [0, 0, 1, 0])
+            system.remove_particles([system.mobile_ids[drop]])
+            system.energy  # resolve it: reused energy changes must then match bit for bit
+    return pair
 
 
 def two_call_loop(pair, kernel, cells, n_moves, rng):
@@ -317,7 +353,7 @@ def twin_oracle(a, b):
 
 
 @pytest.mark.parametrize("t", [0.0, 0.03, 1.0])
-@pytest.mark.parametrize("start", ["twin", "partly", "different"])
+@pytest.mark.parametrize("start", ["twin", "partly", "different", "lambda", "duplicates"])
 def test_crn_sweep_matches_two_call_loop(start, t):
     pair = twin_pair(start, t)
     ref = copy.deepcopy(pair)
@@ -327,11 +363,12 @@ def test_crn_sweep_matches_two_call_loop(start, t):
     two_call_loop(ref, kernel, cells, 1500, np.random.default_rng(17))
     for got, want in ((pair.sys1, ref.sys1), (pair.sys2, ref.sys2)):
         assert full_state(got) == full_state(want)
-    # rows reused: all but a few of a twin start, a few hundred of a
-    # partly twin one at t < 1 (its interior blocks stay twin), a handful
-    # at t = 1 (the collars part the chains within a few hundred rows)
-    if start == "different":
-        assert out["reused"] == 0
+    # a twin start stays aligned and reuses all but a few rows; a partly
+    # twin one reuses rows too (its interior blocks are twin); the other
+    # starts are never aligned
+    assert out["reused"] <= out["aligned"] <= 1500
+    if start in ("different", "lambda", "duplicates"):
+        assert out["aligned"] == out["reused"] == 0
     else:
         assert out["reused"] > (1000 if start == "twin" else 0)
 
@@ -357,25 +394,31 @@ def test_crn_sweep_keeps_a_known_energy_exact(start):
 @pytest.mark.parametrize("t", [0.03, 1.0])
 @pytest.mark.parametrize("start", ["twin", "partly", "different"])
 def test_twin_flags_imply_twin_rows(start, t):
-    # the flags kept row by row claim no cell that the loop oracle denies,
-    # and start out as the oracle
+    # the flags, built once, start out as the loop oracle and claim no cell
+    # that it denies while the chains stay aligned; a different start is
+    # never aligned and flags nothing
     pair = twin_pair(start, t)
-    twins = sim.TwinRows(pair.sys1, pair.sys2)
-    assert np.array_equal(twins.cells, twin_oracle(pair.sys1, pair.sys2))
-    assert twins.cells.any() == (start != "different")
     kernel = sim.MoveKernel()
     active = list(np.ndindex(4, 4))
     active_set = frozenset(active)
     loc = [s.mobile_in(active_set) for s in (pair.sys1, pair.sys2)]
+    twins = sim.TwinRows(pair.sys1, pair.sys2, *loc)
+    assert twins.aligned == (start != "different")
+    assert np.array_equal(twins.cells, twin_oracle(pair.sys1, pair.sys2))
+    assert twins.cells.any() == twins.aligned
+    assert np.array_equal(twins.blocks, whole_blocks(pair.sys1, twins.cells))
+    flags = twins.cells.copy(), twins.blocks.copy()
     volume = len(active) * pair.region.cell_volume
-    rows = sim.draw_move_uniforms(np.random.default_rng(3), 400, 2)
+    checked = 0
+    rows = sim.draw_move_uniforms(np.random.default_rng(3), 400, 2).tolist()
     for k, draws in enumerate(rows):
         for system, local in zip((pair.sys1, pair.sys2), loc):
             sim.apply_move(system, kernel, draws, active, active_set, local, volume, twins)
-        if k % 20 == 19:
-            oracle = twin_oracle(pair.sys1, pair.sys2)
-            assert not np.any(twins.cells & ~oracle), k
-            assert np.array_equal(twins.blocks, whole_blocks(pair.sys1, twins.cells)), k
+        if k % 20 == 19 and twins.aligned:
+            assert not np.any(twins.cells & ~twin_oracle(pair.sys1, pair.sys2)), k
+            checked += 1
+    assert np.array_equal(twins.cells, flags[0]) and np.array_equal(twins.blocks, flags[1])
+    assert checked > 0 or start == "different"
     assert np.array_equal(pair.sys1.twin_cells(pair.sys2), twin_oracle(pair.sys1, pair.sys2))
 
 
@@ -389,35 +432,34 @@ def whole_blocks(system, cells):
     return out
 
 
-@pytest.mark.parametrize("differ", ["place", "ratio"])
+@pytest.mark.parametrize("differ", ["ratio"])
 def test_twin_rows_decide_apart_when_proposals_differ(differ):
-    # over a twin block: deaths of two equal particles (position and spin)
-    # at other places of one row, which leave different rows, or one birth
-    # under other proposal ratios; the second chain decides on its own, and
-    # the first chain's commit clears the cell's flag
+    # equal blocks around cell (1, 1), but one more local particle in the
+    # second chain, far off in cell (3, 3): a birth in (1, 1) has the same
+    # pair sum but another proposal ratio.  The pair is not aligned, so each
+    # chain proposes and decides the row on its own
     region = twin_region()
     phase = sim.PhaseTarget(rho_ref=np.full(3, 1.0), lambda_beta=1.5, beta=1.0, zeta=5.0, t=1.0)
     pair = fx.make_identical_pair(region, phase, 5)
-    for system in (pair.sys1, pair.sys2):
-        system.add_particles([[3.0, 3.0], [3.5, 3.5], [3.0, 3.0]], [0, 1, 0])
-    twins = sim.TwinRows(pair.sys1, pair.sys2)
-    c = pair.sys1.flat_cell((1, 1))
-    assert twins.blocks[c]
-    if differ == "place":
-        moves = [sim.Proposal([(-1, system.pos[i], 0, c)], 0.0, -1, 1.0, i, lambda: None)
-                 for system, i in ((pair.sys1, pair.sys1.mobile_ids[-3]),
-                                   (pair.sys2, pair.sys2.mobile_ids[-1]))]
-        want = (True, True)
-    else:
-        r = np.array([2.25, 3.75])
-        moves = [sim.Proposal([(+1, r, 2, c)], 0.0, 1, ratio, None, lambda: None)
-                 for ratio in (1e6, 1e-9)]
-        want = (True, False)
-    got = tuple(twins.decide(system, move, 0.5)[0]
-                for system, move in zip((pair.sys1, pair.sys2), moves))
-    assert got == want
-    assert twins.reused == 0
-    assert not twins.cells[c] and not twins.blocks[c]
+    pair.sys2.add_particles([[7.0, 7.0]], [0])
+    active = list(np.ndindex(4, 4))
+    active_set = frozenset(active)
+    loc = [s.mobile_in(active_set) for s in (pair.sys1, pair.sys2)]
+    volume = len(active) * region.cell_volume
+    twins = sim.TwinRows(pair.sys1, pair.sys2, *loc)
+    assert not twins.aligned and not twins.cells.any()
+    row = [0.0, (active.index((1, 1)) + 0.5) / len(active), 0.25, 0.75, 0.9]
+    thresholds = []
+    for system, local in zip((pair.sys1, pair.sys2), loc):
+        move = sim._propose(system, MoveKernel(), row + [0.0], active, active_set, local, volume)
+        dh = sim._metropolis(system, move, 0.0, None)[1]
+        thresholds.append(move.ratio * math.exp(-phase.beta * dh))
+    assert 1.0 > thresholds[0] > thresholds[1]
+    row.append(math.sqrt(thresholds[0] * thresholds[1]))
+    got = tuple(sim.apply_move(system, MoveKernel(), row, active, active_set, local, volume, twins)
+                for system, local in zip((pair.sys1, pair.sys2), loc))
+    assert got == (True, False)
+    assert twins.aligned_rows == twins.reused == 0
 
 
 def test_twin_cells_matches_per_cell_loop():

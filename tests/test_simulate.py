@@ -422,6 +422,23 @@ def test_birth_at_the_far_face_lies_in_its_cell():
     assert np.floor(sys.pos[born] / sys.region.ell_minus).tolist() == [1.0, 1.0]
 
 
+def test_displacement_keeps_the_position_it_left():
+    # a proposal copies the position it reads: after a displacement commits,
+    # its -1 change still holds the old position, as a second chain that
+    # commits the same proposal must see it
+    sys = make_system(t=0.0, region=small_region(n_plus=2))
+    sys.add_particles([[1.0, 1.0], [3.0, 3.0]], [0, 1])
+    active = [tuple(c) for c in np.ndindex(2, 2)]
+    local_ids = list(sys.mobile_ids)
+    row = [0.6, 0.0, 0.75, 0.25, 0.0, 0.0]  # displaces local_ids[0] by (0.25, -0.25)
+    move = sim._propose(sys, sim.MoveKernel(), row, active, frozenset(active), local_ids,
+                        len(active) * sys.region.cell_volume)
+    i = local_ids[move.pick]
+    move.commit(sys, local_ids, i)
+    assert sys.pos[i].tolist() == move.changes[0][1].tolist() == [1.25, 0.75]
+    assert move.changes[-1][1].tolist() == [1.0, 1.0]
+
+
 @pytest.mark.parametrize("ell, ell_plus, n_plus", [(2.0, 4.0, 1), (0.1, 0.2, 10), (0.7, 0.7, 6)])
 def test_birth_at_any_far_face_lies_in_its_cell(ell, ell_plus, n_plus):
     # c + f is c + 1 for c >= 1 and f = 1 - 2**-53; where ell is not a power
@@ -669,10 +686,15 @@ def _reverse_row(system, kind, row, local_ids, active):
     return _row("flip", row[1], np.full(d, 0.5), ((s - s_new - 1) % S + 0.5) / (S - 1))
 
 
-def _acceptance(system, move):
+def _moved(move, local_ids):
+    """The id of the particle a proposal moves, None for a birth."""
+    return None if move.pick is None else local_ids[move.pick]
+
+
+def _acceptance(system, move, local_ids):
     """(window test passed, Metropolis acceptance probability) of one
     proposal, from the shared tail's energy change."""
-    passed, dh = sim._metropolis(system, move, 0.0)
+    passed, dh = sim._metropolis(system, move, 0.0, _moved(move, local_ids))
     return passed, min(1.0, move.ratio * math.exp(-system.phase.beta * dh))
 
 
@@ -707,29 +729,29 @@ def test_detailed_balance(d, t, seed, kind):
     if move is None:  # a displacement out of the box is rejected outright
         assert kind == "displace"
         return
-    passed, a_forward = _acceptance(system, move)
+    passed, a_forward = _acceptance(system, move, local_ids)
     reverse = _reverse_row(system, kind, row, local_ids, active)
-    move.commit()
+    move.commit(system, local_ids, _moved(move, local_ids))
     assert system.in_ensemble() == passed
     if not passed:
         return
     h_y = system.total_energy()
     back = sim._propose(system, kernel, reverse, active, active_set, local_ids, volume)
-    passed_back, a_back = _acceptance(system, back)
+    passed_back, a_back = _acceptance(system, back, local_ids)
     assert passed_back
     assert back.ratio * move.ratio == pytest.approx(1.0, rel=1e-12)
     want = move.ratio * math.exp(-phase.beta * (h_y - h_x))
     assert a_forward / a_back == pytest.approx(want, rel=1e-10)
-    back.commit()  # the reverse row restores x
+    back.commit(system, local_ids, _moved(back, local_ids))  # the reverse row restores x
     assert np.array_equal(system.counts, counts)
     assert system.total_energy() == pytest.approx(h_x, rel=1e-10, abs=1e-10)
 
 
-def _decide_settled(system, move, u):
+def _decide_settled(system, move, u, skip):
     """(``_decide``'s decision, whether the bound settled it): the bound
     settled it when ``_metropolis`` was not called."""
     with mock.patch.object(sim, "_metropolis", wraps=sim._metropolis) as exact:
-        decision = sim._decide(system, move, u)
+        decision = sim._decide(system, move, u, skip)
     return decision, not exact.called
 
 
@@ -779,16 +801,17 @@ def test_bound_decisions_are_the_exact_decisions(d, t, seed, kind, spread):
                         len(active) * vol)
     if move is None:
         return
-    _, dh = sim._metropolis(system, move, 0.0)
+    skip = _moved(move, local_ids)
+    _, dh = sim._metropolis(system, move, 0.0, skip)
     threshold = move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0))
     below = np.nextafter(threshold, 0.0)
     above = np.nextafter(threshold, np.inf)
     for u in (rng.random(), 0.0, threshold, below, np.nextafter(below, 0.0), above,
               np.nextafter(above, np.inf)):
-        (accepted, change), settled = _decide_settled(system, move, float(u))
+        (accepted, change), settled = _decide_settled(system, move, float(u), skip)
         assert settled or u != 0.0
         if settled:
-            assert accepted == sim._metropolis(system, move, float(u))[0]
+            assert accepted == sim._metropolis(system, move, float(u), skip)[0]
             assert math.isnan(change) if accepted else change == 0.0
     assert math.isnan(system._energy)
 
@@ -1134,7 +1157,7 @@ def test_subcell_bound_is_at_least_the_pair_sum(d, gamma, cells_per_range, seed,
                             local_ids, len(active) * vol)
         if move is None:
             return
-        changes, skip = move.changes, move.skip
+        changes, skip = move.changes, _moved(move, local_ids)
     for sign, r, s, c in changes:
         if sign > 0:
             exact, bound = system._pair_delta([(+1, r, s, c)], skip), system._pair_bound(r, s)
