@@ -21,7 +21,7 @@ ladder = scr.LadderSpec(zeta=0.6, d=2, c_star=2.0)
 
 pair = fx.make_identical_pair(region, phase, seed=0, ladder=ladder)
 part = scr.run_screening(pair)
-shell = part.outer_shell(part.lambda_cubes)
+shell = part.outer_shell()
 print(f"identical pair: stopped after {len(part.history)} peels, "
       f"{len(part.lambda_cubes)} cubes kept, shell all good: "
       f"{all(part.status[c] == 'good' for c in shell)}")

@@ -21,17 +21,7 @@ import numpy as np
 
 from . import simulate
 from .lattice import _log_linear_fit
-from .screening import (
-    CubePartition,
-    PairedState,
-    _agree,
-    _cells_per_cube,
-    _cube_cells,
-    _held,
-    _range_collar_cells,
-    _touching,
-    classify_and_peel,
-)
+from .screening import CubePartition, PairedState, classify_and_peel, touching
 from .simulate import (
     MoveKernel,
     ParticleSystem,
@@ -55,12 +45,10 @@ def choose_branch(pair: PairedState, partition: CubePartition) -> str:
     """Branch selection from the pair outside the running region: 'product'
     when polymers touch the shell, 'diagonal' when the boundary data agree on
     the one-range collar, else 'qt'."""
-    lam = partition.lambda_cubes
-    shell = partition.outer_shell(lam)
     poly = pair.polymer_cubes()
-    if any(c in poly for c in shell):
+    if any(c in poly for c in partition.outer_shell()):
         return "product"
-    return "diagonal" if _agree(pair, _range_collar_cells(pair.region, lam)) else "qt"
+    return "diagonal" if pair.agree(partition.range_collar()) else "qt"
 
 
 def copy_region(dst: ParticleSystem, src: ParticleSystem, cells: list):
@@ -126,7 +114,7 @@ HALO_RINGS = 2  # running-region cube rings around the screening set that one up
 def _cube_rings(base: set, lam: set, rings: int) -> set:
     out = set(base)
     for _ in range(rings):
-        out |= _touching(out) & lam
+        out |= touching(out) & lam
     return out
 
 
@@ -147,20 +135,17 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be at least 1, got {sweeps}")
-    region = pair.region
-    cpc = _cells_per_cube(region)
-    lam = partition.lambda_cubes
+    lattice, lam = partition.lattice, partition.lambda_cubes
     sigma_set = set(sigma)
     halo = _cube_rings(sigma_set, lam, HALO_RINGS)
-    halo_cells = []
-    for cube in sorted(halo):
-        halo_cells.extend(_cube_cells(cube, cpc))
+    # cube by cube, C order within a cube: the order drives birth picks
+    halo_cells = list(map(tuple, lattice.cells[lattice.cube_rows(sorted(halo))].tolist()))
     branch = choose_branch(pair, partition)
     n_moves = max(1, sweeps * _estimate_moves(pair, halo_cells))
 
     independent = branch == "product"
     if branch == "qt":
-        halo_shell = _touching(halo) & (partition.interior | partition.collar)
+        halo_shell = touching(halo) & (partition.interior | partition.collar)
         independent = bool(pair.polymer_cubes() & halo_shell)
 
     # metropolis_sweep is looked up on its module at call time, so a wrapper
@@ -178,7 +163,7 @@ def coupled_update(pair: PairedState, partition: CubePartition, kernel: MoveKern
             stats.crn_rows += n_moves
             stats.aligned_rows += sweep["aligned"]
             stats.reused_rows += sweep["reused"]
-            held = _held(pair, lam, sorted(_cube_rings(sigma_set, lam, 1)))
+            held = partition.held(pair, sorted(_cube_rings(sigma_set, lam, 1)))
             stats.theta_checks += len(held)
             stats.theta_failures += int(np.count_nonzero(~held))
     if stats is not None:
@@ -229,10 +214,12 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
     distances are excluded from the fit; if fewer than two distances remain,
     or log(1 - p) is the same at all of them, the decay floor was reached:
     ``decay_floor`` is True and ``c1``, ``c2`` and ``r_squared`` are None.
-    ``n_runs`` must be at least 1.
+    ``n_runs`` must be at least 1 and every margin at least 0.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+    if min(margins, default=0) < 0:
+        raise ValueError(f"margins must be at least 0, got {margins}")
     contain = {m: 0 for m in margins}
     agree = {m: 0 for m in margins}
     eps_hats = []
@@ -241,12 +228,12 @@ def percolation_stats(make_pair, n_runs: int, margins: list, kernel: MoveKernel,
         region = pair.region
         partition, stats = run_coupled_screening(pair, kernel, seed=seed + 1000 * k, sweeps=sweeps)
         eps_hats.append(stats.eps_hat)
-        cpc = _cells_per_cube(region)
+        lattice = partition.lattice
         for m in margins:
             delta = _delta_cubes(region.n_plus, region.d, m)
             if delta and delta <= partition.lambda_cubes:
                 contain[m] += 1
-            if delta and _agree(pair, (c for cube in delta for c in _cube_cells(cube, cpc))):
+            if delta and pair.agree(lattice.cells[lattice.cube_rows(delta)]):
                 agree[m] += 1
     out = {
         "n_runs": n_runs,

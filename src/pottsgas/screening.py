@@ -31,12 +31,12 @@ __all__ = [
     "CubePartition",
     "k_function",
     "k_values",
-    "theta_event",
     "theta_events",
     "run_screening",
     "verify_stopping",
     "m_function",
     "peierls_chain_check",
+    "touching",
 ]
 
 C_POL_DEFAULT = 1.0
@@ -57,7 +57,7 @@ class Polymer:
         seen = {cubes[0]}
         frontier = [cubes[0]]
         while frontier:
-            new = _touching([frontier.pop()]) & self.support - seen
+            new = touching([frontier.pop()]) & self.support - seen
             seen |= new
             frontier.extend(new)
         if seen != self.support:
@@ -76,7 +76,7 @@ class PolymerSet:
                  zeta: float = 1.0, ell_minus: float = 1.0, d: int = 2):
         self.polymers = list(polymers)
         for a, b in itertools.combinations(self.polymers, 2):
-            if _touching(a.support) & b.support:
+            if touching(a.support) & b.support:
                 raise ValueError("polymer supports must be mutually disconnected")
         self.weights = None
         if weights is not None:
@@ -155,10 +155,6 @@ class LadderSpec:
         bins = np.where(in_bin.any(axis=1), 2 + in_bin.argmax(axis=1), self.m_bar)
         return np.where(at_or_above[:, 2], 0, bins)
 
-    def bin_deviation(self, b: float) -> int:
-        """``bin_deviations`` of one deviation."""
-        return int(self.bin_deviations([b])[0])
-
 
 @dataclass
 class PairedState:
@@ -206,6 +202,12 @@ class PairedState:
             self._table = (key, np.append(same, True), dev)
         return self._table[1:]
 
+    def agree(self, cells) -> bool:
+        """Whether the two chains carry the same particles (positions and
+        spins) on every cell (rows of ``cells``): a lookup in the cell table."""
+        same, _ = self.cell_table()
+        return bool(same[self.sys1.flat_cells(cells)].all())
+
 
 # ---------------------------------------------------------------------------
 # geometry helpers (interior cell coordinates; cube coordinates in units of
@@ -220,7 +222,7 @@ def _block_offsets(side: int, d: int) -> np.ndarray:
     return out
 
 
-def _touching(cubes) -> set:
+def touching(cubes) -> set:
     """Cubes whose closure meets the closure of a cube in ``cubes``
     (Chebyshev distance at most 1), the cubes themselves included: each
     cube shifted by the 3^d unit offsets, in one broadcast."""
@@ -230,15 +232,6 @@ def _touching(cubes) -> set:
     d = cubes.shape[1]
     shifted = cubes[:, None] - 1 + _block_offsets(3, d)
     return set(map(tuple, shifted.reshape(-1, d).tolist()))
-
-
-def _cells_per_cube(region) -> int:
-    return int(round(region.ell_plus / region.ell_minus))
-
-
-def _cube_cells(cube: tuple, cpc: int):
-    """Interior-coordinate cells of one cube, in C order, as tuples."""
-    return map(tuple, (np.asarray(cube) * cpc + _block_offsets(cpc, len(cube))).tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,7 +258,8 @@ class _CubeLattice:
 
     def __init__(self, region):
         d, side = region.d, region.n_plus + 2
-        self.d, self.ell, self.cpc = d, region.ell_minus, _cells_per_cube(region)
+        self.d, self.ell = d, region.ell_minus
+        self.cpc = int(round(region.ell_plus / region.ell_minus))  # cells per cube side
         self.block, self.n_codes, self.n_rows = self.cpc**d, side**d, (self.cpc * side) ** d
         cubes = _block_offsets(side, d) - 1
         self.cubes = list(map(tuple, cubes.tolist()))
@@ -317,23 +311,11 @@ class _CubeLattice:
 _lattice = functools.lru_cache(maxsize=None)(_CubeLattice)  # one per region
 
 
-def _agree(pair: PairedState, cells, x: np.ndarray | None = None,
-           radius: float | None = None) -> bool:
-    """Whether the two chains carry the same particles (positions and spins)
-    on every cell: a lookup in the pair's cell table, or, given a ball, a
-    comparison of only the particles within ``radius`` of x."""
-    if x is None:
-        same, _ = pair.cell_table()
-        return bool(same[pair.sys1.flat_cells(list(cells))].all())
-    for cell in cells:
-        rows = []
-        for system in (pair.sys1, pair.sys2):
-            pos, spin = system.cell_particles(cell)
-            keep = np.sqrt(np.sum((pos - x) ** 2, axis=1)) <= radius
-            rows.append(sorted(zip(map(tuple, pos[keep].tolist()), spin[keep].tolist())))
-        if rows[0] != rows[1]:
-            return False
-    return True
+def _near(system: ParticleSystem, cell: tuple, x: np.ndarray, radius: float) -> list:
+    """(position, spin) of the cell's particles within ``radius`` of x, sorted."""
+    pos, spin = system.cell_particles(cell)
+    keep = np.sqrt(np.sum((pos - x) ** 2, axis=1)) <= radius
+    return sorted(zip(map(tuple, pos[keep].tolist()), spin[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +355,13 @@ def _k_rows(pair: PairedState, in_region: np.ndarray, cells: np.ndarray, rows: n
     flat = lattice.flat(pair.sys1)[balls]
     worst = np.where(near, dev[flat], -np.inf).max(axis=1)
     k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
-    # chains that agree on a whole cell agree on its part in the ball
+    # chains that agree on a whole cell agree on its part in the ball; on
+    # the other cells, only the particles within r of the point are compared
     differ = near & ~same[flat]
     for i in np.flatnonzero(differ.any(axis=1)):
-        if not _agree(pair, map(tuple, lattice.cells[balls[i, differ[i]]].tolist()),
-                      cells[i] * ell, r):
+        x = cells[i] * ell
+        if any(_near(pair.sys1, c, x, r) != _near(pair.sys2, c, x, r)
+               for c in map(tuple, lattice.cells[balls[i, differ[i]]].tolist())):
             k[i] = 0
     return k
 
@@ -398,24 +382,10 @@ def _theta(pair: PairedState, flat: np.ndarray, k) -> np.ndarray:
     return (k == 0) | (same[flat] & (dev[flat] <= rung + 1e-12))
 
 
-def _held(pair: PairedState, lambda_cubes: set, cubes) -> np.ndarray:
-    """The agreement event at each cell of the grid cubes at its own index
-    K: cube by cube, in C order within a cube."""
-    lattice = _lattice(pair.region)
-    rows = lattice.cube_rows(cubes)
-    k = _k_rows(pair, lattice.mask(lambda_cubes), lattice.cells[rows], rows)
-    return _theta(pair, lattice.flat(pair.sys1)[rows], k)
-
-
 def k_function(pair: PairedState, lambda_cubes: set, cell: tuple,
                inner_ball: bool = False) -> int:
     """``k_values`` at one cell."""
     return int(k_values(pair, lambda_cubes, [cell], inner_ball)[0])
-
-
-def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
-    """``theta_events`` at one cell."""
-    return bool(theta_events(pair, [cell], [k_value])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +394,30 @@ def theta_event(pair: PairedState, cell: tuple, k_value: int) -> bool:
 
 class CubePartition:
     """Coarse cubes of the box and its one-cube collar with their statuses,
-    the running region, and the peeling history."""
+    the running region, and the peeling history.  The running region is a
+    frozenset kept with its code mask over ``lattice``; only ``peel``
+    replaces the two, and the shell, the collar and the agreement events
+    read the mask."""
 
     def __init__(self, region):
-        self.region = region
-        cubes = _lattice(region).cubes
+        self.region, self.lattice = region, _lattice(region)
+        cubes = self.lattice.cubes
         self.interior = {c for c in cubes if all(0 <= i < region.n_plus for i in c)}
         self.collar = set(cubes) - self.interior
         self.status: dict = {c: "bad" for c in self.collar}
-        self.lambda_cubes = set(self.interior)
+        self._lambda = frozenset(self.interior)
+        self._inside = self.lattice.mask(self._lambda)
         self.history: list[dict] = []
         self.stopped = False
 
-    def outer_shell(self, cube_set: set) -> list:
-        """Classified-or-collar cubes outside the set touching it, sorted."""
-        lattice = _lattice(self.region)
-        inside = lattice.mask(cube_set)
+    @property
+    def lambda_cubes(self) -> frozenset:
+        return self._lambda
+
+    def outer_shell(self) -> list:
+        """Classified-or-collar cubes outside the running region touching
+        it, sorted."""
+        lattice, inside = self.lattice, self._inside
         touched = np.zeros_like(inside)
         touched[lattice.neighbours[inside[:-1]]] = True
         return [lattice.cubes[c] for c in np.flatnonzero(touched[:-1] & ~inside[:-1]).tolist()]
@@ -450,18 +428,44 @@ class CubePartition:
         (cube, screening_set) or None when the sequence has stopped."""
         if self.stopped:
             raise RuntimeError("screening already stopped")
-        bad = [c for c in self.outer_shell(self.lambda_cubes) if self.status.get(c) == "bad"]
+        bad = [c for c in self.outer_shell() if self.status.get(c) == "bad"]
         if not bad:
             self.stopped = True
             return None
         chosen = next((c for c in bad if c in polymer_cubes), bad[0])
-        return chosen, [q for q in _lattice(self.region).adjacent[chosen] if q in self.lambda_cubes]
+        return chosen, [q for q in self.lattice.adjacent[chosen] if q in self._lambda]
 
     def peel(self, chosen: tuple, sigma: list, statuses: dict):
+        """Record the step and take the grid cubes ``sigma`` out of the
+        running region, its set and its mask."""
         for q in sigma:
             self.status[q] = statuses[q]
-            self.lambda_cubes.discard(q)
+        self._lambda = self._lambda - set(sigma)
+        self._inside[[self.lattice.code[q] for q in sigma]] = False
         self.history.append({"selected": chosen, "sigma": list(sigma), "statuses": dict(statuses)})
+
+    def held(self, pair: PairedState, cubes) -> np.ndarray:
+        """The agreement event at each cell of the grid cubes at its own
+        index K in the running region: cube by cube, in C order within a
+        cube."""
+        rows = self.lattice.cube_rows(cubes)
+        k = _k_rows(pair, self._inside, self.lattice.cells[rows], rows)
+        return _theta(pair, self.lattice.flat(pair.sys1)[rows], k)
+
+    def range_collar(self) -> list:
+        """Interior-coordinate cells outside the running region within one
+        interaction range 1/gamma of it, in sorted order.  Only cells that
+        can hold particles count: the box and its frozen collar, [-w, n + w)
+        per axis."""
+        if not self._lambda:
+            return []
+        region, lattice, ell = self.region, self.lattice, self.region.ell_minus
+        w, n = region.collar_cells, region.cells_per_axis
+        cells = lattice.cells[~self._inside[:-1].repeat(lattice.block)]
+        cells = cells[((cells >= -w) & (cells < n + w)).all(axis=1)]
+        lo = cells * ell
+        near = _gaps(lo, lo + ell, self._lambda, region.ell_plus) <= 1.0 / region.gamma
+        return sorted(map(tuple, cells[near].tolist()))
 
 
 def classify_and_peel(partition: CubePartition, pair: PairedState,
@@ -471,7 +475,7 @@ def classify_and_peel(partition: CubePartition, pair: PairedState,
     statuses = {q: "bad" for q in sigma}
     screened = [] if chosen in poly else [q for q in sigma if q not in poly]
     if screened:
-        held = _held(pair, partition.lambda_cubes, screened).reshape(len(screened), -1)
+        held = partition.held(pair, screened).reshape(len(screened), -1)
         statuses.update(zip(screened, np.where(held.all(axis=1), "good", "bad").tolist()))
     partition.peel(chosen, sigma, statuses)
 
@@ -499,7 +503,7 @@ def m_function(partition: CubePartition, pair: PairedState) -> dict:
     on good cubes (the ball is small enough that an age-decreasing chain
     cannot visit that many distinct cubes).
     """
-    lattice = _lattice(pair.region)
+    lattice = partition.lattice
     M = _m_rows(partition, pair)
     rows = lattice.cube_rows(sorted(partition.collar)
                              + [q for step in partition.history for q in step["sigma"]])
@@ -509,7 +513,7 @@ def m_function(partition: CubePartition, pair: PairedState) -> dict:
 def _m_rows(partition: CubePartition, pair: PairedState) -> np.ndarray:
     """``m_function`` at every lattice row, infinite off the collar and the
     peeled cubes, one peel at a time: a step reads only older steps."""
-    lattice = _lattice(pair.region)
+    lattice = partition.lattice
     r = pair.ladder.ball_fraction * pair.region.ell_plus
     ball = lattice.ball(r + 1e-12, 0.0)
     M = np.full(lattice.n_rows + 1, math.inf)
@@ -549,13 +553,12 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
 
     # (b) stopped-at-nonempty with all-good shell
     if partition.lambda_cubes:
-        shell = partition.outer_shell(partition.lambda_cubes)
+        shell = partition.outer_shell()
         if all(partition.status.get(c) == "good" for c in shell):
             # box cells only: the mobile content there is what the contract
             # compares, the frozen collars are each chain's own boundary
             n = region.cells_per_axis
-            collar = [c for c in _range_collar_cells(region, partition.lambda_cubes)
-                      if all(0 <= i < n for i in c)]
+            collar = [c for c in partition.range_collar() if all(0 <= i < n for i in c)]
             same, _ = pair.cell_table()
             held = same[pair.sys1.flat_cells(collar)]
             differ = next((c for c, ok in zip(collar, held) if not ok), None)
@@ -571,7 +574,7 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
 
     # (c) audit bounds on good cubes: where the index is finite, the cell
     # passes the agreement event on the matching ladder rung
-    lattice = _lattice(region)
+    lattice = partition.lattice
     M = _m_rows(partition, pair)
     m_bar = pair.ladder.m_bar
     rows = lattice.cube_rows([q for step in partition.history for q in step["sigma"]
@@ -604,26 +607,12 @@ def _gaps(lo: np.ndarray, hi: np.ndarray, cubes: set, side: float) -> np.ndarray
     return np.sqrt(np.sum(gap**2, axis=-1)).min(axis=1)
 
 
-def _range_collar_cells(region, cubes: set) -> list:
-    """Interior-coordinate cells outside ``cubes`` within one interaction
-    range 1/gamma of them, in sorted order.  Only cells that can hold
-    particles count: the box and its frozen collar, [-w, n + w) per axis."""
-    if not cubes:
-        return []
-    lattice, ell = _lattice(region), region.ell_minus
-    w, n = region.collar_cells, region.cells_per_axis
-    cells = lattice.cells[~lattice.mask(cubes)[:-1].repeat(lattice.block)]
-    cells = cells[((cells >= -w) & (cells < n + w)).all(axis=1)]
-    lo = cells * ell
-    near = _gaps(lo, lo + ell, cubes, region.ell_plus) <= 1.0 / region.gamma
-    return sorted(map(tuple, cells[near].tolist()))
-
-
 def _default_perturbation(pair: PairedState, lambda_cubes: set, rng):
     """Move, add and delete a few particles of both chains strictly inside
-    the running region."""
+    the running region.  The cells are taken in sorted cube order, so the
+    picks do not depend on how the set of cubes was built."""
     region, lattice = pair.region, _lattice(pair.region)
-    cells = list(map(tuple, lattice.cells[lattice.cube_rows(lambda_cubes)].tolist()))
+    cells = list(map(tuple, lattice.cells[lattice.cube_rows(sorted(lambda_cubes))].tolist()))
     if not cells:
         return
     cell_set, ell = set(cells), region.ell_minus

@@ -131,10 +131,16 @@ class PhaseTarget:
 
 def occupancy_window(phase: PhaseTarget, volume: float) -> tuple[np.ndarray, np.ndarray]:
     """Integer accuracy window (n_lo, n_hi) per species for a cell of the
-    given volume: the counts n with |n / volume - rho_ref| <= zeta."""
-    n_lo = np.ceil(volume * (phase.rho_ref - phase.zeta) - 1e-9).astype(np.int64)
+    given volume: the counts n with |n / volume - rho_ref| <= zeta.  Raises
+    ValueError if a species' window holds no count."""
+    n_lo = np.maximum(np.ceil(volume * (phase.rho_ref - phase.zeta) - 1e-9).astype(np.int64), 0)
     n_hi = np.floor(volume * (phase.rho_ref + phase.zeta) + 1e-9).astype(np.int64)
-    return np.maximum(n_lo, 0), n_hi
+    empty = np.flatnonzero(n_lo > n_hi)
+    if len(empty):
+        s = int(empty[0])
+        raise ValueError(f"species {s} has an empty accuracy window [n_lo, n_hi] = "
+                         f"[{n_lo[s]}, {n_hi[s]}] in a cell of volume {volume}")
+    return n_lo, n_hi
 
 
 @dataclass(frozen=True)
@@ -1078,10 +1084,6 @@ def measure_observables(system: ParticleSystem, references: list | None = None,
     return out
 
 
-# ---------------------------------------------------------------------------
-# exact occupancy law for the decoupled case
-
-
 def save_trajectory(path, snapshots):
     """Flat binary record of density snapshots (one array per snapshot)."""
     arr = np.stack([np.asarray(s, dtype=float) for s in snapshots])
@@ -1094,6 +1096,10 @@ def trajectory_to_csv(fh, snapshots):
     fh.write(",".join(f"cell{k}" for k in range(arr.shape[1])) + "\n")
     for row in arr:
         fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# exact occupancy law for the decoupled case
 
 
 def poisson_window_weights(region: SimRegion, phase: PhaseTarget) -> dict:

@@ -305,6 +305,23 @@ def test_simulate_moves_below_thin_exits_2(tmp_path):
     assert not (out / "trajectory.npy").exists()
 
 
+@pytest.mark.parametrize("command, base", [("simulate", SIM_BASE), ("couple", COUPLE_BASE)])
+def test_empty_accuracy_window_exits_2(tmp_path, command, base):
+    # zeta 0.01 on unit cells leaves no count in any species' window: the
+    # chains started empty, no move could enter the window, and simulate
+    # exited 0 with in_ensemble false and every density 0
+    edits = {"zeta": 0.01, "ell0": 0.5, "ell_minus": 1.0, "gamma": 0.5, "ell_plus": 2.0,
+             "n_plus": 2}
+    cfg = write_cfg(tmp_path, "c.json", {**base, **edits})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert err["error"] == ("species 0 has an empty accuracy window [n_lo, n_hi] = [1, 0] "
+                            "in a cell of volume 1.0")
+    assert not (out / "observables.json").exists() and not (out / "percolation.json").exists()
+
+
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["lp-minimize", "lp-decay"]), d=st.integers(1, 3),
        ell=st.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0]),

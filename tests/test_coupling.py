@@ -50,7 +50,7 @@ def test_choose_branch_cases(sol4):
     # (0,0) belongs to the region itself, not its outer shell, so the branch
     # stays diagonal until the shell contains a polymer cube
     assert cpl.choose_branch(poly, part3) == "diagonal"
-    part3.lambda_cubes.discard((0, 0))  # now (0,0) is in the shell
+    part3.peel((-1, -1), [(0, 0)], {(0, 0): "bad"})  # now (0,0) is in the shell
     assert cpl.choose_branch(poly, part3) == "product"
 
 
@@ -60,7 +60,7 @@ def test_copy_region_makes_cells_identical(sol4):
     a = fx.make_mismatched_pair(region, phase, 5, ladder=perc_ladder())
     cells = [(0, 0), (0, 1), (1, 0)]
     cpl.copy_region(a.sys2, a.sys1, cells)
-    assert scr._agree(a, cells)
+    assert a.agree(cells)
 
 
 def _home_cell(system, i):
@@ -118,7 +118,7 @@ def test_reinit_identical(sol4):
     cpl.reinit_identical(pair, cells, rng)
     vol = region.cell_volume
     target = np.round(phase.rho_ref * vol).astype(int)
-    assert scr._agree(pair, cells)
+    assert pair.agree(cells)
     for cell in cells:
         assert np.array_equal(pair.sys1.counts[cell], target)
 
@@ -158,8 +158,7 @@ def test_diagonal_branch_preserves_equality(sol4):
     part, stats = cpl.run_coupled_screening(pair, kernel, seed=7, sweeps=1)
     assert set(stats.branches) == {"diagonal"}
     # the chains remain equal on every interior cell
-    cpc = scr._cells_per_cube(region)
-    assert scr._agree(pair, [cell for cube in part.interior for cell in scr._cube_cells(cube, cpc)])
+    assert pair.agree(part.lattice.cells[part.lattice.cube_rows(part.interior)])
 
 
 def test_run_stats_count_the_crn_rows(sol4):
@@ -537,6 +536,14 @@ def test_percolation_stats_rejects_fewer_than_one_run():
     # n_runs = 0 divided by zero in the containment estimate
     with pytest.raises(ValueError, match="n_runs"):
         cpl.percolation_stats(lambda seed: None, n_runs=0, margins=[0], kernel=sim.MoveKernel())
+
+
+def test_percolation_stats_rejects_a_negative_margin():
+    # a margin below -1 names cubes beyond the partition's grid, which has
+    # no cells for them; the CLI already rejects every margin below 0
+    with pytest.raises(ValueError, match="margins"):
+        cpl.percolation_stats(lambda seed: None, n_runs=1, margins=[0, -2],
+                              kernel=sim.MoveKernel())
 
 
 def test_coupled_screening_rejects_fewer_than_one_sweep(sol4):

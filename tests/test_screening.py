@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,31 @@ def _cell_corner(cell, ell):
     return np.asarray(cell, dtype=float) * ell
 
 
+def cells_per_cube(region):
+    return int(round(region.ell_plus / region.ell_minus))
+
+
+def cells_of(cube, cpc):
+    # interior-coordinate cells of one cube, in C order
+    return list(itertools.product(*[range(c * cpc, (c + 1) * cpc) for c in cube]))
+
+
+def bin_deviation(ladder, b):
+    return int(ladder.bin_deviations([b])[0])
+
+
+def theta_event(pair, cell, k_value):
+    return bool(scr.theta_events(pair, [cell], [k_value])[0])
+
+
+def peeled_to(region, lam):
+    # a partition whose running region is lam: one peel of the complement
+    part = scr.CubePartition(region)
+    rest = sorted(part.interior - set(lam))
+    part.peel((-1, -1), rest, {q: "bad" for q in rest})
+    return part
+
+
 def identical_pair(seed=0):
     return fx.make_identical_pair(verify_region(), verify_phase(), seed, ladder=make_ladder())
 
@@ -57,10 +83,10 @@ def test_ladder_levels_and_bins():
     assert z[0] == 0.5
     assert np.allclose(z, 0.5 * 4.0 ** (-np.arange(7.0)))
     # the worked case: b just above zeta_3 falls in [zeta_3, zeta_2) -> 2
-    assert lad.bin_deviation(z[3] * 1.0001) == 2
-    assert lad.bin_deviation(z[2]) == 0  # at or above the coarsest rung
-    assert lad.bin_deviation(z[6] * 0.5) == lad.m_bar  # below the bottom rung
-    assert lad.bin_deviation(z[5] * 1.0001) == 4
+    assert bin_deviation(lad, z[3] * 1.0001) == 2
+    assert bin_deviation(lad, z[2]) == 0  # at or above the coarsest rung
+    assert bin_deviation(lad, z[6] * 0.5) == lad.m_bar  # below the bottom rung
+    assert bin_deviation(lad, z[5] * 1.0001) == 4
     strict = scr.LadderSpec(zeta=0.5, d=2, strict=True)
     assert strict.ball_fraction == 1e-10
 
@@ -72,13 +98,13 @@ def test_ladder_levels_follow_their_fields():
         lad.levels[0] = 1.0
     lad.zeta = 0.8
     assert np.array_equal(lad.levels, 0.8 * 4.0 ** (-np.arange(7.0)))
-    assert lad.bin_deviation(0.8 * 4.0**-3) == 2  # [zeta_3, zeta_2)
+    assert bin_deviation(lad, 0.8 * 4.0**-3) == 2  # [zeta_3, zeta_2)
     lad.c_star = 1.0
     assert np.array_equal(lad.levels, 0.8 * 2.0 ** (-np.arange(7.0)))
     lad.d = 3
     assert np.array_equal(lad.levels, 0.8 * 2.0 ** (-np.arange(11.0)))
-    assert lad.bin_deviation(0.8 * 2.0**-10) == 9  # [zeta_10, zeta_9)
-    assert lad.bin_deviation(0.8 * 2.0**-11) == 10 == lad.m_bar
+    assert bin_deviation(lad, 0.8 * 2.0**-10) == 9  # [zeta_10, zeta_9)
+    assert bin_deviation(lad, 0.8 * 2.0**-11) == 10 == lad.m_bar
 
 
 def test_polymer_validation():
@@ -125,12 +151,12 @@ def test_k_function_equal_boundary_bins_deviation():
 
 def test_theta_event_cases():
     pair = identical_pair()
-    assert scr.theta_event(pair, (5, 5), 0)  # index 0 is the whole space
-    assert scr.theta_event(pair, (5, 5), pair.ladder.m_bar + 1)  # equal + exact counts
+    assert theta_event(pair, (5, 5), 0)  # index 0 is the whole space
+    assert theta_event(pair, (5, 5), pair.ladder.m_bar + 1)  # equal + exact counts
     # perturb one chain's cell content: equality fails for positive index
     pair.sys1.add_particles([[5.2, 5.7]], [0])
-    assert not scr.theta_event(pair, (5, 5), 3)
-    assert scr.theta_event(pair, (5, 5), 0)
+    assert not theta_event(pair, (5, 5), 3)
+    assert theta_event(pair, (5, 5), 0)
 
 
 def test_theta_event_threshold_edge():
@@ -143,8 +169,8 @@ def test_theta_event_threshold_edge():
     pair.sys1.add_particles([[7.3, 7.6]], [0])
     pair.sys2.add_particles([[7.3, 7.6]], [0])
     assert ladder.levels[1] >= 1.0 > ladder.levels[2]
-    assert scr.theta_event(pair, cell, 2)  # threshold is rung 1 = 1.2
-    assert not scr.theta_event(pair, cell, 3)  # threshold is rung 2 = 0.3
+    assert theta_event(pair, cell, 2)  # threshold is rung 1 = 1.2
+    assert not theta_event(pair, cell, 3)  # threshold is rung 2 = 0.3
 
 
 def test_k_function_inner_ball_variant():
@@ -167,7 +193,7 @@ def test_identical_pair_stops_good_with_audit():
     part = scr.run_screening(pair)
     assert part.stopped
     assert part.lambda_cubes  # nonempty stopped region
-    shell = part.outer_shell(part.lambda_cubes)
+    shell = part.outer_shell()
     assert all(part.status[c] == "good" for c in shell)
     report = scr.verify_stopping(pair, part, seed=5)
     assert report["ok"], report["failures"]
@@ -212,7 +238,7 @@ def test_replay_measurability_under_perturbation(seed, corner, into_first, verif
     assert report["replay_ok"]
     # the perturbation touches the mobile content of the final region only
     region_cells = {c for cube in part.lambda_cubes
-                    for c in scr._cube_cells(cube, scr._cells_per_cube(pair.region))}
+                    for c in cells_of(cube, cells_per_cube(pair.region))}
     clone = copy.deepcopy(pair)
     scr._default_perturbation(clone, part.lambda_cubes, np.random.default_rng(verify_seed))
     for before, after in ((pair.sys1, clone.sys1), (pair.sys2, clone.sys2)):
@@ -269,7 +295,7 @@ def _boxes_gap(lo, hi, cubes, side):
 @pytest.mark.parametrize("geometry", ["criterion10", "criterion11"])
 def test_range_collar_cells_match_brute_force(geometry):
     region = geometry_region(geometry)
-    cpc = scr._cells_per_cube(region)
+    cpc = cells_per_cube(region)
     rng_len = 1.0 / region.gamma
     n, w = region.cells_per_axis, region.collar_cells
     # every cell that can hold a particle: the box and its frozen collar
@@ -288,12 +314,12 @@ def test_range_collar_cells_match_brute_force(geometry):
             lo = _cell_corner(cell, region.ell_minus)
             if _boxes_gap(lo, lo + region.ell_minus, lam, region.ell_plus) <= rng_len:
                 expected.append(cell)
-        got = scr._range_collar_cells(region, lam)
+        got = peeled_to(region, lam).range_collar()
         assert got == sorted(expected)
         assert all(-w <= c < n + w for cell in got for c in cell)
         saw_frozen |= any(not all(0 <= c < n for c in cell) for cell in got)
     assert saw_frozen
-    assert scr._range_collar_cells(region, set()) == []
+    assert peeled_to(region, set()).range_collar() == []
 
 
 @given(st.integers(1, 3).flatmap(
@@ -304,7 +330,7 @@ def test_touching_matches_the_pair_loop(cubes):
         d = len(next(iter(cubes)))
         expected = {c for c in itertools.product(range(-3, 5), repeat=d)
                     if any(max(abs(a - b) for a, b in zip(c, q)) <= 1 for q in cubes)}
-    assert scr._touching(cubes) == expected
+    assert scr.touching(cubes) == expected
 
 
 def test_screening_determinism():
@@ -354,7 +380,7 @@ def test_m_function_bound_on_good_cubes():
         for q in h["sigma"]:
             if h["statuses"][q] != "good":
                 continue
-            for cell in scr._cube_cells(q, 4):
+            for cell in cells_of(q, 4):
                 v = M[cell]
                 assert math.isinf(v) or v < m_bar - 2
 
@@ -410,7 +436,7 @@ def _oracle_deviation(system, cell):
 def k_oracle(pair, lambda_cubes, cell, inner_ball=False):
     region, ladder = pair.region, pair.ladder
     ell = region.ell_minus
-    cpc = scr._cells_per_cube(region)
+    cpc = cells_per_cube(region)
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
     r = frac * region.ell_plus
     x = _cell_corner(cell, ell)
@@ -456,18 +482,18 @@ def theta_oracle(pair, cell, k_value):
 
 def m_oracle(partition, pair):
     region = pair.region
-    cpc = scr._cells_per_cube(region)
+    cpc = cells_per_cube(region)
     ell = region.ell_minus
     r = pair.ladder.ball_fraction * region.ell_plus
     M, age = {}, {}
     for c in partition.collar:
         age[c] = -1
-        for cell in scr._cube_cells(c, cpc):
+        for cell in cells_of(c, cpc):
             M[cell] = math.inf
     for n, step in enumerate(partition.history):
         older = set(age)
         for q in step["sigma"]:
-            for cell in scr._cube_cells(q, cpc):
+            for cell in cells_of(q, cpc):
                 if step["statuses"][q] == "bad":
                     M[cell] = math.inf
                     continue
@@ -548,7 +574,7 @@ def test_theta_event_matches_the_offset_loop(case):
     pair, _, cells = case
     for cell in cells:
         for k_value in range(pair.ladder.m_bar + 2):
-            assert scr.theta_event(pair, cell, k_value) == theta_oracle(pair, cell, k_value)
+            assert theta_event(pair, cell, k_value) == theta_oracle(pair, cell, k_value)
 
 
 @st.composite
@@ -572,7 +598,7 @@ def batch_case(draw):
     # one cube's cells (box or collar), or cells of the box, the collar and
     # beyond the extended grid
     w, n = region.collar_cells, region.cells_per_axis
-    cpc = scr._cells_per_cube(region)
+    cpc = cells_per_cube(region)
     if draw(st.booleans()):
         cube = draw(st.tuples(*[st.integers(-1, region.n_plus)] * 2))
         cells = list(itertools.product(*[range(c * cpc, (c + 1) * cpc) for c in cube]))
@@ -644,7 +670,7 @@ def set_in_cubes(cubes, cube_set):
 def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
     region, ladder = pair.region, pair.ladder
     d, ell = region.d, region.ell_minus
-    cpc = scr._cells_per_cube(region)
+    cpc = cells_per_cube(region)
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
     r = frac * region.ell_plus
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
@@ -656,8 +682,9 @@ def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
     k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
     differ = near & ~same[flat]
     for i in np.flatnonzero(differ.any(axis=1)):
-        if not scr._agree(pair, map(tuple, balls[i, differ[i]].tolist()),
-                          _cell_corner(cells[i], ell), r):
+        x = _cell_corner(cells[i], ell)
+        if any(_signature(pair.sys1, c, x, r) != _signature(pair.sys2, c, x, r)
+               for c in map(tuple, balls[i, differ[i]].tolist())):
             k[i] = 0
     return k
 
@@ -671,22 +698,22 @@ def set_theta_events(pair, cells, k):
 
 
 def set_outer_shell(partition, cube_set):
-    return sorted((scr._touching(cube_set) - cube_set) & (partition.interior | partition.collar))
+    return sorted((scr.touching(cube_set) - cube_set) & (partition.interior | partition.collar))
 
 
 def set_run_screening(pair):
     part = scr.CubePartition(pair.region)
-    cpc = scr._cells_per_cube(pair.region)
+    cpc = cells_per_cube(pair.region)
     poly = pair.polymer_cubes()
     while True:
         bad = [c for c in set_outer_shell(part, part.lambda_cubes) if part.status.get(c) == "bad"]
         if not part.lambda_cubes or not bad:
             return part
         chosen = next((c for c in bad if c in poly), bad[0])
-        sigma = sorted(scr._touching([chosen]) & part.lambda_cubes)
+        sigma = sorted(scr.touching([chosen]) & part.lambda_cubes)
         statuses = {}
         for q in sigma:
-            cells = list(scr._cube_cells(q, cpc))
+            cells = list(cells_of(q, cpc))
             held = set_theta_events(pair, cells, set_k_values(pair, part.lambda_cubes, cells))
             statuses[q] = "good" if held.all() and chosen not in poly and q not in poly else "bad"
         part.peel(chosen, sigma, statuses)
@@ -716,8 +743,8 @@ def table_case(draw):
 @given(table_case(), st.booleans())
 def test_lattice_tables_match_the_set_based_geometry(case, inner_ball):
     pair, lam, cubes, cells = case
-    cpc = scr._cells_per_cube(pair.region)
-    cube_cells = [c for q in cubes for c in scr._cube_cells(q, cpc)]
+    cpc = cells_per_cube(pair.region)
+    cube_cells = [c for q in cubes for c in cells_of(q, cpc)]
     for batch in (cells, cube_cells):
         k = scr.k_values(pair, lam, batch, inner_ball)
         assert k.tolist() == set_k_values(pair, lam, batch, inner_ball).tolist()
@@ -725,9 +752,9 @@ def test_lattice_tables_match_the_set_based_geometry(case, inner_ball):
                 == set_theta_events(pair, batch, k).tolist())
     # the table path the screening takes: whole cubes, the outer ball
     expected = set_theta_events(pair, cube_cells, set_k_values(pair, lam, cube_cells))
-    assert scr._held(pair, lam, cubes).tolist() == expected.tolist()
-    partition = scr.CubePartition(pair.region)
-    assert partition.outer_shell(lam) == set_outer_shell(partition, lam)
+    partition = peeled_to(pair.region, lam)
+    assert partition.held(pair, cubes).tolist() == expected.tolist()
+    assert partition.outer_shell() == set_outer_shell(partition, lam)
 
 
 @settings(max_examples=10, deadline=None)
@@ -738,6 +765,32 @@ def test_screening_history_matches_the_set_based_run(case, data):
         cube = data.draw(st.sampled_from(sorted(np.ndindex(pair.region.n_plus, pair.region.n_plus))))
         fx.inject_polymer(pair, [cube], into_first=data.draw(st.booleans()))
     assert scr.run_screening(pair).history == set_run_screening(pair).history
+
+
+def test_partition_keeps_its_mask_with_the_running_region():
+    # after every peel of a screening and of a coupled screening, the
+    # partition's code mask is the mask of its running region, the outer
+    # shell is the set-based one, and the region itself cannot be edited
+    peel, peels = scr.CubePartition.peel, []
+
+    def checked(part, chosen, sigma, statuses):
+        peel(part, chosen, sigma, statuses)
+        peels.append(chosen)
+        lam = part.lambda_cubes
+        assert np.array_equal(part._inside, part.lattice.mask(lam))
+        assert part.outer_shell() == set_outer_shell(part, lam)
+        with pytest.raises(AttributeError):
+            lam.discard(sigma[0])
+
+    polymer = identical_pair(seed=3)
+    fx.inject_polymer(polymer, [(0, 4)])
+    mismatched = fx.make_mismatched_pair(verify_region(), verify_phase(), 8, ladder=make_ladder())
+    with mock.patch.object(scr.CubePartition, "peel", checked):
+        for pair in (identical_pair(seed=1), polymer, copy.deepcopy(mismatched)):
+            assert scr.run_screening(pair).history
+        n_static = len(peels)
+        part, _ = cpl.run_coupled_screening(mismatched, sim.MoveKernel(), seed=0)
+    assert len(peels) - n_static == len(part.history) > 0
 
 
 # ---------------------------------------------------------------------------
