@@ -141,10 +141,10 @@ class PairPotential:
         return tail[np.maximum(k, 0)]
 
     def __call__(self, dist):
-        dist = np.asarray(dist, dtype=float)
+        """V at ``dist``: an array for an array, an ``np.float64`` (a
+        float) for a scalar."""
         # right=0.0 zeroes V past _radii[-1], which is self.range
-        out = np.interp(dist, self._radii, self._vals, right=0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.interp(dist, self._radii, self._vals, right=0.0)
 
 
 # ---------------------------------------------------------------------------

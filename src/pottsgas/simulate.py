@@ -619,12 +619,16 @@ class ParticleSystem:
 
     def remove_particles(self, ids):
         """Remove the mobile particles ``ids`` in one pass; slots are freed
-        and ``mobile_ids`` swap-removed in the given order."""
+        and ``mobile_ids`` swap-removed in the given order.  A repeated id
+        or one of no live mobile particle raises ``ValueError`` first."""
         idx = np.asarray(list(ids), dtype=np.int64)
+        listed = idx.tolist()
+        if len(set(listed)) < len(listed) or not all(i in self._mobile_slot for i in listed):
+            raise ValueError("remove_particles takes distinct ids of live mobile particles")
         if len(idx):
-            for i in idx.tolist():
+            for i in listed:
                 self._drop_mobile(i)
-            self._free.extend(idx.tolist())
+            self._free.extend(listed)
             self.alive[idx] = False
             self._unfile_batch(idx)
         self._energy_unknown(idx, -1)
@@ -650,20 +654,20 @@ class ParticleSystem:
         for sign, r, s, c in changes:
             if c != c_last:
                 block = c + self._ball
-                ids = self.members[block][self._slots < self.fill[block][:, None]]
+                ids = self.members.take(block, axis=0)[self._slots < self.fill.take(block)[:, None]]
                 if skip is not None:
                     ids = ids[ids != skip]
-                pos, spin = self.pos[ids], self.spin[ids]
+                pos, spin = self.pos.take(ids, axis=0), self.spin.take(ids)
                 c_last, r_last = c, None
             if r is not r_last:
                 # column by column, left to right, as sum(axis=1) adds d <= 3 terms
-                sq = (pos - r) ** 2
+                sq = np.square(np.subtract(pos, r))
                 dist2 = sq[:, 0]
                 for k in range(1, len(r)):
-                    dist2 = dist2 + sq[:, k]
+                    dist2 = np.add(dist2, sq[:, k])
                 pot = self.potential(np.sqrt(dist2))
                 r_last = r
-            total += sign * float(pot[spin != s].sum())
+            total += sign * float(np.add.reduce(pot[spin != s]))
         return total
 
     def _pair_bound(self, r, s: int) -> float:
@@ -737,18 +741,20 @@ class ParticleSystem:
     # -- window checks
 
     def _window_ok_after(self, changes) -> bool:
-        """Whether every (cell, species) count that the particle changes
-        ``(sign, r, species, cell)`` alter, net of one another, stays inside
-        the window; a count they leave unchanged is not checked."""
+        """Whether every (cell, species) count that the one or two particle
+        changes ``(sign, r, species, cell)`` of a proposal alter, net of one
+        another, stays inside the window; a count they leave unchanged is
+        not checked.  An insertion or a deletion is one change, a flip or a
+        displacement two."""
         lo, hi = self._window
         if len(changes) == 1:
             sign, _, s, c = changes[0]
             return lo[s] <= self._counts[c, s] + sign <= hi[s]
-        for _, _, s, c in changes:
-            dn = sum(g for g, _, s2, c2 in changes if s2 == s and c2 == c)
-            if dn and not lo[s] <= self._counts[c, s] + dn <= hi[s]:
-                return False
-        return True
+        (g, _, s, c), (g2, _, s2, c2) = changes
+        if s == s2 and c == c2:
+            return not g + g2 or lo[s] <= self._counts[c, s] + g + g2 <= hi[s]
+        return (lo[s] <= self._counts[c, s] + g <= hi[s]
+                and lo[s2] <= self._counts[c2, s2] + g2 <= hi[s2])
 
     def in_ensemble(self) -> bool:
         """Every interior cell's species counts inside the window."""

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -172,6 +172,7 @@ def test_pair_potential_lies_between_zero_and_vmax(d, gamma):
                              np.nextafter(radii, 0.0), np.nextafter(radii, np.inf)])
     assert pot(0.0) == pot.vmax > 0.0
     assert np.all(pot(beyond) == 0.0)
+    assert all(isinstance(pot(x), float) and pot(x) == pot(beyond)[k] for k, x in enumerate(beyond))
     v = pot(inside)
     assert v.min() >= 0.0 and v.max() <= pot.vmax
 
@@ -917,6 +918,63 @@ def test_pair_delta_is_the_per_change_oracle_sum(d, seed, kind, crowded, no_skip
         skip = None
     want = sum(sign * pair_sum_oracle(system, *at, skip) for sign, *at in changes)
     assert system._pair_delta(changes, skip) == want
+
+
+WINDOW_CELLS = [4, np.int64(4), 0, np.int64(0)]  # the flat cells, as int and as numpy int
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(3, 9), min_size=4, max_size=4),
+       st.lists(st.tuples(st.sampled_from([+1, -1]), st.integers(0, 1),
+                          st.sampled_from(WINDOW_CELLS)), min_size=1, max_size=2))
+@example([8, 4, 4, 8], [(+1, 0, 4), (-1, 0, np.int64(4))])  # a displacement within a cell at the top
+@example([4, 8, 8, 4], [(-1, 0, 4), (+1, 0, 4)])
+@example([9, 4, 4, 8], [(+1, 0, 4), (-1, 0, 4)])  # a count it leaves unchanged is not checked
+@example([8, 4, 4, 8], [(+1, 1, 4), (-1, 0, 4)])  # a flip at both edges
+@example([8, 4, 4, 8], [(+1, 0, 4), (-1, 0, 0)])  # a displacement across cells
+def test_window_ok_after_is_the_net_count_test(counts, moves):
+    # a proposal is one change or two; the oracle nets them per (species,
+    # cell) and tests each count they alter; the window is [4, 8] and the
+    # counts run one past each edge
+    system = make_system()
+    lo, hi = system._window
+    assert (lo, hi) == ([4, 4], [8, 8])
+    for k, (c, s) in enumerate([(4, 0), (4, 1), (0, 0), (0, 1)]):
+        system._counts[c, s] = counts[k]
+    changes = [(g, None, s, c) for g, s, c in moves]
+    net = {}
+    for g, _, s, c in changes:
+        net[s, int(c)] = net.get((s, int(c)), 0) + g
+    want = all(lo[s] <= system._counts[c, s] + dn <= hi[s] for (s, c), dn in net.items() if dn)
+    assert bool(system._window_ok_after(changes)) == want
+
+
+@pytest.mark.parametrize("bad", ["frozen", "repeated", "dead", "unknown"])
+def test_remove_particles_rejects_bad_ids_before_any_edit(bad):
+    region = index_region(2)
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / region.cell_volume),
+                            lambda_beta=0.7, zeta=2.0 / region.cell_volume, t=1.0)
+    system = sim.ParticleSystem(region, phase, seed=3)
+    fx.fill_boundary(system, seed=4)
+    system.seed_phase_configuration()
+    system.remove_particles(system.mobile_ids[-2:])  # a free list and a dead id
+    dead = system._free[-1]
+    mobile = system.mobile_ids[0]
+    ids = {"frozen": [mobile, int(np.flatnonzero(system.frozen & system.alive)[0])],
+           "repeated": [mobile, system.mobile_ids[1], mobile],
+           "dead": [mobile, dead],
+           "unknown": [mobile, len(system.spin) + 5]}[bad]
+    before = copy.deepcopy(system)
+    with pytest.raises(ValueError):
+        system.remove_particles(ids)
+    assert system.mobile_ids == before.mobile_ids
+    assert system._mobile_slot == before._mobile_slot and system._free == before._free
+    assert system.stamp == before.stamp
+    assert math.isnan(system._energy) and math.isnan(before._energy)
+    for name in ("pos", "spin", "alive", "frozen", "cell", "members", "fill", "_counts", "_subcounts"):
+        assert np.array_equal(getattr(system, name), getattr(before, name)), name
+    system.remove_particles(ids[:1])  # the state stays usable
+    assert mobile not in system.mobile_ids and not system.alive[mobile]
 
 
 def test_neighbor_sum_is_built_once_per_rho_ref():
