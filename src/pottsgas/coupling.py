@@ -25,6 +25,7 @@ from .screening import CubePartition, PairedState, classify_and_peel, touching
 from .simulate import (
     MoveKernel,
     ParticleSystem,
+    RowContext,
     TwinRows,
     apply_move,
     draw_move_uniforms,
@@ -77,16 +78,15 @@ def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,
     chains stay aligned, each row is resolved once for both
     (``simulate.TwinRows``); they end as with each row resolved alone."""
     active = [tuple(c) for c in cells]
-    active_set = frozenset(active)
-    loc1 = pair.sys1.mobile_in(active_set)
-    loc2 = pair.sys2.mobile_in(active_set)
-    volume = len(active) * pair.region.cell_volume
+    rows1, rows2 = RowContext(pair.sys1, active), RowContext(pair.sys2, active)
+    loc1 = pair.sys1.mobile_in(active)
+    loc2 = pair.sys2.mobile_in(active)
     twins = TwinRows(pair.sys1, pair.sys2, loc1, loc2)
     acc1 = acc2 = 0
     for draws in draw_move_uniforms(rng, n_moves, pair.region.d).tolist():
-        if apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume, twins):
+        if apply_move(pair.sys1, kernel, draws, rows1, loc1, twins):
             acc1 += 1
-        if apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume, twins):
+        if apply_move(pair.sys2, kernel, draws, rows2, loc2, twins):
             acc2 += 1
     return {"accepted": (acc1, acc2), "aligned": twins.aligned_rows, "reused": twins.reused}
 

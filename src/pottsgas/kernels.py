@@ -116,9 +116,9 @@ class PairPotential:
 
     The table has n_table radii spanning [0, 1/gamma]; V vanishes beyond
     1/gamma.  Linear interpolation between the tabulated points is the
-    contract used by the sampler.  Every value of V lies in [0, vmax],
-    ``vmax`` the largest tabulated value: an interpolated value is a convex
-    combination of two table entries.
+    contract used by the sampler.  Every value of V lies between 0 and the
+    largest tabulated value, ``tail_max(0)``: an interpolated value is a
+    convex combination of two table entries.
     """
 
     def __init__(self, gamma: float, d: int, n_table: int = 1001):
@@ -129,7 +129,6 @@ class PairPotential:
         self.range = 1.0 / gamma
         shifts, vals = _self_convolution_table(self.d, n_table)
         self._radii, self._vals = shifts / gamma, gamma**d * vals
-        self.vmax = float(self._vals.max())
 
     def tail_max(self, dist):
         """Per distance r, the largest value of V at r or beyond: the

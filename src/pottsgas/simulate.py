@@ -32,6 +32,7 @@ __all__ = [
     "empirical_density",
     "phase_indicator",
     "metropolis_sweep",
+    "RowContext",
     "TwinRows",
     "measure_observables",
     "poisson_window_weights",
@@ -285,6 +286,8 @@ class ParticleSystem:
         self.alive = np.zeros(cap, dtype=bool)
         self.frozen = np.zeros(cap, dtype=bool)
         self.cell = np.zeros(cap, dtype=np.int64)
+        # per particle, its flat subcell of _subgrid, kept while _subcounts lives
+        self._subcell = np.zeros(cap, dtype=np.int64)
         self._free: list[int] = []
         self._n_used = 0
         n_cells = self.n_ext**d
@@ -350,15 +353,19 @@ class ParticleSystem:
     def _energy_unknown(self, ids: np.ndarray, sign: int):
         """Mark the running energy unknown after a bulk edit that filed
         (``sign`` +1) or unfiled (-1) the particles ``ids``.  At t > 0 the
-        pair-energy bound can then fire, so the subcell table is brought up
-        to date, or counted from scratch if there is none."""
+        pair-energy bound can then fire, so the subcell table and the filed
+        particles' stored subcells are brought up to date, or the table is
+        counted from scratch if there is none."""
         self._energy = math.nan
         if self._subcounts is not None:
-            np.add.at(self._subcounts, (self._subgrid.indices(self.pos[ids]), self.spin[ids]), sign)
+            if sign > 0:
+                self._subcell[ids] = self._subgrid.indices(self.pos[ids])
+            np.add.at(self._subcounts, (self._subcell[ids], self.spin[ids]), sign)
         elif self.phase.t > 0.0:
             self._subgrid = _SubcellGrid.of(self)
             live = np.flatnonzero(self.alive[: self._n_used])
-            flat = self._subgrid.indices(self.pos[live]) * self.region.S + self.spin[live]
+            self._subcell[live] = self._subgrid.indices(self.pos[live])
+            flat = self._subcell[live] * self.region.S + self.spin[live]
             table = np.bincount(flat, minlength=self._subgrid.size * self.region.S)
             self._subcounts = table.reshape(-1, self.region.S).astype(float)
 
@@ -375,8 +382,8 @@ class ParticleSystem:
         """Flat cell of an interior-coordinate cell tuple."""
         return sum((c + self.w) * k for c, k in zip(cell, self._strides))
 
-    def mobile_in(self, cells: set | frozenset) -> list:
-        """Mobile ids whose interior cell is in the set ``cells``, in
+    def mobile_in(self, cells) -> list:
+        """Mobile ids whose interior cell is in the collection ``cells``, in
         ``mobile_ids`` order (a move's ``pick`` indexes into this list)."""
         inner = np.asarray(list(cells), dtype=np.int64).reshape(-1, self.region.d)
         inner = inner[np.all((inner >= 0) & (inner < self.n_int), axis=1)]
@@ -444,6 +451,7 @@ class ParticleSystem:
         self.alive[cap:] = False
         self.frozen = np.resize(self.frozen, grow)
         self.cell = np.resize(self.cell, grow)
+        self._subcell = np.resize(self._subcell, grow)
 
     def _new_slot(self) -> int:
         if self._free:
@@ -458,9 +466,11 @@ class ParticleSystem:
         self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
         self._slots = np.arange(self.members.shape[1])
 
-    def _file(self, i: int, c: int):
+    def _file(self, i: int, c: int, sub: int | None = None):
         """Append particle i to the row of cell c and count it there; a full
-        member table doubles its row capacity."""
+        member table doubles its row capacity.  While the subcell table
+        lives, i is filed in subcell ``sub`` too, worked out from its
+        position when None."""
         n = self.fill[c]
         if n == len(self._slots):
             self._widen()
@@ -469,7 +479,10 @@ class ParticleSystem:
         self.cell[i] = c
         self._counts[c, self.spin[i]] += 1
         if self._subcounts is not None:
-            self._subcounts[self._subgrid.index(self.pos[i].tolist()), self.spin[i]] += 1
+            if sub is None:
+                sub = self._subgrid.index(self.pos[i].tolist())
+            self._subcell[i] = sub
+            self._subcounts[sub, self.spin[i]] += 1
         self.stamp = next(_STAMPS)
 
     def _unfile(self, i: int):
@@ -483,7 +496,7 @@ class ParticleSystem:
         self.fill[c] = n - 1
         self._counts[c, self.spin[i]] -= 1
         if self._subcounts is not None:
-            self._subcounts[self._subgrid.index(self.pos[i].tolist()), self.spin[i]] -= 1
+            self._subcounts[self._subcell[i], self.spin[i]] -= 1
         self.stamp = next(_STAMPS)
 
     def _file_batch(self, ids: np.ndarray, cells: np.ndarray):
@@ -526,20 +539,21 @@ class ParticleSystem:
         self._counts[c, self.spin[i]] -= 1
         self._counts[c, s] += 1
         if self._subcounts is not None:
-            row = self._subcounts[self._subgrid.index(self.pos[i].tolist())]
+            row = self._subcounts[self._subcell[i]]
             row[self.spin[i]] -= 1
             row[s] += 1
         self.spin[i] = s
         self.stamp = next(_STAMPS)
 
-    def _insert(self, r, s: int, c: int, frozen: bool) -> int:
-        """File a new particle of species s at r into cell c, the cell of r."""
+    def _insert(self, r, s: int, c: int, frozen: bool, sub: int | None = None) -> int:
+        """File a new particle of species s at r into cell c, the cell of r,
+        and into subcell ``sub`` (see ``_file``)."""
         i = self._new_slot()
         self.pos[i] = r
         self.spin[i] = s
         self.alive[i] = True
         self.frozen[i] = frozen
-        self._file(i, c)
+        self._file(i, c, sub)
         if not frozen:
             self._mobile_slot[i] = len(self.mobile_ids)
             self.mobile_ids.append(i)
@@ -577,8 +591,7 @@ class ParticleSystem:
         would: slots from ``_free`` in pop order, then new ones, and mobile
         ids appended in the given order."""
         n = len(pos)
-        if not n:
-            self._energy_unknown(np.zeros(0, dtype=np.int64), +1)
+        if not n:  # no edit: a known energy stays known
             return
         k = min(n, len(self._free))
         reused = self._free[len(self._free) - k :][::-1]
@@ -625,12 +638,13 @@ class ParticleSystem:
         listed = idx.tolist()
         if len(set(listed)) < len(listed) or not all(i in self._mobile_slot for i in listed):
             raise ValueError("remove_particles takes distinct ids of live mobile particles")
-        if len(idx):
-            for i in listed:
-                self._drop_mobile(i)
-            self._free.extend(listed)
-            self.alive[idx] = False
-            self._unfile_batch(idx)
+        if not listed:  # no edit: a known energy stays known
+            return
+        for i in listed:
+            self._drop_mobile(i)
+        self._free.extend(listed)
+        self.alive[idx] = False
+        self._unfile_batch(idx)
         self._energy_unknown(idx, -1)
 
     def seed_phase_configuration(self, rng=None):
@@ -670,13 +684,15 @@ class ParticleSystem:
             total += sign * float(np.add.reduce(pot[spin != s]))
         return total
 
-    def _pair_bound(self, r, s: int) -> float:
+    def _pair_bound(self, r, s: int, sub: int | None = None) -> float:
         """An upper bound on the pair sum P(r, s, c) of ``_pair_delta``
-        from the subcell table: per subcell within range of r's, its count
-        of particles of species other than s times its weight (see
-        ``_SubcellGrid``)."""
+        from the subcell table: per subcell within range of r's subcell
+        ``sub`` (worked out from r when None), its count of particles of
+        species other than s times its weight (see ``_SubcellGrid``)."""
         grid = self._subgrid
-        rows = self._subcounts.take(grid.index(r.tolist()) + grid.offsets, axis=0)
+        if sub is None:
+            sub = grid.index(r.tolist())
+        rows = self._subcounts.take(sub + grid.offsets, axis=0)
         near = np.dot(grid.weights, rows).tolist()  # per species
         return sum(near) - near[s]
 
@@ -795,16 +811,40 @@ def draw_move_uniforms(rng, n_moves: int, d: int) -> np.ndarray:
     return rng.random((n_moves, d + 4))
 
 
+class RowContext:
+    """What every row of one sweep of one chain reads, worked out once per
+    sweep: the active cells in their order (a birth picks one by index),
+    a dict from each active cell to its flat extended cell (a displacement's
+    membership test and cell lookup at once), the active volume, and per
+    species pair the reference-energy change: a birth of species s adds
+    ``dref[s][s]`` and a death takes it away, a flip from s to s2 adds
+    ``dref[s][s2]``."""
+
+    __slots__ = ("active", "flat", "volume", "dref")
+
+    def __init__(self, system: ParticleSystem, active: list):
+        phase, S = system.phase, system.region.S
+        m = phase.neighbor_sum
+        self.active = active
+        self.flat = dict(zip(active, system.flat_cells(active).tolist()))
+        self.volume = len(active) * system.region.cell_volume
+        self.dref = [[float(m[s] - phase.lambda_beta) if s == s2 else float(m[s2] - m[s])
+                      for s2 in range(S)] for s in range(S)]
+
+
 class Proposal(NamedTuple):
     """One row resolved into a move: its particle changes ``(sign, r,
     species, cell)``, a birth at sign +1 and a death at -1 (a flip or a
-    displacement is one of each), its reference-energy change, its
-    particle-count change, its proposal ratio, the index into the local ids
-    of the particle it moves (None for a birth) and its edit,
-    ``commit(system, local_ids, local_ids[pick])``.  It holds copies of what
-    it read, so any chain whose local ids list equal particles may commit it."""
+    displacement is one of each, the +1 change first), the flat subcell of
+    its +1 change (None for a death, or where the proposing chain keeps no
+    subcell table), its reference-energy change, its particle-count change,
+    its proposal ratio, the index into the local ids of the particle it
+    moves (None for a birth) and its edit, ``commit(system, local_ids,
+    local_ids[pick])``.  It holds copies of what it read, so any chain whose
+    local ids list equal particles may commit it."""
 
     changes: list
+    sub: int | None
     dref: float
     dn: int
     ratio: float
@@ -812,15 +852,17 @@ class Proposal(NamedTuple):
     commit: Callable[[ParticleSystem, list, int | None], None]
 
 
-def _propose(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
-             active_set: frozenset, local_ids: list, volume: float) -> Proposal | None:
+def _propose(system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext,
+             local_ids: list) -> Proposal | None:
     """Resolve one row ``draws`` of ``draw_move_uniforms``, as floats, into
     a proposal for this system; None for a move rejected outright (nothing
     to pick, or a displacement out of the box or the active cells)."""
-    region, phase = system.region, system.phase
+    region = system.region
     u, u_a, *frac, u_c, _ = draws
     n_local = len(local_ids)
+    grid = None if system._subcounts is None else system._subgrid
     if u < kernel.p_birth:
+        active = rows.active
         cell = active[int(u_a * len(active))]
         ell, side = region.ell_minus, region.side
         r = [(c + f) * ell for c, f in zip(cell, frac)]
@@ -830,15 +872,15 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
         for k, c in enumerate(cell):
             while r[k] >= side or math.floor(r[k] / ell) > c:
                 r[k] = math.nextafter(r[k], 0.0)
+        sub = None if grid is None else grid.index(r)
         r = np.array(r)
         s = int(u_c * region.S)
-        c = system._ext_cell(cell)
+        c = rows.flat[cell]
 
         def commit(system, local_ids, i):
-            local_ids.append(system._insert(r, s, c, frozen=False))
-        return Proposal([(+1, r, s, c)],
-                        float(phase.neighbor_sum[s] - phase.lambda_beta),
-                        1, volume * region.S / (n_local + 1), None, commit)
+            local_ids.append(system._insert(r, s, c, frozen=False, sub=sub))
+        return Proposal([(+1, r, s, c)], sub, rows.dref[s][s],
+                        1, rows.volume * region.S / (n_local + 1), None, commit)
     if not n_local:
         return None
     pick = int(u_a * n_local)
@@ -850,31 +892,34 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
             system._remove(i)
             local_ids[pick] = local_ids[-1]
             local_ids.pop()
-        return Proposal([(-1, r, s, c)], -float(phase.neighbor_sum[s] - phase.lambda_beta),
-                        -1, n_local / (volume * region.S), pick, commit)
+        return Proposal([(-1, r, s, c)], None, -rows.dref[s][s],
+                        -1, n_local / (rows.volume * region.S), pick, commit)
     if u - kernel.p_death < kernel.p_move:
         step, side = kernel.step, region.side
         # the operations of r + (2 f - 1) step on arrays, one coordinate at a time
         xs = [x + (2.0 * f - 1.0) * step for x, f in zip(r.tolist(), frac)]
         if not all(0.0 <= x < side for x in xs):
             return None
-        cell_new = tuple(math.floor(x / region.ell_minus) for x in xs)
-        if cell_new not in active_set:
+        c_new = rows.flat.get(tuple(math.floor(x / region.ell_minus) for x in xs))
+        if c_new is None:
             return None
-        r_new, c_new = np.array(xs), system._ext_cell(cell_new)
+        sub = None if grid is None else grid.index(xs)
+        r_new = np.array(xs)
 
         def commit(system, local_ids, i):
             # refiled even within one cell: the particle moves to its row's end
             system._unfile(i)
             system.pos[i] = r_new
-            system._file(i, c_new)
-        return Proposal([(+1, r_new, s, c_new), (-1, r, s, c)], 0.0, 0, 1.0, pick, commit)
+            system._file(i, c_new, sub)
+        return Proposal([(+1, r_new, s, c_new), (-1, r, s, c)], sub, 0.0, 0, 1.0, pick, commit)
     s_new = (s + 1 + int(u_c * (region.S - 1))) % region.S
+
+    sub = None if grid is None else system._subcell[i]
 
     def commit(system, local_ids, i):
         system._respin(i, s_new)
-    return Proposal([(+1, r, s_new, c), (-1, r, s, c)],
-                    float(phase.neighbor_sum[s_new] - phase.neighbor_sum[s]), 0, 1.0, pick, commit)
+    return Proposal([(+1, r, s_new, c), (-1, r, s, c)], sub, rows.dref[s][s_new],
+                    0, 1.0, pick, commit)
 
 
 def _metropolis(system: ParticleSystem, move: Proposal | None, u_accept: float,
@@ -916,7 +961,8 @@ def _decide(system: ParticleSystem, move: Proposal | None, u_accept: float,
     if system._subcounts is not None and move is not None and math.isnan(system._energy) \
             and system.phase.t > 0.0:
         phase = system.phase
-        pair_hi = sum(system._pair_bound(r, s) for sign, r, s, _ in move.changes if sign > 0)
+        sign, r, s, _ = move.changes[0]  # the +1 change, if there is one
+        pair_hi = system._pair_bound(r, s, move.sub) if sign > 0 else 0.0
         dh = phase.t * (pair_hi - phase.lam * move.dn) + (1.0 - phase.t) * move.dref
         bound = move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0))
         if u_accept < bound * (1.0 - 1e-9):
@@ -977,13 +1023,13 @@ class TwinRows:
             return s.pos[ids], s.spin[ids], s.cell[ids], place
         return all(map(np.array_equal, particles(first, loc1), particles(second, loc2)))
 
-    def resolve(self, system: ParticleSystem, kernel: MoveKernel, draws, active: list,
-                active_set: frozenset, local_ids: list, volume: float):
+    def resolve(self, system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext,
+                local_ids: list):
         """``_resolve`` of the current row for one chain of the pair."""
         if not self.aligned:
-            return _resolve(system, kernel, draws, active, active_set, local_ids, volume)
+            return _resolve(system, kernel, draws, rows, local_ids)
         if system is self.first:
-            self._row = _resolve(system, kernel, draws, active, active_set, local_ids, volume)
+            self._row = _resolve(system, kernel, draws, rows, local_ids)
             return self._row
         self.aligned_rows += 1
         move, _, first = self._row
@@ -1000,23 +1046,24 @@ class TwinRows:
         return move, i, decision
 
 
-def _resolve(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
-             active_set: frozenset, local_ids: list, volume: float):
+def _resolve(system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext,
+             local_ids: list):
     """(proposal, its moved particle, (accepted, energy change)) of one row
     on one chain: ``_propose``, then ``_decide`` on the row's last uniform."""
-    move = _propose(system, kernel, draws, active, active_set, local_ids, volume)
+    move = _propose(system, kernel, draws, rows, local_ids)
     i = None if move is None or move.pick is None else local_ids[move.pick]
     return move, i, _decide(system, move, draws[-1], i)
 
 
-def apply_move(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
-               active_set: frozenset, local_ids: list, volume: float,
-               twins: TwinRows | None = None) -> bool:
+def apply_move(system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext,
+               local_ids: list, twins: TwinRows | None = None) -> bool:
     """Resolve one row ``draws`` of ``draw_move_uniforms`` into a proposal
     for this system and Metropolis-accept it with the row's last uniform;
     moves that would leave the accuracy window or the active region are
-    rejected outright.  Returns True when accepted.  An accepted move adds
-    its exact energy change to the running energy; while that energy is
+    rejected outright.  ``rows`` is the sweep's ``RowContext`` for this
+    system and ``local_ids`` its mobile ids on the active cells.  Returns
+    True when accepted.  An accepted move adds its exact energy change to
+    the running energy; while that energy is
     unknown at t > 0 (after a bulk edit), the move may instead be accepted
     from a bound on its pair energy without the pair sum, and the energy
     stays unknown until the next read of ``energy`` recomputes it.  The
@@ -1025,7 +1072,7 @@ def apply_move(system: ParticleSystem, kernel: MoveKernel, draws, active: list,
     the second chain takes over the first chain's proposal, and its
     decision where their operands agree."""
     resolve = _resolve if twins is None else twins.resolve
-    move, i, (accepted, dh) = resolve(system, kernel, draws, active, active_set, local_ids, volume)
+    move, i, (accepted, dh) = resolve(system, kernel, draws, rows, local_ids)
     if accepted:
         move.commit(system, local_ids, i)
         system._energy += dh
@@ -1041,16 +1088,15 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
     rng = rng or system.rng
     if active is None:
         active = _default_active(system)
-    active_set = frozenset(active)
-    local_ids = system.mobile_in(active_set)
-    volume = len(active) * system.region.cell_volume
+    rows = RowContext(system, active)
+    local_ids = system.mobile_in(active)
     if n_moves is None:
         n_moves = max(len(local_ids), 1)
     if audit:
         system.energy  # resolve an unknown energy now: audits measure drift from here
     accepted = 0
     for draws in draw_move_uniforms(rng, n_moves, system.region.d).tolist():
-        if apply_move(system, kernel, draws, active, active_set, local_ids, volume):
+        if apply_move(system, kernel, draws, rows, local_ids):
             accepted += 1
             system.accepted += 1
             if audit and system.accepted % system.audit_every == 0:

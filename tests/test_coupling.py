@@ -251,17 +251,16 @@ def test_crn_marginal_matches_exact_kernel():
     pair = scr.PairedState(s1, s2, ladder=scr.LadderSpec(zeta=0.626, d=2))
     rng = np.random.default_rng(123)
     active = [(0, 0)]
-    active_set = frozenset(active)
     chains = [(pair.sys1, list(pair.sys1.mobile_ids)), (pair.sys2, list(pair.sys2.mobile_ids))]
     twins = sim.TwinRows(pair.sys1, pair.sys2, chains[0][1], chains[1][1])
-    volume = region.cell_volume
+    rows = [sim.RowContext(system, active) for system, _ in chains]
     n_moves = 1_000_000
     counts = np.zeros((2,) + P.shape)
     for _ in range(100):  # in blocks, to bound memory; the stream is the same
         for draws in sim.draw_move_uniforms(rng, n_moves // 100, 2).tolist():
             for k, (system, loc) in enumerate(chains):
                 i = index[tuple(system.counts[0, 0].tolist())]
-                sim.apply_move(system, kernel, draws, active, active_set, loc, volume, twins)
+                sim.apply_move(system, kernel, draws, rows[k], loc, twins)
                 counts[k, i, index[tuple(system.counts[0, 0].tolist())]] += 1
     assert twins.reused > n_moves // 2
     # entrywise comparison with a three-standard-error statistical allowance
@@ -315,13 +314,12 @@ def twin_pair(start, t, seed=5):
 def two_call_loop(pair, kernel, cells, n_moves, rng):
     """The reference for crn_sweep: each chain decides each row on its own."""
     active = [tuple(c) for c in cells]
-    active_set = frozenset(active)
-    loc1 = pair.sys1.mobile_in(active_set)
-    loc2 = pair.sys2.mobile_in(active_set)
-    volume = len(active) * pair.region.cell_volume
+    rows1, rows2 = sim.RowContext(pair.sys1, active), sim.RowContext(pair.sys2, active)
+    loc1 = pair.sys1.mobile_in(active)
+    loc2 = pair.sys2.mobile_in(active)
     for draws in sim.draw_move_uniforms(rng, n_moves, pair.region.d):
-        sim.apply_move(pair.sys1, kernel, draws, active, active_set, loc1, volume)
-        sim.apply_move(pair.sys2, kernel, draws, active, active_set, loc2, volume)
+        sim.apply_move(pair.sys1, kernel, draws, rows1, loc1)
+        sim.apply_move(pair.sys2, kernel, draws, rows2, loc2)
 
 
 def full_state(system):
@@ -399,20 +397,19 @@ def test_twin_flags_imply_twin_rows(start, t):
     pair = twin_pair(start, t)
     kernel = sim.MoveKernel()
     active = list(np.ndindex(4, 4))
-    active_set = frozenset(active)
-    loc = [s.mobile_in(active_set) for s in (pair.sys1, pair.sys2)]
+    loc = [s.mobile_in(active) for s in (pair.sys1, pair.sys2)]
     twins = sim.TwinRows(pair.sys1, pair.sys2, *loc)
     assert twins.aligned == (start != "different")
     assert np.array_equal(twins.cells, twin_oracle(pair.sys1, pair.sys2))
     assert twins.cells.any() == twins.aligned
     assert np.array_equal(twins.blocks, whole_blocks(pair.sys1, twins.cells))
     flags = twins.cells.copy(), twins.blocks.copy()
-    volume = len(active) * pair.region.cell_volume
+    contexts = [sim.RowContext(s, active) for s in (pair.sys1, pair.sys2)]
     checked = 0
     rows = sim.draw_move_uniforms(np.random.default_rng(3), 400, 2).tolist()
     for k, draws in enumerate(rows):
-        for system, local in zip((pair.sys1, pair.sys2), loc):
-            sim.apply_move(system, kernel, draws, active, active_set, local, volume, twins)
+        for system, context, local in zip((pair.sys1, pair.sys2), contexts, loc):
+            sim.apply_move(system, kernel, draws, context, local, twins)
         if k % 20 == 19 and twins.aligned:
             assert not np.any(twins.cells & ~twin_oracle(pair.sys1, pair.sys2)), k
             checked += 1
@@ -442,21 +439,20 @@ def test_twin_rows_decide_apart_when_proposals_differ(differ):
     pair = fx.make_identical_pair(region, phase, 5)
     pair.sys2.add_particles([[7.0, 7.0]], [0])
     active = list(np.ndindex(4, 4))
-    active_set = frozenset(active)
-    loc = [s.mobile_in(active_set) for s in (pair.sys1, pair.sys2)]
-    volume = len(active) * region.cell_volume
+    loc = [s.mobile_in(active) for s in (pair.sys1, pair.sys2)]
+    contexts = [sim.RowContext(s, active) for s in (pair.sys1, pair.sys2)]
     twins = sim.TwinRows(pair.sys1, pair.sys2, *loc)
     assert not twins.aligned and not twins.cells.any()
     row = [0.0, (active.index((1, 1)) + 0.5) / len(active), 0.25, 0.75, 0.9]
     thresholds = []
-    for system, local in zip((pair.sys1, pair.sys2), loc):
-        move = sim._propose(system, MoveKernel(), row + [0.0], active, active_set, local, volume)
+    for system, rows, local in zip((pair.sys1, pair.sys2), contexts, loc):
+        move = sim._propose(system, MoveKernel(), row + [0.0], rows, local)
         dh = sim._metropolis(system, move, 0.0, None)[1]
         thresholds.append(move.ratio * math.exp(-phase.beta * dh))
     assert 1.0 > thresholds[0] > thresholds[1]
     row.append(math.sqrt(thresholds[0] * thresholds[1]))
-    got = tuple(sim.apply_move(system, MoveKernel(), row, active, active_set, local, volume, twins)
-                for system, local in zip((pair.sys1, pair.sys2), loc))
+    got = tuple(sim.apply_move(system, MoveKernel(), row, rows, local, twins)
+                for system, rows, local in zip((pair.sys1, pair.sys2), contexts, loc))
     assert got == (True, False)
     assert twins.aligned_rows == twins.reused == 0
 

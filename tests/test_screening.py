@@ -839,8 +839,7 @@ def _forced_move(system, kind, rng):
             (here + rng.integers(1, system.n_int, d)) % system.n_int
         target = (there + 0.25 + 0.5 * rng.random(d)) * ell
         row[2:-2] = ((target - system.pos[i]) / kernel.step + 1.0) / 2.0
-    volume = len(active) * region.cell_volume
-    assert sim.apply_move(system, kernel, row, active, frozenset(active), local, volume)
+    assert sim.apply_move(system, kernel, row, sim.RowContext(system, active), local)
     if kind.startswith("displace"):
         assert np.array_equal(np.floor(system.pos[i] / ell), there)
 

@@ -162,19 +162,21 @@ def test_pair_potential_support_and_symmetry():
 @pytest.mark.parametrize("gamma", [0.5, 0.2, 0.05])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_potential_lies_between_zero_and_vmax(d, gamma):
-    # the premise of the sampler's accept bound: V(0) = vmax, V vanishes
-    # from the range on, and every value lies in [0, vmax], at random
-    # distances and at the table's radii and their neighbouring floats
+    # the premise of the sampler's accept bound: V(0) is vmax, the largest
+    # table value, which tail_max(0) reads; V vanishes from the range on,
+    # and every value lies in [0, vmax], at random distances and at the
+    # table's radii and their neighbouring floats
     pot = PairPotential(gamma, d)
+    vmax = float(pot._vals.max())
     beyond = np.array([pot.range, np.nextafter(pot.range, np.inf), 1.5 * pot.range, 1e6])
     radii = pot._radii
     inside = np.concatenate([np.random.default_rng(d).uniform(0.0, pot.range, 100_000), radii,
                              np.nextafter(radii, 0.0), np.nextafter(radii, np.inf)])
-    assert pot(0.0) == pot.vmax > 0.0
+    assert pot(0.0) == vmax == pot.tail_max(0.0) > 0.0
     assert np.all(pot(beyond) == 0.0)
     assert all(isinstance(pot(x), float) and pot(x) == pot(beyond)[k] for k, x in enumerate(beyond))
     v = pot(inside)
-    assert v.min() >= 0.0 and v.max() <= pot.vmax
+    assert v.min() >= 0.0 and v.max() <= vmax
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -397,8 +399,8 @@ def test_rejected_when_leaving_window(case):
     assert sys.n_lo.tolist() == [4, 4] and sys.n_hi.tolist() == [8, 8]
     active = [tuple(c) for c in np.ndindex(n_plus, n_plus)]
     counts0, pos0, spin0 = sys.counts.copy(), sys.pos.copy(), sys.spin.copy()
-    ok = sim.apply_move(sys, sim.MoveKernel(), np.array(row), active, frozenset(active),
-                        list(sys.mobile_ids), len(active) * sys.region.cell_volume)
+    ok = sim.apply_move(sys, sim.MoveKernel(), np.array(row), sim.RowContext(sys, active),
+                        list(sys.mobile_ids))
     assert ok == accepted
     assert np.array_equal(sys.counts, counts0)
     if not accepted:
@@ -414,8 +416,8 @@ def test_birth_at_the_far_face_lies_in_its_cell():
     active = [tuple(c) for c in np.ndindex(2, 2)]
     f = 1.0 - 2.0**-53
     row = np.array([0.0, 0.99, f, f, 0.0, 0.0])  # birth of species 0 in cell (1, 1)
-    assert sim.apply_move(sys, sim.MoveKernel(), row, active, frozenset(active),
-                          list(sys.mobile_ids), len(active) * sys.region.cell_volume)
+    assert sim.apply_move(sys, sim.MoveKernel(), row, sim.RowContext(sys, active),
+                          list(sys.mobile_ids))
     born = sys.mobile_ids[-1]
     assert sys.pos[born].tolist() == [math.nextafter(4.0, 0.0)] * 2
     assert all(0.0 <= x < sys.region.side for x in sys.pos[born])
@@ -432,8 +434,7 @@ def test_displacement_keeps_the_position_it_left():
     active = [tuple(c) for c in np.ndindex(2, 2)]
     local_ids = list(sys.mobile_ids)
     row = [0.6, 0.0, 0.75, 0.25, 0.0, 0.0]  # displaces local_ids[0] by (0.25, -0.25)
-    move = sim._propose(sys, sim.MoveKernel(), row, active, frozenset(active), local_ids,
-                        len(active) * sys.region.cell_volume)
+    move = sim._propose(sys, sim.MoveKernel(), row, sim.RowContext(sys, active), local_ids)
     i = local_ids[move.pick]
     move.commit(sys, local_ids, i)
     assert sys.pos[i].tolist() == move.changes[0][1].tolist() == [1.25, 0.75]
@@ -453,8 +454,8 @@ def test_birth_at_any_far_face_lies_in_its_cell(ell, ell_plus, n_plus):
     row = np.array([0.0, 0.0, 1.0 - 2.0**-53, 0.0, 0.0])
     for cell in range(region.cells_per_axis):
         active = [(cell,)]
-        (_, r, _, c), = sim._propose(sys, sim.MoveKernel(), row, active, frozenset(active),
-                                     [], ell).changes
+        (_, r, _, c), = sim._propose(sys, sim.MoveKernel(), row, sim.RowContext(sys, active),
+                                     []).changes
         assert all(0.0 <= x < region.side for x in r) and math.floor(r[0] / ell) == cell
         assert c == sys.flat_cell((cell,))
 
@@ -721,14 +722,13 @@ def test_detailed_balance(d, t, seed, kind):
     active = [tuple(c) for c in np.ndindex(*((system.n_int,) * d))]
     for cell in active:
         system.add_particles(*system.draw_uniform([cell], rng.choice([2, 4, 6], region.S), rng))
-    active_set = frozenset(active)
-    local_ids = system.mobile_in(active_set)
-    volume = len(active) * vol
+    rows = sim.RowContext(system, active)
+    local_ids = system.mobile_in(active)
     kernel = sim.MoveKernel(step=region.ell_minus)
     row = _row(kind, rng.random(), rng.random(d), rng.random())
     counts, h_x = system.counts.copy(), system.total_energy()
 
-    move = sim._propose(system, kernel, row, active, active_set, local_ids, volume)
+    move = sim._propose(system, kernel, row, rows, local_ids)
     if move is None:  # a displacement out of the box is rejected outright
         assert kind == "displace"
         return
@@ -739,7 +739,7 @@ def test_detailed_balance(d, t, seed, kind):
     if not passed:
         return
     h_y = system.total_energy()
-    back = sim._propose(system, kernel, reverse, active, active_set, local_ids, volume)
+    back = sim._propose(system, kernel, reverse, rows, local_ids)
     passed_back, a_back = _acceptance(system, back, local_ids)
     assert passed_back
     assert back.ratio * move.ratio == pytest.approx(1.0, rel=1e-12)
@@ -769,8 +769,8 @@ def test_bound_decisions_are_the_exact_decisions(d, t, seed, kind, spread):
     # Counts at the window's edges make the window reject too.  With a
     # ``spread``, there is no collar and every particle, birth and
     # displacement lies within about ``spread`` of the box centre, where V is
-    # nearly vmax: the bound on a birth or a flip is then the exact pair sum
-    # to about 1e-7, or to rounding at 1e-12
+    # nearly V(0), the largest table value: the bound on a birth or a flip
+    # is then the exact pair sum to about 1e-7, or to rounding at 1e-12
     region = oracle_region(d)
     vol, ell = region.cell_volume, region.ell_minus
     phase = sim.PhaseTarget(rho_ref=(4.0 + np.array([0.0, 0.15, -0.15])[: region.S]) / vol,
@@ -800,8 +800,7 @@ def test_bound_decisions_are_the_exact_decisions(d, t, seed, kind, spread):
     elif spread is not None and kind == "displace":
         vector = 0.5 + (vector - 0.5) * spread
     row = _row(kind, u_index, vector, rng.random())
-    move = sim._propose(system, kernel, row, active, frozenset(active), local_ids,
-                        len(active) * vol)
+    move = sim._propose(system, kernel, row, sim.RowContext(system, active), local_ids)
     if move is None:
         return
     skip = _moved(move, local_ids)
@@ -1098,6 +1097,14 @@ def subcell_table(system) -> dict:
             for c, f, s in zip(coords.tolist(), flat.tolist(), species.tolist())}
 
 
+def stale_subcells(system) -> list:
+    """The live particles whose stored subcell is not the subcell grid's
+    ``index`` of their position."""
+    grid = system._subgrid
+    return [i for i in np.flatnonzero(system.alive).tolist()
+            if system._subcell[i] != grid.index(system.pos[i].tolist())]
+
+
 def on_faces(system, n, rng, collar=False):
     """n points on subcell faces, each coordinate either exactly on a face
     or one ulp below it, inside the box or on the collar."""
@@ -1116,14 +1123,17 @@ def on_faces(system, n, rng, collar=False):
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.integers(0, 2**16), st.sampled_from([2.0, 0.7]),
-       st.lists(st.sampled_from(["birth", "death", "displace", "flip", "sweep", "add_particles",
-                                 "add_boundary", "remove_particles", "reinit"]),
+       st.lists(st.sampled_from(["birth", "death", "displace", "flip", "sweep", "crn_sweep",
+                                 "add_particles", "add_boundary", "remove_particles", "reinit"]),
                 min_size=1, max_size=10))
 def test_subcell_table_matches_position_scan(d, seed, ell, ops):
     # the table kept through single edits, sweeps and bulk edits, on both
-    # chains of a pair, equals a from-scratch count; the points of births,
-    # displacements and bulk adds lie on subcell faces or one ulp below
-    # them half of the time.  ell = 0.7 puts faces where x * 4 / ell rounds
+    # chains of a pair, equals a from-scratch count, and every live
+    # particle's stored subcell is the subcell of its position; the points
+    # of births, displacements and bulk adds lie on subcell faces or one ulp
+    # below them half of the time.  ell = 0.7 puts faces where x * 4 / ell
+    # rounds.  A common-random-number sweep files the second chain's
+    # particles at the subcells of the first chain's proposals
     from pottsgas import coupling as cpl
 
     region = index_region(d) if ell == 2.0 else sim.SimRegion(
@@ -1160,6 +1170,8 @@ def test_subcell_table_matches_position_scan(d, seed, ell, ops):
                 system._respin(i, (int(system.spin[i]) + 1 + int(rng.integers(S - 1))) % S)
         elif op == "sweep":
             sim.metropolis_sweep(system, kernel, n_moves=30, rng=rng, audit=False)
+        elif op == "crn_sweep":
+            cpl.crn_sweep(pair, kernel, list(np.ndindex(*((system.n_int,) * d))), 30, rng)
         elif op == "add_particles":
             pos = np.concatenate([on_faces(system, 3, rng), rng.uniform(0, L, (2, d))])
             system.add_particles(pos, rng.integers(0, S, len(pos)))
@@ -1174,9 +1186,11 @@ def test_subcell_table_matches_position_scan(d, seed, ell, ops):
         for chain in (pair.sys1, pair.sys2):
             assert math.isnan(chain._energy)
             assert subcell_table(chain) == subcell_scan(chain), op
+            assert stale_subcells(chain) == [], op
     clone = copy.deepcopy(system)
     assert not np.shares_memory(clone._subcounts, system._subcounts)
     assert subcell_table(clone) == subcell_scan(system)
+    assert stale_subcells(clone) == []
 
 
 @settings(max_examples=120, deadline=None)
@@ -1213,8 +1227,8 @@ def test_subcell_bound_is_at_least_the_pair_sum(d, gamma, cells_per_range, seed,
         changes, skip = [(+1, r, int(rng.integers(region.S)), cell_of(system, r))], None
     else:
         row = _row(kind, rng.random(), rng.random(d), rng.random())
-        move = sim._propose(system, sim.MoveKernel(step=ell), row, active, frozenset(active),
-                            local_ids, len(active) * vol)
+        move = sim._propose(system, sim.MoveKernel(step=ell), row, sim.RowContext(system, active),
+                            local_ids)
         if move is None:
             return
         changes, skip = move.changes, _moved(move, local_ids)
@@ -1255,6 +1269,26 @@ def test_subcell_table_lives_only_while_the_bound_can_fire(t):
     assert (system._subcounts is None) == (t == 0.0)
     system.energy = system.total_energy()
     assert system._subcounts is None
+
+
+@pytest.mark.parametrize("t", [0.0, 0.03])
+def test_empty_bulk_edit_keeps_a_known_energy(t):
+    # an empty batch edits nothing: a known energy stays known, and at t > 0
+    # no subcell table is built for the bound
+    region = oracle_region(2)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=t)
+    system = sim.ParticleSystem(region, phase, seed=5)
+    fx.fill_boundary(system, seed=6)
+    system.seed_phase_configuration()
+    energy, stamp = system.energy, system.stamp
+    system.remove_particles([])
+    system.add_particles([], [])
+    system.add_boundary([], [])
+    assert system._energy == energy and system._subcounts is None
+    assert system.stamp == stamp
+    assert energy == system.total_energy()
 
 
 def test_deepcopy_of_a_pair_is_an_independent_clone():
