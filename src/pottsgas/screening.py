@@ -165,7 +165,8 @@ class PairedState:
     polymers1: PolymerSet = field(default_factory=PolymerSet)
     polymers2: PolymerSet = field(default_factory=PolymerSet)
     ladder: LadderSpec | None = None
-    # (stamps, same, dev) of the last cell_table; see there
+    # ((rho_ref, levels) bytes, stamps, cell stamps of each chain, same, dev,
+    # bins) of the last cell_table; see there
     _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,31 +182,48 @@ class PairedState:
     def polymer_cubes(self) -> set:
         return self.polymers1.cubes() | self.polymers2.cubes()
 
-    def cell_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per flat cell of the extended grid: ``same``, whether the chains
-        carry the same particles (positions and spins) there, and ``dev``,
-        the largest deviation of the first chain's species densities from
-        rho_ref.  One trailing entry answers for every cell off the grid,
-        which is empty in both chains, so flat index -1 reads it.  Built once
-        per pair of chain states: it is rebuilt when either stamp moves."""
-        key = (self.sys1.stamp, self.sys2.stamp)
-        if self._table is None or self._table[0] != key:
-            pos1, spin1 = self.sys1.sorted_cells()
-            pos2, spin2 = self.sys2.sorted_cells()
-            counts = self.sys1.cell_counts()
-            k = min(spin1.shape[1], spin2.shape[1])
-            same = ((counts.sum(axis=1) == self.sys2.cell_counts().sum(axis=1))
-                    & (spin1[:, :k] == spin2[:, :k]).all(axis=1)
-                    & (pos1[:, :k] == pos2[:, :k]).all(axis=(1, 2)))
-            counts = np.concatenate([counts, np.zeros((1, counts.shape[1]), dtype=np.int64)])
-            dev = np.max(np.abs(counts / self.region.cell_volume - self.sys1.phase.rho_ref), axis=1)
-            self._table = (key, np.append(same, True), dev)
-        return self._table[1:]
+        carry the same particles (positions and spins) there, ``dev``, the
+        largest deviation of the first chain's species densities from
+        rho_ref, and ``bins``, the ladder bin of ``dev``.  One trailing entry
+        answers for every cell off the grid, which is empty in both chains,
+        so flat index -1 reads it.
+
+        Patched per cell: when either chain's stamp has moved since the last
+        read, only the cells whose ``cell_stamps`` moved in either chain are
+        sorted, compared and binned again.  The first read, and the first
+        after rho_ref or the ladder's levels changed, patches every cell."""
+        sys1, sys2, ladder = self.sys1, self.sys2, self.ladder
+        rho_ref = sys1.phase.rho_ref
+        basis = (rho_ref.tobytes(), ladder.levels.tobytes())
+        if self._table is None or self._table[0] != basis:
+            n = len(sys1.cell_stamps)
+            unseen = np.full(n, -1, dtype=np.int64)
+            dev = np.append(np.zeros(n), np.max(np.abs(rho_ref)))
+            self._table = (basis, None, unseen, unseen, np.ones(n + 1, dtype=bool), dev,
+                           ladder.bin_deviations(dev))
+        basis, key, stamps1, stamps2, same, dev, bins = self._table
+        if key == (sys1.stamp, sys2.stamp):
+            return same, dev, bins
+        rows = np.flatnonzero((sys1.cell_stamps != stamps1) | (sys2.cell_stamps != stamps2))
+        pos1, spin1 = sys1.sorted_cells(rows)
+        pos2, spin2 = sys2.sorted_cells(rows)
+        counts = sys1.cell_counts()[rows]
+        k = min(spin1.shape[1], spin2.shape[1])
+        same[rows] = ((counts.sum(axis=1) == sys2.cell_counts()[rows].sum(axis=1))
+                      & (spin1[:, :k] == spin2[:, :k]).all(axis=1)
+                      & (pos1[:, :k] == pos2[:, :k]).all(axis=(1, 2)))
+        dev[rows] = np.max(np.abs(counts / self.region.cell_volume - rho_ref), axis=1)
+        bins[rows] = ladder.bin_deviations(dev[rows])
+        self._table = (basis, (sys1.stamp, sys2.stamp), sys1.cell_stamps.copy(),
+                       sys2.cell_stamps.copy(), same, dev, bins)
+        return same, dev, bins
 
     def agree(self, cells) -> bool:
         """Whether the two chains carry the same particles (positions and
         spins) on every cell (rows of ``cells``): a lookup in the cell table."""
-        same, _ = self.cell_table()
+        same, _, _ = self.cell_table()
         return bool(same[self.sys1.flat_cells(cells)].all())
 
 
@@ -351,10 +369,11 @@ def _k_rows(pair: PairedState, in_region: np.ndarray, cells: np.ndarray, rows: n
     # per point, the cells whose box comes within r of it, and which of
     # them lie outside the region
     near = ~in_region[balls // lattice.block]
-    same, dev = pair.cell_table()
+    same, _, bins = pair.cell_table()
     flat = lattice.flat(pair.sys1)[balls]
-    worst = np.where(near, dev[flat], -np.inf).max(axis=1)
-    k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
+    # the bin of the largest deviation is the smallest bin, as the bins do
+    # not increase with the deviation
+    k = np.where(near, bins[flat], ladder.m_bar + 1).min(axis=1)
     # chains that agree on a whole cell agree on its part in the ball; on
     # the other cells, only the particles within r of the point are compared
     differ = near & ~same[flat]
@@ -377,7 +396,7 @@ def theta_events(pair: PairedState, cells, k) -> np.ndarray:
 def _theta(pair: PairedState, flat: np.ndarray, k) -> np.ndarray:
     """``theta_events`` at the cells of the given flat indices."""
     k = np.asarray(k, dtype=np.int64)
-    same, dev = pair.cell_table()
+    same, dev, _ = pair.cell_table()
     rung = pair.ladder.levels[np.minimum(k - 1, pair.ladder.m_bar)]
     return (k == 0) | (same[flat] & (dev[flat] <= rung + 1e-12))
 
@@ -559,7 +578,7 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
             # compares, the frozen collars are each chain's own boundary
             n = region.cells_per_axis
             collar = [c for c in partition.range_collar() if all(0 <= i < n for i in c)]
-            same, _ = pair.cell_table()
+            same, _, _ = pair.cell_table()
             held = same[pair.sys1.flat_cells(collar)]
             differ = next((c for c, ok in zip(collar, held) if not ok), None)
             if differ is not None:

@@ -262,7 +262,9 @@ class ParticleSystem:
     ``add_boundary``, ``remove_particles`` and the Metropolis moves.  Every
     change to the cell index draws a new ``stamp`` from one process-wide
     counter, so two systems with equal stamps (a system and its deepcopy)
-    hold the same particles.
+    hold the same particles; the cells it changed take the same value in
+    ``cell_stamps``, so two systems with equal stamps on a cell hold the
+    same particles there.
     """
 
     GROW = 256
@@ -307,12 +309,13 @@ class ParticleSystem:
         self.mobile_ids: list[int] = []
         self._mobile_slot: dict[int, int] = {}
         self.stamp = next(_STAMPS)
+        self.cell_stamps = np.full(n_cells, self.stamp, dtype=np.int64)
         self.accepted = 0
         self.audit_every = 1000
         self.audit_log: list[float] = []
 
     def __deepcopy__(self, memo):
-        """An independent system with the same particles, stamp and random
+        """An independent system with the same particles, stamps and random
         state.  Arrays, lists and dicts are copied whole (their items are
         numbers); region, phase and rng are deep-copied through ``memo``, so
         systems copied together still share one region; the process-cached
@@ -415,14 +418,15 @@ class ParticleSystem:
         flat[((ext < 0) | (ext >= self.n_ext)).any(axis=1)] = -1
         return flat
 
-    def sorted_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, spins) of every extended cell's particles, one row
-        per flat cell, sorted within the row by position and then spin; the
-        rows are as wide as the fullest cell, positions padded with inf and
-        spins with -1."""
-        width = max(int(self.fill.max()), 1)
-        ids = self.members[:, :width]
-        filed = np.arange(width) < self.fill[:, None]
+    def sorted_cells(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, spins) of the particles of the extended cells of the
+        flat indices ``rows``, one row per cell, sorted within the row by
+        position and then spin; the rows are as wide as the fullest of these
+        cells, positions padded with inf and spins with -1."""
+        fill = self.fill[rows]
+        width = max(int(fill.max(initial=0)), 1)
+        ids = self.members[rows, :width]
+        filed = np.arange(width) < fill[:, None]
         pos = np.where(filed[..., None], self.pos[ids], np.inf)
         spin = np.where(filed, self.spin[ids], -1)
         order = np.lexsort((spin, *pos.transpose(2, 0, 1)[::-1]))
@@ -483,7 +487,7 @@ class ParticleSystem:
                 sub = self._subgrid.index(self.pos[i].tolist())
             self._subcell[i] = sub
             self._subcounts[sub, self.spin[i]] += 1
-        self.stamp = next(_STAMPS)
+        self.stamp = self.cell_stamps[c] = next(_STAMPS)
 
     def _unfile(self, i: int):
         """Take particle i out of its cell's row; the later entries shift
@@ -497,7 +501,7 @@ class ParticleSystem:
         self._counts[c, self.spin[i]] -= 1
         if self._subcounts is not None:
             self._subcounts[self._subcell[i], self.spin[i]] -= 1
-        self.stamp = next(_STAMPS)
+        self.stamp = self.cell_stamps[c] = next(_STAMPS)
 
     def _file_batch(self, ids: np.ndarray, cells: np.ndarray):
         """File particles ``ids`` into ``cells`` in one pass, as ``_file``
@@ -514,7 +518,7 @@ class ParticleSystem:
         self.fill += np.bincount(cells, minlength=len(self.fill))
         self.cell[ids] = cells
         np.add.at(self._counts, (cells, self.spin[ids]), 1)
-        self.stamp = next(_STAMPS)
+        self.stamp = self.cell_stamps[cells] = next(_STAMPS)
 
     def _unfile_batch(self, ids: np.ndarray):
         """Take particles ``ids`` out of their cells' rows in one pass; each
@@ -531,7 +535,7 @@ class ParticleSystem:
         self.members[rows] = np.take_along_axis(sub, order, axis=1)
         self.fill[rows] = keep.sum(axis=1)
         np.subtract.at(self._counts, (cells, self.spin[ids]), 1)
-        self.stamp = next(_STAMPS)
+        self.stamp = self.cell_stamps[rows] = next(_STAMPS)
 
     def _respin(self, i: int, s: int):
         """Give particle i species s; it keeps its place in its cell's row."""
@@ -543,7 +547,7 @@ class ParticleSystem:
             row[self.spin[i]] -= 1
             row[s] += 1
         self.spin[i] = s
-        self.stamp = next(_STAMPS)
+        self.stamp = self.cell_stamps[c] = next(_STAMPS)
 
     def _insert(self, r, s: int, c: int, frozen: bool, sub: int | None = None) -> int:
         """File a new particle of species s at r into cell c, the cell of r,

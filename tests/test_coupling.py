@@ -323,10 +323,10 @@ def two_call_loop(pair, kernel, cells, n_moves, rng):
 
 
 def full_state(system):
-    """Every attribute but the stamp, arrays and floats by their bits."""
+    """Every attribute but the stamps, arrays and floats by their bits."""
     out = {}
     for name, value in vars(system).items():
-        if name in ("stamp", "region", "phase", "potential"):
+        if name in ("stamp", "cell_stamps", "region", "phase", "potential"):
             continue
         if isinstance(value, np.ndarray):
             value = (value.dtype.str, value.shape, value.tobytes())

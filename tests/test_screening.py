@@ -587,7 +587,7 @@ def batch_case(draw):
     # puts a drawn deviation of the pair exactly on a drawn rung
     c_star = draw(st.sampled_from([0.25, 0.5, 0.65, 2.0]))
     if c_star != 0.65 and draw(st.booleans()):
-        _, dev = pair.cell_table()
+        _, dev, _ = pair.cell_table()
         b = draw(st.sampled_from(sorted(set(dev[dev > 0].tolist()))))
         zeta = b * (2.0 * c_star) ** draw(st.integers(0, 2**region.d + 2))
     else:
@@ -621,9 +621,43 @@ def test_batched_k_and_theta_match_the_per_cell_oracles(case, inner_ball, data):
         got = scr.theta_events(pair, cells, ks)
         assert got.tolist() == [theta_oracle(pair, c, int(v)) for c, v in zip(cells, ks)]
     # every deviation of the pair, and the rungs themselves
-    _, dev = pair.cell_table()
+    _, dev, _ = pair.cell_table()
     for b in (dev, ladder.levels):
         assert ladder.bin_deviations(b).tolist() == [bin_oracle(ladder, x) for x in b]
+
+
+@PROPERTY
+@given(screening_case(), st.floats(0.005, 5.0), st.sampled_from([0.25, 0.5]), st.booleans(),
+       st.booleans())
+def test_k_and_theta_follow_a_ladder_changed_after_the_table(case, zeta, c_star, strict, inner_ball):
+    # the table was read on the first ladder; the second has rungs that do
+    # not decrease (c_star <= 0.5), and a strict one, a new ladder, shrinks
+    # the audit balls; the others change the first ladder in place
+    pair, lam, cells = case
+    scr.k_values(pair, lam, cells, inner_ball)
+    if strict:
+        pair.ladder = scr.LadderSpec(zeta=zeta, d=2, c_star=c_star, strict=True)
+    else:
+        pair.ladder.zeta, pair.ladder.c_star = zeta, c_star
+    k = scr.k_values(pair, lam, cells, inner_ball)
+    assert k.tolist() == [k_oracle(pair, lam, cell, inner_ball) for cell in cells]
+    assert (scr.theta_events(pair, cells, k).tolist()
+            == [theta_oracle(pair, c, int(v)) for c, v in zip(cells, k)])
+
+
+@PROPERTY
+@given(st.floats(0.005, 5.0), st.sampled_from([0.25, 0.5, 0.65, 2.0]), st.integers(1, 3),
+       st.lists(st.floats(0.0, 1e3, allow_subnormal=False), max_size=20))
+def test_bins_do_not_increase_with_the_deviation(zeta, c_star, d, devs):
+    # the premise of reading K as the smallest bin over a ball's cells: the
+    # bin of the largest deviation is the smallest bin.  The rungs and their
+    # neighbouring floats are the edges of the bins
+    ladder = scr.LadderSpec(zeta=zeta, d=d, c_star=c_star)
+    z = ladder.levels
+    b = np.sort(np.concatenate([devs, z, np.nextafter(z, 0.0), np.nextafter(z, np.inf), [0.0]]))
+    bins = ladder.bin_deviations(b)
+    assert (np.diff(bins) <= 0).all()
+    assert set(bins.tolist()) <= {0, *range(2, ladder.m_bar + 1)}
 
 
 @settings(max_examples=6, deadline=None)
@@ -676,7 +710,7 @@ def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
     balls = cells[:, None] + scr._ball_offsets(d, ell, r, ell)
     near = ~set_in_cubes(balls // cpc, lambda_cubes)
-    same, dev = pair.cell_table()
+    same, dev, _ = pair.cell_table()
     flat = pair.sys1.flat_cells(balls).reshape(near.shape)
     worst = np.where(near, dev[flat], -np.inf).max(axis=1)
     k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
@@ -691,7 +725,7 @@ def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
 
 def set_theta_events(pair, cells, k):
     k = np.asarray(k, dtype=np.int64)
-    same, dev = pair.cell_table()
+    same, dev, _ = pair.cell_table()
     c = pair.sys1.flat_cells(cells)
     rung = pair.ladder.levels[np.minimum(k - 1, pair.ladder.m_bar)]
     return (k == 0) | (same[c] & (dev[c] <= rung + 1e-12))
@@ -800,12 +834,27 @@ def test_partition_keeps_its_mask_with_the_running_region():
 
 def _check_table(pair):
     # every cell of the extended grid plus one ring of cells off it
-    same, dev = pair.cell_table()
+    same, dev, bins = pair.cell_table()
     w, n = pair.sys1.w, pair.sys1.n_int
     for cell in itertools.product(range(-w - 1, n + w + 1), repeat=pair.region.d):
         c = pair.sys1.flat_cell(cell)
         assert same[c] == (_signature(pair.sys1, cell) == _signature(pair.sys2, cell)), cell
         assert dev[c] == _oracle_deviation(pair.sys1, cell), cell
+        assert bins[c] == bin_oracle(pair.ladder, dev[c]), cell
+
+
+def _check_table_sorting(pair, rows):
+    # _check_table, with a spy on sorted_cells: the table sorts the given
+    # rows of each chain and no others
+    sorted_cells, seen = sim.ParticleSystem.sorted_cells, []
+
+    def spy(system, rows):
+        seen.append(rows.tolist())
+        return sorted_cells(system, rows)
+
+    with mock.patch.object(sim.ParticleSystem, "sorted_cells", spy):
+        _check_table(pair)
+    assert seen == [rows.tolist()] * 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -891,13 +940,30 @@ def test_cell_table_matches_the_cell_loop_after_every_edit(geometry, seed, ident
     boundary = (seed, seed if identical else seed + 13)
     pair = fx.make_pair(region, wide_phase(geometry), boundary, (seed + 7, seed + 7))
     rng = np.random.default_rng(seed)
-    _check_table(pair)
+    _check_table_sorting(pair, np.arange(len(pair.sys1.cell_stamps)))  # the first read sorts all
     for kind in edits:
         stamps = (pair.sys1.stamp, pair.sys2.stamp)
-        pair.cell_table()  # the next read must not return this one
+        cell_stamps = [system.cell_stamps.copy() for system in (pair.sys1, pair.sys2)]
+        pair.cell_table()  # the next read must patch this one
         pair = _edit(pair, kind, rng)
         assert (pair.sys1.stamp, pair.sys2.stamp) != stamps, kind
-        _check_table(pair)
+        moved = (pair.sys1.cell_stamps != cell_stamps[0]) | (pair.sys2.cell_stamps != cell_stamps[1])
+        assert moved.any(), kind
+        _check_table_sorting(pair, np.flatnonzero(moved))
+
+
+@pytest.mark.parametrize("in_place", [True, False])
+def test_cell_table_follows_a_changed_rho_ref(in_place):
+    # dev depends on rho_ref, which can change in place or with a new phase:
+    # the next read works out every cell again
+    pair = fx.make_mismatched_pair(verify_region(), verify_phase(), 8, ladder=make_ladder())
+    pair.cell_table()
+    rho_ref = np.array([1.5, 0.25])
+    if in_place:
+        pair.sys1.phase.rho_ref[:] = rho_ref
+    else:
+        pair.sys1.phase = dataclasses.replace(pair.sys1.phase, rho_ref=rho_ref)
+    _check_table_sorting(pair, np.arange(len(pair.sys1.cell_stamps)))
 
 
 def test_k_function_ignores_a_difference_outside_the_corner_ball():
@@ -910,7 +976,7 @@ def test_k_function_ignores_a_difference_outside_the_corner_ball():
     far = np.array([8.9, 8.8]) * ell
     assert np.linalg.norm(far - _cell_corner(cell, ell)) > r
     pair.sys2.add_particles([far], [0])
-    same, _ = pair.cell_table()
+    same, _, _ = pair.cell_table()
     assert not same[pair.sys1.flat_cell(cell)]
     kv = scr.k_function(pair, lam, cell)
     assert kv != 0

@@ -970,7 +970,8 @@ def test_remove_particles_rejects_bad_ids_before_any_edit(bad):
     assert system._mobile_slot == before._mobile_slot and system._free == before._free
     assert system.stamp == before.stamp
     assert math.isnan(system._energy) and math.isnan(before._energy)
-    for name in ("pos", "spin", "alive", "frozen", "cell", "members", "fill", "_counts", "_subcounts"):
+    for name in ("pos", "spin", "alive", "frozen", "cell", "members", "fill", "_counts", "_subcounts",
+                 "cell_stamps"):
         assert np.array_equal(getattr(system, name), getattr(before, name)), name
     system.remove_particles(ids[:1])  # the state stays usable
     assert mobile not in system.mobile_ids and not system.alive[mobile]
