@@ -190,6 +190,8 @@ def cmd_lp_minimize(cfg, seed, out):
             "residual": res.residual,
             "dispersion": res.dispersion,
             "max_deviation": float(np.max(np.abs(res.field.interior - fcfg.rho_ref))),
+            "cells_on_box_face": res.cells_on_box_face,
+            "n_cells": spec.n_cells,
         },
         cfg,
         seed,

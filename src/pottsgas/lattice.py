@@ -115,27 +115,31 @@ class CoarseKernel:
         pass, equal to ``ndimage.convolve`` with ``mode="constant"`` bit for
         bit; above it, the FFT pass, equal to it within a few 1e-15 of the
         largest species total."""
-        cells = math.prod(n - 2 * margin for n in values.shape[:-1])
-        if cells * self.tap_weight.size <= _FFT_CELL_TAPS:
-            return self._apply_strided(values, margin)
-        return self._apply_fft(values, margin)
+        return self._convolve(*self._filled(values, margin))
 
-    def _plan(self, values: np.ndarray, margin: int) -> "_ApplyPlan":
+    def _filled(self, values: np.ndarray, margin: int) -> tuple["_ApplyPlan", np.ndarray]:
+        """The plan for this input shape and margin, and a fresh buffer that
+        it filled from ``values``."""
         key = (values.shape, margin)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _ApplyPlan(self, values.shape, margin)
-        return plan
+        return plan, plan.fill(values)
 
-    def _apply_strided(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
+    def _convolve(self, plan: "_ApplyPlan", buf: np.ndarray) -> np.ndarray:
+        """V-bar of a buffer that ``plan.fill`` filled: the strided pass up to
+        ``_FFT_CELL_TAPS`` output cells times taps, the FFT pass above."""
+        if math.prod(plan.out_shape[:-1]) * self.tap_weight.size <= _FFT_CELL_TAPS:
+            return self._apply_strided(plan, buf)
+        return self._apply_fft(plan, buf)
+
+    def _apply_strided(self, plan: "_ApplyPlan", buf: np.ndarray) -> np.ndarray:
         """One accumulator over the species total and the S species sums the
         taps in order from 0.0, so each cell equals ``ndimage.convolve`` bit
         for bit.  The taps go in chunks: each tap's window of the input is
         gathered at once, weighted, the running sum added to the chunk's first
         row, and the rows summed along the tap axis, which numpy adds one row
-        after the other."""
-        plan = self._plan(values, margin)
-        buf = plan.fill(values)
+        after the other.  The gathers copy, so ``buf`` is left as it was."""
         # windows[j...] is the input block that tap j multiplies: the view
         # sliding_window_view(buf, shape + buf.shape[-1:]) returns, less its
         # window axis of length 1
@@ -148,12 +152,11 @@ class CoarseKernel:
             acc = chunk.sum(axis=0)
         return acc[..., :1] - acc[..., 1:]
 
-    def _apply_fft(self, values: np.ndarray, margin: int = 0) -> np.ndarray:
+    def _apply_fft(self, plan: "_ApplyPlan", buf: np.ndarray) -> np.ndarray:
         """The same sums as one circular convolution over the zero-bordered
         buffer, whose side per axis is the output's plus twice the radius:
         every tap of an output cell reads inside it, so nothing wraps.  The
         stencil's transform is kept per buffer shape."""
-        buf = self._plan(values, margin).fill(values)
         window = buf.shape[:-1]
         axes = tuple(range(len(window)))
         spectrum = self._spectra.get(window)
@@ -182,10 +185,10 @@ class CoarseKernel:
 
 class _ApplyPlan:
     """What ``CoarseKernel.apply`` needs for one input shape and margin,
-    worked out once: where the input goes in the zero-padded buffer, the
-    shape and strides of the tap-window view, and each chunk's tap indices
-    and weight column.  The chunk size is the ``_CHUNK_ELEMENTS`` in force
-    when the plan is built."""
+    worked out once: where the input goes in the zero-padded buffer, where
+    the output cells' own inputs sit in it, the shape and strides of the
+    tap-window view, and each chunk's tap indices and weight column.  The
+    chunk size is the ``_CHUNK_ELEMENTS`` in force when the plan is built."""
 
     def __init__(self, kern: CoarseKernel, in_shape: tuple, margin: int):
         r = kern.radius
@@ -197,6 +200,9 @@ class _ApplyPlan:
         dst = tuple(slice(pad, pad + n - 2 * lo) for n in grid)
         self.dst_total = dst + (0,)
         self.dst_species = dst + (slice(1, None),)
+        # output cell x reads its own input at buffer cell x + r: with the
+        # margin at a field's collar, the window of the field's interior
+        self.interior = tuple(slice(r, r + n) for n in shape)
         self.out_shape = shape + self.buf_shape[-1:]
         strides = np.empty(self.buf_shape).strides
         self.window_shape = (2 * r + 1,) * len(shape) + self.out_shape
@@ -210,8 +216,12 @@ class _ApplyPlan:
 
     def fill(self, values: np.ndarray) -> np.ndarray:
         """The input on the cells within the radius of the output, the species
-        total first; zero beyond the array.  A fresh buffer per call keeps
-        apply reentrant."""
+        total first; zero beyond the array.
+
+        Every call returns a fresh buffer, owned by its caller: ``apply``
+        convolves it once and drops it, so it stays reentrant.  A caller that
+        keeps its buffer, as one minimization does, rewrites only the cells
+        that change, at ``interior``, and nothing else writes to it."""
         buf = np.zeros(self.buf_shape)
         src = values[self.src]
         buf[self.dst_total] = src.sum(axis=-1)
@@ -434,22 +444,30 @@ class MinimizeResult:
     iterations: int
     residual: float
     dispersion: float = 0.0
+    cells_on_box_face: int = 0  # interior cells with a density on a box face
 
 
 def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig,
-                     tol: float, max_iter: int, box: float) -> tuple[LatticeField, int, float]:
+                     tol: float, max_iter: int, lo: np.ndarray,
+                     hi: np.ndarray) -> tuple[LatticeField, int, float]:
     """Minimize from ``start``, whose interior the fixed-point loop
-    overwrites with each iterate."""
+    overwrites with each iterate, inside the box [lo, hi].
+
+    One convolution buffer serves the whole minimization: filled once from
+    ``start``, it keeps the frozen collar, and each evaluation rewrites only
+    the interior's species total and species."""
     spec = start.spec
     ell_d = spec.ell**spec.d
     linear = (1.0 - cfg.t) * cfg.neighbor_sum  # constant over the minimization
-    lo = np.maximum(cfg.rho_ref - box, 1e-12)
-    hi = cfg.rho_ref + box
+    plan, buf = kernel._filled(start.values, start.collar)
+    window = buf[plan.interior]
 
-    def fixed_point(fld, rho):
+    def fixed_point(rho):
         """The drift at ``rho``, the fixed-point target exp(-beta * drift)
         and the sup distance of the clipped target from ``rho``."""
-        drift = _drift(rho, kernel.apply(fld.values, fld.collar), cfg, ell_d, linear)
+        window[..., 0] = rho.sum(axis=-1)
+        window[..., 1:] = rho
+        drift = _drift(rho, kernel._convolve(plan, buf), cfg, ell_d, linear)
         target = np.exp(-cfg.beta * drift)
         # np.minimum(np.maximum(...)) gives np.clip's floats without its
         # Python-level wrapper
@@ -462,7 +480,7 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
     prev_res = np.inf
     stall = 0
     for it in range(max_iter):
-        _, target, res = fixed_point(fld, rho)
+        _, target, res = fixed_point(rho)
         if res < tol:
             return fld, it, res
         if not res < np.inf:  # NaN included
@@ -484,7 +502,7 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
     step = 1.0
     f_cur = objective(fld, kernel, cfg)
     for jt in range(max_iter):
-        drift, _, res = fixed_point(fld, rho)
+        drift, _, res = fixed_point(rho)
         g = drift + np.log(rho) / cfg.beta
         # gradient can vanish on the box faces where the fixed point cannot;
         # accept either certificate
@@ -519,11 +537,18 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
     within 1e-8 or a RuntimeError is raised.  ``box_override`` shrinks the
     projection box (e.g. to the accuracy tube itself for the hard-constrained
     problem).  Each of the two loops runs at most ``max_iter`` (at least 1)
-    iterations.
+    iterations.  ``cells_on_box_face`` counts the interior cells of the result
+    with some density on a face of that box.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if not tol > 0:  # NaN included
+        raise ValueError(f"tol must be positive, got {tol}")
     box = cfg.box if box_override is None else box_override
+    lo = np.maximum(cfg.rho_ref - box, 1e-12)
+    hi = cfg.rho_ref + box
     bvals = boundary_field.values[boundary_field.boundary_mask()]
     inside = np.abs(bvals - np.broadcast_to(cfg.rho_ref, bvals.shape)) <= cfg.box + 1e-12
     if not np.all(inside):  # NaN is outside
@@ -535,7 +560,7 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
         np.maximum(cfg.rho_ref + rng.uniform(-cfg.zeta, cfg.zeta, size=shape), 1e-12)
         for _ in range(n_starts - 1)
     ]
-    results = [_minimize_single(boundary_field.with_interior(rho0), kernel, cfg, tol, max_iter, box)
+    results = [_minimize_single(boundary_field.with_interior(rho0), kernel, cfg, tol, max_iter, lo, hi)
                for rho0 in starts]
     best, dispersion = results[0], 0.0
     if len(results) > 1:
@@ -546,7 +571,10 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
             raise RuntimeError(f"multi-start dispersion {dispersion:.3e} exceeds 1e-8")
         # the objective only ranks several starts
         best = min(results, key=lambda r: objective(r[0], kernel, cfg))
-    return MinimizeResult(field=best[0], iterations=best[1], residual=best[2], dispersion=dispersion)
+    rho = best[0].interior
+    on_face = int(np.sum(np.any((rho <= lo) | (rho >= hi), axis=-1)))
+    return MinimizeResult(field=best[0], iterations=best[1], residual=best[2], dispersion=dispersion,
+                          cells_on_box_face=on_face)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +639,9 @@ def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
     fit reads differences down to ``floor``.
     """
     spec = boundary_a.spec
+    if far_mask.shape != boundary_a.values.shape[:-1]:
+        raise ValueError(f"far_mask has shape {far_mask.shape}, not the extended grid's "
+                         f"{boundary_a.values.shape[:-1]}")
     outside = ~far_mask
     if not np.array_equal(boundary_a.values[outside], boundary_b.values[outside]):
         raise ValueError("boundaries differ outside the declared far region")

@@ -118,10 +118,27 @@ def test_lp_minimize_command(tmp_path):
     rep = json.loads((out / "minimize_report.json").read_text())
     assert rep["residual"] < 1e-12
     assert rep["max_deviation"] < 1e-10  # perfect boundary reproduces the phase
+    assert rep["cells_on_box_face"] == 0 and rep["n_cells"] == 36
     lines = (out / "minimizer.csv").read_text().strip().splitlines()
     assert lines[0].startswith("# config")
     assert lines[1] == "i0,i1,species,value"
     assert len(lines) == 2 + 6 * 6 * 3
+
+
+def test_lp_minimize_reports_the_cells_on_a_box_face(tmp_path):
+    # with the one-body term at S=3, d=1, ell=1, gamma=0.1, t=0.5 every
+    # density ends on the box floor 1e-12 and the run exits 0: the report
+    # says so
+    cfg = write_cfg(tmp_path, "lp.json", {"S": 3, "d": 1, "ell_minus": 1.0, "cells": [6],
+                                          "gamma": 0.1, "beta": 1.0, "t": 0.5, "zeta": 0.05,
+                                          "one_body": True})
+    out = tmp_path / "out"
+    assert run_cli(["lp-minimize", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "minimize_report.json").read_text())
+    assert rep["cells_on_box_face"] == rep["n_cells"] == 6
+    values = [float(line.split(",")[-1])
+              for line in (out / "minimizer.csv").read_text().splitlines()[2:]]
+    assert values == [1e-12] * 18
 
 
 def test_lp_decay_command(tmp_path):

@@ -151,7 +151,7 @@ def test_apply_over_many_chunks_is_bit_identical_to_the_tap_loop(margin):
     assert kern.radius == 12 and kern.tap_weight.size == 401
     assert kern.tap_weight.size * 16 * 16 * 4 > 6 * lat._CHUNK_ELEMENTS
     values = np.random.default_rng(4).uniform(0.1, 1.0, size=(16 + 2 * margin,) * 2 + (3,))
-    assert np.array_equal(kern._apply_strided(values, margin), tap_loop_oracle(kern, values, margin))
+    assert np.array_equal(kern._apply_strided(*kern._filled(values, margin)), tap_loop_oracle(kern, values, margin))
 
 
 @settings(max_examples=100, deadline=None)
@@ -170,7 +170,7 @@ def test_fft_pass_matches_the_tap_loop(d, S, inner, seed, data):
     kern = lat.CoarseKernel(lat.LatticeSpec(d=d, ell=1.0, shape=(inner,) * d, gamma=0.5, S=S), stencil)
     margin = data.draw(st.integers(0, radius + 1))
     values = rng.uniform(0.1, 1.0, size=(inner + 2 * margin,) * d + (S,))
-    out = kern._apply_fft(values, margin)
+    out = kern._apply_fft(*kern._filled(values, margin))
     want = tap_loop_oracle(kern, values, margin)
     assert out.shape == want.shape
     assert np.max(np.abs(out - want)) <= 1e-13 * values.sum(axis=-1).max()
@@ -194,7 +194,7 @@ def test_apply_takes_the_fft_pass_above_the_size_rule():
     r = kern.radius
     assert 16 * 16 * kern.tap_weight.size > lat._FFT_CELL_TAPS
     values = np.random.default_rng(6).uniform(0.1, 1.0, size=(16 + 2 * r,) * 2 + (3,))
-    assert np.array_equal(kern.apply(values, r), kern._apply_fft(values, r))
+    assert np.array_equal(kern.apply(values, r), kern._apply_fft(*kern._filled(values, r)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,7 +250,7 @@ def test_apply_is_bit_identical_to_ndimage(d, gamma, ell, cells, S):
     full = ndimage_apply(kern, values)
     for margin in (0, 1, r, r + 1):
         inner = tuple(slice(margin, n - margin) for n in values.shape[:-1])
-        assert np.array_equal(kern._apply_strided(values, margin), full[inner]), margin
+        assert np.array_equal(kern._apply_strided(*kern._filled(values, margin)), full[inner]), margin
 
 
 @settings(max_examples=25, deadline=None)
@@ -462,12 +462,11 @@ def test_minimize_t0_matches_percell_newton(spec2d, kernel2d, sol3):
         assert np.max(np.abs(res.field.interior[..., s] - x)) < 1e-10
 
 
-def test_minimize_hands_a_stalled_fixed_point_to_the_projected_gradient():
-    # lp-minimize's config S=3, d=1, ell=1, cells=[6], gamma=0.1, beta=1,
-    # t=0.5, uniform phase, one_body, zeta=0.05: the one-body term drives the
-    # damped fixed point into a stall at the lower box face, and the
-    # projected gradient finishes.  A one-start minimize evaluates the
-    # objective only in that fallback.
+def stalled_case():
+    """lp-minimize's config S=3, d=1, ell=1, cells=[6], gamma=0.1, beta=1,
+    t=0.5, uniform phase, one_body, zeta=0.05: the one-body term drives the
+    damped fixed point into a stall at the lower box face, and the projected
+    gradient finishes.  Returns the boundary field, kernel and config."""
     sol = mf.common_tangent(3, 1.0)
     box = 0.5 * max(float(np.max(np.abs(a - b)))
                     for i, a in enumerate(sol.minimizers) for b in sol.minimizers[i + 1:])
@@ -475,12 +474,93 @@ def test_minimize_hands_a_stalled_fixed_point_to_the_projected_gradient():
     kern = lat.build_kernel(spec)
     cfg = lat.FunctionalConfig(beta=sol.beta, lambda_beta=sol.lambda_beta, t=0.5,
                                rho_ref=sol.minimizers[-1], zeta=0.05, box=box, one_body=True)
-    bnd = lat.LatticeField.constant(spec, kern.radius, cfg.rho_ref)
+    return lat.LatticeField.constant(spec, kern.radius, cfg.rho_ref), kern, cfg
+
+
+def test_minimize_hands_a_stalled_fixed_point_to_the_projected_gradient():
+    # a one-start minimize evaluates the objective only in that fallback
+    bnd, kern, cfg = stalled_case()
     tol = 1e-12
     with mock.patch.object(lat, "objective", side_effect=lat.objective) as spy:
         res = lat.minimize(bnd, kern, cfg, tol=tol)
     assert spy.called
     assert res.residual < tol
+
+
+def test_minimize_counts_the_cells_on_a_box_face(spec2d, kernel2d, sol3):
+    # the stalled config ends with every density on the box floor 1e-12
+    bnd, kern, cfg = stalled_case()
+    res = lat.minimize(bnd, kern, cfg)
+    assert np.all(res.field.interior == 1e-12)
+    assert res.cells_on_box_face == 6
+    # a perfect boundary reproduces the phase, well inside the box
+    cfg = make_cfg(sol3)
+    res = lat.minimize(lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref), kernel2d, cfg)
+    assert res.cells_on_box_face == 0
+    # the hard-constrained problem's box is the accuracy tube: a boundary
+    # pulled past it leaves some cells on its faces
+    bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref * 1.12)
+    res = lat.minimize(bnd, kernel2d, cfg, box_override=cfg.zeta)
+    gap = np.abs(res.field.interior - cfg.rho_ref)
+    on_face = np.any(gap >= cfg.zeta * (1 - 1e-12), axis=-1)
+    assert 0 < res.cells_on_box_face == on_face.sum()
+
+
+def strip_case(sol3, cells, gamma):
+    """A square box of ``cells`` a side at ell = 1 whose collar is raised on a
+    strip, as in the decay experiments: boundary field, kernel and config."""
+    spec = lat.LatticeSpec(d=2, ell=1.0, shape=(cells, cells), gamma=gamma, S=3)
+    kern = lat.build_kernel(spec)
+    cfg = make_cfg(sol3, t=1.0)
+    w = kern.radius
+    vals = lat.LatticeField.constant(spec, w, cfg.rho_ref).values
+    vals[: w - 1] = np.minimum(cfg.rho_ref * 1.25, cfg.rho_ref + 0.9 * cfg.box)
+    return lat.LatticeField(spec, vals, w), kern, cfg
+
+
+@pytest.mark.parametrize("case", ["strided", "fft", "stalled"])
+def test_each_fixed_point_evaluation_is_apply_on_the_iterate(sol3, case):
+    # the minimizer fills one convolution buffer and then rewrites only its
+    # interior each evaluation: the interaction field that reaches _drift
+    # must be apply on the field holding the iterate, bit for bit, on the
+    # strided pass, the FFT pass and in the projected-gradient fallback
+    if case == "stalled":
+        bnd, kern, cfg = stalled_case()
+    else:
+        bnd, kern, cfg = strip_case(sol3, *{"strided": (10, 0.2), "fft": (16, 0.05)}[case])
+    assert (bnd.spec.n_cells * kern.tap_weight.size > lat._FFT_CELL_TAPS) == (case == "fft")
+    drift, seen = lat._drift, []
+
+    def spy(rho, u_all, *args):
+        want = kern.apply(bnd.with_interior(rho).values, bnd.collar)
+        seen.append((objective.call_count, np.array_equal(u_all, want)))
+        return drift(rho, u_all, *args)
+
+    with mock.patch.object(lat, "objective", side_effect=lat.objective) as objective, \
+            mock.patch.object(lat, "_drift", side_effect=spy):
+        res = lat.minimize(bnd, kern, cfg)
+    assert res.residual < 1e-12
+    assert len(seen) > 5 and all(equal for _, equal in seen)
+    # the fallback evaluates the objective before its first step
+    assert any(calls for calls, _ in seen) == (case == "stalled")
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"n_starts": 0}, "n_starts must be at least 1"),
+    ({"n_starts": -2}, "n_starts must be at least 1"),
+    ({"tol": float("nan")}, "tol must be positive"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"tol": -1e-12}, "tol must be positive"),
+])
+def test_minimize_rejects_bad_starts_and_tolerances_before_any_work(spec2d, kernel2d, sol3, kw, match):
+    # no residual is below a tol of NaN or at most 0, and fewer than one
+    # start is no minimization: both are refused before any iteration
+    cfg = make_cfg(sol3)
+    bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
+    with mock.patch.object(lat, "_minimize_single") as single:
+        with pytest.raises(ValueError, match=match):
+            lat.minimize(bnd, kernel2d, cfg, **kw)
+    assert not single.called
 
 
 def test_minimize_rejects_out_of_box_boundary(spec2d, kernel2d, sol3):
@@ -522,8 +602,8 @@ def test_minimize_stops_at_the_first_non_finite_residual(spec2d, kernel2d, sol3)
     cfg = make_cfg(sol3)
     cfg.beta = float("nan")
     bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
-    with mock.patch.object(lat.CoarseKernel, "apply", autospec=True,
-                           side_effect=lat.CoarseKernel.apply) as spy:
+    with mock.patch.object(lat.CoarseKernel, "_convolve", autospec=True,
+                           side_effect=lat.CoarseKernel._convolve) as spy:
         with pytest.raises(ValueError, match="fixed-point residual nan at iteration 0"):
             lat.minimize(bnd, kernel2d, cfg)
     assert spy.call_count == 1
@@ -659,6 +739,19 @@ def test_decay_experiment_rejects_boundaries_that_differ_outside_the_far_region(
     pert = lat.LatticeField(spec, vals_b, w)
     with pytest.raises(ValueError, match="outside the declared far region"):
         lat.decay_experiment(base, pert, far, kern, cfg)
+
+
+def test_decay_experiment_rejects_a_far_mask_off_the_extended_grid(sol3):
+    spec = lat.LatticeSpec(d=2, ell=1.0, shape=(10, 10), gamma=0.5, S=3)
+    kern = lat.build_kernel(spec)
+    cfg = make_cfg(sol3, t=1.0)
+    base = lat.LatticeField.constant(spec, kern.radius, cfg.rho_ref)
+    far = np.zeros(spec.shape, dtype=bool)  # the interior's shape, not the extended grid's
+    far[0] = True
+    n = 10 + 2 * kern.radius
+    with pytest.raises(ValueError, match=rf"far_mask has shape \(10, 10\), not the extended "
+                                         rf"grid's \({n}, {n}\)"):
+        lat.decay_experiment(base, base, far, kern, cfg)
 
 
 def test_decay_distance_doubling(sol3):
