@@ -67,6 +67,9 @@ def profile_integral(profile, d: int) -> float:
 # radial self-convolution (particle-level pair potential)
 
 
+_TABLE_BLOCK = 64  # shifts integrated at a time by _self_convolution_table
+
+
 @lru_cache(maxsize=8)
 def _self_convolution_table(d: int, n_table: int, n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """(J * J)(v) at n_table shifts v in [0, 1], J the normalized bump at unit scale.
@@ -81,17 +84,32 @@ def _self_convolution_table(d: int, n_table: int, n_nodes: int = 64) -> tuple[np
     r = lo + (hi - lo) s^2, which clears the square-root branch of the cap at
     the split.  At d = 1 and 3 the integrand is then a polynomial in s and the
     rule is exact; at d = 2 64 and 128 nodes agree to about 1e-14.
+
+    The shifts are integrated ``_TABLE_BLOCK`` at a time, by the same
+    expressions per shift, so the table does not depend on the block size
+    bit for bit and the temporaries stay at about 2 n_nodes _TABLE_BLOCK
+    floats each.  Both arrays are cached per argument and returned
+    read-only, since every caller shares them.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"dimension {d} not supported")
-    c = bump_norm(d)
     shifts = np.linspace(0.0, 1.0, n_table)
+    s, w = np.polynomial.legendre.leggauss(n_nodes)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    vals = np.concatenate([_shift_integrals(d, shifts[i : i + _TABLE_BLOCK], s, w)
+                           for i in range(0, n_table, _TABLE_BLOCK)])
+    shifts.flags.writeable = vals.flags.writeable = False
+    return shifts, vals
+
+
+def _shift_integrals(d: int, shifts: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(J * J) at each of ``shifts`` by the rule of ``_self_convolution_table``,
+    with Gauss-Legendre nodes ``s`` and weights ``w`` mapped to [0, 1]."""
+    c = bump_norm(d)
     v = shifts[:, None, None]
     kink = np.abs(0.5 - v)
     lo = np.concatenate([np.zeros_like(kink), kink], axis=1)  # (shift, piece, 1)
     hi = np.concatenate([kink, np.full_like(kink, 0.5)], axis=1)
-    s, w = np.polynomial.legendre.leggauss(n_nodes)
-    s, w = 0.5 * (s + 1.0), 0.5 * w
     r = lo + (hi - lo) * s * s
     dr = (hi - lo) * 2.0 * s * w
     a = 1.0 - 4.0 * r * r - 4.0 * v * v
@@ -107,7 +125,7 @@ def _self_convolution_table(d: int, n_table: int, n_nodes: int = 64) -> tuple[np
             top, bottom = a + b, a + b * u0
             angular = 2.0 * np.pi / 3.0 * (1.0 - u0) * (top * top + top * bottom + bottom * bottom)
     radial = c * c * (1.0 - 4.0 * r * r) ** 2 * r ** (d - 1)
-    return shifts, np.sum(radial * angular * dr, axis=(1, 2))
+    return np.sum(radial * angular * dr, axis=(1, 2))
 
 
 class PairPotential:

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +85,44 @@ def test_self_convolution_table_converges_in_nodes(d):
     _, v64 = _self_convolution_table(d, N_TABLE, 64)
     _, v128 = _self_convolution_table(d, N_TABLE, 128)
     assert np.max(np.abs(v64 - v128)) <= 1e-13 * np.max(v128)
+
+
+BLOCK = kernels._TABLE_BLOCK
+
+
+@pytest.mark.parametrize("n_table", [1001, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_self_convolution_table_is_independent_of_the_block_size(d, n_table):
+    # each shift alone, the default blocks with a partial last one, and one
+    # block for the whole table give the same floats
+    build = _self_convolution_table.__wrapped__
+    shifts, vals = build(d, n_table)
+    assert len(vals) == n_table
+    for block in (1, n_table):
+        with mock.patch.object(kernels, "_TABLE_BLOCK", block):
+            other_shifts, other_vals = build(d, n_table)
+        assert np.array_equal(other_shifts, shifts) and np.array_equal(other_vals, vals), block
+
+
+def test_self_convolution_table_builds_in_bounded_memory():
+    # one block's temporaries trace about 0.6 MiB; all 1001 shifts at once
+    # trace 9 MiB
+    tracemalloc.start()
+    try:
+        _self_convolution_table.__wrapped__(2, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_self_convolution_table_is_read_only():
+    # every PairPotential of the process shares the cached arrays
+    shifts, vals = _self_convolution_table(2, N_TABLE)
+    for arr in (shifts, vals):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert _self_convolution_table(2, N_TABLE)[1] is vals
 
 
 @pytest.mark.parametrize("gamma", [0.2, 0.5])

@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -656,6 +657,60 @@ def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap):
         got = system.total_energy()
     for want in (audit_oracle(system), kdtree_energy(system)):
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_total_energy_work_arrays_hold_no_stale_state(monkeypatch):
+    # a crowded system grows every work array past what the small one
+    # uses; the small one's audit then reads none of the stale entries,
+    # whatever its grouping
+    monkeypatch.setattr(sim, "_AUDIT_ARRAYS", {})
+    region = index_region(2)
+    vol = region.cell_volume
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=0.6)
+    small = sim.ParticleSystem(region, phase, seed=5)
+    fx.fill_boundary(small, seed=6)
+    small.seed_phase_configuration()
+    first = small.total_energy()
+    sizes = {name: len(arr) for name, arr in sim._AUDIT_ARRAYS.items()}
+    crowded = copy.deepcopy(small)
+    rng = np.random.default_rng(7)
+    k = 25 * crowded.CAP
+    crowded.add_particles(rng.random((k, 2)) * region.ell_minus, rng.integers(0, region.S, k))
+    want = audit_oracle(crowded)
+    assert abs(crowded.total_energy() - want) <= 1e-12 * max(abs(want), 1.0)
+    assert all(len(sim._AUDIT_ARRAYS[name]) > size for name, size in sizes.items())
+    with mock.patch.object(sim, "_PAIR_BLOCK_ELEMENTS", 1):
+        assert small.total_energy() == first
+    assert small.total_energy() == first
+
+
+def test_total_energy_allocates_little_after_its_first_call(monkeypatch):
+    # the benchmark's seed-0 sample chain: after one call has sized the
+    # work arrays, an audit's traced peak is about 0.2 MiB; fresh group
+    # arrays per call would trace 1.9 MiB
+    from pottsgas import meanfield as mf
+
+    def derive(tag):  # the benchmark's fixture seeds of workload seed 0
+        return int(np.random.SeedSequence([0, tag]).generate_state(1)[0])
+
+    monkeypatch.setattr(sim, "_AUDIT_ARRAYS", {})
+    sol = mf.common_tangent(3, 4.0)
+    region = sim.SimRegion(d=2, S=3, gamma=0.2, ell0=2.5, ell_minus=5.0, ell_plus=10.0, n_plus=5)
+    phase = sim.PhaseTarget(rho_ref=sol.minimizers[-1], lambda_beta=sol.lambda_beta, beta=4.0,
+                            zeta=2.0, t=1.0)
+    system = sim.ParticleSystem(region, phase, seed=derive(1))
+    fx.fill_boundary(system, seed=derive(2))
+    system.seed_phase_configuration()
+    first = system.total_energy()
+    tracemalloc.start()
+    try:
+        again = system.total_energy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 0.75 * 2**20, peak
 
 
 # the kind uniform of a draws row under MoveKernel()'s mix: birth < 0.25 <=
