@@ -9,7 +9,9 @@ reference energy (t=0), an optional one-body correction, an optional bounded
 perturbation hook, and an optional quartic barrier that relaxes the
 hard accuracy tube.  The minimizer is unique in the relevant boxes and decays
 exponentially away from boundary perturbations; both facts are exercised
-numerically here.
+numerically here.  It is found by one damped fixed-point loop, rho =
+exp(-beta * drift) projected on a box around the reference phase, which
+raises if it stalls or runs out of iterations.
 """
 
 from __future__ import annotations
@@ -450,7 +452,7 @@ class MinimizeResult:
 def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig,
                      tol: float, max_iter: int, lo: np.ndarray,
                      hi: np.ndarray) -> tuple[LatticeField, int, float]:
-    """Minimize from ``start``, whose interior the fixed-point loop
+    """Damped fixed-point iteration from ``start``, whose interior it
     overwrites with each iterate, inside the box [lo, hi].
 
     One convolution buffer serves the whole minimization: filled once from
@@ -461,28 +463,21 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
     linear = (1.0 - cfg.t) * cfg.neighbor_sum  # constant over the minimization
     plan, buf = kernel._filled(start.values, start.collar)
     window = buf[plan.interior]
-
-    def fixed_point(rho):
-        """The drift at ``rho``, the fixed-point target exp(-beta * drift)
-        and the sup distance of the clipped target from ``rho``."""
-        window[..., 0] = rho.sum(axis=-1)
-        window[..., 1:] = rho
-        drift = _drift(rho, kernel._convolve(plan, buf), cfg, ell_d, linear)
-        target = np.exp(-cfg.beta * drift)
-        # np.minimum(np.maximum(...)) gives np.clip's floats without its
-        # Python-level wrapper
-        return drift, target, float(np.abs(np.minimum(np.maximum(target, lo), hi) - rho).max())
-
-    fld = start
-    interior = fld.values[fld.interior_slices]  # a view: iterates go in here
+    interior = start.values[start.interior_slices]  # a view: iterates go in here
     rho = interior.copy()
     alpha = 0.5
     prev_res = np.inf
     stall = 0
     for it in range(max_iter):
-        _, target, res = fixed_point(rho)
+        # the fixed-point target exp(-beta * drift) and the sup distance of
+        # the clipped target from rho; np.minimum(np.maximum(...)) gives
+        # np.clip's floats without its Python-level wrapper
+        window[..., 0] = rho.sum(axis=-1)
+        window[..., 1:] = rho
+        target = np.exp(-cfg.beta * _drift(rho, kernel._convolve(plan, buf), cfg, ell_d, linear))
+        res = float(np.abs(np.minimum(np.maximum(target, lo), hi) - rho).max())
         if res < tol:
-            return fld, it, res
+            return start, it, res
         if not res < np.inf:  # NaN included
             raise ValueError(f"fixed-point residual {res} at iteration {it}")
         if res >= prev_res:
@@ -491,35 +486,11 @@ def _minimize_single(start: LatticeField, kernel: CoarseKernel, cfg: FunctionalC
         else:
             stall = 0
         if stall >= 8:
-            break  # hand over to projected gradient
+            raise RuntimeError(f"fixed point stalled: residual {res:.3e} has not fallen "
+                               f"for 8 iterations at iteration {it}")
         prev_res = res
         rho = np.minimum(np.maximum((1.0 - alpha) * rho + alpha * target, lo), hi)
         interior[...] = rho
-    else:
-        it = max_iter
-
-    # projected-gradient fallback with backtracking line search
-    step = 1.0
-    f_cur = objective(fld, kernel, cfg)
-    for jt in range(max_iter):
-        drift, _, res = fixed_point(rho)
-        g = drift + np.log(rho) / cfg.beta
-        # gradient can vanish on the box faces where the fixed point cannot;
-        # accept either certificate
-        proj_res = float(np.abs(np.minimum(np.maximum(rho - g, lo), hi) - rho).max())
-        if res < tol or proj_res < tol:
-            return fld, it + jt, min(res, proj_res)
-        while step > 1e-14:
-            cand = np.clip(rho - step * g, lo, hi)
-            cand_f = fld.with_interior(cand)
-            f_new = objective(cand_f, kernel, cfg)
-            if f_new <= f_cur - 1e-4 * float(np.sum(g * (rho - cand))):
-                rho, fld, f_cur = cand, cand_f, f_new
-                step = min(step * 1.6, 1e3)
-                break
-            step *= 0.5
-        else:
-            return fld, it + jt, res
     raise RuntimeError(
         f"minimization did not reach residual {tol}: last fixed-point residual {res:.3e}"
     )
@@ -530,15 +501,20 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
              max_iter: int = 20000, box_override: float | None = None) -> MinimizeResult:
     """Minimize the objective at fixed boundary data.
 
-    Damped fixed-point iteration (adaptive damping from 0.5), switching to a
-    projected-gradient descent if it stalls; converged when the fixed-point
-    residual drops below ``tol`` in sup norm.  With ``n_starts`` > 1, random
-    initializations inside the accuracy tube must land on the same field
-    within 1e-8 or a RuntimeError is raised.  ``box_override`` shrinks the
-    projection box (e.g. to the accuracy tube itself for the hard-constrained
-    problem).  Each of the two loops runs at most ``max_iter`` (at least 1)
-    iterations.  ``cells_on_box_face`` counts the interior cells of the result
-    with some density on a face of that box.
+    One loop of damped fixed-point iteration (adaptive damping from 0.5),
+    projected on the box and run at most ``max_iter`` (at least 1) times;
+    converged when the fixed-point residual drops below ``tol`` in sup norm.
+    A residual that has not fallen for 8 iterations in a row, or no
+    convergence within ``max_iter``, raises RuntimeError.  With ``n_starts``
+    > 1, random initializations inside the accuracy tube must land on the
+    same field within 1e-8 or a RuntimeError is raised.  ``box_override``
+    shrinks the projection box (e.g. to the accuracy tube itself for the
+    hard-constrained problem).  ``cells_on_box_face`` counts the interior
+    cells of the result with some density on a face of that box.
+
+    With ``cfg.one_body`` every species needs ``ell^d (rho_ref - zeta) > 1/2``,
+    so that the curvature's diagonal (1/(beta rho)) (1 - 1/(2 ell^d rho)) is
+    positive on the whole accuracy tube; otherwise a ValueError is raised.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -546,6 +522,12 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if not tol > 0:  # NaN included
         raise ValueError(f"tol must be positive, got {tol}")
+    if cfg.one_body:
+        n_low = boundary_field.spec.ell ** boundary_field.spec.d * (cfg.rho_ref - cfg.zeta)
+        if np.any(n_low <= 0.5):
+            s = int(np.argmin(n_low))
+            raise ValueError(f"one-body term outside its domain: species {s} has "
+                             f"ell^d (rho_ref - zeta) = {n_low[s]:.4g}, not above 1/2")
     box = cfg.box if box_override is None else box_override
     lo = np.maximum(cfg.rho_ref - box, 1e-12)
     hi = cfg.rho_ref + box
@@ -582,7 +564,8 @@ def minimize(boundary_field: LatticeField, kernel: CoarseKernel, cfg: Functional
 
 
 def hessian_matrix(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig) -> np.ndarray:
-    """Dense curvature of the objective at the field, over interior sites."""
+    """Dense curvature of the objective at the field, over interior sites.
+    A one-body field needs ell^d rho above 1/2 at every site."""
     rho = field.interior.reshape(-1)
     if np.any(rho <= 0):
         raise ValueError("curvature needs positive densities")
@@ -590,6 +573,9 @@ def hessian_matrix(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalCon
     diag = 1.0 / (cfg.beta * rho)
     if cfg.one_body:
         ell_d = field.spec.ell ** field.spec.d
+        if np.any(ell_d * rho <= 0.5):
+            raise ValueError(f"one-body curvature needs ell^d rho above 1/2, "
+                             f"got {ell_d * rho.min():.4g}")
         diag = diag - 0.5 / (cfg.beta * ell_d * rho**2)
     if cfg.perturbation is not None:
         diag = diag + cfg.perturbation.hess_diag(field.interior).reshape(-1)

@@ -125,20 +125,43 @@ def test_lp_minimize_command(tmp_path):
     assert len(lines) == 2 + 6 * 6 * 3
 
 
+ONE_BODY = {"S": 4, "d": 1, "ell_minus": 1.0, "cells": [6], "gamma": 0.1, "beta": 1.0, "t": 0.5,
+            "zeta": 0.05, "one_body": True}
+
+
 def test_lp_minimize_reports_the_cells_on_a_box_face(tmp_path):
-    # with the one-body term at S=3, d=1, ell=1, gamma=0.1, t=0.5 every
-    # density ends on the box floor 1e-12 and the run exits 0: the report
+    # with the one-body term at S=4, d=1, ell=1, gamma=0.1, t=0.5 the two
+    # edge cells end on the box floor 1e-12 and the run exits 0: the report
     # says so
-    cfg = write_cfg(tmp_path, "lp.json", {"S": 3, "d": 1, "ell_minus": 1.0, "cells": [6],
-                                          "gamma": 0.1, "beta": 1.0, "t": 0.5, "zeta": 0.05,
-                                          "one_body": True})
+    cfg = write_cfg(tmp_path, "lp.json", ONE_BODY)
     out = tmp_path / "out"
     assert run_cli(["lp-minimize", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads((out / "minimize_report.json").read_text())
-    assert rep["cells_on_box_face"] == rep["n_cells"] == 6
+    assert rep["cells_on_box_face"] == 2 and rep["n_cells"] == 6
     values = [float(line.split(",")[-1])
               for line in (out / "minimizer.csv").read_text().splitlines()[2:]]
-    assert values == [1e-12] * 18
+    assert values[:4] == values[-4:] == [1e-12] * 4
+    assert 1e-12 not in values[4:-4]
+    # at S=3 the damped fixed point stalls on its way down to that floor: a
+    # numerical failure
+    cfg = write_cfg(tmp_path, "stall.json", {**ONE_BODY, "S": 3})
+    out = tmp_path / "stall"
+    assert run_cli(["lp-minimize", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "numerical"
+    assert err["error"].startswith("fixed point stalled: residual ")
+
+
+def test_lp_minimize_refuses_a_tube_outside_the_one_body_domain(tmp_path):
+    # ordered phase at S=3, beta=0.5: ell^d (rho_ref - zeta) = 0.167 for the
+    # minority species, below the one-body term's domain
+    cfg = write_cfg(tmp_path, "lp.json", {**ONE_BODY, "S": 3, "beta": 0.5, "phase": "ordered"})
+    out = tmp_path / "out"
+    assert run_cli(["lp-minimize", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert "species 1 has ell^d (rho_ref - zeta) = 0.1671" in err["error"]
+    assert not (out / "minimize_report.json").exists()
 
 
 def test_lp_decay_command(tmp_path):

@@ -462,37 +462,63 @@ def test_minimize_t0_matches_percell_newton(spec2d, kernel2d, sol3):
         assert np.max(np.abs(res.field.interior[..., s] - x)) < 1e-10
 
 
-def stalled_case():
-    """lp-minimize's config S=3, d=1, ell=1, cells=[6], gamma=0.1, beta=1,
-    t=0.5, uniform phase, one_body, zeta=0.05: the one-body term drives the
-    damped fixed point into a stall at the lower box face, and the projected
-    gradient finishes.  Returns the boundary field, kernel and config."""
-    sol = mf.common_tangent(3, 1.0)
+def one_body_case(S, beta=1.0, phase=-1):
+    """lp-minimize's config S, d=1, ell=1, cells=[6], gamma=0.1, t=0.5,
+    one_body, zeta=0.05 at ``beta``, around ``sol.minimizers[phase]`` (the
+    uniform phase by default): the boundary field, kernel and config."""
+    sol = mf.common_tangent(S, beta)
     box = 0.5 * max(float(np.max(np.abs(a - b)))
                     for i, a in enumerate(sol.minimizers) for b in sol.minimizers[i + 1:])
-    spec = lat.LatticeSpec(d=1, ell=1.0, shape=(6,), gamma=0.1, S=3)
+    spec = lat.LatticeSpec(d=1, ell=1.0, shape=(6,), gamma=0.1, S=S)
     kern = lat.build_kernel(spec)
     cfg = lat.FunctionalConfig(beta=sol.beta, lambda_beta=sol.lambda_beta, t=0.5,
-                               rho_ref=sol.minimizers[-1], zeta=0.05, box=box, one_body=True)
+                               rho_ref=sol.minimizers[phase], zeta=0.05, box=box, one_body=True)
     return lat.LatticeField.constant(spec, kern.radius, cfg.rho_ref), kern, cfg
 
 
-def test_minimize_hands_a_stalled_fixed_point_to_the_projected_gradient():
-    # a one-start minimize evaluates the objective only in that fallback
+def stalled_case():
+    """The one-body config at S=3, beta=1: the one-body term pulls the damped
+    fixed point down towards the box floor, and it stalls on the way."""
+    return one_body_case(3)
+
+
+STALL = "fixed point stalled: residual .* has not fallen for 8 iterations at iteration 14"
+
+
+def test_minimize_raises_on_a_stalled_fixed_point():
+    # the stall is reported at once, not handed to another loop: no
+    # objective evaluation and one convolution per iteration
     bnd, kern, cfg = stalled_case()
-    tol = 1e-12
-    with mock.patch.object(lat, "objective", side_effect=lat.objective) as spy:
-        res = lat.minimize(bnd, kern, cfg, tol=tol)
-    assert spy.called
-    assert res.residual < tol
+    with mock.patch.object(lat, "objective", side_effect=lat.objective) as objective, \
+            mock.patch.object(lat.CoarseKernel, "_convolve", autospec=True,
+                              side_effect=lat.CoarseKernel._convolve) as convolve:
+        with pytest.raises(RuntimeError, match=STALL):
+            lat.minimize(bnd, kern, cfg)
+    assert not objective.called
+    assert convolve.call_count == 15
+
+
+def test_minimize_refuses_a_tube_outside_the_one_body_domain():
+    # ordered phase at S=3, beta=0.5: the minority species sit at 0.217, so
+    # ell^d (rho_ref - zeta) = 0.167 and the one-body curvature is negative
+    # on part of the tube; refused before any iteration
+    bnd, kern, cfg = one_body_case(3, beta=0.5, phase=0)
+    with mock.patch.object(lat, "_minimize_single") as single:
+        with pytest.raises(ValueError, match=r"species 1 has ell\^d \(rho_ref - zeta\) = 0.1671"):
+            lat.minimize(bnd, kern, cfg)
+    assert not single.called
+    # without the one-body term the same tube is admitted
+    cfg.one_body = False
+    assert lat.minimize(bnd, kern, cfg).residual < 1e-12
 
 
 def test_minimize_counts_the_cells_on_a_box_face(spec2d, kernel2d, sol3):
-    # the stalled config ends with every density on the box floor 1e-12
-    bnd, kern, cfg = stalled_case()
+    # the one-body config at S=4 ends with its two edge cells on the box
+    # floor 1e-12
+    bnd, kern, cfg = one_body_case(4)
     res = lat.minimize(bnd, kern, cfg)
-    assert np.all(res.field.interior == 1e-12)
-    assert res.cells_on_box_face == 6
+    assert np.array_equal(np.all(res.field.interior == 1e-12, axis=-1), [1, 0, 0, 0, 0, 1])
+    assert res.cells_on_box_face == 2
     # a perfect boundary reproduces the phase, well inside the box
     cfg = make_cfg(sol3)
     res = lat.minimize(lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref), kernel2d, cfg)
@@ -523,7 +549,7 @@ def test_each_fixed_point_evaluation_is_apply_on_the_iterate(sol3, case):
     # the minimizer fills one convolution buffer and then rewrites only its
     # interior each evaluation: the interaction field that reaches _drift
     # must be apply on the field holding the iterate, bit for bit, on the
-    # strided pass, the FFT pass and in the projected-gradient fallback
+    # strided pass, the FFT pass and up to a stall
     if case == "stalled":
         bnd, kern, cfg = stalled_case()
     else:
@@ -533,16 +559,16 @@ def test_each_fixed_point_evaluation_is_apply_on_the_iterate(sol3, case):
 
     def spy(rho, u_all, *args):
         want = kern.apply(bnd.with_interior(rho).values, bnd.collar)
-        seen.append((objective.call_count, np.array_equal(u_all, want)))
+        seen.append(np.array_equal(u_all, want))
         return drift(rho, u_all, *args)
 
-    with mock.patch.object(lat, "objective", side_effect=lat.objective) as objective, \
-            mock.patch.object(lat, "_drift", side_effect=spy):
-        res = lat.minimize(bnd, kern, cfg)
-    assert res.residual < 1e-12
-    assert len(seen) > 5 and all(equal for _, equal in seen)
-    # the fallback evaluates the objective before its first step
-    assert any(calls for calls, _ in seen) == (case == "stalled")
+    with mock.patch.object(lat, "_drift", side_effect=spy):
+        if case == "stalled":
+            with pytest.raises(RuntimeError, match=STALL):
+                lat.minimize(bnd, kern, cfg)
+        else:
+            assert lat.minimize(bnd, kern, cfg).residual < 1e-12
+    assert len(seen) > 5 and all(seen)
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -672,6 +698,20 @@ def test_hessian_diagonal_case(sol3):
     assert np.allclose(H, np.diag(np.diag(H)))
     expected = 1.0 / (cfg.beta * cfg.rho_ref) - 0.5 / (cfg.beta * 2.0 * cfg.rho_ref**2)
     assert np.allclose(np.diag(H).reshape(3, 3), expected[None, :], atol=1e-14)
+
+
+def test_hessian_refuses_a_one_body_field_at_half_a_particle_per_cell():
+    # the one-body diagonal (1/(beta rho)) (1 - 1/(2 ell^d rho)) is 0 at
+    # ell^d rho = 1/2 and negative below it
+    bnd, kern, cfg = stalled_case()
+    rho = np.full(bnd.interior.shape, 0.6)
+    assert np.all(np.diag(lat.hessian_matrix(bnd.with_interior(rho), kern, cfg)) > 0)
+    for low in (0.5, 0.2):
+        rho[3, 1] = low
+        with pytest.raises(ValueError, match=f"ell\\^d rho above 1/2, got {low}"):
+            lat.hessian_matrix(bnd.with_interior(rho), kern, cfg)
+    cfg.one_body = False
+    assert np.all(np.diag(lat.hessian_matrix(bnd.with_interior(rho), kern, cfg)) > 0)
 
 
 def test_penalty_curvature_is_psd(spec2d, kernel2d, sol3):

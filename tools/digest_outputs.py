@@ -19,6 +19,10 @@ Families:
   then the ensemble's statistics.
 - ``lattice.seed0``: the 42 op outputs of the benchmark's seed-0 ``lattice``
   run at 10 seconds.
+- ``criteria5_6``: acceptance criteria 5 and 6 as ``tests/test_acceptance.py``
+  runs them; the interior field, iterations and residual of each of
+  criterion 5's 9 minimizations, then criterion 6's 20 coercivity
+  eigenvalues with their verdicts and its 3 decay fits.
 
 A chain is its live particles' positions, species and frozen flags in slot
 order, its mobile ids and its energy.  This is a tool, not a test gate:
@@ -145,6 +149,31 @@ def lattice(wl) -> Digest:
     return out
 
 
+def criteria5_6(wl, mf, lat, root: Path) -> Digest:
+    import contextlib
+    import importlib.util
+    import io
+
+    out = Digest()
+    spec = importlib.util.spec_from_file_location("test_acceptance",
+                                                  root / "tests" / "test_acceptance.py")
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    sol3 = mf.common_tangent(3)
+    minimized, curvatures, fits = [], [], []
+    with contextlib.redirect_stdout(io.StringIO()):
+        with wl.capture(lat, "minimize", minimized):
+            acceptance.test_criterion_5_lp_perfect_boundary(sol3)
+        with wl.capture(lat, "hessian_coercivity", curvatures), \
+                wl.capture(lat, "decay_experiment", fits):
+            acceptance.test_criterion_6_lp_coercivity_and_decay(sol3)
+    for res in minimized:
+        out.add([res.field.interior, res.iterations, res.residual])
+    for value in curvatures + [vars(fit) for fit in fits]:
+        out.add(value)
+    return out
+
+
 def dump(root: Path):
     """Print the digests of the checkout at ``root``, importing its
     ``src`` and ``bench``."""
@@ -154,6 +183,7 @@ def dump(root: Path):
 
     from pottsgas import coupling as cpl
     from pottsgas import fixtures as fx
+    from pottsgas import lattice as lat
     from pottsgas import meanfield as mf
     from pottsgas import screening as scr
     from pottsgas import simulate as sim
@@ -164,6 +194,7 @@ def dump(root: Path):
         "criterion10": lambda: criterion10(np, sim, scr, fx),
         "criterion11": lambda: criterion11(wl, sim, scr, fx, cpl, mf),
         "lattice.seed0": lambda: lattice(wl),
+        "criteria5_6": lambda: criteria5_6(wl, mf, lat, root),
     }
     for name, run in families.items():
         digest = run()
