@@ -129,7 +129,7 @@ class CoarseKernel:
         return plan, plan.fill(values)
 
     def _convolve(self, plan: "_ApplyPlan", buf: np.ndarray) -> np.ndarray:
-        """V-bar of a buffer that ``plan.fill`` filled: the strided pass up to
+        """V-bar of a buffer that ``plan.fill()`` filled: the strided pass up to
         ``_FFT_CELL_TAPS`` output cells times taps, the FFT pass above."""
         if math.prod(plan.out_shape[:-1]) * self.tap_weight.size <= _FFT_CELL_TAPS:
             return self._apply_strided(plan, buf)

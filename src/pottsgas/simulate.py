@@ -275,7 +275,10 @@ class ParticleSystem:
     A cell is one flat index into the extended grid ``(n_ext,) * d`` in C
     order, with the origin at the collar corner.  Particle i sits in cell
     ``cell[i]``; row c of ``members`` lists the ids filed in cell c in filing
-    order, of which the first ``fill[c]`` are valid.
+    order in its first ``fill[c]`` entries, and -1 in the rest.  Index -1 is
+    the *sentinel*, the last slot of the particle arrays: position 0,
+    species S, never alive and never handed out, so a gather over whole
+    rows reads vacant entries as particles of no species.
 
     Only this module changes the particles: callers use ``add_particles``,
     ``add_boundary``, ``remove_particles`` and the Metropolis moves.  Every
@@ -312,10 +315,14 @@ class ParticleSystem:
         self._free: list[int] = []
         self._n_used = 0
         n_cells = self.n_ext**d
-        self.members = np.zeros((n_cells, self.CAP), dtype=np.int64)
-        self._slots = np.arange(self.CAP)  # column numbers of members
+        self._mark_sentinel()
+        self.members = np.full((n_cells, self.CAP), -1, dtype=np.int64)
         self.fill = np.zeros(n_cells, dtype=np.int64)
         self._counts = np.zeros((n_cells, S), dtype=np.int64)
+        # _unlike[s, s2]: whether a particle of species s2 interacts with one
+        # of species s; column S, the sentinel's species, is all False
+        self._unlike = np.arange(S)[:, None] != np.arange(S + 1)
+        self._unlike[:, S] = False
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
         self._window = (self.n_lo.tolist(), self.n_hi.tolist())  # read per proposal
         self._energy = 0.0  # running interpolated energy; NaN when unknown
@@ -461,13 +468,20 @@ class ParticleSystem:
 
     # -- storage
 
+    def _mark_sentinel(self):
+        """Make the last slot the sentinel that vacant member entries read."""
+        self.pos[-1] = 0.0
+        self.spin[-1] = self.region.S
+        self.alive[-1] = self.frozen[-1] = False
+
     def _reserve(self, n_used: int):
         """Grow the particle arrays by whole ``GROW`` blocks until the first
-        ``n_used`` slots fit."""
+        ``n_used`` slots fit before the sentinel, and mark the new last slot
+        as the sentinel."""
         cap = len(self.spin)
-        if n_used <= cap:
+        if n_used < cap:
             return
-        grow = cap + self.GROW * -(-(n_used - cap) // self.GROW)
+        grow = cap + self.GROW * -(-(n_used + 1 - cap) // self.GROW)
         self.pos = np.resize(self.pos, (grow, self.region.d))
         self.spin = np.resize(self.spin, grow)
         self.alive = np.resize(self.alive, grow)
@@ -475,6 +489,7 @@ class ParticleSystem:
         self.frozen = np.resize(self.frozen, grow)
         self.cell = np.resize(self.cell, grow)
         self._subcell = np.resize(self._subcell, grow)
+        self._mark_sentinel()
 
     def _new_slot(self) -> int:
         if self._free:
@@ -486,8 +501,7 @@ class ParticleSystem:
 
     def _widen(self):
         """Double the row capacity of the member table."""
-        self.members = np.concatenate([self.members, np.zeros_like(self.members)], axis=1)
-        self._slots = np.arange(self.members.shape[1])
+        self.members = np.concatenate([self.members, np.full_like(self.members, -1)], axis=1)
 
     def _file(self, i: int, c: int, sub: int | None = None):
         """Append particle i to the row of cell c and count it there; a full
@@ -495,7 +509,7 @@ class ParticleSystem:
         lives, i is filed in subcell ``sub`` too, worked out from its
         position when None."""
         n = self.fill[c]
-        if n == len(self._slots):
+        if n == self.members.shape[1]:
             self._widen()
         self.members[c, n] = i
         self.fill[c] = n + 1
@@ -516,6 +530,7 @@ class ParticleSystem:
         row = self.members[c]
         k = row[:n].tolist().index(i)
         row[k : n - 1] = row[k + 1 : n]
+        row[n - 1] = -1
         self.fill[c] = n - 1
         self._counts[c, self.spin[i]] -= 1
         if self._subcounts is not None:
@@ -531,7 +546,7 @@ class ParticleSystem:
         rank = np.empty(len(ids), dtype=np.int64)
         rank[order] = np.arange(len(ids)) - np.searchsorted(ranked, ranked)
         col = self.fill[cells] + rank
-        while col.max() >= len(self._slots):
+        while col.max() >= self.members.shape[1]:
             self._widen()
         self.members[cells, col] = ids
         self.fill += np.bincount(cells, minlength=len(self.fill))
@@ -541,7 +556,7 @@ class ParticleSystem:
 
     def _unfile_batch(self, ids: np.ndarray):
         """Take particles ``ids`` out of their cells' rows in one pass; each
-        row keeps the filing order of what stays."""
+        row keeps the filing order of what stays, and -1 after it."""
         cells = self.cell[ids]
         # the sorted distinct cells; np.unique would import numpy.ma on its
         # first call, 16 ms of a process's first removal
@@ -551,8 +566,11 @@ class ParticleSystem:
         sub = self.members[rows]
         keep = (np.arange(sub.shape[1]) < self.fill[rows][:, None]) & ~gone[sub]
         order = np.argsort(~keep, axis=1, kind="stable")
-        self.members[rows] = np.take_along_axis(sub, order, axis=1)
-        self.fill[rows] = keep.sum(axis=1)
+        fill = keep.sum(axis=1)
+        sub = np.take_along_axis(sub, order, axis=1)
+        sub[np.arange(sub.shape[1]) >= fill[:, None]] = -1
+        self.members[rows] = sub
+        self.fill[rows] = fill
         np.subtract.at(self._counts, (cells, self.spin[ids]), 1)
         self.stamp = self.cell_stamps[rows] = next(_STAMPS)
 
@@ -647,9 +665,12 @@ class ParticleSystem:
         self._add(pos, spins, frozen=True)
 
     def add_particles(self, positions, spins):
-        """Add mobile particles inside the box, in the given order."""
+        """Add mobile particles inside the box, in the given order.  A
+        position whose cell rounds onto the collar counts as outside, so
+        every mobile particle sits on an interior cell."""
         pos = np.asarray(positions, dtype=float).reshape(-1, self.region.d)
-        if not np.all((pos >= 0.0) & (pos < self.region.side)):
+        inner = np.floor(pos / self.region.ell_minus) < self.n_int
+        if not np.all((pos >= 0.0) & (pos < self.region.side) & inner):
             raise ValueError("mobile particle outside the box")
         self._add(pos, spins, frozen=False)
 
@@ -684,16 +705,18 @@ class ParticleSystem:
         c)`` in order, where P(r, s, c) sums V(|r - r_j|) over the particles
         j != skip of species != s filed in the block of cells around cell c,
         in filing order.  A block shared by consecutive changes is gathered
-        once and V evaluated once per distinct point; each change's sum is a
-        masked sum over that gather."""
+        once, whole member rows with their vacant entries on the sentinel,
+        and squared distances are taken once per distinct point; each
+        change evaluates V on the entries it sums, picked by one lookup in
+        ``_unlike``.  That lookup drops the sentinel and, for a change of
+        skip's own species, skip too; only a change of another species
+        (a flip's +1 change) masks skip by id."""
         total = 0
         c_last = r_last = None
+        skip_spin = None if skip is None else self.spin[skip]
         for sign, r, s, c in changes:
             if c != c_last:
-                block = c + self._ball
-                ids = self.members.take(block, axis=0)[self._slots < self.fill.take(block)[:, None]]
-                if skip is not None:
-                    ids = ids[ids != skip]
+                ids = self.members.take(c + self._ball, axis=0).ravel()
                 pos, spin = self.pos.take(ids, axis=0), self.spin.take(ids)
                 c_last, r_last = c, None
             if r is not r_last:
@@ -702,9 +725,11 @@ class ParticleSystem:
                 dist2 = sq[:, 0]
                 for k in range(1, len(r)):
                     dist2 = np.add(dist2, sq[:, k])
-                pot = self.potential(np.sqrt(dist2))
                 r_last = r
-            total += sign * float(np.add.reduce(pot[spin != s]))
+            keep = self._unlike[s].take(spin)
+            if skip_spin is not None and s != skip_spin:
+                keep &= ids != skip
+            total += sign * float(np.add.reduce(self.potential(np.sqrt(dist2[keep]))))
         return total
 
     def _pair_bound(self, r, s: int, sub: int | None = None) -> float:
@@ -722,12 +747,12 @@ class ParticleSystem:
     def twin_cells(self, other: ParticleSystem) -> np.ndarray:
         """Per extended cell, whether this system's and ``other``'s member
         rows hold equal positions and spins in the same filing order; one
-        array pass over both member tables."""
+        array pass over both member tables.  Past equal fills both rows
+        read the sentinel, which compares equal."""
         width = min(self.members.shape[1], other.members.shape[1])
         mine, theirs = self.members[:, :width], other.members[:, :width]
         equal = (self.spin[mine] == other.spin[theirs]) & (self.pos[mine] == other.pos[theirs]).all(axis=2)
-        vacant = np.arange(width) >= self.fill[:, None]
-        return (self.fill == other.fill) & (equal | vacant).all(axis=1)
+        return (self.fill == other.fill) & equal.all(axis=1)
 
     def total_energy(self) -> float:
         """Recompute the interpolated energy of the mobile configuration
@@ -1071,7 +1096,7 @@ class TwinRows:
 
         def particles(s: ParticleSystem, ids: list):
             ids = np.asarray(ids, dtype=np.int64)
-            # a place in a row is the first match: stale entries sit past the fill
+            # an id is filed once, and the entries past the fill read -1
             place = (s.members[s.cell[ids]] == ids[:, None]).argmax(axis=1)
             return s.pos[ids], s.spin[ids], s.cell[ids], place
         return all(map(np.array_equal, particles(first, loc1), particles(second, loc2)))
@@ -1141,8 +1166,10 @@ def metropolis_sweep(system: ParticleSystem, kernel: MoveKernel, n_moves: int | 
     rng = rng or system.rng
     if active is None:
         active = _default_active(system)
+        local_ids = list(system.mobile_ids)  # all on interior cells (see add_particles)
+    else:
+        local_ids = system.mobile_in(active)
     rows = RowContext(system, active)
-    local_ids = system.mobile_in(active)
     if n_moves is None:
         n_moves = max(len(local_ids), 1)
     if audit:

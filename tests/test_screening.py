@@ -673,13 +673,15 @@ def test_m_function_matches_the_offset_loop(case):
 def test_k_function_is_invariant_under_species_relabelling(case, data):
     pair, lam, cells = case
     perm = np.array(data.draw(st.permutations(range(pair.region.S))))
-    # species s becomes perm[s] in both chains and in rho_ref
+    # species s becomes perm[s] in both chains' live slots and in rho_ref;
+    # the sentinel keeps its species S
     relabelled = copy.deepcopy(pair)
     rho_ref = np.empty_like(pair.sys1.phase.rho_ref)
     rho_ref[perm] = pair.sys1.phase.rho_ref
     phase = dataclasses.replace(pair.sys1.phase, rho_ref=rho_ref)
     for system in (relabelled.sys1, relabelled.sys2):
-        system.spin[:] = perm[system.spin]
+        live = system.alive
+        system.spin[live] = perm[system.spin[live]]
         system.phase = phase
     for cell in cells:
         assert scr.k_function(relabelled, lam, cell) == scr.k_function(pair, lam, cell)

@@ -40,8 +40,8 @@ print(" ".join(sorted({".".join(name.split(".")[:2]) for name in sys.modules
 
 def test_setup_path_imports_no_scipy():
     # scipy.integrate and scipy.spatial alone took 0.3-0.5 s of a 0.7 s
-    # start-up; only transport (at import), custom lattice profiles and
-    # critical_spin_counts (when first called) import scipy.  numpy.ma, which
+    # start-up; only transport's exact_transport, custom lattice profiles
+    # and critical_spin_counts (when first called) import scipy.  numpy.ma, which
     # np.unique loads on its first call, costs 16 ms
     src = str(Path(pottsgas.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -223,6 +223,20 @@ def test_gaussian_bound_1d():
         tr.gaussian_variation_bound(-np.eye(1), np.zeros(1), np.zeros(1))
 
 
+def test_gaussian_tv_1d_is_twice_the_normal_cdf_less_one():
+    # erf(x / sqrt 2) = 2 Phi(x) - 1, here to within a few ulps of scipy's
+    # normal cdf, and even in the gap
+    from scipy.stats import norm
+
+    for var in (0.01, 0.5, 1.0, 3.0, 100.0):
+        for delta in (0.0, 1e-8, 0.3, 1.0, 2.5, 10.0):
+            want = 2.0 * norm.cdf(delta / (2.0 * np.sqrt(var))) - 1.0
+            assert abs(tr.gaussian_tv_1d(var, delta) - want) <= 4e-16
+            assert tr.gaussian_tv_1d(var, -delta) == tr.gaussian_tv_1d(var, delta)
+    with pytest.raises(ValueError):
+        tr.gaussian_tv_1d(0.0, 1.0)
+
+
 def test_gaussian_bound_3d_monte_carlo():
     rng = np.random.default_rng(9)
     M = rng.normal(size=(3, 3))
