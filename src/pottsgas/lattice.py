@@ -569,7 +569,6 @@ def hessian_matrix(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalCon
     rho = field.interior.reshape(-1)
     if np.any(rho <= 0):
         raise ValueError("curvature needs positive densities")
-    A = cfg.t * kernel.dense_interior_matrix()
     diag = 1.0 / (cfg.beta * rho)
     if cfg.one_body:
         ell_d = field.spec.ell ** field.spec.d
@@ -582,7 +581,12 @@ def hessian_matrix(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalCon
     if cfg.epsilon > 0:
         up, dn = _excess(field.interior, cfg)
         diag = diag + (3.0 * (up**2 + dn**2) / cfg.epsilon).reshape(-1)
-    return A + np.diag(diag)
+    # built in the fresh kernel matrix, with no second n x n array: the
+    # same floats as t * dense + np.diag(diag)
+    A = kernel.dense_interior_matrix()
+    A *= cfg.t
+    A.flat[:: len(diag) + 1] += diag
+    return A
 
 
 def hessian_coercivity(field: LatticeField, kernel: CoarseKernel, cfg: FunctionalConfig,

@@ -175,6 +175,7 @@ _SUBCELLS = 4  # subcells per cell axis in the pair-energy bound's count table
 _SUBCELL_GRIDS: dict[tuple, _SubcellGrid] = {}
 _AUDIT_PIECE = 1 << 12  # slot pairs per gather and distances per V call in total_energy
 _AUDIT_ARRAYS: dict[str, np.ndarray] = {}  # total_energy's work arrays, by name
+_AUDIT_PAIRS: dict[tuple, tuple[np.ndarray, int]] = {}  # total_energy's cell pairs, by geometry
 
 
 def _potential_cache(gamma: float, d: int) -> PairPotential:
@@ -199,6 +200,34 @@ def _audit_array(name: str, shape: tuple, dtype, kept: int = 0) -> np.ndarray:
             grown[:kept] = buf[:kept]
         buf = _AUDIT_ARRAYS[name] = grown
     return buf[:size].reshape(shape)
+
+
+def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
+    """The cell pairs that ``ParticleSystem.total_energy`` visits on the
+    extended grid ``(n_ext,) * d`` with a collar ``w`` cells wide, built
+    once per geometry: a ``(2, P)`` array of flat cells and the number of
+    pairs at its start that pair a cell with itself.
+
+    A pair is a cell and the cell at one offset of the half block, the
+    offsets from 0 on in C order, so each unordered pair of cells comes
+    once; pairs of two collar cells are left out, since a collar cell holds
+    frozen particles only and frozen pairs carry no energy.  An interior
+    cell's block stays on the grid, so no pair kept wraps a grid row."""
+    key = (d, n_ext, w)
+    if key not in _AUDIT_PAIRS:
+        cells = np.indices((n_ext,) * d).reshape(d, -1).T
+        inner = ((cells >= w) & (cells < n_ext - w)).all(axis=1)
+        strides = n_ext ** np.arange(d - 1, -1, -1)
+        block = np.indices((2 * w + 1,) * d).reshape(d, -1).T - w
+        pairs = []
+        for delta in block[len(block) // 2 :]:
+            other = cells + delta
+            a = np.flatnonzero(((other >= 0) & (other < n_ext)).all(axis=1))
+            b = other[a] @ strides
+            pair = inner[a] | inner[b]
+            pairs.append(np.stack((a[pair], b[pair])))
+        _AUDIT_PAIRS[key] = (np.concatenate(pairs, axis=1), pairs[0].shape[1])
+    return _AUDIT_PAIRS[key]
 
 
 class _SubcellGrid:
@@ -537,6 +566,26 @@ class ParticleSystem:
             self._subcounts[self._subcell[i], self.spin[i]] -= 1
         self.stamp = self.cell_stamps[c] = next(_STAMPS)
 
+    def _refile(self, i: int, sub: int | None = None):
+        """Refile particle i in its own cell after it moved within it, as
+        ``_unfile`` then ``_file`` would: it goes to the end of its row,
+        whose other entries keep their order, its cell's fill and counts
+        stay, and one stamp is drawn.  While the subcell table lives, i
+        moves to subcell ``sub`` (see ``_file``)."""
+        c = self.cell[i]
+        n = self.fill[c]
+        row = self.members[c]
+        k = row[:n].tolist().index(i)
+        row[k : n - 1] = row[k + 1 : n]
+        row[n - 1] = i
+        if self._subcounts is not None:
+            if sub is None:
+                sub = self._subgrid.index(self.pos[i].tolist())
+            self._subcounts[self._subcell[i], self.spin[i]] -= 1
+            self._subcell[i] = sub
+            self._subcounts[sub, self.spin[i]] += 1
+        self.stamp = self.cell_stamps[c] = next(_STAMPS)
+
     def _file_batch(self, ids: np.ndarray, cells: np.ndarray):
         """File particles ``ids`` into ``cells`` in one pass, as ``_file``
         one at a time in the given order would: each row takes its newcomers
@@ -655,10 +704,13 @@ class ParticleSystem:
 
     def add_boundary(self, positions, spins):
         """Freeze particles on the collar (positions outside the box but
-        within the collar), in the given order."""
+        within the collar), in the given order.  A position whose cell
+        rounds onto the interior counts as inside, so every frozen particle
+        sits on a collar cell."""
         pos = np.asarray(positions, dtype=float).reshape(-1, self.region.d)
         L, wlen = self.region.side, self.w * self.region.ell_minus
-        if np.any(np.all((pos >= 0.0) & (pos < L), axis=1)):
+        inner = np.floor(pos / self.region.ell_minus) < self.n_int
+        if np.any(np.all((pos >= 0.0) & ((pos < L) | inner), axis=1)):
             raise ValueError("boundary particle inside the box")
         if np.any((pos < -wlen) | (pos >= L + wlen)):
             raise ValueError("boundary particle beyond the collar")
@@ -710,10 +762,29 @@ class ParticleSystem:
         change evaluates V on the entries it sums, picked by one lookup in
         ``_unlike``.  That lookup drops the sentinel and, for a change of
         skip's own species, skip too; only a change of another species
-        (a flip's +1 change) masks skip by id."""
+        (a flip's +1 change) masks skip by id.
+
+        Two changes of one species in one cell, a displacement within its
+        cell, sum the same entries: they take one pass, the kept positions
+        measured against both points at once and one row of V per change,
+        each row reduced as its own 1-D sum would be."""
         total = 0
         c_last = r_last = None
         skip_spin = None if skip is None else self.spin[skip]
+        if len(changes) == 2:
+            (g, r, s, c), (g2, r2, s2, c2) = changes
+            # skip, if any, is of their species: the lookup alone drops it
+            if s == s2 and c == c2 and (skip is None or s == skip_spin):
+                ids = self.members.take(c + self._ball, axis=0).ravel()
+                near = self.pos.take(ids[self._unlike[s].take(self.spin.take(ids))], axis=0).T
+                # axes: point, coordinate, kept particle; C order runs the
+                # inner loops along the particles
+                sq = np.square(np.subtract(near, np.array((r, r2))[..., None], order="C"))
+                dist2 = sq[:, 0]
+                for k in range(1, len(r)):
+                    dist2 = np.add(dist2, sq[:, k])
+                rows = np.add.reduce(self.potential(np.sqrt(dist2)), axis=1).tolist()
+                return total + g * rows[0] + g2 * rows[1]  # from 0, in order, as below
         for sign, r, s, c in changes:
             if c != c_last:
                 ids = self.members.take(c + self._ball, axis=0).ravel()
@@ -759,15 +830,18 @@ class ParticleSystem:
         given the frozen boundary, from scratch: every unlike-species pair
         within range that is not frozen-frozen, counted once.
 
-        Pairs come from the cell index: each cell with itself (slot pairs
-        i < j) and with the cells at the offsets after 0 in the C-order
-        block, so each unordered pair of cells is visited once.  An offset
-        that wraps a grid row pairs two collar cells, whose particles are
-        all frozen.  Cells are taken in groups of about
-        ``_PAIR_BLOCK_ELEMENTS`` slot pairs.  The distances are sorted
-        before V is evaluated: the sum then does not depend on the visiting
-        order, and ``np.interp`` searches sorted input several times faster
-        than unsorted.
+        Pairs come from the cell index, over the cell pairs of
+        ``_audit_pairs``: each interior cell with itself (slot pairs i < j),
+        and each cell with the cells at the offsets after 0 in the C-order
+        block where one of the two is interior.  Mobile particles sit on
+        interior cells only (see ``add_particles``) and frozen ones on the
+        collar only (see ``add_boundary``), so those pairs hold every pair
+        with a mobile particle and none without.  A vacant slot takes an
+        infinite coordinate, which the range test drops.  Cell pairs are
+        taken in groups of about ``_PAIR_BLOCK_ELEMENTS`` slot pairs.  The
+        distances are sorted before V is evaluated: the sum then does not
+        depend on the visiting order, and ``np.interp`` searches sorted
+        input several times faster than unsorted.
 
         A group's masks and squared distances are written into the module's
         work arrays (``_audit_array``), and its kept distances are gathered
@@ -780,49 +854,42 @@ class ParticleSystem:
         takes.  The work arrays are shared: calls must not run concurrently
         in one process."""
         phase = self.phase
-        n_cells, width = len(self.fill), max(int(self.fill.max()), 1)
-        half = self._ball[len(self._ball) // 2 :]
+        width = max(int(self.fill.max()), 1)
+        pairs, n_self = _audit_pairs(self.region.d, self.n_ext, self.w)
         ids = self.members[:, :width]
         slots = np.arange(width)
-        # per slot: coordinates, species, and 2 mobile / 1 frozen / 0 vacant;
-        # a pair counts when its species differ and its kinds add to 3 or
-        # more.  Rows past the grid are vacant.
-        rows = n_cells + int(half[-1])
-        coords = np.zeros((self.region.d, rows, width))
-        coords[:, :n_cells] = np.moveaxis(self.pos[ids], 2, 0)
-        spin = np.zeros((rows, width), dtype=np.int64)
-        spin[:n_cells] = self.spin[ids]
-        kind = np.zeros((rows, width), dtype=np.int8)
-        kind[:n_cells] = np.where(slots < self.fill[:, None], 2 - self.frozen[ids], 0)
+        # per slot: coordinates, one axis per leading index, and species
+        pos = self.pos.take(ids, axis=0)
+        pos[slots >= self.fill[:, None]] = np.inf
+        coords = np.moveaxis(pos, 2, 0)
+        spin = self.spin.take(ids)
         upper = slots[:, None] < slots
         range2 = self.potential.range**2
-        step = max(1, _PAIR_BLOCK_ELEMENTS // (len(half) * width * width))
+        step = max(1, _PAIR_BLOCK_ELEMENTS // (width * width))
         n = 0  # distances gathered so far
-        for start in range(0, n_cells, step):
-            a = slice(start, min(start + step, n_cells))
-            b = np.arange(start, a.stop)[:, None] + half
-            # axes: cell a of the group, offset, slot in a, slot in b
-            shape = (a.stop - start, len(half), width, width)
-            keep, test = _audit_array("keep", shape, bool), _audit_array("test", shape, bool)
-            kinds = _audit_array("kinds", shape, np.int8)
-            np.not_equal(spin[a][:, None, :, None], spin[b][:, :, None, :], out=keep)
-            np.add(kind[a][:, None, :, None], kind[b][:, :, None, :], out=kinds)
-            np.bitwise_and(keep, np.greater_equal(kinds, 3, out=test), out=keep)
-            keep[:, 0] &= upper
-            d2 = _audit_array("d2", shape, float)
-            for k, x in enumerate(coords):
-                sq = _audit_array("sq", shape, float) if k else d2
-                np.subtract(x[a][:, None, :, None], x[b][:, :, None, :], out=sq)
-                np.multiply(sq, sq, out=sq)
-                if k:
-                    np.add(d2, sq, out=d2)
-            np.bitwise_and(keep, np.less_equal(d2, range2, out=test), out=keep)
-            dist = _audit_array("dist", (n + int(np.count_nonzero(keep)),), float, kept=n)
-            keep, d2 = keep.reshape(-1), d2.reshape(-1)
-            for i in range(0, len(keep), _AUDIT_PIECE):
-                got = d2[i : i + _AUDIT_PIECE][keep[i : i + _AUDIT_PIECE]]
-                dist[n : n + len(got)] = got
-                n += len(got)
+        with np.errstate(invalid="ignore"):  # two vacant slots: inf - inf
+            for start in range(0, pairs.shape[1], step):
+                a, b = pairs[:, start : start + step]
+                # axes: cell pair of the group, slot in a, slot in b
+                shape = (len(a), width, width)
+                keep, test = _audit_array("keep", shape, bool), _audit_array("test", shape, bool)
+                np.not_equal(spin[a][:, :, None], spin[b][:, None, :], out=keep)
+                if start < n_self:
+                    keep[: n_self - start] &= upper
+                d2 = _audit_array("d2", shape, float)
+                for k, x in enumerate(coords):
+                    sq = _audit_array("sq", shape, float) if k else d2
+                    np.subtract(x[a][:, :, None], x[b][:, None, :], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    if k:
+                        np.add(d2, sq, out=d2)
+                np.bitwise_and(keep, np.less_equal(d2, range2, out=test), out=keep)
+                dist = _audit_array("dist", (n + int(np.count_nonzero(keep)),), float, kept=n)
+                keep, d2 = keep.reshape(-1), d2.reshape(-1)
+                for i in range(0, len(keep), _AUDIT_PIECE):
+                    got = d2[i : i + _AUDIT_PIECE][keep[i : i + _AUDIT_PIECE]]
+                    dist[n : n + len(got)] = got
+                    n += len(got)
         dist.sort()  # its n entries: the last group sized it to n
         np.sqrt(dist, out=dist)
         for i in range(0, n, _AUDIT_PIECE):
@@ -896,11 +963,15 @@ class RowContext:
     membership test and cell lookup at once), the active volume, and per
     species pair the reference-energy change: a birth of species s adds
     ``dref[s][s]`` and a death takes it away, a flip from s to s2 adds
-    ``dref[s][s2]``."""
+    ``dref[s][s2]``.  An active cell off the interior raises ValueError: a
+    birth there would put a mobile particle on the collar."""
 
     __slots__ = ("active", "flat", "volume", "dref")
 
     def __init__(self, system: ParticleSystem, active: list):
+        cells = np.asarray(active, dtype=np.int64).reshape(-1, system.region.d)
+        if np.any((cells < 0) | (cells >= system.n_int)):
+            raise ValueError("active cells must be interior cells")
         phase, S = system.phase, system.region.S
         m = phase.neighbor_sum
         self.active = active
@@ -984,11 +1055,15 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext
         sub = None if grid is None else grid.index(xs)
         r_new = np.array(xs)
 
-        def commit(system, local_ids, i):
-            # refiled even within one cell: the particle moves to its row's end
-            system._unfile(i)
-            system.pos[i] = r_new
-            system._file(i, c_new, sub)
+        if c_new == c:
+            def commit(system, local_ids, i):
+                system.pos[i] = r_new
+                system._refile(i, sub)
+        else:
+            def commit(system, local_ids, i):
+                system._unfile(i)
+                system.pos[i] = r_new
+                system._file(i, c_new, sub)
         return Proposal([(+1, r_new, s, c_new), (-1, r, s, c)], sub, 0.0, 0, 1.0, pick, commit)
     s_new = (s + 1 + int(u_c * (region.S - 1))) % region.S
 

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -85,7 +86,8 @@ def audit_oracle(system) -> float:
 def kdtree_energy(system) -> float:
     """The energy audit by k-d tree pair search: every unlike-species pair
     within range that is not frozen-frozen, as ``cKDTree.query_pairs``
-    lists them."""
+    lists them.  The squared distances are sorted before the square root
+    and V, as the audit sorts them, so the two sums agree bit for bit."""
     from scipy.spatial import cKDTree
 
     phase = system.phase
@@ -94,7 +96,9 @@ def kdtree_energy(system) -> float:
     i, j = live[pairs[:, 0]], live[pairs[:, 1]]
     keep = (system.spin[i] != system.spin[j]) & ~(system.frozen[i] & system.frozen[j])
     i, j = i[keep], j[keep]
-    dist = np.sqrt(((system.pos[i] - system.pos[j]) ** 2).sum(axis=1))
+    dist2 = ((system.pos[i] - system.pos[j]) ** 2).sum(axis=1)
+    dist2.sort()
+    dist = np.sqrt(dist2)
     mobile_spins = system.spin[live[~system.frozen[live]]]
     h_pair = float(np.sum(system.potential(dist))) - phase.lam * len(mobile_spins)
     h_ref = float(np.sum(phase.neighbor_sum[mobile_spins] - phase.lambda_beta))
@@ -630,11 +634,15 @@ def test_total_energy_of_empty_system():
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.6, 1.0]), st.integers(0, 2**16),
-       st.booleans(), st.booleans(), st.sampled_from([1, 300, sim._PAIR_BLOCK_ELEMENTS]))
-def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap):
-    # the cell-pair audit against the O(n^2) sum and the k-d tree pair
-    # search; a cap of 1 takes one cell per group
-    region = index_region(d)
+       st.booleans(), st.booleans(), st.sampled_from([1, 300, sim._PAIR_BLOCK_ELEMENTS]),
+       st.sampled_from([1, 2]))
+@example(2, 1.0, 0, True, False, 300, 2)  # a collar two cells wide
+@example(3, 0.6, 0, True, True, 1, 2)
+def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap, w):
+    # the cell-pair audit against the O(n^2) sum and, bit for bit, the k-d
+    # tree pair search; a cap of 1 takes one cell pair per group.  A collar
+    # w cells wide leaves out collar-collar cell pairs out to offsets of w
+    region = index_region(d, w)
     vol = region.cell_volume
     phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
                             zeta=2.0 / vol, t=t)
@@ -653,10 +661,12 @@ def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap):
         assert system.members.shape[1] > system.CAP
     system.remove_particles(system.mobile_ids[::3])  # free slots
     assert (system.fill[system.flat_cells(np.indices((system.n_int,) * d).reshape(d, -1).T)] == 0).any()
+    assert system.w == w
     with mock.patch.object(sim, "_PAIR_BLOCK_ELEMENTS", cap):
         got = system.total_energy()
-    for want in (audit_oracle(system), kdtree_energy(system)):
-        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+    assert got == kdtree_energy(system)
+    want = audit_oracle(system)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 def test_total_energy_work_arrays_hold_no_stale_state(monkeypatch):
@@ -952,6 +962,11 @@ def _changes(system, kind, rng):
        st.sampled_from(["birth", "death", "flip", "displace_within", "displace_across"]),
        st.booleans(), st.booleans())
 @example(2, 0, "flip", False, False)  # the +1 change's species differs from skip's: skip masked by id
+@example(2, 0, "displace_within", False, False)  # one pass over both changes
+@example(2, 0, "displace_within", True, False)
+@example(3, 0, "displace_within", False, False)
+@example(3, 0, "displace_within", True, False)
+@example(2, 0, "displace_across", False, False)
 def test_pair_delta_is_the_per_change_oracle_sum(d, seed, kind, crowded, no_skip):
     # bit-exact: the one-gather sum against one oracle gather per change
     region = index_region(d)
@@ -1018,6 +1033,33 @@ def test_add_particles_refuses_a_point_whose_cell_rounds_onto_the_collar():
     assert system.counts[-1].tolist() == [1, 0]
 
 
+def test_add_boundary_refuses_a_point_whose_cell_rounds_onto_the_interior():
+    # side = 7 * 2.6 = 18.2, and 18.2 / 0.65 rounds down to 27.999999999999996:
+    # a point on the box's far face, outside the box, lies on interior cell 27
+    region = sim.SimRegion(d=1, S=2, gamma=1 / 1.3, ell0=0.65, ell_minus=0.65, ell_plus=2.6, n_plus=7)
+    system = make_system(region=region)
+    assert system.n_int == 28 and math.floor(region.side / region.ell_minus) == 27
+    with pytest.raises(ValueError, match="inside the box"):
+        system.add_boundary([[-0.3], [region.side]], [0, 1])
+    assert not system.fill.any()
+    edge = region.side
+    while math.floor(edge / region.ell_minus) < system.n_int:
+        edge = math.nextafter(edge, math.inf)
+    system.add_boundary([[edge]], [1])
+    assert system.cell_counts()[system.flat_cell((28,))].tolist() == [0, 1]
+
+
+def test_sweep_refuses_active_cells_off_the_interior():
+    # a birth on a collar cell would file a mobile particle there, where the
+    # energy audit, which skips collar-collar cell pairs, would miss its
+    # pairs with the frozen particles around it
+    system = make_system(region=index_region(2))
+    for active in ([(-1, 0)], [(0, 0), (0, system.n_int)]):
+        with pytest.raises(ValueError, match="interior"):
+            sim.metropolis_sweep(system, sim.MoveKernel(), n_moves=5, active=active)
+    assert not system.mobile_ids
+
+
 @pytest.mark.parametrize("bad", ["frozen", "repeated", "dead", "unknown"])
 def test_remove_particles_rejects_bad_ids_before_any_edit(bad):
     region = index_region(2)
@@ -1059,10 +1101,13 @@ def test_neighbor_sum_is_built_once_per_rho_ref():
     assert phase.neighbor_sum.tolist() == [1.0, 1.0]
 
 
-def index_region(d):
+def index_region(d, w=1):
+    """A box of cells of side 2 with a collar ``w`` (1 or 2) cells wide, the
+    range being w cells."""
     if d == 3:
-        return sim.SimRegion(d=3, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=2)
-    return sim.SimRegion(d=d, S=3, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=2)
+        return sim.SimRegion(d=3, S=2, gamma=0.5 / w, ell0=1.0, ell_minus=2.0, ell_plus=2.0 * w,
+                             n_plus=3 - w)
+    return sim.SimRegion(d=d, S=3, gamma=0.5 / w, ell0=1.0, ell_minus=2.0, ell_plus=4.0, n_plus=2)
 
 
 def _filed_in_order(system, stamp):
@@ -1095,6 +1140,7 @@ def _filed_in_order(system, stamp):
 @given(st.sampled_from([1, 2, 3]), st.integers(0, 2**16),
        st.lists(st.sampled_from(["insert", "collar", "remove", "sweep", "bulk"]), min_size=1, max_size=8))
 @example(2, 0, ["remove", "bulk"])  # both unfiling paths
+@example(2, 0, ["sweep"] * 8)  # displacements within a cell, each refiled by one row shift
 def test_cell_index_matches_position_scan(d, seed, ops):
     from pottsgas.fixtures import fill_boundary
 
@@ -1163,6 +1209,54 @@ def test_cell_index_matches_position_scan(d, seed, ops):
     _filed_in_order(clone, stamp)
 
 
+@pytest.mark.parametrize("table", [False, True])
+def test_displacement_within_a_cell_shifts_its_row_once(table):
+    # the particle goes to the end of its row and the rest of the row keeps
+    # its order; fills, counts, the other rows and the other cells' stamps
+    # stay; the cell takes one new stamp; a live subcell table follows the
+    # particle into its new subcell
+    region = index_region(2)
+    vol, ell = region.cell_volume, region.ell_minus
+    phase = sim.PhaseTarget(rho_ref=np.full(region.S, 4.0 / vol), lambda_beta=0.7,
+                            zeta=2.0 / vol, t=1.0)
+    system = sim.ParticleSystem(region, phase, seed=3)
+    fx.fill_boundary(system, seed=4)
+    system.seed_phase_configuration()
+    if not table:
+        system.energy  # a known energy keeps no subcell table
+    assert (system._subcounts is not None) == table
+    local_ids = list(system.mobile_ids)
+    i = local_ids[0]
+    c = system.cell[i]
+    assert system.members[c, 0] == i and system.fill[c] > 1
+    centre = (np.floor(system.pos[i] / ell) + 0.5) * ell
+    kernel = sim.MoveKernel(step=ell)
+    row = _row("displace", 0.5 / len(local_ids), 0.5 + (centre - system.pos[i]) / (2 * ell), 0.5)
+    active = [tuple(cell) for cell in np.ndindex(system.n_int, system.n_int)]
+    move = sim._propose(system, kernel, row, sim.RowContext(system, active), local_ids)
+    assert move.changes[0][3] == c and np.allclose(move.changes[0][1], centre)
+    before = copy.deepcopy(system)
+    with mock.patch.object(sim, "_STAMPS", itertools.count(10**9)):
+        move.commit(system, local_ids, i)
+        assert next(sim._STAMPS) == 10**9 + 1  # one stamp drawn
+    n = system.fill[c]
+    filed = before.members[c, :n].tolist()
+    assert system.members[c, :n].tolist() == filed[1:] + [i]
+    assert np.all(system.members[c, n:] == -1)
+    others = np.arange(len(system.fill)) != c
+    assert np.array_equal(system.members[others], before.members[others])
+    for name in ("fill", "_counts", "cell"):
+        assert np.array_equal(getattr(system, name), getattr(before, name)), name
+    assert system.stamp == system.cell_stamps[c] == 10**9
+    assert np.array_equal(system.cell_stamps[others], before.cell_stamps[others])
+    assert system.pos[i].tolist() == move.changes[0][1].tolist()
+    if table:
+        assert system._subcell[i] != before._subcell[i]
+        assert subcell_table(system) == subcell_scan(system) and not stale_subcells(system)
+    else:
+        assert system._subcounts is None
+
+
 def subcell_scan(system) -> dict:
     """{(subcell coordinates..., species): count} of the live particles,
     from a scan of pos, spin and alive: a point x lies in subcell
@@ -1196,7 +1290,8 @@ def stale_subcells(system) -> list:
 
 def on_faces(system, n, rng, collar=False):
     """n points on subcell faces, each coordinate either exactly on a face
-    or one ulp below it, inside the box or on the collar."""
+    or one ulp below it, inside the box on an interior cell or outside it
+    on a collar cell, as add_particles and add_boundary take them."""
     region = system.region
     K, ell, L = sim._SUBCELLS, region.ell_minus, region.side
     lo, hi = (-system.w * K, (system.n_int + system.w) * K) if collar else (1, system.n_int * K)
@@ -1205,7 +1300,12 @@ def on_faces(system, n, rng, collar=False):
         faces = rng.integers(lo, hi, region.d) * ell / K
         below = rng.random(region.d) < 0.5
         r = np.where(below, np.nextafter(faces, -np.inf), faces)
-        if collar != bool(np.all((r >= 0.0) & (r < L))) and np.all(r >= -system.w * ell):
+        inner = np.floor(r / ell) < system.n_int
+        if collar:
+            ok = not np.all((r >= 0.0) & ((r < L) | inner)) and np.all(r >= -system.w * ell)
+        else:
+            ok = np.all((r >= 0.0) & (r < L) & inner)
+        if ok:
             pts.append(r)
     return np.array(pts)
 

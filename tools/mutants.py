@@ -9,9 +9,10 @@ the text that replaces it, and the tests that should kill it.  The runner
 copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory
 (under ``$TMPDIR``), runs each distinct test list once on the unmutated copy,
 which must pass, then applies each mutant in turn and runs its tests with
-``-x -m "not slow"``.  A pytest exit of 1 kills the mutant, 0 lets it survive;
-any other exit (a test that no longer exists, a collection error) or an old
-text that is missing or not unique is an error.
+``-x -m "not slow" --hypothesis-seed=0``, so that a kill that rests on a
+drawn example is drawn again on every run.  A pytest exit of 1 kills the
+mutant, 0 lets it survive; any other exit (a test that no longer exists, a
+collection error) or an old text that is missing or not unique is an error.
 
 A mutant listed with ``survives`` and its reason is expected to survive; the
 run fails on a survivor that is not listed, and on any error.  A listed
@@ -40,7 +41,7 @@ def run_tests(tree: Path, tests: list[str]) -> tuple[int, float]:
     wall time it took."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-m", "not slow", "-p", "no:cacheprovider",
-           *tests]
+           "--hypothesis-seed=0", *tests]
     start = time.perf_counter()
     try:
         rc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
