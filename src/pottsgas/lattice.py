@@ -609,6 +609,10 @@ class DecayFloorError(ValueError):
     they are all equal: there is no decay to fit."""
 
 
+_DECAY_FLOOR = 1e-14  # smallest per-cell difference decay_experiment fits
+_DECAY_TOL = 1e-12  # fixed-point tolerance of decay_experiment's two minimizations
+
+
 @dataclass
 class DecayFit:
     omega_hat: float
@@ -619,14 +623,13 @@ class DecayFit:
 
 
 def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
-                     far_mask: np.ndarray, kernel: CoarseKernel, cfg: FunctionalConfig,
-                     floor: float = 1e-14, tol: float = 1e-12) -> DecayFit:
+                     far_mask: np.ndarray, kernel: CoarseKernel, cfg: FunctionalConfig) -> DecayFit:
     """Minimize with two boundaries differing only inside a far region and
     fit log(difference) against gamma times the distance to that region.
 
     ``far_mask`` is a boolean array over the extended grid marking the far
     region; the two boundary fields must agree exactly outside it, since the
-    fit reads differences down to ``floor``.
+    fit reads differences down to ``_DECAY_FLOOR``.
     """
     spec = boundary_a.spec
     if far_mask.shape != boundary_a.values.shape[:-1]:
@@ -638,8 +641,8 @@ def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
     if np.any(far_mask & ~boundary_a.boundary_mask()):
         raise ValueError("far region must sit in the boundary collar")
 
-    fa = minimize(boundary_a, kernel, cfg, tol=tol).field
-    fb = minimize(boundary_b, kernel, cfg, tol=tol).field
+    fa = minimize(boundary_a, kernel, cfg, tol=_DECAY_TOL).field
+    fb = minimize(boundary_b, kernel, cfg, tol=_DECAY_TOL).field
     diff = np.max(np.abs(fa.interior - fb.interior), axis=-1)  # per cell
 
     # distances between cell centers, in length units
@@ -651,7 +654,7 @@ def decay_experiment(boundary_a: LatticeField, boundary_b: LatticeField,
     ) * spec.ell
 
     vals = diff.reshape(-1)
-    keep = vals > floor
+    keep = vals > _DECAY_FLOOR
     fit = _log_linear_fit(spec.gamma * dists[keep], np.log(vals[keep]))
     if fit is None:
         raise DecayFloorError("fewer than two differences above the floor, or all "

@@ -102,28 +102,30 @@ class PolymerSet:
         return len(self.polymers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LadderSpec:
     """Accuracy ladder: zeta_n = (2 c_star)^-n * zeta, n = 0..m_bar, with
     m_bar = 2^d + 2, plus the two audit-ball radii as fractions of the coarse
-    cube side (the strict flag restores the vanishing theoretical values)."""
+    cube side.  A value: ``levels``, the rungs zeta_0..zeta_m_bar, are built
+    once here, read-only; ``dataclasses.replace`` makes a new ladder, and a
+    deep copy is the ladder itself."""
 
     zeta: float
     d: int
     c_star: float = 2.0
     ball_fraction: float = 0.25
     inner_ball_fraction: float = 0.1
-    strict: bool = False
-    # ((zeta, c_star, d), rungs) of the last levels read; see there
-    _levels: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("zeta", "c_star"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"ladder {name} must be positive and finite, got {getattr(self, name)}")
-        if self.strict:
-            self.ball_fraction = 1e-10
-            self.inner_ball_fraction = 1e-30
+        rungs = self.zeta * self.c_acc ** (-np.arange(self.m_bar + 1, dtype=float))
+        rungs.flags.writeable = False
+        object.__setattr__(self, "levels", rungs)
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def c_acc(self) -> float:
@@ -132,18 +134,6 @@ class LadderSpec:
     @property
     def m_bar(self) -> int:
         return 2**self.d + 2
-
-    @property
-    def levels(self) -> np.ndarray:
-        """The rungs zeta_0..zeta_m_bar, read-only.  Built once per value of
-        the fields they depend on: the fields are mutable, so a change to
-        zeta, c_star or d rebuilds them on the next read."""
-        key = (self.zeta, self.c_star, self.d)
-        if self._levels is None or self._levels[0] != key:
-            rungs = self.zeta * self.c_acc ** (-np.arange(self.m_bar + 1, dtype=float))
-            rungs.flags.writeable = False
-            self._levels = (key, rungs)
-        return self._levels[1]
 
     def bin_deviations(self, b: np.ndarray) -> np.ndarray:
         """Ladder index of each deviation: 0 outside (at or above zeta_2),
@@ -165,8 +155,8 @@ class PairedState:
     polymers1: PolymerSet = field(default_factory=PolymerSet)
     polymers2: PolymerSet = field(default_factory=PolymerSet)
     ladder: LadderSpec | None = None
-    # ((rho_ref, levels) bytes, stamps, cell stamps of each chain, same, dev,
-    # bins) of the last cell_table; see there
+    # (ladder, stamps, cell stamps of each chain, same, dev, bins) of the
+    # last cell_table; see there
     _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,17 +183,17 @@ class PairedState:
         Patched per cell: when either chain's stamp has moved since the last
         read, only the cells whose ``cell_stamps`` moved in either chain are
         sorted, compared and binned again.  The first read, and the first
-        after rho_ref or the ladder's levels changed, patches every cell."""
+        after the ladder was replaced, patches every cell; a chain's phase,
+        so ``rho_ref``, is fixed."""
         sys1, sys2, ladder = self.sys1, self.sys2, self.ladder
         rho_ref = sys1.phase.rho_ref
-        basis = (rho_ref.tobytes(), ladder.levels.tobytes())
-        if self._table is None or self._table[0] != basis:
+        if self._table is None or self._table[0] is not ladder:
             n = len(sys1.cell_stamps)
             unseen = np.full(n, -1, dtype=np.int64)
             dev = np.append(np.zeros(n), np.max(np.abs(rho_ref)))
-            self._table = (basis, None, unseen, unseen, np.ones(n + 1, dtype=bool), dev,
+            self._table = (ladder, None, unseen, unseen, np.ones(n + 1, dtype=bool), dev,
                            ladder.bin_deviations(dev))
-        basis, key, stamps1, stamps2, same, dev, bins = self._table
+        _, key, stamps1, stamps2, same, dev, bins = self._table
         if key == (sys1.stamp, sys2.stamp):
             return same, dev, bins
         rows = np.flatnonzero((sys1.cell_stamps != stamps1) | (sys2.cell_stamps != stamps2))
@@ -216,7 +206,7 @@ class PairedState:
                       & (pos1[:, :k] == pos2[:, :k]).all(axis=(1, 2)))
         dev[rows] = np.max(np.abs(counts / self.region.cell_volume - rho_ref), axis=1)
         bins[rows] = ladder.bin_deviations(dev[rows])
-        self._table = (basis, (sys1.stamp, sys2.stamp), sys1.cell_stamps.copy(),
+        self._table = (ladder, (sys1.stamp, sys2.stamp), sys1.cell_stamps.copy(),
                        sys2.cell_stamps.copy(), same, dev, bins)
         return same, dev, bins
 
@@ -287,8 +277,6 @@ class _CubeLattice:
         self._local = self.cpc ** np.arange(d - 1, -1, -1)
         corners = (cubes[:, None] - 1 + _block_offsets(3, d)) * self.cpc
         self.neighbours = self.rows(corners) // self.block
-        self.adjacent = {c: [self.cubes[n] for n in row if n < self.n_codes]
-                         for c, row in zip(self.cubes, self.neighbours.tolist())}
         self._balls, self._flat = {}, None
 
     def mask(self, cubes) -> np.ndarray:
@@ -452,7 +440,8 @@ class CubePartition:
             self.stopped = True
             return None
         chosen = next((c for c in bad if c in polymer_cubes), bad[0])
-        return chosen, [q for q in self.lattice.adjacent[chosen] if q in self._lambda]
+        codes = self.lattice.neighbours[self.lattice.code[chosen]]
+        return chosen, [self.lattice.cubes[q] for q in codes[self._inside[codes]].tolist()]
 
     def peel(self, chosen: tuple, sigma: list, statuses: dict):
         """Record the step and take the grid cubes ``sigma`` out of the

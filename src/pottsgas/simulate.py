@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -94,11 +94,13 @@ class SimRegion:
         return self.ell_minus**self.d
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseTarget:
     """Reference phase data: densities per species, tangent chemical
     potential, temperature, accuracy window, interpolation weight and the
-    actual chemical potential used in the pair energy."""
+    actual chemical potential used in the pair energy.  A value: ``rho_ref``
+    is a read-only copy, and ``neighbor_sum`` (per species, the summed
+    reference density of the other species) is built once, read-only."""
 
     rho_ref: np.ndarray
     lambda_beta: float
@@ -106,28 +108,20 @@ class PhaseTarget:
     zeta: float = 0.5
     t: float = 1.0
     lam: float | None = None
-    # (rho_ref bytes, sums) of the last neighbor_sum read; see there
-    _neighbor_sum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rho_ref = np.asarray(self.rho_ref, dtype=float)
+        rho_ref = np.array(self.rho_ref, dtype=float)
+        sums = rho_ref.sum() - rho_ref
+        rho_ref.flags.writeable = sums.flags.writeable = False
+        object.__setattr__(self, "rho_ref", rho_ref)
+        object.__setattr__(self, "neighbor_sum", sums)
         if self.lam is None:
-            self.lam = self.lambda_beta
+            object.__setattr__(self, "lam", self.lambda_beta)
         if not 0 <= self.t <= 1:
             raise ValueError("t must lie in [0,1]")
 
-    @property
-    def neighbor_sum(self) -> np.ndarray:
-        """Per species, the summed reference density of the other species,
-        read-only.  Built once per value of ``rho_ref``: the field is
-        mutable, in place too, so a changed ``rho_ref`` rebuilds it on the
-        next read."""
-        key = self.rho_ref.tobytes()
-        if self._neighbor_sum is None or self._neighbor_sum[0] != key:
-            sums = self.rho_ref.sum() - self.rho_ref
-            sums.flags.writeable = False
-            self._neighbor_sum = (key, sums)
-        return self._neighbor_sum[1]
+    def __deepcopy__(self, memo):
+        return self
 
 
 def occupancy_window(phase: PhaseTarget, volume: float) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +317,7 @@ class ParticleSystem:
 
     def __init__(self, region: SimRegion, phase: PhaseTarget, seed: int = 0):
         self.region = region
-        self.phase = phase
+        self._phase = phase
         self.rng = np.random.default_rng(seed)
         d, S = region.d, region.S
         self.potential = _potential_cache(region.gamma, d)
@@ -372,26 +366,32 @@ class ParticleSystem:
     def __deepcopy__(self, memo):
         """An independent system with the same particles, stamps and random
         state.  Arrays, lists and dicts are copied whole (their items are
-        numbers); region, phase and rng are deep-copied through ``memo``, so
-        systems copied together still share one region; the process-cached
-        pair potential is shared."""
+        numbers) and rng is deep-copied through ``memo``; the region, the
+        phase and the process-cached pair potential are values, shared."""
         clone = memo[id(self)] = object.__new__(type(self))
         for name, value in vars(self).items():
             if isinstance(value, (np.ndarray, list, dict)):
                 value = value.copy()
-            elif name in ("region", "phase", "rng"):
+            elif name == "rng":
                 value = copy.deepcopy(value, memo)
             setattr(clone, name, value)
         return clone
 
     @property
+    def phase(self) -> PhaseTarget:
+        """The phase sampled, fixed when the system is built, as its region is."""
+        return self._phase
+
+    @property
     def counts(self) -> np.ndarray:
         """Species counts of the interior cells, shape ``(n_int,)*d + (S,)``;
-        a view, so writes reach the system.  Built on each access: a stored
-        view would not stay tied to its base through ``copy.deepcopy``."""
+        a read-only view.  Built on each access: a stored view would not
+        stay tied to its base through ``copy.deepcopy``."""
         d, w = self.region.d, self.w
         grid = self._counts.reshape((self.n_ext,) * d + (self.region.S,))
-        return grid[(slice(w, w + self.n_int),) * d]
+        out = grid[(slice(w, w + self.n_int),) * d]
+        out.flags.writeable = False
+        return out
 
     @property
     def energy(self) -> float:

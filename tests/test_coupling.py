@@ -296,8 +296,10 @@ def twin_pair(start, t, seed=5):
         return fx.make_mismatched_pair(region, phase, seed)
     pair = fx.make_identical_pair(region, phase, seed)
     if start == "lambda":
-        # lam stays 1.5: only the reference energy's tangent value differs
-        pair.sys2.phase = dataclasses.replace(phase, lambda_beta=1.25)
+        # lam stays 1.5: only the reference energy's tangent value differs.
+        # The second chain holds the same particles, under its own phase
+        other = fx.make_identical_pair(region, dataclasses.replace(phase, lambda_beta=1.25), seed)
+        pair = scr.PairedState(pair.sys1, other.sys2)
     elif start == "duplicates":
         # each chain drops its particle y at (5, 5), and the swap-removal
         # moves the last duplicate a2 of cell (1, 1) into y's local slot:

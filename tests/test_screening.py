@@ -75,6 +75,17 @@ def identical_pair(seed=0):
     return fx.make_identical_pair(verify_region(), verify_phase(), seed, ladder=make_ladder())
 
 
+def rebuilt(system, phase, species):
+    """A fresh chain under ``phase`` with ``system``'s particles, frozen
+    ones first, each kind in slot order, species s relabelled species[s]."""
+    out = sim.ParticleSystem(system.region, phase)
+    ids = np.flatnonzero(system.alive)
+    frozen, spin = system.frozen[ids], species[system.spin[ids]]
+    out.add_boundary(system.pos[ids[frozen]], spin[frozen])
+    out.add_particles(system.pos[ids[~frozen]], spin[~frozen])
+    return out
+
+
 def test_ladder_levels_and_bins():
     lad = scr.LadderSpec(zeta=0.5, d=2, c_star=2.0)
     assert lad.m_bar == 6
@@ -87,21 +98,28 @@ def test_ladder_levels_and_bins():
     assert bin_deviation(lad, z[2]) == 0  # at or above the coarsest rung
     assert bin_deviation(lad, z[6] * 0.5) == lad.m_bar  # below the bottom rung
     assert bin_deviation(lad, z[5] * 1.0001) == 4
-    strict = scr.LadderSpec(zeta=0.5, d=2, strict=True)
-    assert strict.ball_fraction == 1e-10
+    # the audit balls do not touch the rungs
+    tiny = scr.LadderSpec(zeta=0.5, d=2, ball_fraction=1e-10, inner_ball_fraction=1e-30)
+    assert np.array_equal(tiny.levels, z)
 
 
 def test_ladder_levels_follow_their_fields():
+    # a ladder is a value: its rungs are built once, a field cannot be
+    # assigned, and a replaced ladder has its own rungs
     lad = scr.LadderSpec(zeta=0.5, d=2, c_star=2.0)
-    assert lad.levels is lad.levels  # built once per field values
+    first = lad.levels
+    assert lad.levels is first and copy.deepcopy(lad) is lad
     with pytest.raises(ValueError):
         lad.levels[0] = 1.0
-    lad.zeta = 0.8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lad.zeta = 0.8
+    lad = dataclasses.replace(lad, zeta=0.8)
     assert np.array_equal(lad.levels, 0.8 * 4.0 ** (-np.arange(7.0)))
+    assert np.array_equal(first, 0.5 * 4.0 ** (-np.arange(7.0)))
     assert bin_deviation(lad, 0.8 * 4.0**-3) == 2  # [zeta_3, zeta_2)
-    lad.c_star = 1.0
+    lad = dataclasses.replace(lad, c_star=1.0)
     assert np.array_equal(lad.levels, 0.8 * 2.0 ** (-np.arange(7.0)))
-    lad.d = 3
+    lad = dataclasses.replace(lad, d=3)
     assert np.array_equal(lad.levels, 0.8 * 2.0 ** (-np.arange(11.0)))
     assert bin_deviation(lad, 0.8 * 2.0**-10) == 9  # [zeta_10, zeta_9)
     assert bin_deviation(lad, 0.8 * 2.0**-11) == 10 == lad.m_bar
@@ -629,16 +647,18 @@ def test_batched_k_and_theta_match_the_per_cell_oracles(case, inner_ball, data):
 @PROPERTY
 @given(screening_case(), st.floats(0.005, 5.0), st.sampled_from([0.25, 0.5]), st.booleans(),
        st.booleans())
-def test_k_and_theta_follow_a_ladder_changed_after_the_table(case, zeta, c_star, strict, inner_ball):
+def test_k_and_theta_follow_a_ladder_changed_after_the_table(case, zeta, c_star, tiny_balls,
+                                                             inner_ball):
     # the table was read on the first ladder; the second has rungs that do
-    # not decrease (c_star <= 0.5), and a strict one, a new ladder, shrinks
-    # the audit balls; the others change the first ladder in place
+    # not decrease (c_star <= 0.5), and with tiny_balls also the vanishing
+    # theoretical audit balls; the others keep the first ladder's balls
     pair, lam, cells = case
     scr.k_values(pair, lam, cells, inner_ball)
-    if strict:
-        pair.ladder = scr.LadderSpec(zeta=zeta, d=2, c_star=c_star, strict=True)
+    if tiny_balls:
+        pair.ladder = scr.LadderSpec(zeta=zeta, d=2, c_star=c_star, ball_fraction=1e-10,
+                                     inner_ball_fraction=1e-30)
     else:
-        pair.ladder.zeta, pair.ladder.c_star = zeta, c_star
+        pair.ladder = dataclasses.replace(pair.ladder, zeta=zeta, c_star=c_star)
     k = scr.k_values(pair, lam, cells, inner_ball)
     assert k.tolist() == [k_oracle(pair, lam, cell, inner_ball) for cell in cells]
     assert (scr.theta_events(pair, cells, k).tolist()
@@ -673,16 +693,13 @@ def test_m_function_matches_the_offset_loop(case):
 def test_k_function_is_invariant_under_species_relabelling(case, data):
     pair, lam, cells = case
     perm = np.array(data.draw(st.permutations(range(pair.region.S))))
-    # species s becomes perm[s] in both chains' live slots and in rho_ref;
-    # the sentinel keeps its species S
-    relabelled = copy.deepcopy(pair)
+    # species s becomes perm[s] in both chains and in rho_ref: the chains are
+    # built again under the relabelled phase
     rho_ref = np.empty_like(pair.sys1.phase.rho_ref)
     rho_ref[perm] = pair.sys1.phase.rho_ref
     phase = dataclasses.replace(pair.sys1.phase, rho_ref=rho_ref)
-    for system in (relabelled.sys1, relabelled.sys2):
-        live = system.alive
-        system.spin[live] = perm[system.spin[live]]
-        system.phase = phase
+    relabelled = scr.PairedState(rebuilt(pair.sys1, phase, perm), rebuilt(pair.sys2, phase, perm),
+                                 ladder=pair.ladder)
     for cell in cells:
         assert scr.k_function(relabelled, lam, cell) == scr.k_function(pair, lam, cell)
 
@@ -956,16 +973,21 @@ def test_cell_table_matches_the_cell_loop_after_every_edit(geometry, seed, ident
 
 @pytest.mark.parametrize("in_place", [True, False])
 def test_cell_table_follows_a_changed_rho_ref(in_place):
-    # dev depends on rho_ref, which can change in place or with a new phase:
-    # the next read works out every cell again
+    # dev depends on rho_ref, and the cell table is keyed on the ladder
+    # alone: a change of rho_ref, in place or with a new phase, is refused,
+    # so the table read before it still matches every cell
     pair = fx.make_mismatched_pair(verify_region(), verify_phase(), 8, ladder=make_ladder())
     pair.cell_table()
+    phase = pair.sys1.phase
     rho_ref = np.array([1.5, 0.25])
     if in_place:
-        pair.sys1.phase.rho_ref[:] = rho_ref
+        with pytest.raises(ValueError):
+            phase.rho_ref[:] = rho_ref
     else:
-        pair.sys1.phase = dataclasses.replace(pair.sys1.phase, rho_ref=rho_ref)
-    _check_table_sorting(pair, np.arange(len(pair.sys1.cell_stamps)))
+        with pytest.raises(AttributeError):
+            pair.sys1.phase = dataclasses.replace(phase, rho_ref=rho_ref)
+    assert pair.sys1.phase is phase and phase.rho_ref.tolist() == verify_phase().rho_ref.tolist()
+    _check_table(pair)
 
 
 def test_k_function_ignores_a_difference_outside_the_corner_ball():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -1090,15 +1091,27 @@ def test_remove_particles_rejects_bad_ids_before_any_edit(bad):
 
 
 def test_neighbor_sum_is_built_once_per_rho_ref():
-    phase = sim.PhaseTarget(rho_ref=np.array([1.0, 2.0, 4.0]), lambda_beta=0.5)
+    rho_ref = np.array([1.0, 2.0, 4.0])
+    phase = sim.PhaseTarget(rho_ref=rho_ref, lambda_beta=0.5)
     first = phase.neighbor_sum
     assert first.tolist() == [6.0, 5.0, 3.0]
-    assert phase.neighbor_sum is first
-    assert not first.flags.writeable
-    phase.rho_ref[0] = 2.0  # an edit in place rebuilds
-    assert phase.neighbor_sum.tolist() == [6.0, 6.0, 4.0]
-    phase.rho_ref = np.array([1.0, 1.0])  # and so does a new array
-    assert phase.neighbor_sum.tolist() == [1.0, 1.0]
+    assert phase.neighbor_sum is first and copy.deepcopy(phase) is phase
+    assert not first.flags.writeable and not phase.rho_ref.flags.writeable
+    rho_ref[0] = 2.0  # the phase holds its own copy of the caller's array
+    assert phase.rho_ref.tolist() == [1.0, 2.0, 4.0]
+    assert phase.neighbor_sum is first and first.tolist() == [6.0, 5.0, 3.0]
+    other = dataclasses.replace(phase, rho_ref=np.array([1.0, 1.0]))  # a new phase, new sums
+    assert other.neighbor_sum.tolist() == [1.0, 1.0] and phase.neighbor_sum is first
+
+
+def test_counts_is_a_read_only_view():
+    # a write would put the counts out of step with the member rows
+    system = sim.ParticleSystem(index_region(2), sim.PhaseTarget(np.full(3, 0.5), 0.5))
+    system.add_particles([[1.0, 1.0]], [2])
+    counts = system.counts
+    assert np.shares_memory(counts, system._counts) and counts[0, 0].tolist() == [0, 0, 1]
+    with pytest.raises(ValueError):
+        counts[0, 0, 2] = 0
 
 
 def index_region(d, w=1):
@@ -1498,6 +1511,7 @@ def test_deepcopy_of_a_pair_is_an_independent_clone():
         assert {"mobile_ids", "_free", "_mobile_slot", "audit_log"} <= set(vars(theirs))
         assert mine.stamp == theirs.stamp
         assert mine.potential is theirs.potential  # the process-cached table
+        assert mine.phase is theirs.phase and mine.region is theirs.region  # values, shared
         for name, value in vars(theirs).items():
             if isinstance(value, np.ndarray):
                 assert not np.shares_memory(getattr(mine, name), value), name
