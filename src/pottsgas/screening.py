@@ -155,8 +155,8 @@ class PairedState:
     polymers1: PolymerSet = field(default_factory=PolymerSet)
     polymers2: PolymerSet = field(default_factory=PolymerSet)
     ladder: LadderSpec | None = None
-    # (ladder, stamps, cell stamps of each chain, same, dev, bins) of the
-    # last cell_table; see there
+    # (ladder, both chains, stamps, cell stamps of each chain, same, dev,
+    # bins) of the last cell_table; see there
     _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -183,17 +183,18 @@ class PairedState:
         Patched per cell: when either chain's stamp has moved since the last
         read, only the cells whose ``cell_stamps`` moved in either chain are
         sorted, compared and binned again.  The first read, and the first
-        after the ladder was replaced, patches every cell; a chain's phase,
-        so ``rho_ref``, is fixed."""
+        after the ladder or either chain was replaced, starts a fresh table
+        and patches every cell; a chain's phase, so ``rho_ref``, is fixed."""
         sys1, sys2, ladder = self.sys1, self.sys2, self.ladder
         rho_ref = sys1.phase.rho_ref
-        if self._table is None or self._table[0] is not ladder:
+        if (self._table is None or self._table[0] is not ladder
+                or self._table[1] is not sys1 or self._table[2] is not sys2):
             n = len(sys1.cell_stamps)
             unseen = np.full(n, -1, dtype=np.int64)
             dev = np.append(np.zeros(n), np.max(np.abs(rho_ref)))
-            self._table = (ladder, None, unseen, unseen, np.ones(n + 1, dtype=bool), dev,
-                           ladder.bin_deviations(dev))
-        _, key, stamps1, stamps2, same, dev, bins = self._table
+            self._table = (ladder, sys1, sys2, None, unseen, unseen, np.ones(n + 1, dtype=bool),
+                           dev, ladder.bin_deviations(dev))
+        *_, key, stamps1, stamps2, same, dev, bins = self._table
         if key == (sys1.stamp, sys2.stamp):
             return same, dev, bins
         rows = np.flatnonzero((sys1.cell_stamps != stamps1) | (sys2.cell_stamps != stamps2))
@@ -206,7 +207,7 @@ class PairedState:
                       & (pos1[:, :k] == pos2[:, :k]).all(axis=(1, 2)))
         dev[rows] = np.max(np.abs(counts / self.region.cell_volume - rho_ref), axis=1)
         bins[rows] = ladder.bin_deviations(dev[rows])
-        self._table = (ladder, (sys1.stamp, sys2.stamp), sys1.cell_stamps.copy(),
+        self._table = (ladder, sys1, sys2, (sys1.stamp, sys2.stamp), sys1.cell_stamps.copy(),
                        sys2.cell_stamps.copy(), same, dev, bins)
         return same, dev, bins
 

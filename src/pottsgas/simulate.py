@@ -164,10 +164,10 @@ class MoveKernel:
 
 _POTENTIALS: dict[tuple[float, int], PairPotential] = {}
 _STAMPS = itertools.count()  # ParticleSystem.stamp: one value per cell-index change
-_PAIR_BLOCK_ELEMENTS = 1 << 16  # slot pairs per group of cells in total_energy
+_PAIR_BLOCK_ELEMENTS = 1 << 16  # most slot pairs per group of cell pairs in total_energy
 _SUBCELLS = 4  # subcells per cell axis in the pair-energy bound's count table
 _SUBCELL_GRIDS: dict[tuple, _SubcellGrid] = {}
-_AUDIT_PIECE = 1 << 12  # slot pairs per gather and distances per V call in total_energy
+_AUDIT_PIECE = 1 << 12  # distances per V call in total_energy
 _AUDIT_ARRAYS: dict[str, np.ndarray] = {}  # total_energy's work arrays, by name
 _AUDIT_PAIRS: dict[tuple, tuple[np.ndarray, int]] = {}  # total_energy's cell pairs, by geometry
 
@@ -222,6 +222,21 @@ def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
             pairs.append(np.stack((a[pair], b[pair])))
         _AUDIT_PAIRS[key] = (np.concatenate(pairs, axis=1), pairs[0].shape[1])
     return _AUDIT_PAIRS[key]
+
+
+def _audit_groups(widths: np.ndarray):
+    """``(start, stop, width)`` of each group of ``total_energy``'s cell
+    pairs, given their slot widths in increasing order: consecutive pairs,
+    each group padded to its last (widest) pair and holding at most
+    ``_PAIR_BLOCK_ELEMENTS`` slot pairs, or one cell pair that alone holds
+    more.  Pairs of width 0 hold no slot pair and are left out."""
+    start, n = int(np.searchsorted(widths, 1)), len(widths)
+    while start < n:
+        # slot pairs of the group from start to each pair after it: increasing
+        size = np.arange(1, n - start + 1) * widths[start:] ** 2
+        stop = start + max(1, int(np.searchsorted(size, _PAIR_BLOCK_ELEMENTS, side="right")))
+        yield start, stop, int(widths[stop - 1])
+        start = stop
 
 
 class _SubcellGrid:
@@ -316,7 +331,7 @@ class ParticleSystem:
     CAP = 8
 
     def __init__(self, region: SimRegion, phase: PhaseTarget, seed: int = 0):
-        self.region = region
+        self._region = region
         self._phase = phase
         self.rng = np.random.default_rng(seed)
         d, S = region.d, region.S
@@ -376,6 +391,12 @@ class ParticleSystem:
                 value = copy.deepcopy(value, memo)
             setattr(clone, name, value)
         return clone
+
+    @property
+    def region(self) -> SimRegion:
+        """The region sampled, fixed when the system is built: the cell
+        grid, the window and the strides are derived from it."""
+        return self._region
 
     @property
     def phase(self) -> PhaseTarget:
@@ -837,59 +858,71 @@ class ParticleSystem:
         interior cells only (see ``add_particles``) and frozen ones on the
         collar only (see ``add_boundary``), so those pairs hold every pair
         with a mobile particle and none without.  A vacant slot takes an
-        infinite coordinate, which the range test drops.  Cell pairs are
-        taken in groups of about ``_PAIR_BLOCK_ELEMENTS`` slot pairs.  The
+        infinite coordinate, which the range test drops.
+
+        The self pairs and the cross pairs are each ordered by the fill of
+        the fuller cell, pairs with an empty cell left out, and cut into
+        groups of at most ``_PAIR_BLOCK_ELEMENTS`` slot pairs
+        (``_audit_groups``); each group is padded to its own fullest cell,
+        not the system's, and only self groups take the i < j mask.  The
         distances are sorted before V is evaluated: the sum then does not
-        depend on the visiting order, and ``np.interp`` searches sorted
-        input several times faster than unsorted.
+        depend on the grouping or the visiting order, and ``np.interp``
+        searches sorted input several times faster than unsorted.
 
         A group's masks and squared distances are written into the module's
         work arrays (``_audit_array``), and its kept distances are gathered
-        into one more, ``_AUDIT_PIECE`` slot pairs at a time.  The n gathered
-        distances are sorted, square-rooted and overwritten by V in place,
+        into one more in one ``np.compress``.  The n gathered distances are
+        sorted, square-rooted and overwritten by V in place,
         ``_AUDIT_PIECE`` at a time, and only those n entries are summed.
         Once the arrays have grown, an audit's temporaries are the slot
-        tables and gathers, tens of KB on the criterion-11 chain, so no
-        allocation made elsewhere decides how many page faults an audit
-        takes.  The work arrays are shared: calls must not run concurrently
-        in one process."""
+        tables, the gathers and each compress's indices and staged output,
+        about 0.3 MiB traced on the criterion-11 chain, so no allocation
+        made elsewhere decides how many page faults an audit takes.  The
+        work arrays are shared: calls must not run concurrently in one
+        process."""
         phase = self.phase
-        width = max(int(self.fill.max()), 1)
+        fill = self.fill
+        top = max(int(fill.max()), 1)
         pairs, n_self = _audit_pairs(self.region.d, self.n_ext, self.w)
-        ids = self.members[:, :width]
-        slots = np.arange(width)
-        # per slot: coordinates, one axis per leading index, and species
-        pos = self.pos.take(ids, axis=0)
-        pos[slots >= self.fill[:, None]] = np.inf
-        coords = np.moveaxis(pos, 2, 0)
+        ids = self.members[:, :top]
+        slots = np.arange(top)
+        vacant = slots >= fill[:, None]
+        # per cell and slot: one contiguous table per axis, and species
+        coords = [self.pos[:, k].take(ids) for k in range(self.region.d)]
+        for x in coords:
+            x[vacant] = np.inf
         spin = self.spin.take(ids)
         upper = slots[:, None] < slots
         range2 = self.potential.range**2
-        step = max(1, _PAIR_BLOCK_ELEMENTS // (width * width))
+        # per cell pair, the slots its group must span: 0 where a cell is empty
+        fa, fb = fill[pairs]
+        widths = np.where(np.minimum(fa, fb) > 0, np.maximum(fa, fb), 0)
         n = 0  # distances gathered so far
+        dist = _audit_array("dist", (0,), float)
         with np.errstate(invalid="ignore"):  # two vacant slots: inf - inf
-            for start in range(0, pairs.shape[1], step):
-                a, b = pairs[:, start : start + step]
-                # axes: cell pair of the group, slot in a, slot in b
-                shape = (len(a), width, width)
-                keep, test = _audit_array("keep", shape, bool), _audit_array("test", shape, bool)
-                np.not_equal(spin[a][:, :, None], spin[b][:, None, :], out=keep)
-                if start < n_self:
-                    keep[: n_self - start] &= upper
-                d2 = _audit_array("d2", shape, float)
-                for k, x in enumerate(coords):
-                    sq = _audit_array("sq", shape, float) if k else d2
-                    np.subtract(x[a][:, :, None], x[b][:, None, :], out=sq)
-                    np.multiply(sq, sq, out=sq)
-                    if k:
-                        np.add(d2, sq, out=d2)
-                np.bitwise_and(keep, np.less_equal(d2, range2, out=test), out=keep)
-                dist = _audit_array("dist", (n + int(np.count_nonzero(keep)),), float, kept=n)
-                keep, d2 = keep.reshape(-1), d2.reshape(-1)
-                for i in range(0, len(keep), _AUDIT_PIECE):
-                    got = d2[i : i + _AUDIT_PIECE][keep[i : i + _AUDIT_PIECE]]
-                    dist[n : n + len(got)] = got
-                    n += len(got)
+            for lo, hi in ((0, n_self), (n_self, pairs.shape[1])):
+                order = lo + np.argsort(widths[lo:hi], kind="stable")
+                for start, stop, w in _audit_groups(widths[order]):
+                    a, b = pairs[:, order[start:stop]]
+                    # axes: cell pair of the group, slot in a, slot in b
+                    shape = (len(a), w, w)
+                    keep = _audit_array("keep", shape, bool)
+                    test = _audit_array("test", shape, bool)
+                    np.not_equal(spin[a, :w][:, :, None], spin[b, :w][:, None, :], out=keep)
+                    if lo == 0:  # a cell with itself
+                        keep &= upper[:w, :w]
+                    d2 = _audit_array("d2", shape, float)
+                    for k, x in enumerate(coords):
+                        sq = _audit_array("sq", shape, float) if k else d2
+                        np.subtract(x[a, :w][:, :, None], x[b, :w][:, None, :], out=sq)
+                        np.multiply(sq, sq, out=sq)
+                        if k:
+                            np.add(d2, sq, out=d2)
+                    np.bitwise_and(keep, np.less_equal(d2, range2, out=test), out=keep)
+                    m = int(np.count_nonzero(keep))
+                    dist = _audit_array("dist", (n + m,), float, kept=n)
+                    np.compress(keep.reshape(-1), d2.reshape(-1), out=dist[n:])
+                    n += m
         dist.sort()  # its n entries: the last group sized it to n
         np.sqrt(dist, out=dist)
         for i in range(0, n, _AUDIT_PIECE):

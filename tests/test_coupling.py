@@ -328,7 +328,7 @@ def full_state(system):
     """Every attribute but the stamps, arrays and floats by their bits."""
     out = {}
     for name, value in vars(system).items():
-        if name in ("stamp", "cell_stamps", "region", "phase", "potential"):
+        if name in ("stamp", "cell_stamps", "_region", "_phase", "potential"):
             continue
         if isinstance(value, np.ndarray):
             value = (value.dtype.str, value.shape, value.tobytes())

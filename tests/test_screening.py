@@ -990,6 +990,20 @@ def test_cell_table_follows_a_changed_rho_ref(in_place):
     _check_table(pair)
 
 
+def test_cell_table_starts_afresh_for_a_replaced_chain():
+    # the new first chain samples another rho_ref (max 2.0, not 1.0), which
+    # the trailing off-grid entry reads; a table patched only on the moved
+    # cell stamps would keep the old entry
+    pair = fx.make_mismatched_pair(verify_region(), verify_phase(), 8, ladder=make_ladder())
+    pair.cell_table()
+    phase = dataclasses.replace(verify_phase(), rho_ref=np.array([2.0, 0.5]))
+    pair.sys1 = fx.make_mismatched_pair(pair.region, phase, 9).sys1
+    got = pair.cell_table()
+    fresh = scr.PairedState(pair.sys1, pair.sys2, ladder=pair.ladder).cell_table()
+    assert got[1][-1] == fresh[1][-1] == 2.0
+    assert all(map(np.array_equal, got, fresh))
+
+
 def test_k_function_ignores_a_difference_outside_the_corner_ball():
     # the chains differ on a cell the ball around its corner meets, but only
     # beyond the ball: the whole cell disagrees, its part in the ball agrees

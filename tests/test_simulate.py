@@ -633,12 +633,23 @@ def test_total_energy_of_empty_system():
     assert system.total_energy() == 0.0
 
 
+# (d, t, seed, collar, crowded, cap, w) of test_total_energy_matches_both_oracles
+GROUPED_EXAMPLES = [(2, 1.0, 2, False, True, 300, 1), (2, 0.6, 2, True, True, 1, 1),
+                    (3, 1.0, 0, False, True, 300, 1)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.6, 1.0]), st.integers(0, 2**16),
        st.booleans(), st.booleans(), st.sampled_from([1, 300, sim._PAIR_BLOCK_ELEMENTS]),
        st.sampled_from([1, 2]))
 @example(2, 1.0, 0, True, False, 300, 2)  # a collar two cells wide
 @example(3, 0.6, 0, True, True, 1, 2)
+# the cell at the origin crowded past CAP to 13 particles next to empty and
+# sparse cells: groups of several widths, with boundaries inside the self
+# pairs and inside the cross pairs
+@example(*GROUPED_EXAMPLES[0])
+@example(*GROUPED_EXAMPLES[1])
+@example(*GROUPED_EXAMPLES[2])
 def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap, w):
     # the cell-pair audit against the O(n^2) sum and, bit for bit, the k-d
     # tree pair search; a cap of 1 takes one cell pair per group.  A collar
@@ -663,8 +674,28 @@ def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap, w):
     system.remove_particles(system.mobile_ids[::3])  # free slots
     assert (system.fill[system.flat_cells(np.indices((system.n_int,) * d).reshape(d, -1).T)] == 0).any()
     assert system.w == w
-    with mock.patch.object(sim, "_PAIR_BLOCK_ELEMENTS", cap):
+    groups = []  # per list of cell pairs, self then cross: its widths and groups
+    audit_groups = sim._audit_groups
+
+    def spy(widths):
+        groups.append((widths, list(audit_groups(widths))))
+        return groups[-1][1]
+
+    with mock.patch.object(sim, "_PAIR_BLOCK_ELEMENTS", cap), \
+            mock.patch.object(sim, "_audit_groups", spy):
         got = system.total_energy()
+    for widths, cut in groups:
+        # consecutive groups over every pair that holds a slot pair, each
+        # padded to its widest pair and within the cap unless a lone pair
+        bounds = [np.searchsorted(widths, 1)] + [stop for _, stop, _ in cut]
+        assert [start for start, _, _ in cut] == bounds[:-1] and bounds[-1] == len(widths)
+        for start, stop, width in cut:
+            assert width == widths[start:stop].max()
+            assert (stop - start) * width**2 <= cap or stop - start == 1
+    if (d, t, seed, collar, crowded, cap, w) in GROUPED_EXAMPLES:
+        assert system.fill.max() > system.CAP
+        assert len({width for _, cut in groups for *_, width in cut}) > 1
+        assert all(len(cut) > 1 for _, cut in groups)
     assert got == kdtree_energy(system)
     want = audit_oracle(system)
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
@@ -698,7 +729,7 @@ def test_total_energy_work_arrays_hold_no_stale_state(monkeypatch):
 
 def test_total_energy_allocates_little_after_its_first_call(monkeypatch):
     # the benchmark's seed-0 sample chain: after one call has sized the
-    # work arrays, an audit's traced peak is about 0.2 MiB; fresh group
+    # work arrays, an audit's traced peak is about 0.3 MiB; fresh group
     # arrays per call would trace 1.9 MiB
     from pottsgas import meanfield as mf
 
@@ -1112,6 +1143,16 @@ def test_counts_is_a_read_only_view():
     assert np.shares_memory(counts, system._counts) and counts[0, 0].tolist() == [0, 0, 1]
     with pytest.raises(ValueError):
         counts[0, 0, 2] = 0
+
+
+def test_region_is_fixed_when_the_system_is_built():
+    # the cell grid, the window and the strides are derived from the region,
+    # so another region would leave them describing the first one
+    region = index_region(2)
+    system = sim.ParticleSystem(region, sim.PhaseTarget(np.full(3, 0.5), 0.5))
+    with pytest.raises(AttributeError):
+        system.region = index_region(2, w=2)
+    assert system.region is region and copy.deepcopy(system).region is region
 
 
 def index_region(d, w=1):

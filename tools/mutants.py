@@ -3,6 +3,7 @@
     python3 tools/mutants.py                # every mutant in tools/mutants.json
     python3 tools/mutants.py NAME [NAME..]  # only these
     python3 tools/mutants.py --list         # names, files and tests; runs nothing
+    python3 tools/mutants.py --check        # old texts and test ids only; runs no test
 
 A mutant is a file under the repository, an exact text that occurs in it once,
 the text that replaces it, and the tests that should kill it.  The runner
@@ -17,6 +18,11 @@ collection error) or an old text that is missing or not unique is an error.
 A mutant listed with ``survives`` and its reason is expected to survive; the
 run fails on a survivor that is not listed, and on any error.  A listed
 survivor that gets killed is reported, so that its listing can be dropped.
+
+``--check`` runs in seconds: it verifies in the checkout that each mutant's
+old text occurs exactly once in its file and that every test it names
+collects, so that a change which rewrites a mutated line or renames a test
+fails at once rather than in the full run.
 """
 
 from __future__ import annotations
@@ -51,10 +57,39 @@ def run_tests(tree: Path, tests: list[str]) -> tuple[int, float]:
     return rc, time.perf_counter() - start
 
 
+def collects(tests: list[str]) -> bool:
+    """Whether pytest, in the checkout, collects every one of ``tests``."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    cmd = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=REPO, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def check(mutants: list[dict]) -> int:
+    """The number of mutants whose old text is missing or not unique, plus
+    the number of named tests that do not collect; prints each."""
+    failures = 0
+    for m in mutants:
+        count = (REPO / m["file"]).read_text().count(m["old"])
+        if count != 1:
+            print(f"{m['name']}: error: old text found {count} times in {m['file']}")
+            failures += 1
+    tests = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
+    if not collects(tests):
+        for test in tests:
+            if not collects([test]):
+                print(f"error: {test} does not collect")
+                failures += 1
+    print(f"{len(mutants)} mutants, {len(tests)} test ids checked, {failures} failures")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="run only these mutants")
     parser.add_argument("--list", action="store_true", help="list the catalogue and exit")
+    parser.add_argument("--check", action="store_true",
+                        help="check old texts and test ids in the checkout; run no test")
     args = parser.parse_args()
     catalogue = json.loads(CATALOGUE.read_text())
     unknown = set(args.names) - {m["name"] for m in catalogue}
@@ -66,6 +101,8 @@ def main() -> int:
             tag = "  (listed survivor)" if "survives" in m else ""
             print(f"{m['name']}: {m['file']} -> {' '.join(m['tests'])}{tag}")
         return 0
+    if args.check:
+        return 1 if check(mutants) else 0
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
