@@ -164,15 +164,8 @@ def _lattice_setup(cfg):
                            gamma=cfg["gamma"], S=cfg["S"])
     kernel = lat.build_kernel(spec)
     fcfg = lat.FunctionalConfig(
-        beta=sol.beta,
-        lambda_beta=sol.lambda_beta,
-        t=cfg["t"],
-        rho_ref=rho_ref,
-        zeta=cfg["zeta"],
-        box=box,
-        epsilon=cfg.get("epsilon", 0.0),
-        one_body=cfg.get("one_body", False),
-    )
+        rho_ref=rho_ref, lambda_beta=sol.lambda_beta, beta=sol.beta, zeta=cfg["zeta"], t=cfg["t"],
+        box=box, epsilon=cfg.get("epsilon", 0.0), one_body=cfg.get("one_body", False))
     return lat, spec, kernel, fcfg
 
 

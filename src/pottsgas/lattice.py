@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lattice_kernel_stencil, profile_integral, stencil_radius
+from .meanfield import PhaseTarget
 
 __all__ = [
     "LatticeSpec",
@@ -96,7 +97,6 @@ class CoarseKernel:
         self.spec = spec
         self.stencil = stencil
         self.radius = stencil_radius(stencil)  # in cells
-        self.support_length = 1.0 / spec.gamma + 2.0 * spec.ell
         # the taps of the flipped stencil, in C order, keeping the weights
         # above machine epsilon: the terms, and their order, of
         # ndimage.convolve's sum at each cell.  Column j of ``tap_index``
@@ -287,9 +287,6 @@ class LatticeField:
         mask[self.interior_slices] = False
         return mask
 
-    def in_tube(self, rho_ref: np.ndarray, width: float) -> bool:
-        return bool(np.all(np.abs(self.interior - rho_ref) <= width + 1e-15))
-
     @staticmethod
     def constant(spec: LatticeSpec, collar: int, vec) -> "LatticeField":
         vals = np.broadcast_to(
@@ -298,44 +295,23 @@ class LatticeField:
         return LatticeField(spec, vals, collar)
 
 
-@dataclass
-class FunctionalConfig:
-    """Parameters of the functional: temperature, tangent slope, interpolation
-    weight, reference phase vector, accuracy and box widths, barrier cutoff,
-    one-body switch and optional perturbation hook."""
+@dataclass(frozen=True, kw_only=True, eq=False)
+class FunctionalConfig(PhaseTarget):
+    """The functional's parameters: the phase it is built on, with the
+    fields, defaults, checks and value equality of ``PhaseTarget``, plus the
+    relaxed box half-width, barrier cutoff, one-body switch and perturbation."""
 
-    beta: float
-    lambda_beta: float
-    t: float
-    rho_ref: np.ndarray
-    zeta: float
     box: float  # half-width of the relaxed box around rho_ref
     epsilon: float = 0.0  # 0 disables the quartic barrier
     one_body: bool = False
-    lam: float | None = None  # chemical potential in the one-body term
     perturbation: "SinePerturbation | None" = None
 
     def __post_init__(self):
-        self.rho_ref = np.asarray(self.rho_ref, dtype=float)
-        if not 0 < self.beta < np.inf:  # NaN included
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not np.isfinite(self.lambda_beta):
-            raise ValueError(f"lambda_beta must be finite, got {self.lambda_beta}")
-        if self.lam is not None and not np.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("t must lie in [0,1]")
+        super().__post_init__()
         if not self.epsilon >= 0:  # NaN included
             raise ValueError("epsilon must be nonnegative")
         if not self.zeta < self.box / 2:
             raise ValueError("need zeta < box/2 for the barrier analysis")
-        if self.lam is None:
-            self.lam = self.lambda_beta
-
-    @property
-    def neighbor_sum(self) -> np.ndarray:
-        # linear coefficient of the reference energy: sum over other species
-        return self.rho_ref.sum() - self.rho_ref
 
 
 class SinePerturbation:
@@ -594,7 +570,7 @@ def hessian_coercivity(field: LatticeField, kernel: CoarseKernel, cfg: Functiona
     """Smallest eigenvalue of the curvature and whether it clears ``kappa``.
 
     Precondition: the field sits within 4 zeta of the reference phase."""
-    if not field.in_tube(cfg.rho_ref, 4.0 * cfg.zeta):
+    if not np.all(np.abs(field.interior - cfg.rho_ref) <= 4.0 * cfg.zeta + 1e-15):
         raise ValueError("field outside the 4-zeta tube")
     ev = float(np.linalg.eigvalsh(hessian_matrix(field, kernel, cfg))[0])
     return ev, ev >= kappa

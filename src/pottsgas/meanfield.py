@@ -16,12 +16,13 @@ the closed forms suffer catastrophic cancellation when written in z.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
     "SpinSystem",
+    "PhaseTarget",
     "CoexistenceSolution",
     "free_energy",
     "axis_density",
@@ -61,6 +62,55 @@ class SpinSystem:
             raise ValueError(f"spin count must be >= 2, got {self.S}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+
+
+@dataclass(frozen=True)
+class PhaseTarget:
+    """The phase of a restricted ensemble and of the coarse-grained
+    functional: densities per species, tangent chemical potential,
+    temperature, accuracy window, interpolation weight and the actual
+    chemical potential ``lam`` (``lambda_beta`` unless given).  A value:
+    ``rho_ref`` is a read-only copy, ``neighbor_sum`` (per species, the
+    other species' summed density) is built once, read-only, and two
+    instances of one class with equal fields, ``rho_ref`` by value, are
+    equal and hash equal."""
+
+    rho_ref: np.ndarray
+    lambda_beta: float
+    beta: float = 1.0
+    zeta: float = 0.5
+    t: float = 1.0
+    lam: float | None = None
+
+    def __post_init__(self):
+        rho_ref = np.array(self.rho_ref, dtype=float)
+        sums = rho_ref.sum() - rho_ref
+        rho_ref.flags.writeable = sums.flags.writeable = False
+        object.__setattr__(self, "rho_ref", rho_ref)
+        object.__setattr__(self, "neighbor_sum", sums)
+        if self.lam is None:
+            object.__setattr__(self, "lam", self.lambda_beta)
+        if not 0 < self.beta < np.inf:  # NaN included
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        for name in ("lambda_beta", "lam"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.t <= 1.0:
+            raise ValueError("t must lie in [0,1]")
+
+    def _values(self) -> tuple:
+        """The fields in declaration order, ``rho_ref`` as a tuple of floats."""
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def _check_coexistence_spins(S: int):

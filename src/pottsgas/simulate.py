@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernels import PairPotential
+from .meanfield import PhaseTarget
 
 __all__ = [
     "SimRegion",
@@ -92,36 +93,6 @@ class SimRegion:
     @property
     def cell_volume(self) -> float:
         return self.ell_minus**self.d
-
-
-@dataclass(frozen=True)
-class PhaseTarget:
-    """Reference phase data: densities per species, tangent chemical
-    potential, temperature, accuracy window, interpolation weight and the
-    actual chemical potential used in the pair energy.  A value: ``rho_ref``
-    is a read-only copy, and ``neighbor_sum`` (per species, the summed
-    reference density of the other species) is built once, read-only."""
-
-    rho_ref: np.ndarray
-    lambda_beta: float
-    beta: float = 1.0
-    zeta: float = 0.5
-    t: float = 1.0
-    lam: float | None = None
-
-    def __post_init__(self):
-        rho_ref = np.array(self.rho_ref, dtype=float)
-        sums = rho_ref.sum() - rho_ref
-        rho_ref.flags.writeable = sums.flags.writeable = False
-        object.__setattr__(self, "rho_ref", rho_ref)
-        object.__setattr__(self, "neighbor_sum", sums)
-        if self.lam is None:
-            object.__setattr__(self, "lam", self.lambda_beta)
-        if not 0 <= self.t <= 1:
-            raise ValueError("t must lie in [0,1]")
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 def occupancy_window(phase: PhaseTarget, volume: float) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +191,9 @@ def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
             b = other[a] @ strides
             pair = inner[a] | inner[b]
             pairs.append(np.stack((a[pair], b[pair])))
-        _AUDIT_PAIRS[key] = (np.concatenate(pairs, axis=1), pairs[0].shape[1])
+        table = np.concatenate(pairs, axis=1)
+        table.flags.writeable = False  # shared by every system of the geometry
+        _AUDIT_PAIRS[key] = (table, pairs[0].shape[1])
     return _AUDIT_PAIRS[key]
 
 
@@ -272,6 +245,7 @@ class _SubcellGrid:
         within = weights > 0.0
         self.offsets = delta[within] @ self.strides
         self.weights = weights[within]
+        self.offsets.flags.writeable = self.weights.flags.writeable = False  # shared per geometry
 
     @classmethod
     def of(cls, system: ParticleSystem) -> _SubcellGrid:
@@ -297,9 +271,7 @@ def reference_energy(spins, phase: PhaseTarget) -> float:
     """Linear reference energy: each particle contributes the interaction of
     its species with the phase's other-species densities minus the tangent
     chemical potential."""
-    spins = np.asarray(spins, dtype=int)
-    m = phase.neighbor_sum
-    return float(np.sum(m[spins] - phase.lambda_beta))
+    return float(np.sum(phase.neighbor_sum[np.asarray(spins, dtype=int)] - phase.lambda_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +334,8 @@ class ParticleSystem:
         self._unlike = np.arange(S)[:, None] != np.arange(S + 1)
         self._unlike[:, S] = False
         self.n_lo, self.n_hi = occupancy_window(phase, region.cell_volume)
-        self._window = (self.n_lo.tolist(), self.n_hi.tolist())  # read per proposal
+        self.n_lo.flags.writeable = self.n_hi.flags.writeable = False  # as _window is fixed
+        self._window = (tuple(self.n_lo.tolist()), tuple(self.n_hi.tolist()))  # read per proposal
         self._energy = 0.0  # running interpolated energy; NaN when unknown
         # per subcell of _subgrid, per species, the particles filed there;
         # kept only while the pair-energy bound can fire (see _decide)
@@ -380,12 +353,16 @@ class ParticleSystem:
 
     def __deepcopy__(self, memo):
         """An independent system with the same particles, stamps and random
-        state.  Arrays, lists and dicts are copied whole (their items are
-        numbers) and rng is deep-copied through ``memo``; the region, the
-        phase and the process-cached pair potential are values, shared."""
+        state.  Arrays (read-only ones stay read-only), lists and dicts are
+        copied whole (their items are numbers) and rng is deep-copied
+        through ``memo``; the region, the phase, the process-cached pair
+        potential and the window's tuples are values, shared."""
         clone = memo[id(self)] = object.__new__(type(self))
         for name, value in vars(self).items():
-            if isinstance(value, (np.ndarray, list, dict)):
+            if isinstance(value, np.ndarray):
+                value, writeable = value.copy(), value.flags.writeable
+                value.flags.writeable = writeable
+            elif isinstance(value, (list, dict)):
                 value = value.copy()
             elif name == "rng":
                 value = copy.deepcopy(value, memo)
@@ -691,10 +668,16 @@ class ParticleSystem:
         species by species.  One ``rng.random((N, d))`` call, which draws the
         same values as one ``rng.random(d)`` per particle."""
         d, ell = self.region.d, self.region.ell_minus
-        corners = np.asarray(cells, dtype=float).reshape(-1, d) * ell
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
         species = np.repeat(np.arange(len(counts)), counts)
-        spin = np.tile(species, len(corners))
-        pos = np.repeat(corners, len(species), axis=0) + rng.random((len(spin), d)) * ell
+        spin = np.tile(species, len(cells))
+        cells = np.repeat(cells, len(species), axis=0)
+        pos = cells * ell + rng.random((len(spin), d)) * ell
+        # a uniform near 1 can round a coordinate onto the next cell's face
+        # (or the box's far face): step it down, as _propose's birth does
+        interior = cells < self.n_int
+        while np.any(out := (np.floor(pos / ell) > cells) | ((pos >= self.region.side) & interior)):
+            pos[out] = np.nextafter(pos[out], -np.inf)
         return pos, spin
 
     def _add(self, pos, spins, frozen: bool):
@@ -1163,20 +1146,21 @@ class TwinRows:
     ``coupling.crn_sweep``, while they stay *aligned*: the second chain
     would resolve each row to the first chain's proposal.
 
-    They start aligned when they share region, potential, phase fields and
-    window, and their local ids ``loc1`` and ``loc2`` are as many and list,
-    index by index, particles of equal position, species and cell at the
-    same place of their cell's row (checked once, here).  While aligned,
-    the second chain commits the first chain's proposal on its own
-    ``loc2[pick]``, with the first chain's decision and energy change where
-    every cell a change touches has a *twin* block (member rows with equal
-    positions and spins in the same filing order), as its window test,
-    pair sum and accept test would see the same operands in the same
-    order, and else with its own decision.  Both chains then make the same
-    edit, which keeps them aligned and every twin cell twin, so the flags
-    are built once.  Alignment ends at the first row the decisions differ;
-    after it each chain proposes and decides alone.  Rows must alternate
-    first chain, second chain.
+    They start aligned when their regions and their phases are equal, and
+    their local ids ``loc1`` and ``loc2`` are as many and list, index by
+    index, particles of equal position, species and cell at the same place
+    of their cell's row (checked once, here); equal regions and phases
+    give them one pair potential and one window.  While aligned, the second
+    chain commits the first chain's proposal on its own ``loc2[pick]``,
+    with the first chain's decision and energy change where every cell a
+    change touches has a *twin* block (member rows with equal positions and
+    spins in the same filing order), as its window test, pair sum and
+    accept test would see the same operands in the same order, and else
+    with its own decision.  Both chains then make the same edit, which
+    keeps them aligned and every twin cell twin, so the flags are built
+    once.  Alignment ends at the first row the decisions differ; after it
+    each chain proposes and decides alone.  Rows must alternate first
+    chain, second chain.
 
     ``cells`` holds the twin flags, ``blocks`` marks the interior cells
     whose whole block is twin, and ``aligned_rows`` and ``reused`` count
@@ -1195,11 +1179,7 @@ class TwinRows:
 
     @staticmethod
     def _aligned(first: ParticleSystem, second: ParticleSystem, loc1: list, loc2: list) -> bool:
-        p1, p2 = first.phase, second.phase
-        scalars = [(p.lambda_beta, p.beta, p.zeta, p.t, p.lam) for p in (p1, p2)]
-        if not (first.region == second.region and first.potential is second.potential
-                and np.array_equal(p1.rho_ref, p2.rho_ref) and scalars[0] == scalars[1]
-                and first._window == second._window):
+        if not (first.region == second.region and first.phase == second.phase):
             return False
 
         def particles(s: ParticleSystem, ids: list):

@@ -459,6 +459,24 @@ def test_twin_rows_decide_apart_when_proposals_differ(differ):
     assert twins.aligned_rows == twins.reused == 0
 
 
+def test_twin_rows_align_chains_under_equal_phases_built_apart():
+    # the chains' phases are compared as values: the second chain's phase,
+    # built apart from equal values, aligns the pair; any other field value
+    # does not
+    assert sim.PhaseTarget is mf.PhaseTarget
+    region = twin_region()
+    fields = dict(lambda_beta=1.5, beta=1.0, zeta=0.75, t=1.0)
+    first = fx.make_identical_pair(region, sim.PhaseTarget(rho_ref=np.full(3, 1.0), **fields), 5).sys1
+    active = list(np.ndindex(4, 4))
+    for other, aligned in (({}, True), ({"t": 0.5}, False), ({"lam": 1.25}, False),
+                           ({"rho_ref": [1.0, 1.0, 1.1]}, False)):
+        phase = sim.PhaseTarget(**{"rho_ref": [1.0, 1.0, 1.0], **fields, **other})
+        second = fx.make_identical_pair(region, phase, 5).sys2
+        assert second.phase is not first.phase
+        twins = sim.TwinRows(first, second, first.mobile_in(active), second.mobile_in(active))
+        assert twins.aligned == aligned
+
+
 def test_twin_cells_matches_per_cell_loop():
     pair = twin_pair("partly", 0.03)
     a, b = pair.sys1, pair.sys2

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_kernel_support_bound(spec2d, kernel2d):
     # no coupling beyond range + two cell widths (sup distance)
     W = kernel2d.stencil
     R = kernel2d.radius
-    cutoff = kernel2d.support_length
+    cutoff = 1.0 / spec2d.gamma + 2.0 * spec2d.ell
     for idx in np.ndindex(*W.shape):
         off = np.array(idx) - R
         if np.max(np.abs(off)) * spec2d.ell > cutoff:
@@ -508,7 +509,7 @@ def test_minimize_refuses_a_tube_outside_the_one_body_domain():
             lat.minimize(bnd, kern, cfg)
     assert not single.called
     # without the one-body term the same tube is admitted
-    cfg.one_body = False
+    cfg = dataclasses.replace(cfg, one_body=False)
     assert lat.minimize(bnd, kern, cfg).residual < 1e-12
 
 
@@ -612,6 +613,41 @@ def test_minimize_leaves_the_boundary_field_alone(spec2d, kernel2d, sol3):
         assert np.any(res.field.interior != before[bnd.interior_slices])
 
 
+def test_functional_config_is_a_frozen_phase_value(sol3):
+    # the config is the phase of meanfield plus the functional's own fields:
+    # frozen, holding a read-only copy of rho_ref, equal to a config built
+    # apart from equal values and to no other
+    rho_ref = sol3.minimizers[-1].copy()
+    cfg = make_cfg(sol3, rho_ref=rho_ref)
+    assert isinstance(cfg, mf.PhaseTarget) and cfg.lam == cfg.lambda_beta
+    for name in ("beta", "rho_ref", "box", "one_body"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+    assert not np.shares_memory(cfg.rho_ref, rho_ref) and not cfg.rho_ref.flags.writeable
+    kept = rho_ref.tolist()
+    rho_ref[0] = 5.0  # the caller's later edit does not reach the config
+    assert cfg.rho_ref.tolist() == kept
+    assert cfg.neighbor_sum.tolist() == [sum(kept) - x for x in kept]
+    again = make_cfg(sol3, rho_ref=list(kept))
+    assert cfg == again and hash(cfg) == hash(again)
+    assert cfg != dataclasses.replace(cfg, epsilon=1e-3)
+    assert cfg != dataclasses.replace(cfg, rho_ref=rho_ref)
+    assert cfg != mf.PhaseTarget(cfg.rho_ref, cfg.lambda_beta, zeta=cfg.zeta)
+    # beta, zeta and t keep the phase's defaults
+    base = lat.FunctionalConfig(rho_ref=kept, lambda_beta=0.5, box=2.0)
+    assert (base.beta, base.zeta, base.t, base.epsilon, base.one_body) == (1.0, 0.5, 1.0, 0.0, False)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(epsilon=-1.0), "epsilon must be nonnegative"),
+    (dict(epsilon=float("nan")), "epsilon must be nonnegative"),
+    (dict(zeta=1.0, box=2.0), "need zeta < box/2"),
+])
+def test_functional_config_rejects_a_bad_barrier_or_box(sol3, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        make_cfg(sol3, **kwargs)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("beta", 0.0), ("beta", -1.0), ("beta", float("nan")), ("beta", float("inf")),
     ("lambda_beta", float("nan")), ("lambda_beta", float("-inf")),
@@ -623,10 +659,11 @@ def test_functional_config_rejects_bad_beta_and_slopes(sol3, field, bad):
 
 
 def test_minimize_stops_at_the_first_non_finite_residual(spec2d, kernel2d, sol3):
-    # a NaN parameter set past the constructor makes every iterate NaN; the
-    # loop must fail at once, not run out its 20,000 iterations
+    # a NaN parameter forced past the constructor's checks makes every
+    # iterate NaN; the loop must fail at once, not run out its 20,000
+    # iterations
     cfg = make_cfg(sol3)
-    cfg.beta = float("nan")
+    object.__setattr__(cfg, "beta", float("nan"))
     bnd = lat.LatticeField.constant(spec2d, kernel2d.radius, cfg.rho_ref)
     with mock.patch.object(lat.CoarseKernel, "_convolve", autospec=True,
                            side_effect=lat.CoarseKernel._convolve) as spy:
@@ -710,7 +747,7 @@ def test_hessian_refuses_a_one_body_field_at_half_a_particle_per_cell():
         rho[3, 1] = low
         with pytest.raises(ValueError, match=f"ell\\^d rho above 1/2, got {low}"):
             lat.hessian_matrix(bnd.with_interior(rho), kern, cfg)
-    cfg.one_body = False
+    cfg = dataclasses.replace(cfg, one_body=False)
     assert np.all(np.diag(lat.hessian_matrix(bnd.with_interior(rho), kern, cfg)) > 0)
 
 

@@ -395,3 +395,28 @@ def test_csv_emission(tmp_path):
     assert len(lines) == 6
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(parsed, table)
+
+
+def test_phase_target_compares_and_hashes_by_value():
+    # two phases built apart from equal values are one value: equal, hash
+    # equal and one set entry, whether rho_ref came as an array or a list
+    first = mf.PhaseTarget(rho_ref=np.array([1.0, 2.0, 4.0]), lambda_beta=0.5, beta=2.0, zeta=0.3)
+    second = mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, beta=2.0, zeta=0.3)
+    assert first is not second and first == second and not first != second
+    assert hash(first) == hash(second) and len({first, second}) == 1
+    for other in (mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.5], lambda_beta=0.5, beta=2.0, zeta=0.3),
+                  mf.PhaseTarget(rho_ref=[1.0, 2.0], lambda_beta=0.5, beta=2.0, zeta=0.3),
+                  mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, beta=2.0, zeta=0.3, t=0.5),
+                  mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, beta=2.0, zeta=0.3, lam=0.7)):
+        assert first != other and not first == other
+    assert first != (first.rho_ref, 0.5, 2.0, 0.3, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("beta", -2.0), ("beta", 0.0), ("beta", float("nan")), ("beta", float("inf")),
+    ("lambda_beta", float("nan")), ("lambda_beta", float("inf")),
+    ("lam", float("nan")), ("lam", float("-inf")), ("t", 1.5), ("t", -0.1),
+])
+def test_phase_target_rejects_bad_beta_slopes_and_weight(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        mf.PhaseTarget(**{**dict(rho_ref=[1.0, 1.0], lambda_beta=0.5), field: bad})

@@ -1040,7 +1040,7 @@ def test_window_ok_after_is_the_net_count_test(counts, moves):
     # counts run one past each edge
     system = make_system()
     lo, hi = system._window
-    assert (lo, hi) == ([4, 4], [8, 8])
+    assert (lo, hi) == ((4, 4), (8, 8))
     for k, (c, s) in enumerate([(4, 0), (4, 1), (0, 0), (0, 1)]):
         system._counts[c, s] = counts[k]
     changes = [(g, None, s, c) for g, s, c in moves]
@@ -1153,6 +1153,54 @@ def test_region_is_fixed_when_the_system_is_built():
     with pytest.raises(AttributeError):
         system.region = index_region(2, w=2)
     assert system.region is region and copy.deepcopy(system).region is region
+
+
+def test_window_is_read_only_and_shared_by_copies():
+    # n_lo and n_hi are the arrays every proposal's window was built from:
+    # a write would leave in_ensemble reading another window than the moves
+    system = sim.ParticleSystem(index_region(2), sim.PhaseTarget(np.full(3, 0.5), 0.5))
+    for bound in (system.n_lo, system.n_hi):
+        with pytest.raises(ValueError):
+            bound[0] = 99
+    assert system._window == (tuple(system.n_lo.tolist()), tuple(system.n_hi.tolist()))
+    clone = copy.deepcopy(system)
+    assert clone._window is system._window
+    assert not clone.n_lo.flags.writeable and not clone.n_hi.flags.writeable
+
+
+def test_module_caches_are_read_only():
+    # every system of one geometry shares the energy audit's cell pairs and
+    # the bound's subcell offsets and weights: a write through one system
+    # would reach them all
+    system = sim.ParticleSystem(index_region(2), sim.PhaseTarget(np.full(3, 0.5), 0.5, t=0.5))
+    pairs, _ = sim._audit_pairs(system.region.d, system.n_ext, system.w)
+    grid = sim._SubcellGrid.of(system)
+    for shared in (pairs, grid.offsets, grid.weights):
+        with pytest.raises(ValueError):
+            shared[..., 0] = 0
+    assert sim._audit_pairs(system.region.d, system.n_ext, system.w)[0] is pairs
+
+
+def test_draw_uniform_keeps_each_particle_in_its_cell():
+    # corner + u ell for the largest uniform below 1 rounds onto the next
+    # cell's face (in the last interior cell, onto the box's far face, and
+    # in the last collar cell, onto the collar's far face); each such
+    # coordinate is stepped back into its cell
+    class TopUniform:
+        def random(self, shape):
+            return np.full(shape, np.nextafter(1.0, 0.0))
+
+    region = sim.SimRegion(d=2, S=2, gamma=0.2, ell0=5.0, ell_minus=5.0, ell_plus=10.0, n_plus=5)
+    system = sim.ParticleSystem(region, sim.PhaseTarget(np.full(2, 0.04), 0.5, zeta=0.1))
+    inner, collar = [(3, 4), (9, 9)], [(-1, 3), (10, 2), (10, 10)]
+    for cells, add in ((inner, system.add_particles), (collar, system.add_boundary)):
+        pos, spin = system.draw_uniform(cells, [1, 1], TopUniform())
+        assert np.array_equal(np.floor(pos / 5.0), np.repeat(cells, 2, axis=0))
+        assert spin.tolist() == [0, 1] * len(cells)
+        add(pos, spin)
+    assert np.all(system.pos[system.mobile_ids] < 50.0)
+    assert system.pos[system.mobile_ids].tolist()[:2] == [[np.nextafter(20.0, 0.0),
+                                                          np.nextafter(25.0, 0.0)]] * 2
 
 
 def index_region(d, w=1):
