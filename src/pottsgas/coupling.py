@@ -65,9 +65,9 @@ def reinit_identical(pair: PairedState, cells: list, rng):
     rounded reference counts: the common start of the surrogate coupling."""
     cell_set = set(map(tuple, cells))
     pos, spin = pair.sys1.draw_uniform(sorted(cell_set), pair.sys1.reference_counts, rng)
-    for system in (pair.sys1, pair.sys2):
-        system.remove_particles(system.mobile_in(cell_set))
-        system.add_particles(pos, spin)
+    pair.sys1.remove_particles(pair.sys1.mobile_in(cell_set))
+    pair.sys1.add_particles(pos, spin)
+    copy_region(pair.sys2, pair.sys1, cells)
 
 
 def crn_sweep(pair: PairedState, kernel: MoveKernel, cells: list, n_moves: int,

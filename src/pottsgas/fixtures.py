@@ -24,9 +24,8 @@ def fill_boundary(system: ParticleSystem, seed: int):
     the box, outside it, in C order) with the rounded reference counts at
     uniform positions."""
     counts = np.round(system.phase.rho_ref * system.region.cell_volume).astype(int)
-    w, n, d = system.w, system.n_int, system.region.d
-    cells = np.indices((n + 2 * w,) * d).reshape(d, -1).T - w
-    collar = cells[((cells < 0) | (cells >= n)).any(axis=1)]
+    cells, inner = system.grid
+    collar = cells[~inner] - system.w
     system.add_boundary(*system.draw_uniform(collar, counts, np.random.default_rng(seed)))
 
 

@@ -628,7 +628,7 @@ def _default_perturbation(pair: PairedState, lambda_cubes: set, rng):
     for system in (pair.sys1, pair.sys2):
         cell = cells[int(rng.random() * len(cells))]
         r = np.asarray(cell, dtype=float) * ell + rng.random(region.d) * ell
-        system.add_particles([r], [int(rng.random() * region.S)])
+        system.add_particles([system.place(r.tolist(), cell)], [int(rng.random() * region.S)])
         # delete one mobile particle from inside the region if any
         inside = system.mobile_in(cell_set)
         if inside:

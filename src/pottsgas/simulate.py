@@ -14,6 +14,7 @@ coupling experiments use to resample sub-regions.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,7 +141,6 @@ _SUBCELLS = 4  # subcells per cell axis in the pair-energy bound's count table
 _SUBCELL_GRIDS: dict[tuple, _SubcellGrid] = {}
 _AUDIT_PIECE = 1 << 12  # distances per V call in total_energy
 _AUDIT_ARRAYS: dict[str, np.ndarray] = {}  # total_energy's work arrays, by name
-_AUDIT_PAIRS: dict[tuple, tuple[np.ndarray, int]] = {}  # total_energy's cell pairs, by geometry
 
 
 def _potential_cache(gamma: float, d: int) -> PairPotential:
@@ -167,6 +167,29 @@ def _audit_array(name: str, shape: tuple, dtype, kept: int = 0) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def _cell_index(x: float, h: float) -> int:
+    """The cell of side h holding the coordinate x, on the cell grid (h =
+    ``ell_minus``) and the subcell grid (h = ``ell_minus / _SUBCELLS``)."""
+    return math.floor(x / h)
+
+
+def _cell_indices(pos: np.ndarray, h: float) -> np.ndarray:
+    """``_cell_index`` of every entry of ``pos``, as int64, in one pass."""
+    return np.floor(pos / h).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_table(d: int, n_ext: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the extended grid ``(n_ext,) * d`` with a collar ``w``
+    cells wide in C order (row k is flat cell k), as read-only extended
+    coordinates, and a read-only mask of the interior ones."""
+    cells = np.indices((n_ext,) * d).reshape(d, -1).T
+    inner = ((cells >= w) & (cells < n_ext - w)).all(axis=1)
+    cells.flags.writeable = inner.flags.writeable = False  # shared by every system of the geometry
+    return cells, inner
+
+
+@functools.lru_cache(maxsize=None)
 def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
     """The cell pairs that ``ParticleSystem.total_energy`` visits on the
     extended grid ``(n_ext,) * d`` with a collar ``w`` cells wide, built
@@ -178,23 +201,19 @@ def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
     once; pairs of two collar cells are left out, since a collar cell holds
     frozen particles only and frozen pairs carry no energy.  An interior
     cell's block stays on the grid, so no pair kept wraps a grid row."""
-    key = (d, n_ext, w)
-    if key not in _AUDIT_PAIRS:
-        cells = np.indices((n_ext,) * d).reshape(d, -1).T
-        inner = ((cells >= w) & (cells < n_ext - w)).all(axis=1)
-        strides = n_ext ** np.arange(d - 1, -1, -1)
-        block = np.indices((2 * w + 1,) * d).reshape(d, -1).T - w
-        pairs = []
-        for delta in block[len(block) // 2 :]:
-            other = cells + delta
-            a = np.flatnonzero(((other >= 0) & (other < n_ext)).all(axis=1))
-            b = other[a] @ strides
-            pair = inner[a] | inner[b]
-            pairs.append(np.stack((a[pair], b[pair])))
-        table = np.concatenate(pairs, axis=1)
-        table.flags.writeable = False  # shared by every system of the geometry
-        _AUDIT_PAIRS[key] = (table, pairs[0].shape[1])
-    return _AUDIT_PAIRS[key]
+    cells, inner = _cell_table(d, n_ext, w)
+    strides = n_ext ** np.arange(d - 1, -1, -1)
+    block = np.indices((2 * w + 1,) * d).reshape(d, -1).T - w
+    pairs = []
+    for delta in block[len(block) // 2 :]:
+        other = cells + delta
+        a = np.flatnonzero(((other >= 0) & (other < n_ext)).all(axis=1))
+        b = other[a] @ strides
+        pair = inner[a] | inner[b]
+        pairs.append(np.stack((a[pair], b[pair])))
+    table = np.concatenate(pairs, axis=1)
+    table.flags.writeable = False  # shared by every system of the geometry
+    return table, pairs[0].shape[1]
 
 
 def _audit_groups(widths: np.ndarray):
@@ -217,7 +236,7 @@ class _SubcellGrid:
     axis over the extended grid plus two padding subcells on each side, one
     flat index per subcell in C order, and the bound's weights.
 
-    A point x lies in subcell ``floor(x * _SUBCELLS / ell)`` along each axis.
+    A point x lies in subcell ``_cell_index(x, h)``, h = ell / _SUBCELLS.
     ``offsets`` are the flat offsets from a subcell to every subcell within
     range of it, and ``weights[k]`` bounds V over every distance at or beyond
     the closest distance between the two subcells, shrunk by a relative 1e-9:
@@ -230,12 +249,11 @@ class _SubcellGrid:
 
     def __init__(self, region: SimRegion, potential: PairPotential, n_ext: int, w: int):
         d, K = region.d, _SUBCELLS
-        self.ell = region.ell_minus
+        self.h = h = region.ell_minus / K
         side = K * n_ext + 2 * self.PAD
         self.size = side**d
         self.strides = tuple(side ** (d - 1 - k) for k in range(d))
         self.origin = (K * w + self.PAD) * sum(self.strides)
-        h = self.ell / K
         # w cells span the range, so subcells K w + 2 or more apart along an
         # axis are beyond it
         reach = K * w + 1
@@ -259,12 +277,12 @@ class _SubcellGrid:
         """Flat subcell of the point with coordinates ``xs`` (a list)."""
         flat = self.origin
         for x, k in zip(xs, self.strides):
-            flat += math.floor(x * _SUBCELLS / self.ell) * k
+            flat += _cell_index(x, self.h) * k
         return flat
 
     def indices(self, pos: np.ndarray) -> np.ndarray:
         """``index`` of each row of ``pos``, in one pass."""
-        return np.floor(pos * _SUBCELLS / self.ell).astype(np.int64) @ self.strides + self.origin
+        return _cell_indices(pos, self.h) @ self.strides + self.origin
 
 
 def reference_energy(spins, phase: PhaseTarget) -> float:
@@ -283,7 +301,10 @@ class ParticleSystem:
     collar, filed by cell of the fine partition for O(1) neighborhoods.
 
     A cell is one flat index into the extended grid ``(n_ext,) * d`` in C
-    order, with the origin at the collar corner.  Particle i sits in cell
+    order, with the origin at the collar corner.  A point x is counted in
+    cell ``floor(x / ell_minus)`` per axis; a point drawn for cell c, by a
+    birth, ``draw_uniform`` or screening's default perturbation, is counted
+    in c (see ``place``).  Particle i sits in cell
     ``cell[i]``; row c of ``members`` lists the ids filed in cell c in filing
     order in its first ``fill[c]`` entries, and -1 in the rest.  Index -1 is
     the *sentinel*, the last slot of the particle arrays: position 0,
@@ -314,6 +335,7 @@ class ParticleSystem:
         self.n_int = n_int
         self.n_ext = n_int + 2 * w
         self._strides = tuple(self.n_ext ** (d - 1 - k) for k in range(d))
+        self.grid = _cell_table(d, self.n_ext, w)  # (extended cells, interior mask)
         cap = self.GROW
         self.pos = np.zeros((cap, d))
         self.spin = np.zeros(cap, dtype=np.int64)
@@ -356,7 +378,7 @@ class ParticleSystem:
         state.  Arrays (read-only ones stay read-only), lists and dicts are
         copied whole (their items are numbers) and rng is deep-copied
         through ``memo``; the region, the phase, the process-cached pair
-        potential and the window's tuples are values, shared."""
+        potential, the cell table and the window's tuples are values, shared."""
         clone = memo[id(self)] = object.__new__(type(self))
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
@@ -434,17 +456,23 @@ class ParticleSystem:
 
     # -- geometry helpers
 
-    def _ext_cell(self, cell: tuple) -> int:
-        """Flat cell of an interior-coordinate cell tuple."""
-        return sum((c + self.w) * k for c, k in zip(cell, self._strides))
+    def place(self, xs: list, cell) -> list:
+        """The list ``xs``, a point drawn for the interior-coordinate cell,
+        with each coordinate moved in place to the nearest float filed in
+        its cell and, on a cell of the box, below the box's far face."""
+        ell, side, n = self._region.ell_minus, self._region.side, self.n_int
+        for k, c in enumerate(cell):
+            while _cell_index(xs[k], ell) > c or (xs[k] >= side and c < n):
+                xs[k] = math.nextafter(xs[k], -math.inf)
+            while _cell_index(xs[k], ell) < c:
+                xs[k] = math.nextafter(xs[k], math.inf)
+        return xs
 
     def mobile_in(self, cells) -> list:
         """Mobile ids whose interior cell is in the collection ``cells``, in
         ``mobile_ids`` order (a move's ``pick`` indexes into this list)."""
-        inner = np.asarray(list(cells), dtype=np.int64).reshape(-1, self.region.d)
-        inner = inner[np.all((inner >= 0) & (inner < self.n_int), axis=1)]
         wanted = np.zeros(len(self.fill), dtype=bool)
-        wanted[(inner + self.w) @ self._strides] = True
+        wanted[self.flat_cells(list(cells))] = True  # collar cells, and -1, hold no mobile id
         ids = np.asarray(self.mobile_ids, dtype=np.int64)
         return ids[wanted[self.cell[ids]]].tolist()
 
@@ -461,7 +489,7 @@ class ParticleSystem:
         """Flat cell of an interior-coordinate cell tuple, -1 for a cell off
         the extended grid (which never holds a particle)."""
         if all(-self.w <= c < self.n_int + self.w for c in cell):
-            return self._ext_cell(cell)
+            return sum((c + self.w) * k for c, k in zip(cell, self._strides))
         return -1
 
     def flat_cells(self, cells) -> np.ndarray:
@@ -673,17 +701,15 @@ class ParticleSystem:
         spin = np.tile(species, len(cells))
         cells = np.repeat(cells, len(species), axis=0)
         pos = cells * ell + rng.random((len(spin), d)) * ell
-        # a uniform near 1 can round a coordinate onto the next cell's face
-        # (or the box's far face): step it down, as _propose's birth does
-        interior = cells < self.n_int
-        while np.any(out := (np.floor(pos / ell) > cells) | ((pos >= self.region.side) & interior)):
-            pos[out] = np.nextafter(pos[out], -np.inf)
+        out = (_cell_indices(pos, ell) != cells) | ((pos >= self.region.side) & (cells < self.n_int))
+        for i in np.flatnonzero(out.any(axis=1)).tolist():
+            pos[i] = self.place(pos[i].tolist(), cells[i].tolist())
         return pos, spin
 
-    def _add(self, pos, spins, frozen: bool):
+    def _add(self, pos, spins, frozen: bool, cells: np.ndarray):
         """Insert a batch in one pass, as ``_insert`` one particle at a time
         would: slots from ``_free`` in pop order, then new ones, and mobile
-        ids appended in the given order."""
+        ids appended in the given order, filed in the interior-coordinate ``cells``."""
         n = len(pos)
         if not n:  # no edit: a known energy stays known
             return
@@ -698,8 +724,7 @@ class ParticleSystem:
         self.spin[ids] = np.asarray(spins, dtype=np.int64)
         self.alive[ids] = True
         self.frozen[ids] = frozen
-        cells = (np.floor(pos / self.region.ell_minus).astype(np.int64) + self.w) @ self._strides
-        self._file_batch(ids, cells)
+        self._file_batch(ids, self.flat_cells(cells))
         if not frozen:
             new = ids.tolist()
             self._mobile_slot.update(zip(new, itertools.count(len(self.mobile_ids))))
@@ -713,22 +738,22 @@ class ParticleSystem:
         sits on a collar cell."""
         pos = np.asarray(positions, dtype=float).reshape(-1, self.region.d)
         L, wlen = self.region.side, self.w * self.region.ell_minus
-        inner = np.floor(pos / self.region.ell_minus) < self.n_int
-        if np.any(np.all((pos >= 0.0) & ((pos < L) | inner), axis=1)):
-            raise ValueError("boundary particle inside the box")
-        if np.any((pos < -wlen) | (pos >= L + wlen)):
+        if not np.all((pos >= -wlen) & (pos < L + wlen)):  # NaN too
             raise ValueError("boundary particle beyond the collar")
-        self._add(pos, spins, frozen=True)
+        cells = _cell_indices(pos, self.region.ell_minus)
+        if np.any(np.all((pos >= 0.0) & ((pos < L) | (cells < self.n_int)), axis=1)):
+            raise ValueError("boundary particle inside the box")
+        self._add(pos, spins, True, cells)
 
     def add_particles(self, positions, spins):
         """Add mobile particles inside the box, in the given order.  A
         position whose cell rounds onto the collar counts as outside, so
         every mobile particle sits on an interior cell."""
         pos = np.asarray(positions, dtype=float).reshape(-1, self.region.d)
-        inner = np.floor(pos / self.region.ell_minus) < self.n_int
-        if not np.all((pos >= 0.0) & (pos < self.region.side) & inner):
+        cells = _cell_indices(pos, self.region.ell_minus)
+        if not np.all((pos >= 0.0) & (pos < self.region.side) & (cells < self.n_int)):
             raise ValueError("mobile particle outside the box")
-        self._add(pos, spins, frozen=False)
+        self._add(pos, spins, False, cells)
 
     def remove_particles(self, ids):
         """Remove the mobile particles ``ids`` in one pass; slots are freed
@@ -750,9 +775,7 @@ class ParticleSystem:
     def seed_phase_configuration(self, rng=None):
         """Fill every interior cell with the reference counts of each species
         at uniform positions: a canonical in-window start."""
-        d = self.region.d
-        cells = np.indices((self.n_int,) * d).reshape(d, -1).T
-        self.add_particles(*self.draw_uniform(cells, self.reference_counts, rng or self.rng))
+        self.add_particles(*self.draw_uniform(_default_active(self), self.reference_counts, rng or self.rng))
 
     # -- energies
 
@@ -960,7 +983,8 @@ def phase_indicator(density_cell: np.ndarray, references: list[np.ndarray], zeta
 
 
 def _default_active(system: ParticleSystem):
-    return [tuple(c) for c in np.ndindex(*((system.n_int,) * system.region.d))]
+    cells, inner = system.grid
+    return list(map(tuple, (cells[inner] - system.w).tolist()))
 
 
 def draw_move_uniforms(rng, n_moves: int, d: int) -> np.ndarray:
@@ -985,13 +1009,13 @@ class RowContext:
     __slots__ = ("active", "flat", "volume", "dref")
 
     def __init__(self, system: ParticleSystem, active: list):
-        cells = np.asarray(active, dtype=np.int64).reshape(-1, system.region.d)
-        if np.any((cells < 0) | (cells >= system.n_int)):
+        flat = system.flat_cells(active)
+        if not system.grid[1][flat].all():  # -1, off the grid, reads a collar cell
             raise ValueError("active cells must be interior cells")
         phase, S = system.phase, system.region.S
         m = phase.neighbor_sum
         self.active = active
-        self.flat = dict(zip(active, system.flat_cells(active).tolist()))
+        self.flat = dict(zip(active, flat.tolist()))
         self.volume = len(active) * system.region.cell_volume
         self.dref = [[float(m[s] - phase.lambda_beta) if s == s2 else float(m[s2] - m[s])
                       for s2 in range(S)] for s in range(S)]
@@ -1029,14 +1053,8 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext
     if u < kernel.p_birth:
         active = rows.active
         cell = active[int(u_a * len(active))]
-        ell, side = region.ell_minus, region.side
-        r = [(c + f) * ell for c, f in zip(cell, frac)]
-        # for f near 1, c + f can round up to c + 1 (in the last cell, onto
-        # the box's far face): step such a coordinate down until it lies in
-        # the box and in its cell, as a displacement's box and cell tests see it
-        for k, c in enumerate(cell):
-            while r[k] >= side or math.floor(r[k] / ell) > c:
-                r[k] = math.nextafter(r[k], 0.0)
+        ell = region.ell_minus
+        r = system.place([(c + f) * ell for c, f in zip(cell, frac)], cell)
         sub = None if grid is None else grid.index(r)
         r = np.array(r)
         s = int(u_c * region.S)
@@ -1065,7 +1083,7 @@ def _propose(system: ParticleSystem, kernel: MoveKernel, draws, rows: RowContext
         xs = [x + (2.0 * f - 1.0) * step for x, f in zip(r.tolist(), frac)]
         if not all(0.0 <= x < side for x in xs):
             return None
-        c_new = rows.flat.get(tuple(math.floor(x / region.ell_minus) for x in xs))
+        c_new = rows.flat.get(tuple([_cell_index(x, region.ell_minus) for x in xs]))
         if c_new is None:
             return None
         sub = None if grid is None else grid.index(xs)
@@ -1170,8 +1188,7 @@ class TwinRows:
         self.first = first
         self.aligned = self._aligned(first, second, loc1, loc2)
         self.cells = first.twin_cells(second) if self.aligned else np.zeros(len(first.fill), dtype=bool)
-        d = first.region.d
-        inner = (np.indices((first.n_int,) * d).reshape(d, -1).T + first.w) @ first._strides
+        inner = np.flatnonzero(first.grid[1])
         self.blocks = np.zeros_like(self.cells)
         self.blocks[inner] = self.cells[inner[:, None] + first._ball].all(axis=1)
         self.aligned_rows = self.reused = 0

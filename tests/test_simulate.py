@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pottsgas import fixtures as fx
+from pottsgas import screening as scr
 from pottsgas import simulate as sim
 from pottsgas.kernels import PairPotential
 
@@ -276,6 +277,8 @@ def test_boundary_validation():
         sys.add_boundary([[0.5, 0.5]], [0])  # inside the box
     with pytest.raises(ValueError):
         sys.add_boundary([[-5.0, 0.5]], [0])  # beyond the collar
+    with pytest.raises(ValueError, match="beyond the collar"):
+        sys.add_boundary([[np.nan, 0.5]], [0])  # no cell at all
     sys.add_boundary([[-0.5, 0.5]], [0])
     assert sys.frozen[: sys._n_used].sum() == 1
     # one mobile particle on the far face (x = L) rejects the whole batch
@@ -974,7 +977,7 @@ def _changes(system, kind, rng):
     if kind == "birth":
         cell = tuple(rng.integers(0, system.n_int, d))
         r = (np.asarray(cell) + rng.random(d)) * ell
-        return [(+1, r, int(rng.integers(S)), system._ext_cell(cell))], None
+        return [(+1, r, int(rng.integers(S)), system.flat_cell(cell))], None
     i = system.mobile_ids[int(rng.integers(len(system.mobile_ids)))]
     r, s, c = system.pos[i], int(system.spin[i]), system.cell[i]
     if kind == "death":
@@ -1169,16 +1172,17 @@ def test_window_is_read_only_and_shared_by_copies():
 
 
 def test_module_caches_are_read_only():
-    # every system of one geometry shares the energy audit's cell pairs and
-    # the bound's subcell offsets and weights: a write through one system
-    # would reach them all
+    # every system of one geometry shares the energy audit's cell pairs, the
+    # cell table and the bound's subcell offsets and weights: a write through
+    # one system would reach them all
     system = sim.ParticleSystem(index_region(2), sim.PhaseTarget(np.full(3, 0.5), 0.5, t=0.5))
     pairs, _ = sim._audit_pairs(system.region.d, system.n_ext, system.w)
     grid = sim._SubcellGrid.of(system)
-    for shared in (pairs, grid.offsets, grid.weights):
+    for shared in (pairs, grid.offsets, grid.weights, *system.grid):
         with pytest.raises(ValueError):
             shared[..., 0] = 0
     assert sim._audit_pairs(system.region.d, system.n_ext, system.w)[0] is pairs
+    assert sim.ParticleSystem(system.region, system.phase).grid is copy.deepcopy(system).grid is system.grid
 
 
 def test_draw_uniform_keeps_each_particle_in_its_cell():
@@ -1201,6 +1205,78 @@ def test_draw_uniform_keeps_each_particle_in_its_cell():
     assert np.all(system.pos[system.mobile_ids] < 50.0)
     assert system.pos[system.mobile_ids].tolist()[:2] == [[np.nextafter(20.0, 0.0),
                                                           np.nextafter(25.0, 0.0)]] * 2
+
+
+CORNER_ELLS = (0.1, 0.2, 0.3, 0.6, 0.7, 1.1, 1.3)
+
+
+def corner_cells(ell: float) -> list:
+    """The cells c < 200 whose lower face c * ell floors to another cell."""
+    return [c for c in range(200) if math.floor((c * ell) / ell) != c]
+
+
+class Constant:
+    """A generator whose every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+@pytest.mark.parametrize("ell", CORNER_ELLS)
+def test_a_point_drawn_for_a_cell_is_counted_in_it(ell, monkeypatch):
+    # at 70 pairs (ell, c) the lower face c * ell floors to c - 1, so a
+    # uniform of 0 lands one cell short; one just below 1 can land one cell
+    # over, in the last cell on the box's far face.  A birth, draw_uniform
+    # and the default perturbation each give a point in the box that
+    # floor(x / ell) counts in the cell drawn for it, and that is filed there.
+    assert sum(len(corner_cells(e)) for e in CORNER_ELLS) == 70
+    region = sim.SimRegion(d=1, S=2, gamma=1.0 / ell, ell0=ell, ell_minus=ell, ell_plus=ell,
+                           n_plus=200)
+    pair = scr.PairedState(make_system(region=region, zeta=1.5), make_system(region=region, zeta=1.5))
+    system, cells = pair.sys1, corner_cells(ell) + [region.cells_per_axis - 1]
+    added = []  # the positions the perturbation hands to add_particles
+    add = sim.ParticleSystem.add_particles
+    for u in (0.0, math.nextafter(1.0, 0.0), float(np.random.default_rng(36).random())):
+        pos, spin = system.draw_uniform([(c,) for c in cells], [1, 0], Constant(u))
+        system.add_particles(pos, spin)
+        assert system.cell[system.mobile_ids[-len(cells):]].tolist() == system.flat_cells(cells).tolist()
+        births = [sim._propose(system, sim.MoveKernel(), [0.0, 0.0, u, 0.0, 0.0],
+                               sim.RowContext(system, [(c,)]), []).changes[0] for c in cells]
+        added.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim.ParticleSystem, "add_particles",
+                          lambda s, pos, spins: added.append(np.ravel(pos)) or add(s, pos, spins))
+            for c in cells:
+                scr._default_perturbation(pair, {(c,)}, Constant(u))
+        assert len(added) == 2 * len(cells)
+        for c, x, (_, r, _, flat), x1, x2 in zip(cells, pos[:, 0], births, added[::2], added[1::2]):
+            assert flat == system.flat_cell((c,))
+            for point in (x, r[0], x1[0], x2[0]):
+                assert 0.0 <= point < region.side and math.floor(point / ell) == c, (u, c, point)
+
+
+@pytest.mark.parametrize("ell", CORNER_ELLS + (0.65, 2.0))
+def test_subcell_index_is_the_cell_index_at_a_quarter_side(ell):
+    # h = ell / 4 is exact, as _SUBCELLS is a power of two, so x / h rounds
+    # as x * 4 / ell does: one index function serves both grids
+    K, rng = sim._SUBCELLS, np.random.default_rng(7)
+    faces = np.arange(-8 * K, 208 * K) * (ell / K)
+    x = np.concatenate([rng.uniform(-8 * ell, 208 * ell, 4000), faces,
+                        np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf)])
+    want = np.floor(x * K / ell)
+    assert np.array_equal(sim._cell_indices(x, ell / K), want)
+    assert [sim._cell_index(v, ell / K) for v in x.tolist()] == want.tolist()
+    region = sim.SimRegion(d=2, S=2, gamma=1.0 / ell, ell0=ell, ell_minus=ell, ell_plus=ell, n_plus=6)
+    system = make_system(region=region, zeta=1.5, t=1.0)
+    grid = sim._SubcellGrid.of(system)
+    near = x[(x >= -ell) & (x < 7 * ell)]  # on the extended grid
+    pts = near[: len(near) // 2 * 2].reshape(-1, 2)
+    flat = np.floor(pts * K / ell).astype(np.int64) @ grid.strides + grid.origin
+    assert np.array_equal(grid.indices(pts), flat)
+    assert [grid.index(p) for p in pts.tolist()] == flat.tolist()
 
 
 def index_region(d, w=1):
