@@ -360,7 +360,7 @@ def one_body_term(field: LatticeField, cfg: FunctionalConfig) -> float:
         raise ValueError("one-body term needs strictly positive densities")
     ell_d = field.spec.ell ** field.spec.d
     logs = np.log(np.sqrt(2.0 * np.pi * ell_d * rho))
-    return float(np.sum(logs + cfg.t * (cfg.lambda_beta - cfg.lam) * rho)) / (cfg.beta * ell_d)
+    return float(np.sum(logs + cfg.t * (cfg.lambda_beta - cfg.mu) * rho)) / (cfg.beta * ell_d)
 
 
 def penalty(field: LatticeField, cfg: FunctionalConfig) -> float:
@@ -403,7 +403,7 @@ def _drift(rho, u_all, cfg, ell_d, linear):
     Stationarity is the fixed point rho = exp(-beta * drift)."""
     g = cfg.t * u_all + linear - cfg.lambda_beta
     if cfg.one_body:
-        g = g + (0.5 / rho + cfg.t * (cfg.lambda_beta - cfg.lam)) / (cfg.beta * ell_d)
+        g = g + (0.5 / rho + cfg.t * (cfg.lambda_beta - cfg.mu)) / (cfg.beta * ell_d)
     if cfg.perturbation is not None:
         g = g + cfg.perturbation.grad(rho)
     if cfg.epsilon > 0:

@@ -69,11 +69,13 @@ class PhaseTarget:
     """The phase of a restricted ensemble and of the coarse-grained
     functional: densities per species, tangent chemical potential,
     temperature, accuracy window, interpolation weight and the actual
-    chemical potential ``lam`` (``lambda_beta`` unless given).  A value:
-    ``rho_ref`` is a read-only copy, ``neighbor_sum`` (per species, the
-    other species' summed density) is built once, read-only, and two
-    instances of one class with equal fields, ``rho_ref`` by value, are
-    equal and hash equal."""
+    chemical potential ``lam``, kept as given: None follows ``lambda_beta``,
+    also through ``dataclasses.replace``.  ``mu`` is ``lam`` resolved, the
+    value the sampler and the functional read; ``lam=phase.mu`` pins it.  A
+    value: ``rho_ref`` is a read-only copy, ``neighbor_sum`` (per species,
+    the other species' summed density) is built once, read-only, and two
+    instances of one class with equal fields, ``rho_ref`` by value and
+    ``lam`` resolved, are equal and hash equal."""
 
     rho_ref: np.ndarray
     lambda_beta: float
@@ -88,20 +90,20 @@ class PhaseTarget:
         rho_ref.flags.writeable = sums.flags.writeable = False
         object.__setattr__(self, "rho_ref", rho_ref)
         object.__setattr__(self, "neighbor_sum", sums)
-        if self.lam is None:
-            object.__setattr__(self, "lam", self.lambda_beta)
+        object.__setattr__(self, "mu", self.lambda_beta if self.lam is None else self.lam)
         if not 0 < self.beta < np.inf:  # NaN included
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        for name in ("lambda_beta", "lam"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, value in (("lambda_beta", self.lambda_beta), ("lam", self.mu)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError("t must lie in [0,1]")
 
     def _values(self) -> tuple:
-        """The fields in declaration order, ``rho_ref`` as a tuple of floats."""
+        """The fields in declaration order, ``lam`` resolved, ``rho_ref`` a tuple."""
+        names = ("mu" if f.name == "lam" else f.name for f in fields(self))
         return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
-                     for v in (getattr(self, f.name) for f in fields(self)))
+                     for v in (getattr(self, name) for name in names))
 
     def __eq__(self, other):
         return type(other) is type(self) and self._values() == other._values()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import ParticleSystem
+from .simulate import ParticleSystem, _block_offsets, _flat_cells
 
 __all__ = [
     "Polymer",
@@ -215,20 +215,12 @@ class PairedState:
         """Whether the two chains carry the same particles (positions and
         spins) on every cell (rows of ``cells``): a lookup in the cell table."""
         same, _, _ = self.cell_table()
-        return bool(same[self.sys1.flat_cells(cells)].all())
+        return bool(same[_flat_cells(self.region, cells)].all())
 
 
 # ---------------------------------------------------------------------------
 # geometry helpers (interior cell coordinates; cube coordinates in units of
 # the coarse side)
-
-
-@functools.lru_cache(maxsize=None)
-def _block_offsets(side: int, d: int) -> np.ndarray:
-    """Offsets of the ``side``^d block at the origin, in C order, read-only."""
-    out = np.indices((side,) * d).reshape(d, -1).T
-    out.flags.writeable = False
-    return out
 
 
 def touching(cubes) -> set:
@@ -249,7 +241,7 @@ def _ball_offsets(d: int, ell: float, radius: float, extent: float) -> np.ndarra
     within ``radius`` of the corner of the centre cell: extent ``ell`` gives
     the point-to-box distance, extent 0 the corner-to-corner one."""
     reach = int(math.ceil(radius / ell)) + 1
-    off = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)))
+    off = _block_offsets(2 * reach + 1, d) - reach
     lo = off * ell
     gap = np.maximum(np.maximum(lo, -(lo + extent)), 0.0)
     out = off[np.sqrt(np.sum(gap**2, axis=1)) <= radius]
@@ -258,12 +250,14 @@ def _ball_offsets(d: int, ell: float, radius: float, extent: float) -> np.ndarra
 
 
 class _CubeLattice:
-    """The fixed geometry of one region.  The cubes of the box and its
-    collar have codes in C order of ``cube + 1`` (sorted codes, sorted
-    cubes), and their cells rows, cube by cube, C order within a cube;
-    ``n_codes`` and ``n_rows`` stand for every cube or cell off that grid.
-    Tables: each code's 3^d neighbours, each cube's neighbours on the grid
-    (sorted), and per ball each row's ball."""
+    """The fixed geometry of one region, one per region (``_lattice``).  The
+    cubes of the box and its collar have codes in C order of ``cube + 1``
+    (sorted codes, sorted cubes), and their cells rows, cube by cube, C
+    order within a cube; ``n_codes`` and ``n_rows`` stand for every cube or
+    cell off that grid.  Read-only tables: each row's cell, each code's 3^d
+    neighbours, each cube's neighbours on the grid (sorted), and each row's
+    flat extended cell (-1 at ``n_rows`` and beyond the particle systems'
+    collar, at most one cube wide); each row's balls are ``_ball_rows``."""
 
     def __init__(self, region):
         d, side = region.d, region.n_plus + 2
@@ -278,7 +272,9 @@ class _CubeLattice:
         self._local = self.cpc ** np.arange(d - 1, -1, -1)
         corners = (cubes[:, None] - 1 + _block_offsets(3, d)) * self.cpc
         self.neighbours = self.rows(corners) // self.block
-        self._balls, self._flat = {}, None
+        self.flat = np.append(_flat_cells(region, self.cells), -1)
+        for table in (self.cells, self.neighbours, self.flat):
+            table.flags.writeable = False
 
     def mask(self, cubes) -> np.ndarray:
         """Whether each code is in the set ``cubes`` (never ``n_codes``)."""
@@ -299,23 +295,19 @@ class _CubeLattice:
         codes = np.array([self.code[c] for c in cubes], dtype=np.int64)
         return (codes[:, None] * self.block + np.arange(self.block)).ravel()
 
-    def ball(self, radius: float, extent: float) -> np.ndarray:
-        """Rows of the ``_ball_offsets`` cells around each row."""
-        key = (radius, extent)
-        if key not in self._balls:
-            self._balls[key] = self.rows(self.cells[:, None]
-                                         + _ball_offsets(self.d, self.ell, radius, extent))
-        return self._balls[key]
-
-    def flat(self, system: ParticleSystem) -> np.ndarray:
-        """``system.flat_cells`` of each row, -1 at ``n_rows``: all systems of
-        the region share it (their collar is at most one cube wide)."""
-        if self._flat is None:
-            self._flat = np.append(system.flat_cells(self.cells), -1)
-        return self._flat
-
 
 _lattice = functools.lru_cache(maxsize=None)(_CubeLattice)  # one per region
+
+
+@functools.lru_cache(maxsize=None)
+def _ball_rows(region, radius: float, extent: float) -> np.ndarray:
+    """Per row of the region's cube lattice, the rows of its
+    ``_ball_offsets`` cells, read-only."""
+    lattice = _lattice(region)
+    ball = _ball_offsets(lattice.d, lattice.ell, radius, extent)
+    out = lattice.rows(lattice.cells[:, None] + ball)
+    out.flags.writeable = False
+    return out
 
 
 def _near(system: ParticleSystem, cell: tuple, x: np.ndarray, radius: float) -> list:
@@ -352,14 +344,14 @@ def _k_rows(pair: PairedState, in_region: np.ndarray, cells: np.ndarray, rows: n
     frac = ladder.inner_ball_fraction if inner_ball else ladder.ball_fraction
     r, ell = frac * pair.region.ell_plus, lattice.ell
     if (rows < lattice.n_rows).all():
-        balls = lattice.ball(r, ell)[rows]
+        balls = _ball_rows(pair.region, r, ell)[rows]
     else:
         balls = lattice.rows(cells[:, None] + _ball_offsets(lattice.d, ell, r, ell))
     # per point, the cells whose box comes within r of it, and which of
     # them lie outside the region
     near = ~in_region[balls // lattice.block]
     same, _, bins = pair.cell_table()
-    flat = lattice.flat(pair.sys1)[balls]
+    flat = lattice.flat[balls]
     # the bin of the largest deviation is the smallest bin, as the bins do
     # not increase with the deviation
     k = np.where(near, bins[flat], ladder.m_bar + 1).min(axis=1)
@@ -379,7 +371,7 @@ def theta_events(pair: PairedState, cells, k) -> np.ndarray:
     region given its index k, in one pass: trivially true where k is 0,
     else the two chains carry identical particles on the cell and the first
     chain's density sits within the ladder rung min(k - 1, m_bar)."""
-    return _theta(pair, pair.sys1.flat_cells(cells), k)
+    return _theta(pair, _flat_cells(pair.region, cells), k)
 
 
 def _theta(pair: PairedState, flat: np.ndarray, k) -> np.ndarray:
@@ -459,19 +451,18 @@ class CubePartition:
         cube."""
         rows = self.lattice.cube_rows(cubes)
         k = _k_rows(pair, self._inside, self.lattice.cells[rows], rows)
-        return _theta(pair, self.lattice.flat(pair.sys1)[rows], k)
+        return _theta(pair, self.lattice.flat[rows], k)
 
     def range_collar(self) -> list:
         """Interior-coordinate cells outside the running region within one
         interaction range 1/gamma of it, in sorted order.  Only cells that
-        can hold particles count: the box and its frozen collar, [-w, n + w)
-        per axis."""
+        can hold particles count: those with a flat cell, in the box and its
+        frozen collar."""
         if not self._lambda:
             return []
         region, lattice, ell = self.region, self.lattice, self.region.ell_minus
-        w, n = region.collar_cells, region.cells_per_axis
-        cells = lattice.cells[~self._inside[:-1].repeat(lattice.block)]
-        cells = cells[((cells >= -w) & (cells < n + w)).all(axis=1)]
+        outside = ~self._inside[:-1].repeat(lattice.block)
+        cells = lattice.cells[outside & (lattice.flat[:-1] >= 0)]
         lo = cells * ell
         near = _gaps(lo, lo + ell, self._lambda, region.ell_plus) <= 1.0 / region.gamma
         return sorted(map(tuple, cells[near].tolist()))
@@ -524,7 +515,7 @@ def _m_rows(partition: CubePartition, pair: PairedState) -> np.ndarray:
     peeled cubes, one peel at a time: a step reads only older steps."""
     lattice = partition.lattice
     r = pair.ladder.ball_fraction * pair.region.ell_plus
-    ball = lattice.ball(r + 1e-12, 0.0)
+    ball = _ball_rows(pair.region, r + 1e-12, 0.0)
     M = np.full(lattice.n_rows + 1, math.inf)
     older = lattice.mask(partition.collar)  # cubes already peeled or collar
     for step in partition.history:
@@ -569,7 +560,7 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
             n = region.cells_per_axis
             collar = [c for c in partition.range_collar() if all(0 <= i < n for i in c)]
             same, _, _ = pair.cell_table()
-            held = same[pair.sys1.flat_cells(collar)]
+            held = same[_flat_cells(pair.region, collar)]
             differ = next((c for c, ok in zip(collar, held) if not ok), None)
             if differ is not None:
                 report["failures"].append(f"chains differ on collar cell {differ}")
@@ -593,7 +584,7 @@ def verify_stopping(pair: PairedState, partition: CubePartition,
     # audit index val asks for the event on rung h = m_bar - val, which is
     # the event at K = h + 1; val >= m_bar - 2 fails by itself, so it asks
     # for the trivial event at K = 0
-    held = _theta(pair, lattice.flat(pair.sys1)[rows],
+    held = _theta(pair, lattice.flat[rows],
                   np.where(vals < m_bar - 2, m_bar + 1 - vals.astype(int), 0))
     audited = zip(map(tuple, lattice.cells[rows].tolist()), vals.tolist())
     for (cell, val), ok in zip(audited, held):

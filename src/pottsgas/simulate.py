@@ -80,10 +80,6 @@ class SimRegion:
         return self.n_plus * self.ell_plus
 
     @property
-    def n_cubes(self) -> int:
-        return self.n_plus**self.d
-
-    @property
     def cells_per_axis(self) -> int:
         return int(round(self.side / self.ell_minus))
 
@@ -134,20 +130,12 @@ class MoveKernel:
             raise ValueError(f"displacement step must be positive and finite, got {self.step}")
 
 
-_POTENTIALS: dict[tuple[float, int], PairPotential] = {}
 _STAMPS = itertools.count()  # ParticleSystem.stamp: one value per cell-index change
 _PAIR_BLOCK_ELEMENTS = 1 << 16  # most slot pairs per group of cell pairs in total_energy
 _SUBCELLS = 4  # subcells per cell axis in the pair-energy bound's count table
-_SUBCELL_GRIDS: dict[tuple, _SubcellGrid] = {}
 _AUDIT_PIECE = 1 << 12  # distances per V call in total_energy
 _AUDIT_ARRAYS: dict[str, np.ndarray] = {}  # total_energy's work arrays, by name
-
-
-def _potential_cache(gamma: float, d: int) -> PairPotential:
-    key = (round(float(gamma), 12), int(d))
-    if key not in _POTENTIALS:
-        _POTENTIALS[key] = PairPotential(gamma, d)
-    return _POTENTIALS[key]
+_potential = functools.lru_cache(maxsize=None)(PairPotential)  # one per (gamma, d), gamma exact
 
 
 def _audit_array(name: str, shape: tuple, dtype, kept: int = 0) -> np.ndarray:
@@ -179,31 +167,61 @@ def _cell_indices(pos: np.ndarray, h: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _cell_table(d: int, n_ext: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the extended grid ``(n_ext,) * d`` with a collar ``w``
-    cells wide in C order (row k is flat cell k), as read-only extended
-    coordinates, and a read-only mask of the interior ones."""
-    cells = np.indices((n_ext,) * d).reshape(d, -1).T
+def _block_offsets(side: int, d: int) -> np.ndarray:
+    """The cells of the block ``(side,) * d`` at the origin in C order (row
+    k is flat cell k of the block), read-only: every caller shares it."""
+    out = np.stack(np.unravel_index(np.arange(side**d), (side,) * d), axis=1)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _extent(region: SimRegion) -> tuple[int, int, tuple[int, ...]]:
+    """(w, n_ext, strides): the collar's width in cells, the cells per axis
+    of the extended grid (the box with a collar on each side) and its
+    C-order strides."""
+    w = region.collar_cells
+    n_ext = region.cells_per_axis + 2 * w
+    return w, n_ext, tuple(n_ext ** (region.d - 1 - k) for k in range(region.d))
+
+
+def _flat_cells(region: SimRegion, cells) -> np.ndarray:
+    """The flat extended cell of each row of an array of interior-coordinate
+    cells of the region (see ``ParticleSystem``), -1 off the extended grid."""
+    w, n_ext, strides = _extent(region)
+    ext = np.asarray(cells, dtype=np.int64).reshape(-1, region.d) + w
+    flat = ext @ strides
+    flat[((ext < 0) | (ext >= n_ext)).any(axis=1)] = -1
+    return flat
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_table(region: SimRegion) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the region's extended grid in C order (row k is flat
+    cell k), as read-only extended coordinates, and a read-only mask of the
+    interior ones."""
+    w, n_ext, _ = _extent(region)
+    cells = _block_offsets(n_ext, region.d)
     inner = ((cells >= w) & (cells < n_ext - w)).all(axis=1)
-    cells.flags.writeable = inner.flags.writeable = False  # shared by every system of the geometry
+    inner.flags.writeable = False  # shared by every system of the region
     return cells, inner
 
 
 @functools.lru_cache(maxsize=None)
-def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
+def _audit_pairs(region: SimRegion) -> tuple[np.ndarray, int]:
     """The cell pairs that ``ParticleSystem.total_energy`` visits on the
-    extended grid ``(n_ext,) * d`` with a collar ``w`` cells wide, built
-    once per geometry: a ``(2, P)`` array of flat cells and the number of
-    pairs at its start that pair a cell with itself.
+    region's extended grid, built once per region: a ``(2, P)`` array of
+    flat cells and the number of pairs at its start that pair a cell with
+    itself.
 
     A pair is a cell and the cell at one offset of the half block, the
     offsets from 0 on in C order, so each unordered pair of cells comes
     once; pairs of two collar cells are left out, since a collar cell holds
     frozen particles only and frozen pairs carry no energy.  An interior
     cell's block stays on the grid, so no pair kept wraps a grid row."""
-    cells, inner = _cell_table(d, n_ext, w)
-    strides = n_ext ** np.arange(d - 1, -1, -1)
-    block = np.indices((2 * w + 1,) * d).reshape(d, -1).T - w
+    w, n_ext, strides = _extent(region)
+    cells, inner = _cell_table(region)
+    block = _block_offsets(2 * w + 1, region.d) - w
     pairs = []
     for delta in block[len(block) // 2 :]:
         other = cells + delta
@@ -212,7 +230,7 @@ def _audit_pairs(d: int, n_ext: int, w: int) -> tuple[np.ndarray, int]:
         pair = inner[a] | inner[b]
         pairs.append(np.stack((a[pair], b[pair])))
     table = np.concatenate(pairs, axis=1)
-    table.flags.writeable = False  # shared by every system of the geometry
+    table.flags.writeable = False  # shared by every system of the region
     return table, pairs[0].shape[1]
 
 
@@ -232,9 +250,10 @@ def _audit_groups(widths: np.ndarray):
 
 
 class _SubcellGrid:
-    """The grid of the pair-energy bound: ``_SUBCELLS`` subcells per cell
-    axis over the extended grid plus two padding subcells on each side, one
-    flat index per subcell in C order, and the bound's weights.
+    """The grid of the pair-energy bound, one per region (``_subcell_grid``):
+    ``_SUBCELLS`` subcells per cell axis over the extended grid plus two
+    padding subcells on each side, one flat index per subcell in C order,
+    and the bound's weights.
 
     A point x lies in subcell ``_cell_index(x, h)``, h = ell / _SUBCELLS.
     ``offsets`` are the flat offsets from a subcell to every subcell within
@@ -247,8 +266,9 @@ class _SubcellGrid:
 
     PAD = 2
 
-    def __init__(self, region: SimRegion, potential: PairPotential, n_ext: int, w: int):
+    def __init__(self, region: SimRegion):
         d, K = region.d, _SUBCELLS
+        w, n_ext, _ = _extent(region)
         self.h = h = region.ell_minus / K
         side = K * n_ext + 2 * self.PAD
         self.size = side**d
@@ -257,21 +277,14 @@ class _SubcellGrid:
         # w cells span the range, so subcells K w + 2 or more apart along an
         # axis are beyond it
         reach = K * w + 1
-        delta = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
+        delta = _block_offsets(2 * reach + 1, d) - reach
         gap = np.maximum(np.abs(delta) - 1, 0) * h
+        potential = _potential(region.gamma, d)
         weights = potential.tail_max(np.sqrt((gap**2).sum(axis=1)) * (1.0 - 1e-9))
         within = weights > 0.0
         self.offsets = delta[within] @ self.strides
         self.weights = weights[within]
         self.offsets.flags.writeable = self.weights.flags.writeable = False  # shared per geometry
-
-    @classmethod
-    def of(cls, system: ParticleSystem) -> _SubcellGrid:
-        """The grid of the system's geometry, built once per process."""
-        key = (system.region, system.potential)
-        if key not in _SUBCELL_GRIDS:
-            _SUBCELL_GRIDS[key] = cls(system.region, system.potential, system.n_ext, system.w)
-        return _SUBCELL_GRIDS[key]
 
     def index(self, xs) -> int:
         """Flat subcell of the point with coordinates ``xs`` (a list)."""
@@ -283,6 +296,9 @@ class _SubcellGrid:
     def indices(self, pos: np.ndarray) -> np.ndarray:
         """``index`` of each row of ``pos``, in one pass."""
         return _cell_indices(pos, self.h) @ self.strides + self.origin
+
+
+_subcell_grid = functools.lru_cache(maxsize=None)(_SubcellGrid)  # one per region
 
 
 def reference_energy(spins, phase: PhaseTarget) -> float:
@@ -328,14 +344,10 @@ class ParticleSystem:
         self._phase = phase
         self.rng = np.random.default_rng(seed)
         d, S = region.d, region.S
-        self.potential = _potential_cache(region.gamma, d)
-        w = region.collar_cells
-        self.w = w
-        n_int = region.cells_per_axis
-        self.n_int = n_int
-        self.n_ext = n_int + 2 * w
-        self._strides = tuple(self.n_ext ** (d - 1 - k) for k in range(d))
-        self.grid = _cell_table(d, self.n_ext, w)  # (extended cells, interior mask)
+        self.potential = _potential(region.gamma, d)
+        self.w, self.n_ext, self._strides = _extent(region)
+        self.n_int = region.cells_per_axis
+        self.grid = _cell_table(region)  # (extended cells, interior mask)
         cap = self.GROW
         self.pos = np.zeros((cap, d))
         self.spin = np.zeros(cap, dtype=np.int64)
@@ -364,7 +376,7 @@ class ParticleSystem:
         self._subcounts: np.ndarray | None = None
         self._subgrid: _SubcellGrid | None = None
         # flat offsets of the (2w+1)^d block around a cell, in np.ndindex order
-        self._ball = (np.indices((2 * w + 1,) * d).reshape(d, -1).T - w) @ self._strides
+        self._ball = (_block_offsets(2 * self.w + 1, d) - self.w) @ self._strides
         self.mobile_ids: list[int] = []
         self._mobile_slot: dict[int, int] = {}
         self.stamp = next(_STAMPS)
@@ -440,7 +452,7 @@ class ParticleSystem:
                 self._subcell[ids] = self._subgrid.indices(self.pos[ids])
             np.add.at(self._subcounts, (self._subcell[ids], self.spin[ids]), sign)
         elif self.phase.t > 0.0:
-            self._subgrid = _SubcellGrid.of(self)
+            self._subgrid = _subcell_grid(self.region)
             live = np.flatnonzero(self.alive[: self._n_used])
             self._subcell[live] = self._subgrid.indices(self.pos[live])
             flat = self._subcell[live] * self.region.S + self.spin[live]
@@ -472,7 +484,8 @@ class ParticleSystem:
         """Mobile ids whose interior cell is in the collection ``cells``, in
         ``mobile_ids`` order (a move's ``pick`` indexes into this list)."""
         wanted = np.zeros(len(self.fill), dtype=bool)
-        wanted[self.flat_cells(list(cells))] = True  # collar cells, and -1, hold no mobile id
+        # collar cells, and -1, hold no mobile id
+        wanted[_flat_cells(self.region, list(cells))] = True
         ids = np.asarray(self.mobile_ids, dtype=np.int64)
         return ids[wanted[self.cell[ids]]].tolist()
 
@@ -491,13 +504,6 @@ class ParticleSystem:
         if all(-self.w <= c < self.n_int + self.w for c in cell):
             return sum((c + self.w) * k for c, k in zip(cell, self._strides))
         return -1
-
-    def flat_cells(self, cells) -> np.ndarray:
-        """``flat_cell`` of each row of an array of cells, in one pass."""
-        ext = np.asarray(cells, dtype=np.int64).reshape(-1, self.region.d) + self.w
-        flat = ext @ self._strides
-        flat[((ext < 0) | (ext >= self.n_ext)).any(axis=1)] = -1
-        return flat
 
     def sorted_cells(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(positions, spins) of the particles of the extended cells of the
@@ -724,7 +730,7 @@ class ParticleSystem:
         self.spin[ids] = np.asarray(spins, dtype=np.int64)
         self.alive[ids] = True
         self.frozen[ids] = frozen
-        self._file_batch(ids, self.flat_cells(cells))
+        self._file_batch(ids, _flat_cells(self.region, cells))
         if not frozen:
             new = ids.tolist()
             self._mobile_slot.update(zip(new, itertools.count(len(self.mobile_ids))))
@@ -889,7 +895,7 @@ class ParticleSystem:
         phase = self.phase
         fill = self.fill
         top = max(int(fill.max()), 1)
-        pairs, n_self = _audit_pairs(self.region.d, self.n_ext, self.w)
+        pairs, n_self = _audit_pairs(self.region)
         ids = self.members[:, :top]
         slots = np.arange(top)
         vacant = slots >= fill[:, None]
@@ -934,7 +940,7 @@ class ParticleSystem:
         for i in range(0, n, _AUDIT_PIECE):
             dist[i : i + _AUDIT_PIECE] = self.potential(dist[i : i + _AUDIT_PIECE])
         mobile_spins = self.spin[self.alive & ~self.frozen]
-        h_pair = float(np.sum(dist)) - phase.lam * len(mobile_spins)
+        h_pair = float(np.sum(dist)) - phase.mu * len(mobile_spins)
         h_ref = float(np.sum(phase.neighbor_sum[mobile_spins] - phase.lambda_beta))
         return phase.t * h_pair + (1.0 - phase.t) * h_ref
 
@@ -1009,7 +1015,7 @@ class RowContext:
     __slots__ = ("active", "flat", "volume", "dref")
 
     def __init__(self, system: ParticleSystem, active: list):
-        flat = system.flat_cells(active)
+        flat = _flat_cells(system.region, active)
         if not system.grid[1][flat].all():  # -1, off the grid, reads a collar cell
             raise ValueError("active cells must be interior cells")
         phase, S = system.phase, system.region.S
@@ -1119,7 +1125,7 @@ def _metropolis(system: ParticleSystem, move: Proposal | None, u_accept: float,
     phase = system.phase
     dpair = 0.0
     if phase.t > 0.0:
-        dpair = system._pair_delta(move.changes, skip) - phase.lam * move.dn
+        dpair = system._pair_delta(move.changes, skip) - phase.mu * move.dn
     dh = phase.t * dpair + (1.0 - phase.t) * move.dref
     return u_accept < move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0)), dh
 
@@ -1150,7 +1156,7 @@ def _decide(system: ParticleSystem, move: Proposal | None, u_accept: float,
         phase = system.phase
         sign, r, s, _ = move.changes[0]  # the +1 change, if there is one
         pair_hi = system._pair_bound(r, s, move.sub) if sign > 0 else 0.0
-        dh = phase.t * (pair_hi - phase.lam * move.dn) + (1.0 - phase.t) * move.dref
+        dh = phase.t * (pair_hi - phase.mu * move.dn) + (1.0 - phase.t) * move.dref
         bound = move.ratio * math.exp(max(min(-phase.beta * dh, 700.0), -700.0))
         if u_accept < bound * (1.0 - 1e-9):
             if not system._window_ok_after(move.changes):

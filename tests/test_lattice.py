@@ -619,7 +619,7 @@ def test_functional_config_is_a_frozen_phase_value(sol3):
     # apart from equal values and to no other
     rho_ref = sol3.minimizers[-1].copy()
     cfg = make_cfg(sol3, rho_ref=rho_ref)
-    assert isinstance(cfg, mf.PhaseTarget) and cfg.lam == cfg.lambda_beta
+    assert isinstance(cfg, mf.PhaseTarget) and cfg.mu == cfg.lambda_beta
     for name in ("beta", "rho_ref", "box", "one_body"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, getattr(cfg, name))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -410,6 +411,25 @@ def test_phase_target_compares_and_hashes_by_value():
                   mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, beta=2.0, zeta=0.3, lam=0.7)):
         assert first != other and not first == other
     assert first != (first.rho_ref, 0.5, 2.0, 0.3, 1.0, 0.5)
+
+
+def test_a_defaulted_lam_follows_lambda_beta_through_replace():
+    # replace passes every field back in: a defaulted lam (None) must still
+    # follow the new lambda_beta, a given one stay
+    phase = mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5)
+    moved = dataclasses.replace(phase, lambda_beta=0.7)
+    assert phase.lam is None and (phase.mu, moved.mu) == (0.5, 0.7)
+    assert moved == mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.7)
+    assert dataclasses.replace(moved, t=0.5).mu == 0.7
+    given = mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, lam=0.5)
+    assert given == phase and hash(given) == hash(phase)  # equal by the resolved lam
+    assert dataclasses.replace(given, lambda_beta=0.7).mu == 0.5
+    assert dataclasses.replace(phase, lambda_beta=0.7, lam=0.9).mu == 0.9
+    # lam=phase.mu pins the chemical potential; lam=phase.lam passes None on
+    pinned = mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, lam=phase.mu)
+    assert dataclasses.replace(pinned, lambda_beta=0.7).mu == 0.5
+    unpinned = mf.PhaseTarget(rho_ref=[1.0, 2.0, 4.0], lambda_beta=0.5, lam=phase.lam)
+    assert dataclasses.replace(unpinned, lambda_beta=0.7).mu == 0.7
 
 
 @pytest.mark.parametrize("field, bad", [

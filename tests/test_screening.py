@@ -730,7 +730,7 @@ def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
     balls = cells[:, None] + scr._ball_offsets(d, ell, r, ell)
     near = ~set_in_cubes(balls // cpc, lambda_cubes)
     same, dev, _ = pair.cell_table()
-    flat = pair.sys1.flat_cells(balls).reshape(near.shape)
+    flat = sim._flat_cells(pair.region, balls).reshape(near.shape)
     worst = np.where(near, dev[flat], -np.inf).max(axis=1)
     k = np.where(near.any(axis=1), ladder.bin_deviations(worst), ladder.m_bar + 1)
     differ = near & ~same[flat]
@@ -745,7 +745,7 @@ def set_k_values(pair, lambda_cubes, cells, inner_ball=False):
 def set_theta_events(pair, cells, k):
     k = np.asarray(k, dtype=np.int64)
     same, dev, _ = pair.cell_table()
-    c = pair.sys1.flat_cells(cells)
+    c = sim._flat_cells(pair.region, cells)
     rung = pair.ladder.levels[np.minimum(k - 1, pair.ladder.m_bar)]
     return (k == 0) | (same[c] & (dev[c] <= rung + 1e-12))
 
@@ -818,6 +818,30 @@ def test_screening_history_matches_the_set_based_run(case, data):
         cube = data.draw(st.sampled_from(sorted(np.ndindex(pair.region.n_plus, pair.region.n_plus))))
         fx.inject_polymer(pair, [cube], into_first=data.draw(st.booleans()))
     assert scr.run_screening(pair).history == set_run_screening(pair).history
+
+
+@pytest.mark.parametrize("region", [
+    verify_region(), geometry_region("criterion11"),
+    sim.SimRegion(d=3, S=2, gamma=0.5, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=2)])
+def test_cube_lattice_flat_cells_come_from_the_region(region):
+    # the lattice's flat cell of each row, worked out from the region alone,
+    # is a particle system's flat_cell of it: -1 beyond the system's collar,
+    # which is narrower than a cube (the first two) or one cube wide (the
+    # third).  Every system and partition of the region shares each table,
+    # so none can be written
+    lattice = scr._lattice(region)
+    system = sim.ParticleSystem(region, sim.PhaseTarget(np.full(region.S, 1.0 / region.cell_volume), 0.5))
+    cells = list(map(tuple, lattice.cells.tolist()))
+    assert lattice.flat.tolist() == [system.flat_cell(c) for c in cells] + [-1]
+    beyond = (lattice.cells < -system.w) | (lattice.cells >= system.n_int + system.w)
+    assert np.array_equal(lattice.flat[:-1] < 0, beyond.any(axis=1))
+    ball = scr._ball_rows(region, 0.25 * region.ell_plus, region.ell_minus)
+    for table in (lattice.cells, lattice.neighbours, lattice.flat, ball):
+        with pytest.raises(ValueError):
+            table[..., 0] = 0
+    equal = dataclasses.replace(region)
+    assert scr._lattice(equal) is lattice
+    assert scr._ball_rows(equal, 0.25 * region.ell_plus, region.ell_minus) is ball
 
 
 def test_partition_keeps_its_mask_with_the_running_region():

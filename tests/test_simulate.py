@@ -69,10 +69,10 @@ def interpolated_energy(positions, spins, boundary_positions, boundary_spins,
         bpos = np.asarray(boundary_positions, dtype=float).reshape(nb, -1)
         both_pos = np.concatenate([positions, bpos])
         both_spin = np.concatenate([spins, np.asarray(boundary_spins, dtype=int)])
-        h_full = config_energy(both_pos, both_spin, phase.lam, gamma)
-        h_bnd = config_energy(bpos, boundary_spins, phase.lam, gamma)
+        h_full = config_energy(both_pos, both_spin, phase.mu, gamma)
+        h_bnd = config_energy(bpos, boundary_spins, phase.mu, gamma)
     else:
-        h_full = config_energy(positions, spins, phase.lam, gamma)
+        h_full = config_energy(positions, spins, phase.mu, gamma)
         h_bnd = 0.0
     return phase.t * (h_full - h_bnd) + (1.0 - phase.t) * sim.reference_energy(spins, phase)
 
@@ -102,7 +102,7 @@ def kdtree_energy(system) -> float:
     dist2.sort()
     dist = np.sqrt(dist2)
     mobile_spins = system.spin[live[~system.frozen[live]]]
-    h_pair = float(np.sum(system.potential(dist))) - phase.lam * len(mobile_spins)
+    h_pair = float(np.sum(system.potential(dist))) - phase.mu * len(mobile_spins)
     h_ref = float(np.sum(phase.neighbor_sum[mobile_spins] - phase.lambda_beta))
     return phase.t * h_pair + (1.0 - phase.t) * h_ref
 
@@ -125,7 +125,7 @@ def empirical_density_at(system, ell: float, r, s: int) -> float:
 
 def cell_of(system, r) -> int:
     """Flat cell of the point r."""
-    return int(system.flat_cells(np.floor(np.asarray(r) / system.region.ell_minus))[0])
+    return int(sim._flat_cells(system.region, np.floor(np.asarray(r) / system.region.ell_minus))[0])
 
 
 def small_region(**kw):
@@ -223,8 +223,8 @@ def test_interpolated_energy_limits():
     spins = np.array([0, 1])
     bpos = np.array([[-0.4, 0.5]])
     bspins = np.array([1])
-    full = config_energy(np.vstack([pos, bpos]), np.concatenate([spins, bspins]), phase.lam, gamma)
-    bnd = config_energy(bpos, bspins, phase.lam, gamma)
+    full = config_energy(np.vstack([pos, bpos]), np.concatenate([spins, bspins]), phase.mu, gamma)
+    bnd = config_energy(bpos, bspins, phase.mu, gamma)
     assert interpolated_energy(pos, spins, bpos, bspins, phase, gamma) == pytest.approx(full - bnd)
 
     phase0 = sim.PhaseTarget(rho_ref=np.array([1.0, 1.0]), lambda_beta=1.0, t=0.0)
@@ -675,7 +675,8 @@ def test_total_energy_matches_both_oracles(d, t, seed, collar, crowded, cap, w):
         system.add_particles(rng.random((k, d)) * region.ell_minus, rng.integers(0, region.S, k))
         assert system.members.shape[1] > system.CAP
     system.remove_particles(system.mobile_ids[::3])  # free slots
-    assert (system.fill[system.flat_cells(np.indices((system.n_int,) * d).reshape(d, -1).T)] == 0).any()
+    interior = np.indices((system.n_int,) * d).reshape(d, -1).T
+    assert (system.fill[sim._flat_cells(system.region, interior)] == 0).any()
     assert system.w == w
     groups = []  # per list of cell pairs, self then cross: its widths and groups
     audit_groups = sim._audit_groups
@@ -1176,13 +1177,56 @@ def test_module_caches_are_read_only():
     # cell table and the bound's subcell offsets and weights: a write through
     # one system would reach them all
     system = sim.ParticleSystem(index_region(2), sim.PhaseTarget(np.full(3, 0.5), 0.5, t=0.5))
-    pairs, _ = sim._audit_pairs(system.region.d, system.n_ext, system.w)
-    grid = sim._SubcellGrid.of(system)
+    pairs, _ = sim._audit_pairs(system.region)
+    grid = sim._subcell_grid(system.region)
     for shared in (pairs, grid.offsets, grid.weights, *system.grid):
         with pytest.raises(ValueError):
             shared[..., 0] = 0
-    assert sim._audit_pairs(system.region.d, system.n_ext, system.w)[0] is pairs
+    assert sim._audit_pairs(system.region)[0] is pairs
     assert sim.ParticleSystem(system.region, system.phase).grid is copy.deepcopy(system).grid is system.grid
+
+
+def test_region_tables_are_keyed_on_the_exact_gamma():
+    # the pair potential is built once per (gamma, d) and the subcell grid
+    # once per region: a gamma 1e-13 off another, which agrees with it to
+    # 12 digits, gets its own potential and grid, and an equal region
+    # shares both
+    phase = sim.PhaseTarget(np.full(2, 0.5), 0.5, t=0.5)
+    gammas = (0.5, 0.5 * (1.0 + 1e-13))
+    regions = [sim.SimRegion(d=2, S=2, gamma=g, ell0=1.0, ell_minus=2.0, ell_plus=2.0, n_plus=2)
+               for g in gammas]
+    first, second = (sim.ParticleSystem(region, phase).potential for region in regions)
+    assert first is not second and (first.gamma, second.gamma) == gammas
+    assert first.range != second.range
+    twin = dataclasses.replace(regions[0])
+    assert twin is not regions[0] and sim.ParticleSystem(twin, phase).potential is first
+    assert sim._subcell_grid(twin) is sim._subcell_grid(regions[0]) is not sim._subcell_grid(regions[1])
+
+
+@pytest.mark.parametrize("d, gamma, cells_per_range", [(1, 0.5, 1), (2, 0.5, 2), (2, 0.2, 1), (3, 0.5, 1)])
+def test_subcell_weights_are_the_tail_from_the_closest_distance(d, gamma, cells_per_range):
+    # per offset between two subcells, out past the grid's own reach, the
+    # closest distance between them over their corner pairs: each weight
+    # bounds V from there on, and lies within a relative 1e-6 of that
+    # bound, so a weight taken nearer, or an offset kept beyond range, fails
+    ell = 1.0 / gamma / cells_per_range
+    region = sim.SimRegion(d=d, S=2, gamma=gamma, ell0=ell, ell_minus=ell, ell_plus=1.0 / gamma,
+                           n_plus=2)
+    grid, h = sim._subcell_grid(region), ell / sim._SUBCELLS
+    reach = sim._SUBCELLS * region.collar_cells + 4
+    delta = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)))
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    # subcell 0 spans [0, h]^d and subcell delta [delta h, (delta + 1) h]^d
+    ends = (delta[:, None, None] + corners[None, None, :] - corners[None, :, None]) * h
+    closest = np.sqrt((ends**2).sum(axis=-1)).min(axis=(1, 2))
+    flat = (delta @ grid.strides).tolist()
+    assert len(set(flat)) == len(flat) and set(grid.offsets.tolist()) <= set(flat)
+    kept = dict(zip(grid.offsets.tolist(), grid.weights.tolist()))
+    weights = np.array([kept.get(k, 0.0) for k in flat])
+    potential = PairPotential(gamma, d)
+    assert np.all(potential.tail_max(closest) <= weights)
+    assert np.all(weights <= potential.tail_max(closest * (1.0 - 1e-6)))
+    assert np.all(grid.weights > 0.0)
 
 
 def test_draw_uniform_keeps_each_particle_in_its_cell():
@@ -1242,7 +1286,8 @@ def test_a_point_drawn_for_a_cell_is_counted_in_it(ell, monkeypatch):
     for u in (0.0, math.nextafter(1.0, 0.0), float(np.random.default_rng(36).random())):
         pos, spin = system.draw_uniform([(c,) for c in cells], [1, 0], Constant(u))
         system.add_particles(pos, spin)
-        assert system.cell[system.mobile_ids[-len(cells):]].tolist() == system.flat_cells(cells).tolist()
+        filed = system.cell[system.mobile_ids[-len(cells):]]
+        assert filed.tolist() == sim._flat_cells(system.region, cells).tolist()
         births = [sim._propose(system, sim.MoveKernel(), [0.0, 0.0, u, 0.0, 0.0],
                                sim.RowContext(system, [(c,)]), []).changes[0] for c in cells]
         added.clear()
@@ -1271,7 +1316,7 @@ def test_subcell_index_is_the_cell_index_at_a_quarter_side(ell):
     assert [sim._cell_index(v, ell / K) for v in x.tolist()] == want.tolist()
     region = sim.SimRegion(d=2, S=2, gamma=1.0 / ell, ell0=ell, ell_minus=ell, ell_plus=ell, n_plus=6)
     system = make_system(region=region, zeta=1.5, t=1.0)
-    grid = sim._SubcellGrid.of(system)
+    grid = sim._subcell_grid(system.region)
     near = x[(x >= -ell) & (x < 7 * ell)]  # on the extended grid
     pts = near[: len(near) // 2 * 2].reshape(-1, 2)
     flat = np.floor(pts * K / ell).astype(np.int64) @ grid.strides + grid.origin
